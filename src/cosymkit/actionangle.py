@@ -3,13 +3,18 @@
 On a compact regular fiber the commuting fields (X_{f_1}..X_{f_r}, Z) define
 a lattice of flow-time vectors returning the base point; its basis cycles
 carry the loop actions I_mu = (1/2pi) * integral of a primitive one-form.
-Differentiating the actions across neighboring fibers builds the matrix
+By the period-action relation (Arnold, Mathematical Methods of Classical
+Mechanics, sec. 50; Duistermaat, CPAM 33, 1980) the time that cycle mu
+spends in the flow of f_nu is 2pi dI_mu/df_nu, so the lattice basis itself
+is the frequency matrix
 
-    b[mu, nu] = dI_mu / df_nu   (nu <= r),
-    b[mu, r]  = (1/2pi) * integral of eta over the cycle  (constant column)
+    b[mu, nu] = dI_mu / df_nu = basis[mu, nu] / 2pi   (nu <= r),
+    b[mu, r]  = (1/2pi) * integral of eta over the cycle = basis[mu, r] / 2pi
 
-and the linear systems b^T w = e_k give the frequencies of the Reeb flow
-(k = r+1) and of the Hamiltonian flows of the prefix integrals (k <= r).
+(the eta column is the Reeb-time column because eta(X_f) = 0 and
+eta(Z) = 1), and the linear systems b^T w = e_k give the frequencies of the
+Reeb flow (k = r+1) and of the Hamiltonian flows of the prefix integrals
+(k <= r).
 
 Numeric lattice detection is implemented for two-dimensional tori (r+1 = 2):
 scan one flow for near-returns, then polish the return times with a damped
@@ -21,14 +26,12 @@ still polished and verified here.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cosym import CosymplecticStructure
+from .cosym import ToleranceConfig
 from .exprlang import Expr, parse
 from .fields import TWO_PI, ChartSpec, OneFormField, Point
 from .flow import SectionSpec, Trajectory, integrate, section_crossings
@@ -82,14 +85,6 @@ _GL_WEIGHTS = np.array(
 )
 
 
-def _worker_count() -> int:
-    """Parallelism cap from the COSYM_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("COSYM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class ActionAngleError(Exception):
     """Base class for torus-machinery failures."""
 
@@ -101,7 +96,7 @@ class NoReturnError(ActionAngleError):
 
 
 class ContinuationError(ActionAngleError):
-    """Failed to reach a neighboring fiber."""
+    """Newton could not reach the requested fiber from the seed point."""
 
 
 class CycleError(ActionAngleError):
@@ -213,13 +208,14 @@ class FrequencyTable:
 
     The actions are redundant: the derivative sub-block b[:, :r] has rank r
     even though there are r+1 of them.  ``derivative_rank`` reports it.
+    ``eta_residual`` compares the line-integral eta pairings of the cycles
+    with the Reeb-time column they must equal.
     """
 
     b: np.ndarray
     fiber: np.ndarray
-    delta: float
     actions: np.ndarray
-    eta_constancy: float
+    eta_residual: float
     cond: float
     lattice: PeriodLattice
 
@@ -235,9 +231,8 @@ class FrequencyTable:
         return {
             "b": [[float(v) for v in row] for row in self.b],
             "fiber": [float(v) for v in self.fiber],
-            "delta": self.delta,
             "actions": [float(v) for v in self.actions],
-            "eta_constancy": self.eta_constancy,
+            "eta_residual": self.eta_residual,
             "cond": self.cond,
             "derivative_rank": self.derivative_rank,
         }
@@ -625,79 +620,31 @@ def action_integrals(
 # --- frequency matrix and solves ----------------------------------------------
 
 def b_matrix(
-    sys: IntegralSystem,
-    fiber,
-    delta: float = 1e-4,
-    lam: OneFormField | None = None,
-    seed: Point | None = None,
-    fields=None,
-    angle_maps=(),
-    declared_vectors=None,
-    flow_tol: float = 1e-11,
-    **detect_kwargs,
+    profile: ActionProfile, eta_tol: float = ToleranceConfig.lattice_return
 ) -> FrequencyTable:
-    """Frequency matrix at the given fiber, by central differences of actions.
+    """Frequency matrix of a torus, read off its period lattice.
 
-    Derivative columns use fibers ``fiber +- delta * e_nu`` for nu <= r,
-    reached by Newton continuation; lattice vectors at the displaced fibers
-    are polished from the base lattice.  The last column is the eta pairing
-    of each base cycle; its spread across the continuation fibers is recorded
-    as ``eta_constancy`` (it must be constant).
+    ``b = basis / 2pi`` by the period-action relation.  The eta pairings that
+    ``action_integrals`` measured along the cycles must reproduce the last
+    (Reeb-time) column; a larger gap than ``eta_tol`` means the fields are not
+    the commuting (X_f, Z) frame the relation needs, or a cycle was traced
+    badly, and raises CycleError.
     """
-    S = sys.structure
-    lam = lam if lam is not None else S.primitive
-    if lam is None:
-        raise ActionAngleError("no primitive one-form available for actions")
-    fields = list(fields) if fields is not None else sys.commuting_fields()
-    fiber = np.asarray(fiber, dtype=float)
-    if seed is None:
-        box = np.asarray(S.domain_box, dtype=float)
-        seed = box[:, 0] + 0.61803398875 * (box[:, 1] - box[:, 0])
-    x0 = find_fiber_point(sys, fiber, seed)
-    lattice0 = torus_lattice(
-        sys, x0, fields=fields, angle_maps=angle_maps,
-        declared_vectors=declared_vectors, flow_tol=flow_tol, **detect_kwargs,
-    )
-    base = action_integrals(sys, lattice0, lam, fields, flow_tol)
-    k = lattice0.rank
-    b = np.zeros((k, k))
-    pairing_rows = [base.eta_pairings]
-
-    def continuation(task):
-        nu, sgn = task
-        target = fiber.copy()
-        target[nu] += sgn * delta
-        x = find_fiber_point(sys, target, x0)
-        lat = torus_lattice(
-            sys, x, fields=fields, angle_maps=(),
-            declared_vectors=lattice0.basis, flow_tol=flow_tol,
+    lattice = profile.lattice
+    b = lattice.basis / TWO_PI
+    eta_residual = float(np.max(np.abs(profile.eta_pairings - b[:, -1])))
+    if eta_residual > eta_tol:
+        raise CycleError(
+            f"eta pairings {profile.eta_pairings.tolist()} do not match the "
+            f"Reeb-time column {b[:, -1].tolist()}: residual {eta_residual:.3e}"
         )
-        return action_integrals(sys, lat, lam, fields, flow_tol)
-
-    tasks = [(nu, sgn) for nu in range(sys.r) for sgn in (+1.0, -1.0)]
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        # independent immutable inputs; results joined in task order
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            profiles = dict(zip(tasks, pool.map(continuation, tasks)))
-    else:
-        profiles = {task: continuation(task) for task in tasks}
-    for nu in range(sys.r):
-        plus = profiles[(nu, +1.0)]
-        minus = profiles[(nu, -1.0)]
-        pairing_rows.extend([plus.eta_pairings, minus.eta_pairings])
-        b[:, nu] = (plus.actions - minus.actions) / (2 * delta)
-    b[:, k - 1] = base.eta_pairings
-    pairing_rows = np.array(pairing_rows)
-    eta_constancy = float(np.max(np.abs(pairing_rows - pairing_rows[0])))
     return FrequencyTable(
         b=b,
-        fiber=fiber,
-        delta=delta,
-        actions=base.actions,
-        eta_constancy=eta_constancy,
+        fiber=profile.fiber_values,
+        actions=profile.actions,
+        eta_residual=eta_residual,
         cond=float(np.linalg.cond(b)),
-        lattice=lattice0,
+        lattice=lattice,
     )
 
 

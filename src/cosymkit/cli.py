@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .actionangle import (
     ActionAngleError,
+    ActionProfile,
     action_integrals,
     b_matrix,
     empirical_frequencies,
@@ -211,40 +212,46 @@ def _torus_skip_reason(scenario: Scenario) -> str | None:
     return None
 
 
-def _actions_section(scenario: Scenario, fiber, delta: float) -> dict:
+def _angle_maps(scenario: Scenario) -> tuple:
+    """Declared angle maps when there is one per lattice direction, else none."""
+    if len(scenario.angle_maps) == scenario.system.r + 1:
+        return scenario.angle_maps
+    return ()
+
+
+def _torus_profile(scenario: Scenario, fiber) -> ActionProfile:
+    """The one torus computation per fiber: point, lattice, loop actions.
+
+    Both the actions and the frequencies sections read from it.
+    """
+    if scenario.lam is None:
+        raise ActionAngleError("no primitive one-form available for actions")
     sys_ = scenario.system
     x0 = find_fiber_point(sys_, fiber, scenario.base_point())
     lattice = torus_lattice(
         sys_,
         x0,
-        angle_maps=scenario.angle_maps if len(scenario.angle_maps) == sys_.r + 1 else (),
+        angle_maps=_angle_maps(scenario),
         declared_vectors=scenario.declared_lattice,
     )
-    profile = action_integrals(sys_, lattice, scenario.lam)
-    return {"pass": True, "fiber": list(map(float, fiber)), **profile.to_dict()}
+    return action_integrals(sys_, lattice, scenario.lam)
+
+
+def _actions_section(profile: ActionProfile) -> dict:
+    body = profile.to_dict()
+    return {"pass": True, "fiber": body.pop("fiber"), **body}
 
 
 def _frequency_section(
     scenario: Scenario,
-    fiber,
-    delta: float,
+    profile: ActionProfile,
     modes=("reeb", "eval"),
     ham_index: int | None = None,
     verify_empirical: bool = False,
 ) -> dict:
     sys_ = scenario.system
-    angle_maps = (
-        scenario.angle_maps if len(scenario.angle_maps) == sys_.r + 1 else ()
-    )
-    table = b_matrix(
-        sys_,
-        fiber,
-        delta=delta,
-        lam=scenario.lam,
-        seed=scenario.base_point(),
-        angle_maps=angle_maps,
-        declared_vectors=scenario.declared_lattice,
-    )
+    angle_maps = _angle_maps(scenario)
+    table = b_matrix(profile, scenario.structure.tol.lattice_return)
     out = {"pass": True, "table": table.to_dict(), "modes": {}}
     solved = {}
     for mode in modes:
@@ -373,7 +380,7 @@ def _cmd_actions(args) -> int:
         raise argparse.ArgumentTypeError(
             f"--fiber needs {scenario.system.m} values, got {len(fiber)}"
         )
-    section = _actions_section(scenario, fiber, args.delta)
+    section = _actions_section(_torus_profile(scenario, fiber))
     report = {
         "scenario": scenario.name,
         "command": "actions",
@@ -405,7 +412,11 @@ def _cmd_frequencies(args) -> int:
     else:
         raise argparse.ArgumentTypeError(f"bad mode '{args.mode}' (reeb|eval|ham:K)")
     section = _frequency_section(
-        scenario, fiber, args.delta, modes, ham_index, args.verify_empirical
+        scenario,
+        _torus_profile(scenario, fiber),
+        modes,
+        ham_index,
+        args.verify_empirical,
     )
     report = {
         "scenario": scenario.name,
@@ -430,11 +441,9 @@ def _cmd_report(args) -> int:
             sections["actions"] = {"status": reason}
             sections["frequencies"] = {"status": reason}
         else:
-            fiber = _default_fiber(scenario)
-            sections["actions"] = _actions_section(scenario, fiber, args.delta)
-            sections["frequencies"] = _frequency_section(
-                scenario, fiber, args.delta
-            )
+            profile = _torus_profile(scenario, _default_fiber(scenario))
+            sections["actions"] = _actions_section(profile)
+            sections["frequencies"] = _frequency_section(scenario, profile)
     failed = [
         name
         for name, section in sections.items()
@@ -488,14 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("actions", help="period lattice and loop actions")
     common(p)
     p.add_argument("--fiber", type=_float_list, default=None, help="integral values")
-    p.add_argument("--delta", type=_positive_float, default=1e-4)
     p.set_defaults(func=_cmd_actions)
 
     p = sub.add_parser("frequencies", help="frequency matrix and linear solves")
     common(p)
     p.add_argument("--fiber", type=_float_list, default=None)
     p.add_argument("--mode", default="reeb", help="reeb | eval | ham:K")
-    p.add_argument("--delta", type=_positive_float, default=1e-4)
     p.add_argument("--verify-empirical", action="store_true")
     p.set_defaults(func=_cmd_frequencies)
 
@@ -504,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="include flow/actions/frequencies")
     p.add_argument("--samples", type=_positive_int, default=60)
     p.add_argument("--points", type=_positive_int, default=60)
-    p.add_argument("--delta", type=_positive_float, default=1e-4)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -50,7 +50,6 @@ class StepSizeUnderflowError(FlowError):
 
 # Dormand-Prince 5(4) tableau; the propagating solution is fifth order and
 # the last stage is the derivative at the new point (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _A = (
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),

@@ -15,6 +15,7 @@ from cosymkit.actionangle import (
     b_matrix,
     empirical_frequencies,
     evaluation_frequencies,
+    find_fiber_point,
     flow_composite,
     min_section_return,
     solve_frequencies,
@@ -254,13 +255,23 @@ def test_criterion_6_action_oracle():
     )
 
 
+def _frequency_table(sc, fiber):
+    """b read off the lattice of the torus through ``fiber``."""
+    x0 = find_fiber_point(sc.system, fiber, sc.base_point())
+    lattice = torus_lattice(sc.system, x0, angle_maps=sc.angle_maps)
+    return b_matrix(action_integrals(sc.system, lattice, sc.lam))
+
+
 def test_criterion_7_frequency_systems():
     tol = 1e-3
+    # b comes straight off the period lattice, so the closed forms hold to
+    # lattice accuracy; the empirical slope fits stay at ``tol``
+    exact_tol = 1e-9
     results = []
 
     sc = builtin("ext-oscillator-1d")
     sys_ = sc.system
-    table = b_matrix(sys_, [0.5], lam=sc.lam, angle_maps=sc.angle_maps)
+    table = _frequency_table(sc, [0.5])
     x0 = table.lattice.base_point
     reeb = solve_frequencies(table, "reeb")
     emp, _ = empirical_frequencies(
@@ -275,7 +286,7 @@ def test_criterion_7_frequency_systems():
     results.append(("hamiltonian-flow", ham, [1.0, 0.0], emp_h))
 
     pc = builtin("pc-oscillator-1d")
-    table_pc = b_matrix(pc.system, [0.5], lam=pc.lam, angle_maps=pc.angle_maps)
+    table_pc = _frequency_table(pc, [0.5])
     reeb_pc = solve_frequencies(table_pc, "reeb")
     emp_pc, _ = empirical_frequencies(
         pc.system, pc.structure.reeb_vf(), table_pc.lattice.base_point,
@@ -288,7 +299,7 @@ def test_criterion_7_frequency_systems():
     for label, solved, expected, emp in results:
         gap_exp = float(np.max(np.abs(np.asarray(solved) - np.asarray(expected))))
         gap_emp = float(np.max(np.abs(np.asarray(solved) - np.asarray(emp))))
-        ok = ok and gap_exp < tol and gap_emp < tol
+        ok = ok and gap_exp < exact_tol and gap_emp < tol
         details.append(f"{label} {np.round(solved, 6).tolist()}")
     _report(
         7,

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cosymkit.actionangle import (
+    ActionProfile,
     AngleMap,
     AngleUnwrapError,
+    CycleError,
     NoReturnError,
     action_integrals,
     align_lattice_to_angles,
@@ -25,6 +27,7 @@ from cosymkit.actionangle import (
 from cosymkit.cosym import make_canonical, make_poincare_cartan
 from cosymkit.fields import ChartSpec, OneFormField, ScalarField
 from cosymkit.integrability import IntegralSystem
+from cosymkit.scenarios import builtin
 
 TWO_PI = 2 * math.pi
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
@@ -49,6 +52,13 @@ def pc_system():
     S = make_poincare_cartan(H, box=BOX)
     zero = ScalarField.from_source("0", CHART, "0")
     return IntegralSystem(S, zero, (H,), r=1)
+
+
+def fiber_profile(sys, fiber, angle_maps, seed=(0.0, 1.0, 0.0)):
+    """Fiber point, aligned period lattice and loop actions of one torus."""
+    x0 = find_fiber_point(sys, fiber, np.asarray(seed, dtype=float))
+    lattice = torus_lattice(sys, x0, angle_maps=angle_maps)
+    return action_integrals(sys, lattice, sys.structure.primitive)
 
 
 def lattices_equal(B1, B2, tol=1e-6):
@@ -89,8 +99,6 @@ def test_lattice_no_return_on_line():
 
 def test_refine_rejects_far_guess():
     sys = oscillator_system()
-    from cosymkit.actionangle import CycleError
-
     with pytest.raises(CycleError):
         refine_lattice_vector(
             sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART,
@@ -161,9 +169,9 @@ def test_poincare_cartan_action_around_t_circle():
 
 def test_b_matrix_oscillator_identity():
     sys = oscillator_system()
-    table = b_matrix(sys, [0.5], angle_maps=oscillator_angles())
-    assert table.b == pytest.approx(np.eye(2), abs=1e-4)
-    assert table.eta_constancy < 1e-6
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
+    assert table.b == pytest.approx(np.eye(2), abs=1e-9)
+    assert table.eta_residual < 1e-12
     assert table.cond < 10
 
 
@@ -177,30 +185,30 @@ def test_b_matrix_rescaled_oscillator():
         AngleMap.from_spec({"plane": ["q", f"-p/{w0}"], "label": "phase"}, CHART),
         AngleMap.from_spec({"coordinate": "t", "label": "t"}, CHART),
     )
-    table = b_matrix(sys, [0.5], angle_maps=angles)
-    assert table.b[0, 0] == pytest.approx(1.0 / w0, abs=1e-4)
-    assert table.b[1, 0] == pytest.approx(0.0, abs=1e-4)
-    assert table.b[:, 1] == pytest.approx([0.0, 1.0], abs=1e-6)
+    table = b_matrix(fiber_profile(sys, [0.5], angles))
+    assert table.b[0, 0] == pytest.approx(1.0 / w0, abs=1e-9)
+    assert table.b[1, 0] == pytest.approx(0.0, abs=1e-9)
+    assert table.b[:, 1] == pytest.approx([0.0, 1.0], abs=1e-9)
 
 
 def test_frequencies_canonical_reeb_and_hamiltonian():
     sys = oscillator_system()
-    table = b_matrix(sys, [0.5], angle_maps=oscillator_angles())
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
     reeb = solve_frequencies(table, "reeb")
-    assert reeb == pytest.approx([0.0, 1.0], abs=1e-4)
+    assert reeb == pytest.approx([0.0, 1.0], abs=1e-9)
     ham = solve_frequencies(table, "hamiltonian", 1)
-    assert ham == pytest.approx([1.0, 0.0], abs=1e-4)
+    assert ham == pytest.approx([1.0, 0.0], abs=1e-9)
     ev = evaluation_frequencies(table, sys)
-    assert ev == pytest.approx([1.0, 1.0], abs=1e-4)
+    assert ev == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_frequencies_poincare_cartan_reeb():
     sys = pc_system()
-    table = b_matrix(sys, [0.5], angle_maps=oscillator_angles())
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
     # aligned cycle basis gives b = [[1, 0], [-1, 1]]
-    assert table.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-4)
+    assert table.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
     reeb = solve_frequencies(table, "reeb")
-    assert reeb == pytest.approx([1.0, 1.0], abs=1e-4)
+    assert reeb == pytest.approx([1.0, 1.0], abs=1e-9)
     # H == 0 for this system, so the evaluation flow is the Reeb flow
     ev = evaluation_frequencies(table, sys)
     assert ev == pytest.approx(reeb, abs=1e-10)
@@ -210,7 +218,7 @@ def test_reconstructed_generators_have_period_two_pi():
     # the rows of b recombine the commuting fields into angle generators;
     # flowing such a generator for 2*pi must return the base point
     sys = oscillator_system()
-    table = b_matrix(sys, [0.5], delta=1e-3, angle_maps=oscillator_angles())
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
     fields = sys.commuting_fields()
     x0 = table.lattice.base_point
     from cosymkit.flow import flow_map
@@ -284,17 +292,58 @@ def test_min_section_return_periodic_orbit_is_small():
 def test_action_redundancy_rank():
     # r+1 actions but only r independent ones: rank of the derivative block
     sys = oscillator_system()
-    table = b_matrix(sys, [0.5], angle_maps=oscillator_angles())
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
     assert table.derivative_rank == sys.r == 1
 
 
-def test_b_matrix_threaded_matches_serial(monkeypatch):
+@pytest.mark.parametrize("name", ["ext-oscillator-1d", "pc-oscillator-1d"])
+def test_b_matrix_matches_action_differences(name):
+    # period-action relation: the lattice basis over 2pi equals the central
+    # differences of the loop actions across neighboring fibers, built here
+    # only from the public fiber, lattice and action functions
+    sc = builtin(name)
+    sys = sc.system
+    fiber = sys.integral_values(sc.base_point())
+    x0 = find_fiber_point(sys, fiber, sc.base_point())
+    lattice = torus_lattice(sys, x0, angle_maps=sc.angle_maps)
+    profile = action_integrals(sys, lattice, sc.lam)
+    table = b_matrix(profile)
+    delta = 1e-4
+    fd = np.zeros_like(table.b)
+    fd[:, sys.r] = profile.eta_pairings
+    for nu in range(sys.r):
+        neighbors = []
+        for sgn in (+1.0, -1.0):
+            target = fiber.copy()
+            target[nu] += sgn * delta
+            x = find_fiber_point(sys, target, x0)
+            lat = torus_lattice(sys, x, declared_vectors=lattice.basis)
+            neighbors.append(action_integrals(sys, lat, sc.lam))
+        plus, minus = neighbors
+        fd[:, nu] = (plus.actions - minus.actions) / (2 * delta)
+        # the eta column stays constant across the neighboring fibers
+        for near in neighbors:
+            assert near.eta_pairings == pytest.approx(profile.eta_pairings, abs=1e-6)
+    assert np.max(np.abs(fd - table.b)) <= 1e-6
+    if name == "pc-oscillator-1d":
+        # non-symmetric b: the differences fix its orientation
+        assert np.max(np.abs(fd - table.b.T)) > 0.5
+    assert table.derivative_rank == sys.r
+    assert table.eta_residual <= 1e-12
+
+
+def test_b_matrix_rejects_eta_mismatch():
     sys = oscillator_system()
-    serial = b_matrix(sys, [0.5], angle_maps=oscillator_angles())
-    monkeypatch.setenv("COSYM_THREADS", "3")
-    threaded = b_matrix(sys, [0.5], angle_maps=oscillator_angles())
-    assert np.array_equal(serial.b, threaded.b)
-    assert np.array_equal(serial.actions, threaded.actions)
+    profile = fiber_profile(sys, [0.5], oscillator_angles())
+    bad = ActionProfile(
+        profile.lattice,
+        profile.actions,
+        profile.eta_pairings + np.array([0.0, 1e-3]),
+        profile.fiber_values,
+        profile.primitive_residual,
+    )
+    with pytest.raises(CycleError):
+        b_matrix(bad)
 
 
 def test_angle_alignment_rejects_wrong_angles():

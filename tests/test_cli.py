@@ -157,7 +157,7 @@ def test_actions_noncompact_surfaces_no_return(capsys):
 def test_frequencies_reeb_mode(capsys):
     code, payload, _ = run(capsys, "frequencies", OSC, "--fiber", "0.5")
     assert code == 0
-    assert payload["report"]["modes"]["reeb"] == pytest.approx([0.0, 1.0], abs=1e-4)
+    assert payload["report"]["modes"]["reeb"] == pytest.approx([0.0, 1.0], abs=1e-9)
 
 
 def test_frequencies_eval_mode_pc(capsys):
@@ -165,7 +165,7 @@ def test_frequencies_eval_mode_pc(capsys):
         capsys, "frequencies", PC, "--fiber", "0.5", "--mode", "eval"
     )
     assert code == 0
-    assert payload["report"]["modes"]["eval"] == pytest.approx([1.0, 1.0], abs=1e-4)
+    assert payload["report"]["modes"]["eval"] == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_frequencies_empirical_verification(capsys):
@@ -206,6 +206,34 @@ def test_report_all_deterministic(capsys):
     assert payload1["pass"]
 
 
+def test_report_all_builds_one_torus(monkeypatch, capsys):
+    # actions and frequencies share one fiber point, lattice and action pass
+    import cosymkit.actionangle as actionangle
+    import cosymkit.cli as cli
+
+    calls = {"find_fiber_point": 0, "torus_lattice": 0, "action_integrals": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        monkeypatch.setattr(actionangle, name, counting)
+    code, payload, _ = run(capsys, "report", OSC, "--all")
+    assert code == 0
+    assert payload["sections"]["frequencies"]["modes"]["reeb"] == pytest.approx(
+        [0.0, 1.0], abs=1e-9
+    )
+    assert calls == {"find_fiber_point": 1, "torus_lattice": 1, "action_integrals": 1}
+
+
+def test_delta_option_removed(capsys):
+    for command in ("actions", "frequencies", "report"):
+        assert main([command, OSC, "--delta", "1e-4"]) == 64
+
+
 def test_report_skips_torus_sections_when_noncompact(capsys):
     code, payload, _ = run(capsys, "report", LINE, "--all")
     assert code == 0
@@ -233,7 +261,7 @@ def test_frequencies_hamiltonian_mode(capsys):
         capsys, "frequencies", OSC, "--fiber", "0.5", "--mode", "ham:1"
     )
     assert code == 0
-    assert payload["report"]["modes"]["ham:1"] == pytest.approx([1.0, 0.0], abs=1e-4)
+    assert payload["report"]["modes"]["ham:1"] == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 @pytest.mark.parametrize(

@@ -124,11 +124,13 @@ def test_oracle_values_reproduced(name):
         nonlocal table
         if table is None:
             fiber = sys_.integral_values(sc.base_point())
-            table = b_matrix(
-                sys_, fiber, lam=sc.lam, seed=sc.base_point(),
+            x0 = find_fiber_point(sys_, fiber, sc.base_point())
+            lattice = torus_lattice(
+                sys_, x0,
                 angle_maps=sc.angle_maps if len(sc.angle_maps) == sys_.r + 1 else (),
                 declared_vectors=sc.declared_lattice,
             )
+            table = b_matrix(action_integrals(sys_, lattice, sc.lam))
         return table
 
     for key, entry in oracles.items():
@@ -145,10 +147,10 @@ def test_oracle_values_reproduced(name):
                 assert sc.structure.reeb(x) == pytest.approx(value, abs=1e-10)
         elif key == "reeb_frequencies":
             solved = solve_frequencies(freq_table(), "reeb")
-            assert solved == pytest.approx(value, abs=1e-3)
+            assert solved == pytest.approx(value, abs=1e-9)
         elif key == "evaluation_frequencies":
             solved = evaluation_frequencies(freq_table(), sys_)
-            assert solved == pytest.approx(value, abs=1e-3)
+            assert solved == pytest.approx(value, abs=1e-9)
             slopes, _ = empirical_frequencies(
                 sys_,
                 sc.structure.evaluation_vf(sys_.hamiltonian),
@@ -159,7 +161,7 @@ def test_oracle_values_reproduced(name):
             assert slopes == pytest.approx(value, abs=1e-3)
         elif key == "hamiltonian_frequencies":
             solved = solve_frequencies(freq_table(), "hamiltonian", entry["k"])
-            assert solved == pytest.approx(value, abs=1e-3)
+            assert solved == pytest.approx(value, abs=1e-9)
         elif key == "action_slope":
             lo = find_fiber_point(sys_, [0.4], sc.base_point())
             hi = find_fiber_point(sys_, [0.6], sc.base_point())
@@ -169,7 +171,7 @@ def test_oracle_values_reproduced(name):
             I_hi = action_integrals(sys_, lat_hi, sc.lam).actions[0]
             assert (I_hi - I_lo) / 0.2 == pytest.approx(value, abs=1e-4)
         elif key == "b_diagonal":
-            assert np.diag(freq_table().b) == pytest.approx(value, abs=1e-4)
+            assert np.diag(freq_table().b) == pytest.approx(value, abs=1e-9)
         elif key == "ddim_dind":
             rng = np.random.default_rng(5)
             groups = [sample_fiber(sys_, sc.base_point(), 3, rng)]
