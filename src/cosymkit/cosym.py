@@ -22,12 +22,10 @@ canonical-coordinate example.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import exprlang
 from .exprlang import Const, Expr, Neg
@@ -116,13 +114,14 @@ class FieldConditionError(Exception):
 
 
 class Frame:
-    """Per-point solve context: Omega, eta and the factorized A^T.
+    """Per-point solve context: Omega, eta and A^T, or the inverse of A^T
+    shared by every point of a constant structure.
 
     Reused by every derived quantity at the same point so the structure
     matrices are evaluated once.
     """
 
-    __slots__ = ("structure", "x", "Omega", "eta", "_lu", "_inv", "det", "_Z")
+    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "_inv", "det", "_Z")
 
     def __init__(self, structure: "CosymplecticStructure", x: Point):
         self.structure = structure
@@ -130,20 +129,17 @@ class Frame:
         const = structure._constant_data
         if const is not None:
             # constant structures keep one inverse of A^T: a 3x3 matvec costs
-            # about 1 us, lu_solve about 14 us and lu_factor plus lu_solve
-            # about 27 us (scipy 1.17, 2-core x86-64 VM); bracket_expr also
-            # assembles its symbolic bracket from the same inverse
+            # about 1 us, against a np.linalg.solve at every point; bracket_expr
+            # also assembles its symbolic bracket from the same inverse
             self.Omega, self.eta, self._inv, self.det = const
-            self._lu = None
+            self._A_T = None
         else:
             try:
                 self.Omega = structure.omega.at(self.x)
                 self.eta = structure.eta.at(self.x)
             except exprlang.ExprError as err:
                 raise StructureEvalError(self.x, err) from err
-            self.Omega, self.eta, self._lu, self.det = _factorize(
-                self.Omega, self.eta
-            )
+            self._A_T, self.det = _solve_matrix(self.x, self.Omega, self.eta)
             self._inv = None
         if abs(self.det) < structure.tol.volume_min_det:
             raise DegenerateStructureError(self.x, self.det)
@@ -158,7 +154,7 @@ class Frame:
         """Solve A^T u = rhs."""
         if self._inv is not None:
             return self._inv @ rhs
-        return lu_solve(self._lu, rhs)
+        return np.linalg.solve(self._A_T, rhs)
 
     @property
     def reeb(self) -> np.ndarray:
@@ -217,16 +213,16 @@ class Frame:
         return via_fields
 
 
-def _factorize(Omega, eta):
-    A_T = np.outer(eta, eta) - Omega  # A^T = Omega^T + eta eta^T
-    with warnings.catch_warnings():
-        # exact singularity surfaces through the determinant check instead
-        warnings.simplefilter("ignore")
-        lu = lu_factor(A_T)
-    diag = np.diag(lu[0])
-    sign = 1.0 if (np.sum(lu[1] != np.arange(len(eta))) % 2 == 0) else -1.0
-    det = sign * float(np.prod(diag))
-    return Omega, eta, lu, det
+def _solve_matrix(x, Omega, eta):
+    """A^T = Omega^T + eta eta^T at ``x`` and its determinant.
+
+    A non-finite entry is an evaluation failure, raised before the
+    determinant or any solve could carry it on as NaN.
+    """
+    A_T = np.outer(eta, eta) - Omega
+    if not np.isfinite(A_T).all():
+        raise StructureEvalError(x, ValueError("A = Omega + eta eta^T is not finite"))
+    return A_T, float(np.linalg.det(A_T))
 
 
 @dataclass(frozen=True)
@@ -313,11 +309,11 @@ class CosymplecticStructure:
         """Shared (Omega, eta, inverse of A^T, det) for constant structures."""
         if self.omega.is_constant() and self.eta.is_constant():
             x0 = np.array([lo for lo, _ in self.domain_box])
-            Omega, eta, lu, det = _factorize(self.omega.at(x0), self.eta.at(x0))
+            Omega, eta = self.omega.at(x0), self.eta.at(x0)
+            A_T, det = _solve_matrix(x0, Omega, eta)
             if abs(det) < self.tol.volume_min_det:
                 return Omega, eta, None, det
-            inv = lu_solve(lu, np.eye(self.chart.dim))
-            return Omega, eta, inv, det
+            return Omega, eta, np.linalg.inv(A_T), det
         return None
 
     # -- derived quantities ------------------------------------------------

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +298,21 @@ def test_out_file_written(tmp_path, capsys):
     code, payload, _ = run(capsys, "validate", OSC, "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["report"]["pass"]
+
+
+def test_cli_import_does_not_load_scipy():
+    # a fresh interpreter: scipy.linalg alone would add a few tenths of a
+    # second to every start-up of the command line
+    import cosymkit
+
+    src = str(Path(cosymkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, cosymkit.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert child.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 from cosymkit.cosym import (
     CosymplecticStructure,
     DegenerateStructureError,
+    StructureEvalError,
     ToleranceConfig,
     bracket_expr,
     make_canonical,
@@ -133,8 +134,76 @@ def test_degenerate_structure_is_hard_error():
     omega = TwoFormField.from_upper_sources({"q,p": "q"}, CHART)
     eta = OneFormField.from_sources(["1", "0", "0"], CHART)
     S = CosymplecticStructure(CHART, omega, eta, BOX)
-    with pytest.raises(DegenerateStructureError):
-        S.reeb(np.array([0.0, 0.0, 1.0]))
+    H = oscillator_h()
+    x = np.array([0.0, 0.0, 1.0])
+    # the exact singularity is caught by the determinant floor before any
+    # solve, so it never surfaces as numpy.linalg.LinAlgError
+    for call in (
+        lambda: S.reeb(x),
+        lambda: S.hamiltonian_field(H, x),
+        lambda: S.evaluation_field(H, x),
+    ):
+        with pytest.raises(DegenerateStructureError) as info:
+            call()
+        assert np.array_equal(info.value.point, x)
+
+
+def test_non_finite_structure_is_eval_error():
+    # 1e308*q*q overflows: inf at (0, 2, 0), inf - inf = nan at (0, 2, 2)
+    omega = TwoFormField.from_upper_sources(
+        {"q,p": "1 + 1e308*q*q - 1e308*p*p"}, CHART
+    )
+    eta = OneFormField.from_sources(["1", "0", "0"], CHART)
+    S = CosymplecticStructure(CHART, omega, eta, BOX)
+    H = oscillator_h()
+    for x in (np.array([0.0, 2.0, 0.0]), np.array([0.0, 2.0, 2.0])):
+        for call in (
+            lambda: S.reeb(x),
+            lambda: S.hamiltonian_field(H, x),
+            lambda: S.evaluation_field(H, x),
+        ):
+            with pytest.raises(StructureEvalError) as info:
+                call()
+            assert np.array_equal(info.value.point, x)
+
+
+def test_varying_solve_path_matches_constant_path():
+    # the canonical omega written so that it is not is_constant(): every
+    # frame then solves A^T u = rhs instead of using the cached inverse
+    omega = TwoFormField.from_upper_sources({"q,p": "1 + 0*q"}, CHART)
+    eta = OneFormField.from_sources(["1", "0", "0"], CHART)
+    S_var = CosymplecticStructure(CHART, omega, eta, BOX)
+    S_const = make_canonical(1, box=BOX)
+    assert S_var._constant_data is None
+    assert S_const._constant_data is not None
+    rng = np.random.default_rng(16)
+    f = _random_polynomial_field(rng, CHART, "f")
+    g = _random_polynomial_field(rng, CHART, "g")
+    for x in sample_box(BOX, 30, rng):
+        for derived in (
+            lambda S: S.reeb(x),
+            lambda S: S.hamiltonian_field(f, x),
+            lambda S: S.evaluation_field(f, x),
+            lambda S: S.gradient_field(f, x),
+        ):
+            assert np.max(np.abs(derived(S_var) - derived(S_const))) <= 1e-15
+        bracket = [S.poisson_bracket(f, g, x) for S in (S_var, S_const)]
+        assert abs(bracket[0] - bracket[1]) <= 1e-15
+
+
+def test_frame_solve_backward_error_on_varying_structure():
+    from cosymkit.scenarios import builtin
+
+    S = builtin("pc-oscillator-1d").structure
+    assert S._constant_data is None
+    rng = np.random.default_rng(17)
+    for x in sample_box(S.domain_box, 30, rng):
+        frame = S.frame(x)
+        A_T = frame.matrix.T
+        for rhs in (frame.eta, rng.normal(size=3)):
+            u = frame.solve(rhs)
+            bound = 1e-14 * np.linalg.norm(A_T, 2) * np.linalg.norm(u)
+            assert np.linalg.norm(A_T @ u - rhs) <= bound
 
 
 def test_make_poincare_cartan_primitive():
