@@ -148,7 +148,7 @@ class Frame:
     @property
     def matrix(self) -> np.ndarray:
         """The solve matrix A = Omega + eta eta^T."""
-        return self.Omega + np.outer(self.eta, self.eta)
+        return self.Omega + self.eta[:, None] * self.eta
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A^T u = rhs."""
@@ -161,7 +161,7 @@ class Frame:
         if self._Z is None:
             Z = self.solve(self.eta)
             tol = self.structure.tol.reeb_check
-            if np.max(np.abs(Z @ self.Omega)) > tol or abs(self.eta @ Z - 1.0) > tol:
+            if not (np.abs(Z @ self.Omega).max() <= tol and abs(self.eta @ Z - 1.0) <= tol):
                 raise FieldConditionError(
                     f"Reeb conditions violated at {self.x.tolist()}"
                 )
@@ -171,18 +171,22 @@ class Frame:
     def hamiltonian(self, df: np.ndarray) -> np.ndarray:
         """X_f from the gradient covector of f."""
         Z = self.reeb
-        rhs = df - (df @ Z) * self.eta
+        zf = df @ Z
+        if not math.isfinite(zf):
+            # Z is finite, so an inf or NaN in df shows here
+            raise StructureEvalError(self.x, ValueError(f"df(Z) = {zf} is not finite"))
+        rhs = df - zf * self.eta
         X = self.solve(rhs)
         tol = self.structure.tol
-        if abs(self.eta @ X) > tol.reeb_check:
+        if not (abs(self.eta @ X) <= tol.reeb_check):
             raise FieldConditionError(f"eta(X_f) != 0 at {self.x.tolist()}")
-        if np.max(np.abs(X @ self.Omega - rhs)) > tol.field_check:
+        if not (np.abs(X @ self.Omega - rhs).max() <= tol.field_check):
             raise FieldConditionError(f"i_X omega != df - Z(f) eta at {self.x.tolist()}")
         return X
 
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
-        if abs(self.eta @ Y - 1.0) > self.structure.tol.reeb_check:
+        if not (abs(self.eta @ Y - 1.0) <= self.structure.tol.reeb_check):
             raise FieldConditionError(f"eta(Y_f) != 1 at {self.x.tolist()}")
         return Y
 
@@ -192,7 +196,7 @@ class Frame:
         G = self.hamiltonian(df) + zf * Z
         tol = self.structure.tol.field_check
         rhs = df - zf * self.eta
-        if np.max(np.abs(G @ self.Omega - rhs)) > tol or abs(self.eta @ G - zf) > tol:
+        if not (np.abs(G @ self.Omega - rhs).max() <= tol and abs(self.eta @ G - zf) <= tol):
             raise FieldConditionError(f"gradient conditions violated at {self.x.tolist()}")
         return G
 
@@ -205,7 +209,7 @@ class Frame:
         Gf = Xf + (df @ Z) * Z
         Gg = Xg + (dg @ Z) * Z
         via_gradients = float(Gf @ self.Omega @ Gg)
-        if abs(via_fields - via_gradients) > self.structure.tol.bracket_agreement:
+        if not (abs(via_fields - via_gradients) <= self.structure.tol.bracket_agreement):
             raise FieldConditionError(
                 "bracket formulas disagree at "
                 f"{self.x.tolist()}: {via_fields} vs {via_gradients}"
@@ -219,7 +223,7 @@ def _solve_matrix(x, Omega, eta):
     A non-finite entry is an evaluation failure, raised before the
     determinant or any solve could carry it on as NaN.
     """
-    A_T = np.outer(eta, eta) - Omega
+    A_T = eta[:, None] * eta - Omega
     if not np.isfinite(A_T).all():
         raise StructureEvalError(x, ValueError("A = Omega + eta eta^T is not finite"))
     return A_T, float(np.linalg.det(A_T))
@@ -376,13 +380,13 @@ class CosymplecticStructure:
         worst = pts[0]
         for x in pts:
             try:
-                dw = float(np.max(np.abs(self.omega.exterior_derivative(x))))
-                de = float(np.max(np.abs(self.eta.exterior_derivative(x))))
+                dw = float(np.abs(self.omega.exterior_derivative(x)).max())
+                de = float(np.abs(self.eta.exterior_derivative(x)).max())
                 W = self.omega.at(x)
                 ev = self.eta.at(x)
             except exprlang.ExprError as err:
                 raise StructureEvalError(x, err) from err
-            det = abs(float(np.linalg.det(W + np.outer(ev, ev))))
+            det = abs(float(np.linalg.det(W + ev[:, None] * ev)))
             max_dw = max(max_dw, dw)
             max_de = max(max_de, de)
             if det < min_det:

@@ -1,10 +1,19 @@
 """Small arithmetic expression language with exact forward-mode derivatives.
 
 Expressions are parsed against an ordered list of coordinate names and
-evaluated at points.  Evaluation can produce the plain value, the value with
-gradient, or a full second-order jet (value, gradient, Hessian).  All
-derivatives come from dual-number style propagation rules, so no finite
-differences are ever used on raw expressions.
+evaluated at points.  Evaluation can produce the plain value (``value``), the
+value with gradient (``jet1``, ``gradient``), or a full second-order jet
+(``jet2``: value, gradient, Hessian).  All derivatives come from dual-number
+style propagation rules, so no finite differences are ever used on raw
+expressions.
+
+``value`` and ``jet1`` run straight-line Python generated from the AST and
+compiled once per expression (per point dimension for ``jet1``); ``jet2`` is
+the recursive tree walk.  The generated code applies the tree walk's rules
+component by component without constant folding, so both give the same
+numbers, signed zeros included, and raise the same first
+``EvalDomainError``.  An overflow of ``exp`` or ``^`` is an
+``EvalDomainError`` too.
 
 The grammar (EBNF in docs/GRAMMAR.ebnf):
 
@@ -24,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -74,7 +84,8 @@ class UnknownIdentifierError(ParseError):
 
 
 class EvalDomainError(ExprError):
-    """Evaluation left the domain of a subexpression (log, sqrt, division)."""
+    """Evaluation left the domain of a subexpression (log, sqrt, division,
+    overflow of exp or ^)."""
 
     def __init__(self, message: str, subexpr: "Expr"):
         super().__init__(f"{message} in '{to_source(subexpr)}'")
@@ -91,13 +102,33 @@ class Jet2:
 
 
 class Expr:
-    """Base class of AST nodes.  Nodes are immutable and safe to share."""
+    """Base class of AST nodes.  Nodes are immutable and safe to share.
+
+    ``value``, ``jet1`` and ``gradient`` run straight-line functions generated
+    by ``_compile`` on first use and cached on the node; ``jet2`` is the
+    recursive tree walk.
+    """
+
+    _value_fn = None
+    _jet1_fns = MappingProxyType({})  # point dimension -> jet1 function
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        fn = self._value_fn
+        if fn is None:
+            fn = _compile(self, None)
+            object.__setattr__(self, "_value_fn", fn)
+        return fn(x)
 
     def jet1(self, x) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
+        d = len(x)
+        fn = self._jet1_fns.get(d)
+        if fn is None:
+            fn = _compile(self, d)
+            object.__setattr__(self, "_jet1_fns", {**self._jet1_fns, d: fn})
+        return fn(x)
+
+    def gradient(self, x) -> np.ndarray:
+        return self.jet1(x)[1]
 
     def jet2(self, x) -> tuple[float, np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -106,9 +137,6 @@ class Expr:
         v, g, h = self.jet2(np.asarray(x, dtype=float))
         return Jet2(v, g, h)
 
-    def gradient(self, x) -> np.ndarray:
-        return self.jet1(np.asarray(x, dtype=float))[1]
-
     def __str__(self) -> str:
         return to_source(self)
 
@@ -116,12 +144,6 @@ class Expr:
 @dataclass(frozen=True)
 class Const(Expr):
     val: float
-
-    def value(self, x):
-        return self.val
-
-    def jet1(self, x):
-        return self.val, np.zeros(len(x))
 
     def jet2(self, x):
         d = len(x)
@@ -132,14 +154,6 @@ class Const(Expr):
 class Var(Expr):
     name: str
     index: int
-
-    def value(self, x):
-        return float(x[self.index])
-
-    def jet1(self, x):
-        g = np.zeros(len(x))
-        g[self.index] = 1.0
-        return float(x[self.index]), g
 
     def jet2(self, x):
         d = len(x)
@@ -152,13 +166,6 @@ class Var(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def value(self, x):
-        return -self.arg.value(x)
-
-    def jet1(self, x):
-        v, g = self.arg.jet1(x)
-        return -v, -g
-
     def jet2(self, x):
         v, g, h = self.arg.jet2(x)
         return -v, -g, -h
@@ -168,14 +175,6 @@ class Neg(Expr):
 class Add(Expr):
     lhs: Expr
     rhs: Expr
-
-    def value(self, x):
-        return self.lhs.value(x) + self.rhs.value(x)
-
-    def jet1(self, x):
-        va, ga = self.lhs.jet1(x)
-        vb, gb = self.rhs.jet1(x)
-        return va + vb, ga + gb
 
     def jet2(self, x):
         va, ga, ha = self.lhs.jet2(x)
@@ -188,14 +187,6 @@ class Sub(Expr):
     lhs: Expr
     rhs: Expr
 
-    def value(self, x):
-        return self.lhs.value(x) - self.rhs.value(x)
-
-    def jet1(self, x):
-        va, ga = self.lhs.jet1(x)
-        vb, gb = self.rhs.jet1(x)
-        return va - vb, ga - gb
-
     def jet2(self, x):
         va, ga, ha = self.lhs.jet2(x)
         vb, gb, hb = self.rhs.jet2(x)
@@ -206,14 +197,6 @@ class Sub(Expr):
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
-
-    def value(self, x):
-        return self.lhs.value(x) * self.rhs.value(x)
-
-    def jet1(self, x):
-        va, ga = self.lhs.jet1(x)
-        vb, gb = self.rhs.jet1(x)
-        return va * vb, va * gb + vb * ga
 
     def jet2(self, x):
         va, ga, ha = self.lhs.jet2(x)
@@ -226,20 +209,6 @@ class Mul(Expr):
 class Div(Expr):
     lhs: Expr
     rhs: Expr
-
-    def value(self, x):
-        den = self.rhs.value(x)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", self)
-        return self.lhs.value(x) / den
-
-    def jet1(self, x):
-        va, ga = self.lhs.jet1(x)
-        vb, gb = self.rhs.jet1(x)
-        if vb == 0.0:
-            raise EvalDomainError("division by zero", self)
-        v = va / vb
-        return v, (ga - v * gb) / vb
 
     def jet2(self, x):
         va, ga, ha = self.lhs.jet2(x)
@@ -267,29 +236,22 @@ class Pow(Expr):
         if c < 0.0 and u == 0.0:
             raise EvalDomainError("zero base with negative exponent", self)
 
-    def value(self, x):
-        u = self.base.value(x)
-        self._check(u)
-        return math.pow(u, self.exponent)
-
     def _derivs(self, u: float) -> tuple[float, float, float]:
         c = self.exponent
         self._check(u)
-        v = math.pow(u, c)
-        if c == 0.0:
-            return v, 0.0, 0.0
-        if u == 0.0 and c < 2.0 and c != 1.0:
-            raise EvalDomainError("derivative singular at zero base", self)
-        d1 = c if c == 1.0 else c * math.pow(u, c - 1.0)
-        if c == 1.0:
-            return v, d1, 0.0
-        d2 = c * (c - 1.0) * math.pow(u, c - 2.0)
+        try:
+            v = math.pow(u, c)
+            if c == 0.0:
+                return v, 0.0, 0.0
+            if u == 0.0 and c < 2.0 and c != 1.0:
+                raise EvalDomainError("derivative singular at zero base", self)
+            d1 = c if c == 1.0 else c * math.pow(u, c - 1.0)
+            if c == 1.0:
+                return v, d1, 0.0
+            d2 = c * (c - 1.0) * math.pow(u, c - 2.0)
+        except OverflowError:
+            raise EvalDomainError("overflow", self) from None
         return v, d1, d2
-
-    def jet1(self, x):
-        u, gu = self.base.jet1(x)
-        v, d1, _ = self._derivs(u)
-        return v, d1 * gu
 
     def jet2(self, x):
         u, gu, hu = self.base.jet2(x)
@@ -311,7 +273,10 @@ class Call(Expr):
             s, c = math.sin(u), math.cos(u)
             return c, -s, -c
         if fn == "exp":
-            e = math.exp(u)
+            try:
+                e = math.exp(u)
+            except OverflowError:
+                raise EvalDomainError("overflow", self) from None
             return e, e, e
         if fn == "log":
             if u <= 0.0:
@@ -326,25 +291,146 @@ class Call(Expr):
             return s, 0.5 / s, -0.25 / (s * u)
         raise ExprError(f"unknown function '{fn}'")
 
-    def value(self, x):
-        u = self.arg.value(x)
-        if self.fn == "sqrt":
-            if u < 0.0:
-                raise EvalDomainError("sqrt of negative value", self)
-            return math.sqrt(u)
-        if self.fn == "log" and u <= 0.0:
-            raise EvalDomainError("log of non-positive value", self)
-        return getattr(math, self.fn)(u)
-
-    def jet1(self, x):
-        u, gu = self.arg.jet1(x)
-        v, d1, _ = self._derivs(u)
-        return v, d1 * gu
-
     def jet2(self, x):
         u, gu, hu = self.arg.jet2(x)
         v, d1, d2 = self._derivs(u)
         return v, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
+
+
+# --- compilation -----------------------------------------------------------
+#
+# value and jet1 run one straight-line Python function per expression,
+# generated from the AST on first use: the source-transformation form of
+# forward-mode differentiation (Griewank & Walther, Evaluating Derivatives,
+# 2nd ed., SIAM 2008, ch. 3 and 6).  Every gradient component is one local
+# float.  The code applies jet2's value and gradient rules component by
+# component, in the same order and without constant folding, so the value,
+# the gradient (signed zeros and inf included; a NaN's sign bit may differ,
+# as numpy's vector loops order two NaN operands their own way) and the first
+# domain error raised are the tree walk's.
+
+class _Emitter:
+    """Post-order code generator for one expression.
+
+    With ``dim`` None it emits the value only; otherwise the value and the
+    gradient at points of dimension ``dim``.  Constants and nodes are bound by
+    name in the function's namespace, never printed as literals.  A subtree
+    object that occurs twice is evaluated once: it would compute the same
+    bits, or raise at its first occurrence.
+    """
+
+    def __init__(self, dim: int | None):
+        self.dim = dim
+        self.lines: list[str] = []
+        self.coords: set[int] = set()
+        self.env = {"_E": EvalDomainError, "_array": np.array, "_pow": math.pow}
+        self.env.update((f"_{fn}", getattr(math, fn)) for fn in FUNCTIONS)
+        self.refs: dict[int, tuple[str, list[str]]] = {}
+        self.count = 0
+
+    def bind(self, obj) -> str:
+        name = f"k{len(self.env)}"
+        self.env[name] = obj
+        return name
+
+    def temp(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
+
+    def assign(self, src: str) -> str:
+        name = self.temp()
+        self.lines.append(f"{name} = {src}")
+        return name
+
+    def raise_if(self, cond: str, message: str, node: str):
+        self.lines.append(f"if {cond}: raise _E({message!r}, {node})")
+
+    def overflow_checked(self, src: str, node: str) -> str:
+        name = self.temp()
+        self.lines += [
+            "try:",
+            f"    {name} = {src}",
+            "except OverflowError:",
+            f"    raise _E('overflow', {node}) from None",
+        ]
+        return name
+
+    def emit(self, e: Expr) -> tuple[str, list[str]]:
+        """Names of the value and of the gradient components of ``e``."""
+        ref = self.refs.get(id(e))
+        if ref is None:
+            ref = self.refs[id(e)] = self._emit(e)
+        return ref
+
+    def _emit(self, e: Expr) -> tuple[str, list[str]]:
+        d = self.dim or 0
+        if isinstance(e, Const):
+            return self.bind(e.val), ["0.0"] * d
+        if isinstance(e, Var):
+            self.coords.add(e.index)
+            return f"x{e.index}", ["1.0" if k == e.index else "0.0" for k in range(d)]
+        if isinstance(e, Neg):
+            a, ga = self.emit(e.arg)
+            return self.assign(f"-{a}"), [self.assign(f"-{g}") for g in ga]
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            a, ga = self.emit(e.lhs)
+            b, gb = self.emit(e.rhs)
+            if isinstance(e, Add):
+                return self.assign(f"{a} + {b}"), [
+                    self.assign(f"{g} + {h}") for g, h in zip(ga, gb)
+                ]
+            if isinstance(e, Sub):
+                return self.assign(f"{a} - {b}"), [
+                    self.assign(f"{g} - {h}") for g, h in zip(ga, gb)
+                ]
+            if isinstance(e, Mul):
+                return self.assign(f"{a} * {b}"), [
+                    self.assign(f"{a} * {h} + {b} * {g}") for g, h in zip(ga, gb)
+                ]
+            self.raise_if(f"{b} == 0.0", "division by zero", self.bind(e))
+            v = self.assign(f"{a} / {b}")
+            return v, [self.assign(f"({g} - {v} * {h}) / {b}") for g, h in zip(ga, gb)]
+        u, gu = self.emit(e.base if isinstance(e, Pow) else e.arg)
+        node = self.bind(e)
+        if isinstance(e, Call) and e.fn not in FUNCTIONS:
+            raise ExprError(f"unknown function '{e.fn}'")
+        if self.dim is not None:
+            if isinstance(e, Pow) and e.exponent >= 2.0 and e.exponent == round(e.exponent):
+                # _derivs reduced to its live lines: no domain check can fire,
+                # and u^(c-1), u^(c-2) are finite wherever u^c is
+                c = self.bind(e.exponent)
+                v = self.overflow_checked(f"_pow({u}, {c})", node)
+                d1 = self.assign(f"{c} * _pow({u}, {self.bind(e.exponent - 1.0)})")
+            else:
+                v, d1 = self.temp(), self.temp()
+                self.lines.append(f"{v}, {d1}, _ = {node}._derivs({u})")
+            return v, [self.assign(f"{d1} * {g}") for g in gu]
+        if isinstance(e, Pow):
+            c = e.exponent
+            if c != round(c) or c < 0.0:
+                self.lines.append(f"{node}._check({u})")
+            return self.overflow_checked(f"_pow({u}, {self.bind(c)})", node), []
+        if e.fn == "log":
+            self.raise_if(f"{u} <= 0.0", "log of non-positive value", node)
+        elif e.fn == "sqrt":
+            self.raise_if(f"{u} < 0.0", "sqrt of negative value", node)
+        elif e.fn == "exp":
+            return self.overflow_checked(f"_exp({u})", node), []
+        return self.assign(f"_{e.fn}({u})"), []
+
+
+def _compile(e: Expr, dim: int | None):
+    """Generate, compile and return the value or jet1 function of ``e``."""
+    em = _Emitter(dim)
+    v, g = em.emit(e)
+    body = [f"x{i} = float(x[{i}])" for i in sorted(em.coords)] + em.lines
+    if dim is None:
+        body.append(f"return {v}")
+    else:
+        body.append(f"return {v}, _array(({''.join(r + ', ' for r in g)}))")
+    src = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(src, f"<compiled {to_source(e)}>", "exec"), em.env)
+    return em.env["f"]
 
 
 # --- parsing ---------------------------------------------------------------

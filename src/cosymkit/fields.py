@@ -124,7 +124,7 @@ class ScalarField:
         return self.expr.value(x)
 
     def jet1(self, x: Point) -> tuple[float, np.ndarray]:
-        return self.expr.jet1(np.asarray(x, dtype=float))
+        return self.expr.jet1(x)
 
     def gradient(self, x: Point) -> np.ndarray:
         return self.expr.gradient(x)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cosymkit.cli import main
+from cosymkit.exprlang import parse, to_source
 from cosymkit.scenarios import builtin_dict, builtin_file_path, scenario_json_text
 
 OSC = str(builtin_file_path("ext-oscillator-1d"))
@@ -81,6 +82,20 @@ def test_verify_bad_integral_fails_with_witness(tmp_path, capsys):
     assert code == 2
     assert not payload["report"]["checks"]["first_integrals"]["pass"]
     assert "witness" in payload["report"]["checks"]["first_integrals"]
+
+
+def test_verify_overflow_is_check_failure(tmp_path, capsys):
+    # math.exp overflows at every sample with q > 0.71: a typed EvalDomainError
+    # naming the subexpression, exit code 2, not a bare OverflowError
+    data = dict(builtin_dict("ext-oscillator-1d"))
+    data["hamiltonian"] = "exp(1000*q)"
+    data["integrals"] = {"r": 1, "fields": [{"name": "H", "expr": "exp(1000*q)"}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "verify", str(path), "--points", "20")
+    assert code == 2
+    sub = to_source(parse("exp(1000*q)", ("t", "q", "p")))
+    assert payload["error"] == f"overflow in '{sub}'"
 
 
 def test_verify_rejects_zero_points(capsys):

@@ -23,6 +23,7 @@ from cosymkit.fields import (
     lie_bracket,
     sample_box,
 )
+from cosymkit.scenarios import builtin
 
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
 BOX = [[0.0, 2 * math.pi], [-2.0, 2.0], [-2.0, 2.0]]
@@ -165,6 +166,20 @@ def test_non_finite_structure_is_eval_error():
             with pytest.raises(StructureEvalError) as info:
                 call()
             assert np.array_equal(info.value.point, x)
+
+
+def test_non_finite_gradient_is_eval_error():
+    # d/dq of 1e308*q*q is 1e308*q + 1e308*q = inf at q = 1.5, so df(Z) is
+    # NaN; every "resid > tol" check would let the NaN field through
+    S = builtin("ext-oscillator-1d").structure
+    H = ScalarField.from_source("1e308*q*q + p*p", S.chart, "H")
+    x = np.array([0.0, 1.5, 0.3])
+    assert not np.isfinite(H.gradient(x)).all()
+    for call in (S.hamiltonian_field, S.evaluation_field):
+        with pytest.raises(StructureEvalError) as info:
+            call(H, x)
+        assert np.array_equal(info.value.point, x)
+        assert "is not finite" in str(info.value)
 
 
 def test_varying_solve_path_matches_constant_path():

@@ -5,17 +5,23 @@ import pytest
 
 from cosymkit.exprlang import (
     Add,
+    Call,
     Const,
+    Div,
     EvalDomainError,
     Mul,
+    Neg,
     ParseError,
     Pow,
+    Sub,
     UnknownIdentifierError,
     Var,
     differentiate,
     parse,
     to_source,
 )
+from cosymkit.fields import sample_box
+from cosymkit.scenarios import builtin, builtin_names
 
 NAMES = ("t", "q", "p")
 
@@ -271,3 +277,190 @@ def test_pretty_print_of_pi():
     e = parse("pi", NAMES)
     assert to_source(e) == "pi"
     assert e.value(np.zeros(3)) == math.pi
+
+
+# --- compiled value and gradient against the tree walk ---------------------
+
+def _tree_value(e, x):
+    """Post-order tree walk of the value alone, the reference for ``value``."""
+    if isinstance(e, Const):
+        return e.val
+    if isinstance(e, Var):
+        return float(x[e.index])
+    if isinstance(e, Neg):
+        return -_tree_value(e.arg, x)
+    if isinstance(e, (Pow, Call)):
+        u = _tree_value(e.base if isinstance(e, Pow) else e.arg, x)
+        if isinstance(e, Pow):
+            e._check(u)
+        elif e.fn == "sqrt" and u < 0.0:
+            raise EvalDomainError("sqrt of negative value", e)
+        elif e.fn == "log" and u <= 0.0:
+            raise EvalDomainError("log of non-positive value", e)
+        try:
+            if isinstance(e, Pow):
+                return math.pow(u, e.exponent)
+            return getattr(math, e.fn)(u)
+        except OverflowError:
+            raise EvalDomainError("overflow", e) from None
+    a, b = _tree_value(e.lhs, x), _tree_value(e.rhs, x)
+    if isinstance(e, Add):
+        return a + b
+    if isinstance(e, Sub):
+        return a - b
+    if isinstance(e, Mul):
+        return a * b
+    if b == 0.0:
+        raise EvalDomainError("division by zero", e)
+    return a / b
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except Exception as err:  # the type and message are compared
+        return ("raise", type(err), str(err))
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    # a NaN's sign bit depends on the operand order inside numpy's vector
+    # loops, so signs are compared everywhere else (zeros above all)
+    nan = np.isnan(a)
+    assert np.array_equal(np.signbit(a) & ~nan, np.signbit(b) & ~nan)
+
+
+def _check_against_tree_walk(e, x) -> bool:
+    """Compiled value, jet1 and gradient match jet2 and the value walk at
+    ``x``; True when the jet raised."""
+    jet = _outcome(lambda: e.eval_jet2(x))
+    compiled = _outcome(lambda: e.jet1(x))
+    if jet[0] == "ok":
+        assert compiled[0] == "ok", compiled
+        _assert_same_bits(compiled[1][0], jet[1].value)
+        _assert_same_bits(compiled[1][1], jet[1].gradient)
+        _assert_same_bits(e.gradient(x), jet[1].gradient)
+    else:
+        assert compiled == jet
+        assert _outcome(lambda: e.gradient(x)) == jet
+    ref = _outcome(lambda: _tree_value(e, x))
+    value = _outcome(lambda: e.value(x))
+    if ref[0] == "ok":
+        assert value[0] == "ok", value
+        _assert_same_bits(value[1], ref[1])
+        if jet[0] == "ok":
+            _assert_same_bits(value[1], jet[1].value)
+    else:
+        assert value == ref
+    return jet[0] != "ok"
+
+
+def _test_points(rng, n, d):
+    """Seeded points with exact zeros of both signs and a few huge entries."""
+    pts = rng.uniform(-3.0, 3.0, size=(n, d))
+    for x in pts:
+        if rng.random() < 0.3:
+            x[rng.integers(0, d)] = rng.choice([0.0, -0.0])
+        if rng.random() < 0.1:
+            x[rng.integers(0, d)] = rng.choice([1e300, -1e300, 1e-300])
+    return pts
+
+
+def test_compiled_matches_tree_walk_on_random_asts():
+    rng = np.random.default_rng(17)
+    names = ("t", "q", "p")
+    exponents = [2.0, 3.0, 0.5, -1.0, -2.0, 1.0, 0.0, 1.5, 2.5, -0.5]
+    raised = total = 0
+    for k in range(300):
+        e = _random_ast(rng, names, depth=4)
+        if k % 3 == 0:
+            e = Mul(Pow(e, float(rng.choice(exponents))), Pow(Var("q", 1), 2.0))
+        for x in _test_points(rng, 6, len(names)):
+            with np.errstate(all="ignore"):  # jet2's inf and NaN are expected
+                raised += _check_against_tree_walk(e, x)
+            total += 1
+    # both outcomes are exercised
+    assert 0 < raised < total
+
+
+def test_compiled_matches_tree_walk_on_builtin_expressions():
+    rng = np.random.default_rng(23)
+    for name in builtin_names():
+        sc = builtin(name)
+        S = sc.structure
+        exprs = list(S.omega.upper.values()) + list(S.eta.components)
+        exprs += [sc.system.hamiltonian.expr] + [f.expr for f in sc.system.integrals]
+        exprs += [f.expr for f in sc.casimirs]
+        if sc.lam is not None:
+            exprs += list(sc.lam.components)
+        for amap in sc.angle_maps:
+            exprs += list(amap.plane or ())
+        pts = sample_box(S.domain_box, 200, rng)
+        for e in exprs:
+            for x in pts:
+                assert not _check_against_tree_walk(e, x)
+
+
+def test_compiled_domain_errors_match_tree_walk():
+    names = ("t", "q", "p")
+    x = np.array([0.5, 0.0, -0.0])
+    cases = {
+        # value defined, derivative singular: only the gradient raises
+        "sqrt(q)": "sqrt derivative singular at zero in 'sqrt(q)'",
+        "q^0.5": "derivative singular at zero base in 'q^0.5'",
+        "p^1.5 + 1": "derivative singular at zero base in 'p^1.5'",
+        "q^-1": "zero base with negative exponent in 'q^-1.0'",
+        "sqrt(t - 1)": "sqrt of negative value in 'sqrt(t - 1.0)'",
+        "log(p)": "log of non-positive value in 'log(p)'",
+        "t/(q*p)": "division by zero in 't/(q*p)'",
+        # post-order: the numerator's error comes first
+        "log(q)/sqrt(t - 1)": "log of non-positive value in 'log(q)'",
+        "(t - 1)^0.5/q": "negative base with non-integer exponent in '(t - 1.0)^0.5'",
+    }
+    for src, message in cases.items():
+        e = parse(src, names)
+        assert _check_against_tree_walk(e, x)
+        with pytest.raises(EvalDomainError) as err:
+            e.gradient(x)
+        assert str(err.value) == message
+    for src in ("sqrt(q)", "q^0.5", "p^1.5 + 1"):
+        assert parse(src, names).value(x) in (0.0, 1.0)
+
+
+def test_compiled_gradient_keyed_by_point_dimension():
+    e = parse("q*p + sin(q)/2 - t", ("t", "q", "p"))
+    x3 = np.array([0.3, -1.2, -0.0])
+    x5 = np.array([0.3, -1.2, -0.0, 4.0, 5.0])
+    for x in (x3, x5, x3):
+        v, g = e.jet1(x)
+        assert g.shape == (len(x),)
+        jet = e.eval_jet2(x)
+        _assert_same_bits(v, jet.value)
+        _assert_same_bits(g, jet.gradient)
+        assert e.value(x) == v
+
+
+def test_overflow_is_domain_error():
+    names = ("t", "q", "p")
+    cases = [
+        ("exp(1000*q) + p", [0.0, 1.0, 0.0], "exp(1000*q)"),
+        ("2*q^400", [0.0, 10.0, 0.0], "q^400"),
+    ]
+    for src, x, sub in cases:
+        e = parse(src, names)
+        x = np.array(x)
+        message = f"overflow in '{to_source(parse(sub, names))}'"
+        for call in (e.value, e.gradient, e.eval_jet2):
+            with pytest.raises(EvalDomainError) as err:
+                call(x)
+            assert str(err.value) == message
+    # d^2/dq^2 of q^0.5 overflows at a tiny base: the value is fine and the
+    # gradient raises as the jet does
+    e = parse("q^0.5", names)
+    x = np.array([0.0, 1e-300, 0.0])
+    assert e.value(x) == math.sqrt(1e-300)
+    for call in (e.gradient, e.eval_jet2):
+        with pytest.raises(EvalDomainError, match="overflow in 'q\\^0.5'"):
+            call(x)
