@@ -17,16 +17,19 @@ Reeb flow (k = r+1) and of the Hamiltonian flows of the prefix integrals
 (k <= r).
 
 Numeric lattice detection is implemented for two-dimensional tori (r+1 = 2):
-scan one flow for near-returns, then polish the return times with a damped
-least-squares Newton whose Jacobian comes from finite differences of flow
-endpoints.  Higher-rank tori use scenario-declared lattice vectors, which are
-still polished and verified here.
+scan one flow for near-returns, then polish the return times with a
+least-squares Newton.  The flows commute, so the endpoint of the composite
+flow moves with tau_j at exactly V_j(endpoint): the Jacobian is the field
+values there, and each Newton iteration traces the cycle once.  The lattice
+keeps the traced cycles of its basis, and the windings and the loop actions
+are read off them.  Higher-rank tori use scenario-declared lattice vectors,
+which are still polished and verified here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +51,6 @@ __all__ = [
     "ActionProfile",
     "FrequencyTable",
     "find_fiber_point",
-    "flow_composite",
     "trace_cycle",
     "refine_lattice_vector",
     "detect_period_lattice",
@@ -137,14 +139,6 @@ class AngleMap:
             )
         raise ValueError("angle map needs 'coordinate' or 'plane'")
 
-    def to_spec(self) -> dict:
-        if self.coordinate is not None:
-            return {"coordinate": self.coordinate, "label": self.label}
-        return {
-            "plane": [str(self.plane[0]), str(self.plane[1])],
-            "label": self.label,
-        }
-
     def series(self, states: np.ndarray) -> np.ndarray:
         """Continuous angle values along a sequence of (unwrapped) states."""
         states = np.atleast_2d(states)
@@ -164,12 +158,17 @@ class AngleMap:
 
 @dataclass(frozen=True)
 class PeriodLattice:
-    """Basis of flow-time vectors closing up on the torus."""
+    """Basis of flow-time vectors closing up on the torus.
+
+    ``cycles`` holds the traced segments of each row, as ``trace_cycle``
+    returns them; it is not part of the JSON form.
+    """
 
     field_labels: tuple[str, ...]
     base_point: np.ndarray
     basis: np.ndarray        # rows are lattice vectors
     residuals: np.ndarray    # per-row return distance
+    cycles: tuple = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -266,34 +265,21 @@ def find_fiber_point(
 
 # --- composite flows and lattice refinement ----------------------------------
 
-def flow_composite(fields, times, x0: Point, tol: float, chart: ChartSpec) -> np.ndarray:
-    """Apply the commuting flows for the given times (last field first)."""
-    x = np.array(x0, dtype=float)
-    for vf, tau in reversed(list(zip(fields, times))):
-        if abs(tau) > 1e-14:
-            x = integrate(vf, x, float(tau), tol, chart).final_state
-    return x
-
-
 def trace_cycle(fields, times, x0: Point, tol: float, chart: ChartSpec) -> list[tuple]:
-    """Trajectories of the composite flow, in the order they are traversed.
+    """Trajectories of the composite flow, in the order they are traversed
+    (last field first).
 
     Returns (field, trajectory) pairs; zero-time segments are skipped.
     """
     x = np.array(x0, dtype=float)
     segments = []
     for vf, tau in reversed(list(zip(fields, times))):
-        if tau == 0.0:
+        if abs(tau) <= 1e-14:
             continue
         traj = integrate(vf, x, float(tau), tol, chart)
         segments.append((vf, traj))
         x = traj.final_state
     return segments
-
-
-def _displacement(fields, times, x0, tol, chart):
-    end = flow_composite(fields, times, x0, tol, chart)
-    return chart.wrap_difference(end, x0)
 
 
 def refine_lattice_vector(
@@ -304,27 +290,27 @@ def refine_lattice_vector(
     flow_tol: float = 1e-11,
     return_tol: float = 1e-6,
     max_iter: int = 15,
-) -> tuple[np.ndarray, float]:
-    """Newton-polish candidate return times; Jacobian by endpoint differences."""
+) -> tuple[np.ndarray, float, list[tuple]]:
+    """Newton-polish candidate return times.
+
+    The flows commute, so d(endpoint)/d(tau_j) = V_j(endpoint): the Jacobian
+    is the field values at the endpoint, and each iteration traces the cycle
+    once.  Returns the best iterate's times, its return distance and its
+    traced segments.
+    """
+    x0 = np.asarray(x0, dtype=float)
     v = np.array(times0, dtype=float)
-    best_v = v.copy()
-    best = math.inf
-    jac_tol = max(flow_tol, 1e-8)  # derivative columns tolerate looser flows
+    best, best_v, best_segments = math.inf, v, []
     for _ in range(max_iter):
-        F = _displacement(fields, v, x0, flow_tol, chart)
+        segments = trace_cycle(fields, v, x0, flow_tol, chart)
+        end = segments[-1][1].final_state if segments else x0
+        F = chart.wrap_difference(end, x0)
         resid = float(np.linalg.norm(F))
         if resid < best:
-            best, best_v = resid, v.copy()
+            best, best_v, best_segments = resid, v, segments
         if resid < 1e-9:
             break
-        F_loose = _displacement(fields, v, x0, jac_tol, chart)
-        cols = []
-        for j in range(len(v)):
-            dj = 1e-6 * max(1.0, abs(v[j]))
-            vp = v.copy()
-            vp[j] += dj
-            cols.append((_displacement(fields, vp, x0, jac_tol, chart) - F_loose) / dj)
-        J = np.stack(cols, axis=1)
+        J = np.stack([vf(end) for vf in fields], axis=1)
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
         if not np.all(np.isfinite(step)):
             break
@@ -335,7 +321,19 @@ def refine_lattice_vector(
         raise CycleError(
             f"lattice vector failed to close: residual {best:.3e} at times {best_v.tolist()}"
         )
-    return best_v, best
+    return best_v, best, best_segments
+
+
+def _lattice(fields, x0: Point, refined) -> PeriodLattice:
+    """The lattice whose rows are ``refine_lattice_vector`` results."""
+    times, residuals, cycles = zip(*refined)
+    return PeriodLattice(
+        tuple(getattr(f, "label", "field") for f in fields),
+        np.asarray(x0, dtype=float),
+        np.array(times),
+        np.array(residuals),
+        tuple(cycles),
+    )
 
 
 def _near_return_candidates(traj: Trajectory, x0, window, t_min):
@@ -383,7 +381,7 @@ def detect_period_lattice(
         )
     x0 = np.asarray(x0, dtype=float)
 
-    def seek(direction) -> tuple[np.ndarray, float] | None:
+    def seek(direction) -> tuple[np.ndarray, float, list[tuple]] | None:
         if direction == 0:
             field = fields[0]
             def seed_times(s):
@@ -406,14 +404,14 @@ def detect_period_lattice(
             traj = integrate(field, x_start, tau, scan_tol, chart)
             for s in _near_return_candidates(traj, x0, window, t_min - start):
                 try:
-                    v, resid = refine_lattice_vector(
+                    hit = refine_lattice_vector(
                         fields, seed_times(start + s), x0, chart,
                         flow_tol=flow_tol, return_tol=return_tol,
                     )
                 except CycleError:
                     continue
-                if np.max(np.abs(v)) > t_min:
-                    return v, resid
+                if np.max(np.abs(hit[0])) > t_min:
+                    return hit
             start += tau
             x_start = traj.final_state
         return None
@@ -423,34 +421,22 @@ def detect_period_lattice(
         hit = seek(direction)
         if hit is None:
             continue
-        v, resid = hit
+        v = hit[0]
         if found:
             det = abs(np.linalg.det(np.array([found[0][0], v])))
             if det < 1e-3 * np.linalg.norm(found[0][0]) * np.linalg.norm(v):
                 continue
-        found.append((v, resid))
+        found.append(hit)
         if len(found) == 2:
             break
     if len(found) < 2:
         raise NoReturnError(horizon)
-    basis = np.array([found[0][0], found[1][0]])
-    residuals = np.array([found[0][1], found[1][1]])
-    return PeriodLattice(
-        tuple(getattr(f, "label", "field") for f in fields), x0, basis, residuals
-    )
+    return _lattice(fields, x0, found)
 
 
-def _cycle_states(segments, per_step: int = 4):
-    """Sampled states along a traced cycle, in traversal order."""
-    states = []
-    for _, traj in segments:
-        taus = []
-        for i in range(len(traj.times) - 1):
-            t0, t1 = traj.times[i], traj.times[i + 1]
-            taus.extend(t0 + (t1 - t0) * np.linspace(0, 1, per_step, endpoint=False))
-        taus.append(traj.times[-1])
-        states.extend(traj.sample(taus))
-    return np.array(states)
+def _cycle_states(segments) -> np.ndarray:
+    """Accepted states along a traced cycle, in traversal order."""
+    return np.concatenate([traj.states for _, traj in segments])
 
 
 def cycle_windings(segments, angle_maps) -> np.ndarray:
@@ -474,7 +460,7 @@ def align_lattice_to_angles(
 
     The winding matrix of the detected basis against the declared angles must
     be unimodular; its integer inverse transforms the basis.  Rows are then
-    re-polished.
+    re-polished.  The windings are read off the lattice's traced cycles.
     """
     fields = list(fields) if fields is not None else sys.commuting_fields()
     k = lattice.rank
@@ -482,12 +468,7 @@ def align_lattice_to_angles(
         raise ActionAngleError(
             f"need {k} angle maps to align a rank-{k} lattice, got {len(angle_maps)}"
         )
-    chart = sys.structure.chart
-    wind_tol = max(flow_tol, 1e-8)  # winding counts only need coarse traces
-    W = np.zeros((k, k))
-    for mu in range(k):
-        segments = trace_cycle(fields, lattice.basis[mu], lattice.base_point, wind_tol, chart)
-        W[mu] = cycle_windings(segments, angle_maps)
+    W = np.array([cycle_windings(segments, angle_maps) for segments in lattice.cycles])
     Wi = np.rint(W).astype(int)
     if np.max(np.abs(W - Wi)) > 5e-3:
         raise ActionAngleError(f"cycle windings are not integers: {W.tolist()}")
@@ -500,22 +481,14 @@ def align_lattice_to_angles(
     if np.array_equal(Wi, np.eye(k, dtype=int)):
         return lattice
     Winv = np.rint(np.linalg.inv(Wi)).astype(int)
-    new_basis = []
-    new_resid = []
-    for mu in range(k):
-        guess = Winv[mu].astype(float) @ lattice.basis
-        v, resid = refine_lattice_vector(
-            fields, guess, lattice.base_point, chart, flow_tol=flow_tol,
+    return _lattice(fields, lattice.base_point, [
+        refine_lattice_vector(
+            fields, Winv[mu].astype(float) @ lattice.basis, lattice.base_point,
+            sys.structure.chart, flow_tol=flow_tol,
             return_tol=sys.structure.tol.lattice_return,
         )
-        new_basis.append(v)
-        new_resid.append(resid)
-    return PeriodLattice(
-        lattice.field_labels,
-        lattice.base_point,
-        np.array(new_basis),
-        np.array(new_resid),
-    )
+        for mu in range(k)
+    ])
 
 
 def torus_lattice(
@@ -531,21 +504,13 @@ def torus_lattice(
     fields = list(fields) if fields is not None else sys.commuting_fields()
     chart = sys.structure.chart
     if declared_vectors is not None:
-        basis = []
-        residuals = []
-        for row in np.asarray(declared_vectors, dtype=float):
-            v, resid = refine_lattice_vector(
+        lattice = _lattice(fields, x0, [
+            refine_lattice_vector(
                 fields, row, x0, chart, flow_tol=flow_tol,
                 return_tol=sys.structure.tol.lattice_return,
             )
-            basis.append(v)
-            residuals.append(resid)
-        lattice = PeriodLattice(
-            tuple(getattr(f, "label", "field") for f in fields),
-            np.asarray(x0, dtype=float),
-            np.array(basis),
-            np.array(residuals),
-        )
+            for row in np.asarray(declared_vectors, dtype=float)
+        ])
     else:
         lattice = detect_period_lattice(sys, x0, fields=fields, flow_tol=flow_tol, **detect_kwargs)
     if angle_maps:
@@ -576,30 +541,27 @@ def action_integrals(
     sys: IntegralSystem,
     lattice: PeriodLattice,
     lam: OneFormField,
-    fields=None,
-    flow_tol: float = 1e-11,
 ) -> ActionProfile:
     """Loop actions (1/2pi) * integral of lambda over each lattice cycle.
 
-    Verifies that -d(lambda) = omega on states sampled from the traced cycles
-    and that every cycle closes; also records the eta pairing of each cycle,
+    Reads the cycles the lattice refinement traced; integrates no flow.
+    Verifies that -d(lambda) = omega on accepted states of the cycles and
+    that every cycle closes; also records the eta pairing of each cycle,
     which is the constant column of the frequency matrix.
     """
     S = sys.structure
     chart = S.chart
-    fields = list(fields) if fields is not None else sys.commuting_fields()
     x0 = lattice.base_point
     actions = []
     pairings = []
     prim_worst = 0.0
-    for mu in range(lattice.rank):
-        segments = trace_cycle(fields, lattice.basis[mu], x0, flow_tol, chart)
+    for mu, segments in enumerate(lattice.cycles):
         if segments:
             end = segments[-1][1].final_state
             gap = float(np.linalg.norm(chart.wrap_difference(end, x0)))
             if gap > 10 * S.tol.lattice_return:
                 raise CycleError(f"cycle {mu} failed to close: gap {gap:.3e}")
-            check_states = _cycle_states(segments)[:: max(1, lattice.rank * 8)]
+            check_states = _cycle_states(segments)[:: max(1, lattice.rank * 2)]
             resid = S.check_primitive(check_states, lam)
             prim_worst = max(prim_worst, resid)
             if resid > S.tol.primitive_check:

@@ -12,8 +12,10 @@ compiled once per expression (per point dimension for ``jet1``); ``jet2`` is
 the recursive tree walk.  The generated code applies the tree walk's rules
 component by component without constant folding, so both give the same
 numbers, signed zeros included, and raise the same first
-``EvalDomainError``.  An overflow of ``exp`` or ``^`` is an
-``EvalDomainError`` too.
+``EvalDomainError``; only ``jet2`` computes the second derivatives of
+``log`` and ``sqrt``, and only it raises when they overflow.  An overflow of
+``exp`` or ``^`` and ``sin`` or ``cos`` of an infinite value are
+``EvalDomainError``s too.
 
 The grammar (EBNF in docs/GRAMMAR.ebnf):
 
@@ -85,7 +87,8 @@ class UnknownIdentifierError(ParseError):
 
 class EvalDomainError(ExprError):
     """Evaluation left the domain of a subexpression (log, sqrt, division,
-    overflow of exp or ^)."""
+    sin or cos of an infinite value, overflow of exp, ^ or a jet2 second
+    derivative)."""
 
     def __init__(self, message: str, subexpr: "Expr"):
         super().__init__(f"{message} in '{to_source(subexpr)}'")
@@ -264,36 +267,48 @@ class Call(Expr):
     fn: str
     arg: Expr
 
-    def _derivs(self, u: float) -> tuple[float, float, float]:
+    def _derivs(self, u: float) -> tuple[float, float]:
+        """Value and first derivative at ``u``."""
         fn = self.fn
-        if fn == "sin":
-            s, c = math.sin(u), math.cos(u)
-            return s, c, -s
-        if fn == "cos":
-            s, c = math.sin(u), math.cos(u)
-            return c, -s, -c
+        if fn == "sin" or fn == "cos":
+            try:
+                s, c = math.sin(u), math.cos(u)
+            except ValueError:
+                raise EvalDomainError(f"{fn} of infinite value", self) from None
+            return (s, c) if fn == "sin" else (c, -s)
         if fn == "exp":
             try:
                 e = math.exp(u)
             except OverflowError:
                 raise EvalDomainError("overflow", self) from None
-            return e, e, e
+            return e, e
         if fn == "log":
             if u <= 0.0:
                 raise EvalDomainError("log of non-positive value", self)
-            return math.log(u), 1.0 / u, -1.0 / (u * u)
+            return math.log(u), 1.0 / u
         if fn == "sqrt":
             if u < 0.0:
                 raise EvalDomainError("sqrt of negative value", self)
             if u == 0.0:
                 raise EvalDomainError("sqrt derivative singular at zero", self)
             s = math.sqrt(u)
-            return s, 0.5 / s, -0.25 / (s * u)
+            return s, 0.5 / s
         raise ExprError(f"unknown function '{fn}'")
 
     def jet2(self, x):
         u, gu, hu = self.arg.jet2(x)
-        v, d1, d2 = self._derivs(u)
+        v, d1 = self._derivs(u)
+        # the second derivative, which only the jet needs; 1/u^2 and
+        # 1/(sqrt(u)*u) overflow where u*u or sqrt(u)*u underflows to zero
+        try:
+            if self.fn == "log":
+                d2 = -1.0 / (u * u)
+            elif self.fn == "sqrt":
+                d2 = -0.25 / (v * u)
+            else:
+                d2 = v if self.fn == "exp" else -v
+        except ZeroDivisionError:
+            raise EvalDomainError("overflow", self) from None
         return v, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
 
 
@@ -345,15 +360,19 @@ class _Emitter:
     def raise_if(self, cond: str, message: str, node: str):
         self.lines.append(f"if {cond}: raise _E({message!r}, {node})")
 
-    def overflow_checked(self, src: str, node: str) -> str:
+    def checked(self, src: str, node: str, error: str, message: str) -> str:
+        """Assign ``src``, raising ``_E(message, node)`` on ``error``."""
         name = self.temp()
         self.lines += [
             "try:",
             f"    {name} = {src}",
-            "except OverflowError:",
-            f"    raise _E('overflow', {node}) from None",
+            f"except {error}:",
+            f"    raise _E({message!r}, {node}) from None",
         ]
         return name
+
+    def overflow_checked(self, src: str, node: str) -> str:
+        return self.checked(src, node, "OverflowError", "overflow")
 
     def emit(self, e: Expr) -> tuple[str, list[str]]:
         """Names of the value and of the gradient components of ``e``."""
@@ -403,7 +422,8 @@ class _Emitter:
                 d1 = self.assign(f"{c} * _pow({u}, {self.bind(e.exponent - 1.0)})")
             else:
                 v, d1 = self.temp(), self.temp()
-                self.lines.append(f"{v}, {d1}, _ = {node}._derivs({u})")
+                rest = ", _" if isinstance(e, Pow) else ""
+                self.lines.append(f"{v}, {d1}{rest} = {node}._derivs({u})")
             return v, [self.assign(f"{d1} * {g}") for g in gu]
         if isinstance(e, Pow):
             c = e.exponent
@@ -416,6 +436,10 @@ class _Emitter:
             self.raise_if(f"{u} < 0.0", "sqrt of negative value", node)
         elif e.fn == "exp":
             return self.overflow_checked(f"_exp({u})", node), []
+        else:  # sin, cos
+            return self.checked(
+                f"_{e.fn}({u})", node, "ValueError", f"{e.fn} of infinite value"
+            ), []
         return self.assign(f"_{e.fn}({u})"), []
 
 

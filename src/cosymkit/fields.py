@@ -135,9 +135,6 @@ class ScalarField:
     def eval_jet2(self, x: Point):
         return self.expr.eval_jet2(x)
 
-    def differentiated(self, index: int) -> Expr:
-        return exprlang.differentiate(self.expr, index)
-
     def __call__(self, x: Point) -> float:
         return self.expr.value(x)
 

@@ -94,10 +94,6 @@ class Trajectory:
             raise ValueError("times must be strictly monotone")
 
     @property
-    def initial_state(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 

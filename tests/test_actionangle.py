@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cosymkit import actionangle
 from cosymkit.actionangle import (
     ActionProfile,
     AngleMap,
@@ -127,22 +128,89 @@ def test_action_base_point_independence():
     lat0 = torus_lattice(sys, x0, angle_maps=oscillator_angles())
     I0 = action_integrals(sys, lat0, lam).actions
     # move along the torus: flow both fields for incommensurate times
-    from cosymkit.actionangle import flow_composite
-
-    x1 = flow_composite(sys.commuting_fields(), (0.37, 1.91), x0, 1e-12, CHART)
+    x1 = trace_cycle(sys.commuting_fields(), (0.37, 1.91), x0, 1e-12, CHART)[-1][1].final_state
     lat1 = torus_lattice(sys, x1, angle_maps=oscillator_angles())
     I1 = action_integrals(sys, lat1, lam).actions
     assert np.max(np.abs(I1 - I0)) < 1e-5
 
 
 def test_action_retrace_stability():
+    # the actions come from the cycles the refinement traced, so the flow
+    # tolerance is the lattice's
     sys = oscillator_system()
     lam = sys.structure.primitive
     x0 = np.array([0.0, 1.0, 0.0])
-    lattice = torus_lattice(sys, x0, angle_maps=oscillator_angles())
-    I_a = action_integrals(sys, lattice, lam, flow_tol=1e-10).actions
-    I_b = action_integrals(sys, lattice, lam, flow_tol=5e-11).actions
+    I_a, I_b = (
+        action_integrals(
+            sys, torus_lattice(sys, x0, angle_maps=oscillator_angles(), flow_tol=tol), lam
+        ).actions
+        for tol in (1e-10, 5e-11)
+    )
     assert np.max(np.abs(I_a - I_b)) < 1e-6
+
+
+def test_action_integrals_integrate_no_flow(monkeypatch):
+    sys = oscillator_system()
+    x0 = np.array([0.0, 1.0, 0.0])
+    lattice = torus_lattice(sys, x0, angle_maps=oscillator_angles())
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("action_integrals integrated a flow")
+
+    monkeypatch.setattr(actionangle, "integrate", no_flow)
+    profile = action_integrals(sys, lattice, sys.structure.primitive)
+    assert profile.actions == pytest.approx([0.5, 0.0], abs=1e-9)
+    assert profile.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-9)
+
+
+def test_refine_traces_the_cycle_once_per_newton_iteration(monkeypatch):
+    sys = oscillator_system()
+    fields = sys.commuting_fields()
+    x0 = np.array([0.0, 1.0, 0.0])
+    traces, flows = [], []
+    trace, integrate = actionangle.trace_cycle, actionangle.integrate
+
+    def counting_trace(*args, **kwargs):
+        traces.append(trace(*args, **kwargs))
+        return traces[-1]
+
+    def counting_integrate(*args, **kwargs):
+        flows.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(actionangle, "trace_cycle", counting_trace)
+    monkeypatch.setattr(actionangle, "integrate", counting_integrate)
+    v, resid, segments = refine_lattice_vector(
+        fields, (TWO_PI + 0.05, TWO_PI - 0.03), x0, CHART
+    )
+    assert v == pytest.approx([TWO_PI, TWO_PI], abs=1e-9)
+    assert resid < 1e-9
+    # each iteration is one composite flow of both fields, and Newton with
+    # the exact Jacobian converges in a few of them
+    assert 2 <= len(traces) <= 5
+    assert len(flows) == 2 * len(traces)
+    # the returned cycle is the last iterate's trace, not a new one
+    assert segments is traces[-1]
+    assert [traj.duration for _, traj in segments] == [v[1], v[0]]
+
+
+def test_refine_jacobian_is_endpoint_field_values():
+    # d(endpoint)/d(tau_j) = V_j(endpoint) for commuting flows; checked by
+    # central differences of the composite flow on pc-oscillator-1d
+    sc = builtin("pc-oscillator-1d")
+    fields = sc.system.commuting_fields()
+    x0 = sc.base_point()
+    times = np.array([0.7, 1.3])
+
+    def endpoint(ts):
+        return trace_cycle(fields, ts, x0, 1e-12, sc.chart)[-1][1].final_state
+
+    end = endpoint(times)
+    for j, vf in enumerate(fields):
+        dt = np.zeros(2)
+        dt[j] = 1e-5
+        fd = (endpoint(times + dt) - endpoint(times - dt)) / 2e-5
+        assert np.max(np.abs(fd - vf(end))) < 1e-6
 
 
 def test_poincare_cartan_action_around_t_circle():

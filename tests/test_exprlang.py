@@ -303,6 +303,8 @@ def _tree_value(e, x):
             return getattr(math, e.fn)(u)
         except OverflowError:
             raise EvalDomainError("overflow", e) from None
+        except ValueError:
+            raise EvalDomainError(f"{e.fn} of infinite value", e) from None
     a, b = _tree_value(e.lhs, x), _tree_value(e.rhs, x)
     if isinstance(e, Add):
         return a + b
@@ -313,6 +315,32 @@ def _tree_value(e, x):
     if b == 0.0:
         raise EvalDomainError("division by zero", e)
     return a / b
+
+
+def _tree_jet1(e, x):
+    """Post-order tree walk of the value and gradient with jet2's rules but
+    no second derivatives, the reference for ``jet1``."""
+    if isinstance(e, (Const, Var)):
+        return e.jet2(x)[:2]
+    if isinstance(e, Neg):
+        v, g = _tree_jet1(e.arg, x)
+        return -v, -g
+    if isinstance(e, (Pow, Call)):
+        u, gu = _tree_jet1(e.base if isinstance(e, Pow) else e.arg, x)
+        v, d1 = e._derivs(u)[:2]
+        return v, d1 * gu
+    va, ga = _tree_jet1(e.lhs, x)
+    vb, gb = _tree_jet1(e.rhs, x)
+    if isinstance(e, Add):
+        return va + vb, ga + gb
+    if isinstance(e, Sub):
+        return va - vb, ga - gb
+    if isinstance(e, Mul):
+        return va * vb, va * gb + vb * ga
+    if vb == 0.0:
+        raise EvalDomainError("division by zero", e)
+    v = va / vb
+    return v, (ga - v * gb) / vb
 
 
 def _outcome(call):
@@ -333,18 +361,27 @@ def _assert_same_bits(a, b):
 
 
 def _check_against_tree_walk(e, x) -> bool:
-    """Compiled value, jet1 and gradient match jet2 and the value walk at
-    ``x``; True when the jet raised."""
+    """Compiled value, jet1 and gradient match the tree walks at ``x``, and
+    jet2 agrees with them; True when the jet raised."""
     jet = _outcome(lambda: e.eval_jet2(x))
+    ref1 = _outcome(lambda: _tree_jet1(e, x))
     compiled = _outcome(lambda: e.jet1(x))
-    if jet[0] == "ok":
+    if ref1[0] == "ok":
         assert compiled[0] == "ok", compiled
-        _assert_same_bits(compiled[1][0], jet[1].value)
-        _assert_same_bits(compiled[1][1], jet[1].gradient)
-        _assert_same_bits(e.gradient(x), jet[1].gradient)
+        _assert_same_bits(compiled[1][0], ref1[1][0])
+        _assert_same_bits(compiled[1][1], ref1[1][1])
+        _assert_same_bits(e.gradient(x), ref1[1][1])
+        if jet[0] == "ok":
+            _assert_same_bits(jet[1].value, ref1[1][0])
+            _assert_same_bits(jet[1].gradient, ref1[1][1])
+        else:
+            # only a second derivative the gradient does not need overflowed
+            assert jet[1] is EvalDomainError and jet[2].startswith("overflow in '")
     else:
-        assert compiled == jet
-        assert _outcome(lambda: e.gradient(x)) == jet
+        assert compiled == ref1
+        assert _outcome(lambda: e.gradient(x)) == ref1
+        # the jet raises the same error, or first overflows a second derivative
+        assert jet == ref1 or (jet[1] is EvalDomainError and jet[2].startswith("overflow in '"))
     ref = _outcome(lambda: _tree_value(e, x))
     value = _outcome(lambda: e.value(x))
     if ref[0] == "ok":
@@ -464,3 +501,33 @@ def test_overflow_is_domain_error():
     for call in (e.gradient, e.eval_jet2):
         with pytest.raises(EvalDomainError, match="overflow in 'q\\^0.5'"):
             call(x)
+
+
+def test_tiny_log_and_sqrt_arguments_have_finite_gradients():
+    # the second derivatives -1/u^2 and -1/(4 u^(3/2)) overflow here; only
+    # jet2 needs them, so value and gradient are finite and jet2 raises a
+    # typed overflow naming the node
+    names = ("t", "q", "p")
+    for src, sub, q, slope in (
+        ("log(q) + p", "log(q)", 1e-200, 1e200),
+        ("2*sqrt(q)", "sqrt(q)", 1e-300, 2 * 0.5 / math.sqrt(1e-300)),
+    ):
+        e = parse(src, names)
+        x = np.array([0.0, q, 0.0])
+        assert math.isfinite(e.value(x))
+        assert e.gradient(x).tolist() == [0.0, slope, 1.0 if "p" in src else 0.0]
+        with pytest.raises(EvalDomainError) as err:
+            e.eval_jet2(x)
+        assert str(err.value) == f"overflow in '{sub}'"
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+@pytest.mark.parametrize("q", [math.inf, -math.inf])
+def test_trig_of_infinity_is_domain_error(fn, q):
+    e = parse(f"1 + {fn}(2*q)", ("t", "q", "p"))
+    x = np.array([0.0, q, 0.0])
+    message = f"{fn} of infinite value in '{fn}(2.0*q)'"
+    for call in (e.value, e.gradient, e.eval_jet2):
+        with pytest.raises(EvalDomainError) as err, np.errstate(invalid="ignore"):
+            call(x)
+        assert str(err.value) == message
