@@ -17,6 +17,10 @@ conditions become
 since ``Omega^T v`` is the contraction of ``v`` and the eta-term vanishes on
 the solution.  docs/CONVENTIONS.md carries the derivation and the worked
 canonical-coordinate example.
+
+``Frame`` holds that solve at one point; ``FrameStack`` holds it at every
+row of a point stack (N, d) and gives each row Frame's bits and Frame's
+errors.  ``CosymplecticStructure.frame`` picks one by the shape of its input.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ __all__ = [
     "CosymplecticStructure",
     "StructureVectorField",
     "Frame",
+    "FrameStack",
+    "BLOCK_ROWS",
+    "map_blocks",
     "make_canonical",
     "make_poincare_cartan",
     "twist",
@@ -113,6 +120,23 @@ class FieldConditionError(Exception):
     """A solved field violated its defining conditions beyond tolerance."""
 
 
+# Frame and FrameStack build their errors here, so a stacked row fails with
+# the message of the point.
+
+def _condition_error(what: str, x, detail: str = "") -> FieldConditionError:
+    return FieldConditionError(f"{what} at {np.asarray(x).tolist()}{detail}")
+
+
+def _not_finite(x, what: str) -> StructureEvalError:
+    return StructureEvalError(x, ValueError(f"{what} is not finite"))
+
+
+def _at_row(err: Exception, row: int) -> Exception:
+    """``err`` marked as raised by row ``row`` of a stack."""
+    err.row = row
+    return err
+
+
 class Frame:
     """Per-point solve context: Omega, eta and A^T, or the inverse of A^T
     shared by every point of a constant structure.
@@ -162,9 +186,7 @@ class Frame:
             Z = self.solve(self.eta)
             tol = self.structure.tol.reeb_check
             if not (np.abs(Z @ self.Omega).max() <= tol and abs(self.eta @ Z - 1.0) <= tol):
-                raise FieldConditionError(
-                    f"Reeb conditions violated at {self.x.tolist()}"
-                )
+                raise _condition_error("Reeb conditions violated", self.x)
             self._Z = Z
         return self._Z
 
@@ -174,20 +196,20 @@ class Frame:
         zf = df @ Z
         if not math.isfinite(zf):
             # Z is finite, so an inf or NaN in df shows here
-            raise StructureEvalError(self.x, ValueError(f"df(Z) = {zf} is not finite"))
+            raise _not_finite(self.x, f"df(Z) = {zf}")
         rhs = df - zf * self.eta
         X = self.solve(rhs)
         tol = self.structure.tol
         if not (abs(self.eta @ X) <= tol.reeb_check):
-            raise FieldConditionError(f"eta(X_f) != 0 at {self.x.tolist()}")
+            raise _condition_error("eta(X_f) != 0", self.x)
         if not (np.abs(X @ self.Omega - rhs).max() <= tol.field_check):
-            raise FieldConditionError(f"i_X omega != df - Z(f) eta at {self.x.tolist()}")
+            raise _condition_error("i_X omega != df - Z(f) eta", self.x)
         return X
 
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
         if not (abs(self.eta @ Y - 1.0) <= self.structure.tol.reeb_check):
-            raise FieldConditionError(f"eta(Y_f) != 1 at {self.x.tolist()}")
+            raise _condition_error("eta(Y_f) != 1", self.x)
         return Y
 
     def gradient(self, df: np.ndarray) -> np.ndarray:
@@ -197,7 +219,7 @@ class Frame:
         tol = self.structure.tol.field_check
         rhs = df - zf * self.eta
         if not (np.abs(G @ self.Omega - rhs).max() <= tol and abs(self.eta @ G - zf) <= tol):
-            raise FieldConditionError(f"gradient conditions violated at {self.x.tolist()}")
+            raise _condition_error("gradient conditions violated", self.x)
         return G
 
     def bracket(self, df: np.ndarray, dg: np.ndarray) -> float:
@@ -210,11 +232,14 @@ class Frame:
         Gg = Xg + (dg @ Z) * Z
         via_gradients = float(Gf @ self.Omega @ Gg)
         if not (abs(via_fields - via_gradients) <= self.structure.tol.bracket_agreement):
-            raise FieldConditionError(
-                "bracket formulas disagree at "
-                f"{self.x.tolist()}: {via_fields} vs {via_gradients}"
+            raise _condition_error(
+                "bracket formulas disagree", self.x, f": {via_fields} vs {via_gradients}"
             )
         return via_fields
+
+    def differential(self, f) -> np.ndarray:
+        """The gradient covector of ``f`` at the frame's point."""
+        return f.gradient(self.x)
 
 
 def _solve_matrix(x, Omega, eta):
@@ -225,8 +250,204 @@ def _solve_matrix(x, Omega, eta):
     """
     A_T = eta[:, None] * eta - Omega
     if not np.isfinite(A_T).all():
-        raise StructureEvalError(x, ValueError("A = Omega + eta eta^T is not finite"))
+        raise _not_finite(x, _A_NAME)
     return A_T, float(np.linalg.det(A_T))
+
+
+_A_NAME = "A = Omega + eta eta^T"
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` row by row over leading axes, with the bits of one-point
+    products (numpy's matmul runs the same kernel on every stacked pair)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``v @ M`` row by row over leading axes."""
+    return (v[..., None, :] @ M)[..., 0, :]
+
+
+class FrameStack:
+    """The frames at every row of a point stack ``X`` (N, d), solved at once.
+
+    Each quantity is computed with Frame's operations over a leading point
+    axis: one ``np.linalg.solve`` over the stacked ``A^T`` (or products with
+    the shared inverse of a constant structure) and matrix products per row,
+    so every row has the bits Frame has at that point.  A stage that fails at
+    some rows raises the error Frame raises at the first of them, marked with
+    its ``row``; :func:`map_blocks` makes that the first failing row in point
+    order.
+    """
+
+    __slots__ = ("structure", "X", "Omega", "eta", "_A_T", "_inv", "det", "_Z")
+
+    def __init__(self, structure: "CosymplecticStructure", X):
+        self.structure = structure
+        self.X = X = np.asarray(X, dtype=float)
+        const = structure._constant_data
+        if const is not None:
+            self.Omega, self.eta, self._inv, self.det = const
+            self._A_T = None
+            if self._inv is None:  # degenerate: any row raises below
+                self._inv = np.full(self.Omega.shape, math.nan)
+        else:
+            try:
+                self.Omega = structure.omega.at_stack(X)
+                self.eta = structure.eta.at_stack(X)
+            except exprlang.ExprError as err:
+                k = err.row or 0  # an error of no row fails every row
+                raise _at_row(StructureEvalError(X[k], err), k) from err
+            A_T = self.eta[:, :, None] * self.eta[:, None, :] - self.Omega
+            self._first(
+                ~np.isfinite(A_T).all(axis=(1, 2)), lambda k: _not_finite(X[k], _A_NAME)
+            )
+            self._A_T, self.det, self._inv = A_T, np.linalg.det(A_T), None
+        det = np.broadcast_to(self.det, X.shape[:1])
+        self._first(
+            np.abs(det) < structure.tol.volume_min_det,
+            lambda k: DegenerateStructureError(X[k], float(det[k])),
+        )
+        self._Z = None
+
+    def _first(self, bad, error) -> None:
+        """Raise ``error(k)`` for the first row ``k`` flagged in ``bad``."""
+        bad = np.broadcast_to(bad, self.X.shape[:1])
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _at_row(error(k), k)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A^T u = rhs at every row; ``rhs`` is (N, d), or (d,) when it
+        is shared by every row of a constant structure."""
+        if self._A_T is None:
+            return (self._inv @ rhs[..., None])[..., 0]
+        return np.linalg.solve(self._A_T, rhs[..., None])[..., 0]
+
+    @property
+    def reeb(self) -> np.ndarray:
+        if self._Z is None:
+            Z = self.solve(self.eta)
+            tol = self.structure.tol.reeb_check
+            ok = (np.abs(_vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
+                np.abs(_dot(self.eta, Z) - 1.0) <= tol
+            )
+            self._first(~ok, lambda k: _condition_error("Reeb conditions violated", self.X[k]))
+            self._Z = np.broadcast_to(Z, self.X.shape)
+        return self._Z
+
+    def hamiltonian(self, df: np.ndarray) -> np.ndarray:
+        Z = self.reeb
+        zf = _dot(df, Z)
+        self._first(~np.isfinite(zf), lambda k: _not_finite(self.X[k], f"df(Z) = {zf[k]}"))
+        rhs = df - zf[:, None] * self.eta
+        Xf = self.solve(rhs)
+        tol = self.structure.tol
+        self._first(
+            ~(np.abs(_dot(self.eta, Xf)) <= tol.reeb_check),
+            lambda k: _condition_error("eta(X_f) != 0", self.X[k]),
+        )
+        self._first(
+            ~(np.abs(_vecmat(Xf, self.Omega) - rhs).max(axis=-1) <= tol.field_check),
+            lambda k: _condition_error("i_X omega != df - Z(f) eta", self.X[k]),
+        )
+        return Xf
+
+    def evaluation(self, df: np.ndarray) -> np.ndarray:
+        Y = self.reeb + self.hamiltonian(df)
+        self._first(
+            ~(np.abs(_dot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check),
+            lambda k: _condition_error("eta(Y_f) != 1", self.X[k]),
+        )
+        return Y
+
+    def gradient(self, df: np.ndarray) -> np.ndarray:
+        Z = self.reeb
+        zf = _dot(df, Z)
+        G = self.hamiltonian(df) + zf[:, None] * Z
+        tol = self.structure.tol.field_check
+        rhs = df - zf[:, None] * self.eta
+        ok = (np.abs(_vecmat(G, self.Omega) - rhs).max(axis=-1) <= tol) & (
+            np.abs(_dot(self.eta, G) - zf) <= tol
+        )
+        self._first(~ok, lambda k: _condition_error("gradient conditions violated", self.X[k]))
+        return G
+
+    def bracket(self, df: np.ndarray, dg: np.ndarray) -> np.ndarray:
+        """Poisson brackets (N,) from gradient covectors, cross-checked both
+        ways."""
+        Xf = self.hamiltonian(df)
+        Xg = self.hamiltonian(dg)
+        via_fields = _dot(_vecmat(Xf, self.Omega), Xg)
+        Z = self.reeb
+        Gf = Xf + _dot(df, Z)[:, None] * Z
+        Gg = Xg + _dot(dg, Z)[:, None] * Z
+        via_gradients = _dot(_vecmat(Gf, self.Omega), Gg)
+        self._first(
+            ~(np.abs(via_fields - via_gradients) <= self.structure.tol.bracket_agreement),
+            lambda k: _condition_error(
+                "bracket formulas disagree",
+                self.X[k],
+                f": {float(via_fields[k])} vs {float(via_gradients[k])}",
+            ),
+        )
+        return via_fields
+
+    def differential(self, f) -> np.ndarray:
+        """The gradient covectors (N, d) of ``f`` at the rows."""
+        return f.gradient_stack(self.X)
+
+
+#: Rows per block of a stacked evaluation; bounds the stacks alive at once.
+BLOCK_ROWS = 512
+
+_ROW_ERRORS = (
+    exprlang.ExprError,
+    DegenerateStructureError,
+    StructureEvalError,
+    FieldConditionError,
+    np.linalg.LinAlgError,
+)
+
+
+def map_blocks(compute, X):
+    """``compute`` over the rows of ``X`` in blocks of at most ``BLOCK_ROWS``.
+
+    ``compute`` maps a stack to an array, or a tuple of arrays, with one entry
+    per row along the first axis, and computes each row on its own.  The
+    blocks' outputs are concatenated.  A failing block raises what a loop
+    over its points would: the error of the first failing row.  A stage of
+    ``compute`` raises at its own first failing row, so the rows before that
+    one are computed again until none of them fails.
+    """
+    X = np.asarray(X, dtype=float)
+    parts = [
+        _first_failure(compute, X[i : i + BLOCK_ROWS])
+        for i in range(0, max(len(X), 1), BLOCK_ROWS)
+    ]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _first_failure(compute, X):
+    try:
+        return compute(X)
+    except _ROW_ERRORS as err:
+        first = err
+    while getattr(first, "row", None):
+        try:
+            compute(X[: first.row])
+        except _ROW_ERRORS as err:
+            first = err
+        else:
+            break
+    raise first
+
+
+def _max_seen(values: np.ndarray) -> float:
+    """The running maximum of a loop that starts at 0 and skips NaN."""
+    return float(np.max(np.where(np.isnan(values), 0.0, values), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -259,7 +480,12 @@ class ValidationReport:
 
 
 class StructureVectorField:
-    """Point-evaluable derived vector field (Jacobians via finite differences)."""
+    """Point-evaluable derived vector field (Jacobians via finite differences).
+
+    Called with one point (d,) it solves a ``Frame``; called with a stack
+    (N, d) it solves a ``FrameStack`` and returns (N, d), so the stencils of
+    ``fields`` evaluate it once per shift on a whole stack.
+    """
 
     def __init__(self, structure, kind: str, scalar=None):
         if kind not in ("reeb", "hamiltonian", "evaluation", "gradient"):
@@ -280,7 +506,7 @@ class StructureVectorField:
         frame = self.structure.frame(x)
         if self.kind == "reeb":
             return frame.reeb
-        df = self.scalar.gradient(x)
+        df = frame.differential(self.scalar)
         if self.kind == "hamiltonian":
             return frame.hamiltonian(df)
         if self.kind == "evaluation":
@@ -292,7 +518,7 @@ class StructureVectorField:
 class CosymplecticStructure:
     """Chart plus (omega, eta) pair and the sampling box of the model.
 
-    Immutable; all operations are pure and safe to call from parallel workers.
+    Immutable; all operations are pure.
     """
 
     chart: ChartSpec
@@ -322,23 +548,30 @@ class CosymplecticStructure:
 
     # -- derived quantities ------------------------------------------------
 
-    def frame(self, x: Point) -> Frame:
-        return Frame(self, x)
+    def frame(self, x: Point) -> "Frame | FrameStack":
+        """The solve context at one point (d,), or at every row of (N, d)."""
+        x = np.asarray(x, dtype=float)
+        return FrameStack(self, x) if x.ndim == 2 else Frame(self, x)
 
     def reeb(self, x: Point) -> np.ndarray:
         return self.frame(x).reeb
 
     def hamiltonian_field(self, f, x: Point) -> np.ndarray:
-        return self.frame(x).hamiltonian(f.gradient(x))
+        frame = self.frame(x)
+        return frame.hamiltonian(frame.differential(f))
 
     def evaluation_field(self, f, x: Point) -> np.ndarray:
-        return self.frame(x).evaluation(f.gradient(x))
+        frame = self.frame(x)
+        return frame.evaluation(frame.differential(f))
 
     def gradient_field(self, f, x: Point) -> np.ndarray:
-        return self.frame(x).gradient(f.gradient(x))
+        frame = self.frame(x)
+        return frame.gradient(frame.differential(f))
 
     def poisson_bracket(self, f, g, x: Point) -> float:
-        return self.frame(x).bracket(f.gradient(x), g.gradient(x))
+        """{f, g} at one point, or (N,) at the rows of a stack."""
+        frame = self.frame(x)
+        return frame.bracket(frame.differential(f), frame.differential(g))
 
     def reeb_derivative(self, f, x: Point) -> float:
         """Z(f) = <df, Z>."""
@@ -374,36 +607,44 @@ class CosymplecticStructure:
             raise ValueError("samples must be positive")
         rng = np.random.default_rng(seed)
         pts = sample_box(self.domain_box, samples, rng)
-        max_dw = 0.0
-        max_de = 0.0
-        min_det = math.inf
-        worst = pts[0]
-        for x in pts:
+
+        def rows(X):
             try:
-                dw = float(np.abs(self.omega.exterior_derivative(x)).max())
-                de = float(np.abs(self.eta.exterior_derivative(x)).max())
-                W = self.omega.at(x)
-                ev = self.eta.at(x)
+                dw = self.omega.exterior_derivative_stack(X)
+                de = self.eta.exterior_derivative_stack(X)
+                W = self.omega.at_stack(X)
+                ev = self.eta.at_stack(X)
             except exprlang.ExprError as err:
-                raise StructureEvalError(x, err) from err
-            det = abs(float(np.linalg.det(W + ev[:, None] * ev)))
-            max_dw = max(max_dw, dw)
-            max_de = max(max_de, de)
-            if det < min_det:
-                min_det = det
-                worst = x
-        return ValidationReport(samples, max_dw, max_de, min_det, self.tol, worst)
+                k = err.row or 0
+                raise _at_row(StructureEvalError(X[k], err), k) from err
+            det = np.abs(np.linalg.det(W + ev[:, :, None] * ev[:, None, :]))
+            return _abs_max_per_row(dw), _abs_max_per_row(de), det
+
+        dw, de, det = map_blocks(rows, pts)
+        # the first minimum below inf; a NaN determinant never is one
+        det = np.where(np.isnan(det), math.inf, det)
+        k = int(np.argmin(det))
+        return ValidationReport(
+            samples, _max_seen(dw), _max_seen(de), float(det[k]), self.tol, pts[k]
+        )
 
     def check_primitive(self, points, lam: OneFormField | None = None) -> float:
         """Max of |-d lambda - omega| over the given points."""
         lam = lam if lam is not None else self.primitive
         if lam is None:
             raise ValueError("structure carries no primitive one-form")
-        worst = 0.0
-        for x in points:
-            resid = np.max(np.abs(-lam.exterior_derivative(x) - self.omega.at(x)))
-            worst = max(worst, float(resid))
-        return worst
+
+        def rows(X):
+            dlam = lam.exterior_derivative_stack(X)
+            return _abs_max_per_row(-dlam - self.omega.at_stack(X))
+
+        X = np.asarray(points, dtype=float).reshape(-1, self.chart.dim)
+        return _max_seen(map_blocks(rows, X))
+
+
+def _abs_max_per_row(T: np.ndarray) -> np.ndarray:
+    """max |T| over all but the first axis; NaN where a row holds NaN."""
+    return np.abs(T).max(axis=tuple(range(1, T.ndim)), initial=0.0)
 
 
 # --- constructors -----------------------------------------------------------

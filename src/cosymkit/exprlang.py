@@ -12,10 +12,19 @@ compiled once per expression (per point dimension for ``jet1``); ``jet2`` is
 the recursive tree walk.  The generated code applies the tree walk's rules
 component by component without constant folding, so both give the same
 numbers, signed zeros included, and raise the same first
-``EvalDomainError``; only ``jet2`` computes the second derivatives of
-``log`` and ``sqrt``, and only it raises when they overflow.  An overflow of
-``exp`` or ``^`` and ``sin`` or ``cos`` of an infinite value are
-``EvalDomainError``s too.
+``EvalDomainError``; only ``jet2`` computes second derivatives, and only it
+raises when they overflow or are singular.  An overflow of ``exp`` or ``^``
+and ``sin`` or ``cos`` of an infinite value are ``EvalDomainError``s too.
+Integer exponents of at least 2 multiply by repeated squaring, so ``q^2`` is
+``q*q`` in every mode.
+
+``value_stack`` and ``jet1_stack`` evaluate the rows of a point stack
+``X`` of shape (N, d) at once: the same generated code in array mode, with
+columns ``X[:, i]`` for coordinates and ``np.*`` for functions.  The array
+code checks no domain; it runs with numpy's overflow, division and invalid
+flags raised as errors, and a block that trips one (or holds a non-finite
+coordinate) is evaluated row by row with the scalar code, which therefore
+gives every value at such a row and raises the first row's error.
 
 The grammar (EBNF in docs/GRAMMAR.ebnf):
 
@@ -90,6 +99,9 @@ class EvalDomainError(ExprError):
     sin or cos of an infinite value, overflow of exp, ^ or a jet2 second
     derivative)."""
 
+    #: index of the failing row when a stacked evaluation raised
+    row = None
+
     def __init__(self, message: str, subexpr: "Expr"):
         super().__init__(f"{message} in '{to_source(subexpr)}'")
         self.subexpr = subexpr
@@ -108,12 +120,14 @@ class Expr:
     """Base class of AST nodes.  Nodes are immutable and safe to share.
 
     ``value``, ``jet1`` and ``gradient`` run straight-line functions generated
-    by ``_compile`` on first use and cached on the node; ``jet2`` is the
-    recursive tree walk.
+    by ``_compile`` on first use and cached on the node, and so do their
+    stacked forms; ``jet2`` is the recursive tree walk.
     """
 
     _value_fn = None
     _jet1_fns = MappingProxyType({})  # point dimension -> jet1 function
+    # None (value) or point dimension -> array function, None if it has none
+    _stack_fns = MappingProxyType({})
 
     def value(self, x) -> float:
         fn = self._value_fn
@@ -132,6 +146,29 @@ class Expr:
 
     def gradient(self, x) -> np.ndarray:
         return self.jet1(x)[1]
+
+    def _stack_fn(self, dim: int | None):
+        fns = self._stack_fns
+        if dim not in fns:
+            fns = {**fns, dim: _compile(self, dim, stack=True)}
+            object.__setattr__(self, "_stack_fns", fns)
+        return fns[dim]
+
+    def value_stack(self, X) -> np.ndarray:
+        """Values at the rows of ``X`` (N, d); ``value`` at every row."""
+        X = np.asarray(X, dtype=float)
+        out = _on_rows(self._stack_fn(None), self.value, X)
+        return out if isinstance(out, np.ndarray) else np.array(out, dtype=float)
+
+    def jet1_stack(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Values (N,) and gradients (N, d) at the rows of ``X``; ``jet1`` at
+        every row."""
+        X = np.asarray(X, dtype=float)
+        out = _on_rows(self._stack_fn(X.shape[1]), self.jet1, X)
+        if isinstance(out, tuple):
+            return out
+        values = np.array([v for v, _ in out], dtype=float)
+        return values, np.array([g for _, g in out], dtype=float).reshape(X.shape)
 
     def jet2(self, x) -> tuple[float, np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -239,27 +276,59 @@ class Pow(Expr):
         if c < 0.0 and u == 0.0:
             raise EvalDomainError("zero base with negative exponent", self)
 
-    def _derivs(self, u: float) -> tuple[float, float, float]:
+    def _derivs(self, u: float) -> tuple[float, float]:
+        """Value and first derivative at ``u``."""
         c = self.exponent
         self._check(u)
+        n = _int_exponent(c)
+        if n:
+            v = _int_pow(u, n)
+            if v - v != 0.0 and u - u == 0.0:  # a finite base overflowed
+                raise EvalDomainError("overflow", self)
+            return v, c * _int_pow(u, n - 1)
         try:
             v = math.pow(u, c)
-            if c == 0.0:
-                return v, 0.0, 0.0
-            if u == 0.0 and c < 2.0 and c != 1.0:
+            if c == 0.0 or c == 1.0:
+                return v, c
+            if u == 0.0 and c < 1.0:
                 raise EvalDomainError("derivative singular at zero base", self)
-            d1 = c if c == 1.0 else c * math.pow(u, c - 1.0)
-            if c == 1.0:
-                return v, d1, 0.0
-            d2 = c * (c - 1.0) * math.pow(u, c - 2.0)
+            return v, c * math.pow(u, c - 1.0)
         except OverflowError:
             raise EvalDomainError("overflow", self) from None
-        return v, d1, d2
 
     def jet2(self, x):
         u, gu, hu = self.base.jet2(x)
-        v, d1, d2 = self._derivs(u)
+        v, d1 = self._derivs(u)
+        # the second derivative, which only the jet needs
+        c = self.exponent
+        if c == 0.0 or c == 1.0:
+            d2 = 0.0
+        elif u == 0.0 and c < 2.0:
+            raise EvalDomainError("derivative singular at zero base", self)
+        else:
+            try:
+                d2 = c * (c - 1.0) * math.pow(u, c - 2.0)
+            except OverflowError:
+                raise EvalDomainError("overflow", self) from None
         return v, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
+
+
+def _int_exponent(c: float) -> int:
+    """``c`` as an int when it is an integer of at least 2, else 0."""
+    return int(c) if c >= 2.0 and c.is_integer() else 0
+
+
+def _int_pow(u, n: int):
+    """``u^n`` for an int ``n >= 1`` by repeated squaring, on floats or arrays;
+    ``_Emitter.power`` writes the same products."""
+    result = None
+    while True:
+        if n & 1:
+            result = u if result is None else result * u
+        n >>= 1
+        if not n:
+            return result
+        u = u * u
 
 
 @dataclass(frozen=True)
@@ -323,27 +392,42 @@ class Call(Expr):
 # the gradient (signed zeros and inf included; a NaN's sign bit may differ,
 # as numpy's vector loops order two NaN operands their own way) and the first
 # domain error raised are the tree walk's.
+#
+# The array mode emits the same code on columns (Harris et al., Array
+# programming with NumPy, Nature 585, 2020).  + - * / and the products of
+# integer powers give the scalar code's bits; np.exp, np.log and np.power may
+# differ from math.* in the last place.  It checks no domain: every domain
+# error of the scalar code sets numpy's overflow, division or invalid flag at
+# finite coordinates and constants, and _on_rows hands such blocks to the
+# scalar code.
 
 class _Emitter:
     """Post-order code generator for one expression.
 
     With ``dim`` None it emits the value only; otherwise the value and the
-    gradient at points of dimension ``dim``.  Constants and nodes are bound by
-    name in the function's namespace, never printed as literals.  A subtree
-    object that occurs twice is evaluated once: it would compute the same
-    bits, or raise at its first occurrence.
+    gradient at points of dimension ``dim``; with ``stack`` it emits array
+    code without domain checks.  Constants and nodes are bound by name in the
+    function's namespace, never printed as literals.  A subtree object that
+    occurs twice is evaluated once: it would compute the same bits, or raise
+    at its first occurrence.
     """
 
-    def __init__(self, dim: int | None):
+    def __init__(self, dim: int | None, stack: bool = False):
         self.dim = dim
+        self.stack = stack
+        self.finite = True  # every bound constant is finite
         self.lines: list[str] = []
         self.coords: set[int] = set()
-        self.env = {"_E": EvalDomainError, "_array": np.array, "_pow": math.pow}
-        self.env.update((f"_{fn}", getattr(math, fn)) for fn in FUNCTIONS)
+        self.env = {"_E": EvalDomainError, "_array": np.array, "_empty": np.empty}
+        self.env["_pow"] = np.power if stack else math.pow
+        lib = np if stack else math
+        self.env.update((f"_{fn}", getattr(lib, fn)) for fn in FUNCTIONS)
         self.refs: dict[int, tuple[str, list[str]]] = {}
         self.count = 0
 
     def bind(self, obj) -> str:
+        if isinstance(obj, float) and not math.isfinite(obj):
+            self.finite = False
         name = f"k{len(self.env)}"
         self.env[name] = obj
         return name
@@ -358,7 +442,8 @@ class _Emitter:
         return name
 
     def raise_if(self, cond: str, message: str, node: str):
-        self.lines.append(f"if {cond}: raise _E({message!r}, {node})")
+        if not self.stack:
+            self.lines.append(f"if {cond}: raise _E({message!r}, {node})")
 
     def checked(self, src: str, node: str, error: str, message: str) -> str:
         """Assign ``src``, raising ``_E(message, node)`` on ``error``."""
@@ -373,6 +458,17 @@ class _Emitter:
 
     def overflow_checked(self, src: str, node: str) -> str:
         return self.checked(src, node, "OverflowError", "overflow")
+
+    def power(self, u: str, n: int) -> str:
+        """``u^n`` for an int ``n >= 1``: the products of ``_int_pow``."""
+        result = None
+        while True:
+            if n & 1:
+                result = u if result is None else self.assign(f"{result} * {u}")
+            n >>= 1
+            if not n:
+                return result
+            u = self.assign(f"{u} * {u}")
 
     def emit(self, e: Expr) -> tuple[str, list[str]]:
         """Names of the value and of the gradient components of ``e``."""
@@ -413,48 +509,115 @@ class _Emitter:
         node = self.bind(e)
         if isinstance(e, Call) and e.fn not in FUNCTIONS:
             raise ExprError(f"unknown function '{e.fn}'")
-        if self.dim is not None:
-            if isinstance(e, Pow) and e.exponent >= 2.0 and e.exponent == round(e.exponent):
-                # _derivs reduced to its live lines: no domain check can fire,
-                # and u^(c-1), u^(c-2) are finite wherever u^c is
-                c = self.bind(e.exponent)
-                v = self.overflow_checked(f"_pow({u}, {c})", node)
-                d1 = self.assign(f"{c} * _pow({u}, {self.bind(e.exponent - 1.0)})")
-            else:
-                v, d1 = self.temp(), self.temp()
-                rest = ", _" if isinstance(e, Pow) else ""
-                self.lines.append(f"{v}, {d1}{rest} = {node}._derivs({u})")
-            return v, [self.assign(f"{d1} * {g}") for g in gu]
+        n = _int_exponent(e.exponent) if isinstance(e, Pow) else 0
+        if n:
+            # _derivs' products; a finite base that overflowed raises
+            v = self.power(u, n)
+            self.raise_if(f"{v} - {v} != 0.0 and {u} - {u} == 0.0", "overflow", node)
+            if self.dim is None:
+                return v, []
+            d1 = self.assign(f"{self.bind(e.exponent)} * {self.power(u, n - 1)}")
+        elif self.stack:
+            v, d1 = self._stack_derivs(e, u)
+        elif self.dim is not None:
+            v, d1 = self.temp(), self.temp()
+            self.lines.append(f"{v}, {d1} = {node}._derivs({u})")
+        else:
+            return self._value(e, u, node), []
+        return v, [self.assign(f"{d1} * {g}") for g in gu]
+
+    def _value(self, e: Expr, u: str, node: str) -> str:
+        """Scalar value of a Call or non-integer Pow node, with its checks."""
         if isinstance(e, Pow):
             c = e.exponent
             if c != round(c) or c < 0.0:
                 self.lines.append(f"{node}._check({u})")
-            return self.overflow_checked(f"_pow({u}, {self.bind(c)})", node), []
+            return self.overflow_checked(f"_pow({u}, {self.bind(c)})", node)
         if e.fn == "log":
             self.raise_if(f"{u} <= 0.0", "log of non-positive value", node)
         elif e.fn == "sqrt":
             self.raise_if(f"{u} < 0.0", "sqrt of negative value", node)
         elif e.fn == "exp":
-            return self.overflow_checked(f"_exp({u})", node), []
+            return self.overflow_checked(f"_exp({u})", node)
         else:  # sin, cos
             return self.checked(
                 f"_{e.fn}({u})", node, "ValueError", f"{e.fn} of infinite value"
-            ), []
-        return self.assign(f"_{e.fn}({u})"), []
+            )
+        return self.assign(f"_{e.fn}({u})")
+
+    def _stack_derivs(self, e: Expr, u: str) -> tuple[str, str | None]:
+        """Array value and first derivative of a Call or non-integer Pow
+        node: the formulas of its ``_derivs``."""
+        if isinstance(e, Pow):
+            c = e.exponent
+            v = self.assign(f"_pow({u}, {self.bind(c)})")
+        else:
+            v = self.assign(f"_{e.fn}({u})")
+        if self.dim is None:
+            return v, None
+        if isinstance(e, Pow):
+            if c == 0.0 or c == 1.0:
+                return v, self.bind(c)
+            return v, self.assign(f"{self.bind(c)} * _pow({u}, {self.bind(c - 1.0)})")
+        fn = e.fn
+        if fn == "sin":
+            return v, self.assign(f"_cos({u})")
+        if fn == "cos":
+            return v, self.assign(f"-_sin({u})")
+        if fn == "exp":
+            return v, v
+        if fn == "log":
+            return v, self.assign(f"1.0 / {u}")
+        return v, self.assign(f"0.5 / {v}")  # sqrt
 
 
-def _compile(e: Expr, dim: int | None):
-    """Generate, compile and return the value or jet1 function of ``e``."""
-    em = _Emitter(dim)
+def _compile(e: Expr, dim: int | None, stack: bool = False):
+    """Generate, compile and return the value or jet1 function of ``e``; in
+    array mode None when a constant is not finite (the flags could miss a
+    domain error then)."""
+    em = _Emitter(dim, stack)
     v, g = em.emit(e)
-    body = [f"x{i} = float(x[{i}])" for i in sorted(em.coords)] + em.lines
-    if dim is None:
-        body.append(f"return {v}")
+    if stack:
+        if not em.finite:
+            return None
+        body = [f"x{i} = X[:, {i}]" for i in sorted(em.coords)] + em.lines
+        body += ["v = _empty(len(X))", f"v[:] = {v}"]
+        if dim is None:
+            body.append("return v")
+        else:
+            body.append(f"G = _empty((len(X), {dim}))")
+            body += [f"G[:, {k}] = {gk}" for k, gk in enumerate(g)]
+            body.append("return v, G")
+        src = "def f(X):\n" + "".join(f"    {line}\n" for line in body)
     else:
-        body.append(f"return {v}, _array(({''.join(r + ', ' for r in g)}))")
-    src = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
+        body = [f"x{i} = float(x[{i}])" for i in sorted(em.coords)] + em.lines
+        if dim is None:
+            body.append(f"return {v}")
+        else:
+            body.append(f"return {v}, _array(({''.join(r + ', ' for r in g)}))")
+        src = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(src, f"<compiled {to_source(e)}>", "exec"), em.env)
     return em.env["f"]
+
+
+def _on_rows(fn, scalar, X: np.ndarray):
+    """``fn(X)`` under raised floating-point flags; on a flag, a non-finite
+    coordinate or without ``fn``, the list of ``scalar`` at every row, whose
+    first error carries its ``row``."""
+    if fn is not None and np.isfinite(X).all():
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(X)
+        except FloatingPointError:
+            pass
+    rows = []
+    for k, x in enumerate(X):
+        try:
+            rows.append(scalar(x))
+        except EvalDomainError as err:
+            err.row = k
+            raise
+    return rows
 
 
 # --- parsing ---------------------------------------------------------------

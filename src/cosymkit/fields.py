@@ -6,6 +6,12 @@ components and therefore exact derivatives; derived fields (anything produced
 by a linear solve) expose only point evaluation, and their Jacobians are taken
 with the five-point stencil in :func:`fd_jacobian`.
 
+Fields also evaluate on point stacks ``X`` of shape (N, d): the ``*_stack``
+methods of expression fields run their expressions' array code, and the
+stencils broadcast their one formula and step rule over a leading point axis,
+so a derived field is called once per shift on the whole stack.  Each row
+gets the bits of the one-point call.
+
 Index conventions, fixed once for the whole package (see docs/CONVENTIONS.md):
 
 * a two-form evaluates to the matrix ``W[i, j] = w(d_i, d_j)``;
@@ -129,6 +135,10 @@ class ScalarField:
     def gradient(self, x: Point) -> np.ndarray:
         return self.expr.gradient(x)
 
+    def gradient_stack(self, X) -> np.ndarray:
+        """Gradients (N, d) at the rows of ``X``."""
+        return self.expr.jet1_stack(X)[1]
+
     def hessian(self, x: Point) -> np.ndarray:
         return self.expr.jet2(np.asarray(x, dtype=float))[2]
 
@@ -158,6 +168,9 @@ class NumericScalarField:
     def gradient(self, x: Point) -> np.ndarray:
         return scalar_fd_gradient(self._func, x, self.base_step)
 
+    # the stencil takes stacks too; the evaluator must then accept them
+    gradient_stack = gradient
+
     def jet1(self, x: Point) -> tuple[float, np.ndarray]:
         return self.value(x), self.gradient(x)
 
@@ -184,11 +197,20 @@ class OneFormField:
     def at(self, x: Point) -> np.ndarray:
         return np.array([c.value(x) for c in self.components])
 
+    def at_stack(self, X) -> np.ndarray:
+        """Components (N, d) at the rows of ``X``."""
+        return np.stack([c.value_stack(X) for c in self.components], axis=-1)
+
     def exterior_derivative(self, x: Point) -> np.ndarray:
         """Matrix ``(d theta)[i, j] = d_i theta_j - d_j theta_i`` (exact)."""
         x = np.asarray(x, dtype=float)
         grads = np.array([c.jet1(x)[1] for c in self.components])  # grads[j, i]
         return grads.T - grads
+
+    def exterior_derivative_stack(self, X) -> np.ndarray:
+        """``exterior_derivative`` at the rows of ``X``, shape (N, d, d)."""
+        grads = np.stack([c.jet1_stack(X)[1] for c in self.components], axis=1)
+        return np.swapaxes(grads, 1, 2) - grads
 
     def is_constant(self) -> bool:
         return all(exprlang.is_constant(c) for c in self.components)
@@ -234,6 +256,16 @@ class TwoFormField:
             W[j, i] = -v
         return W
 
+    def at_stack(self, X) -> np.ndarray:
+        """Matrices (N, d, d) at the rows of ``X``."""
+        d = self.chart.dim
+        W = np.zeros((len(X), d, d))
+        for (i, j), e in self.upper.items():
+            v = e.value_stack(X)
+            W[:, i, j] = v
+            W[:, j, i] = -v
+        return W
+
     def component_gradient(self, i: int, j: int, x: Point) -> np.ndarray:
         """Exact gradient of the (i, j) component, using antisymmetry."""
         if i == j:
@@ -248,32 +280,40 @@ class TwoFormField:
 
     def exterior_derivative(self, x: Point) -> np.ndarray:
         """Fully antisymmetric tensor ``(dW)[i,j,k]`` (exact derivatives)."""
-        d = self.chart.dim
         x = np.asarray(x, dtype=float)
-        grads = {}
-        for (i, j), e in self.upper.items():
-            grads[(i, j)] = e.jet1(x)[1]
+        return self._d({key: e.jet1(x)[1] for key, e in self.upper.items()}, ())
+
+    def exterior_derivative_stack(self, X) -> np.ndarray:
+        """``exterior_derivative`` at the rows of ``X``, shape (N, d, d, d)."""
+        grads = {key: e.jet1_stack(X)[1] for key, e in self.upper.items()}
+        return self._d(grads, (len(X),))
+
+    def _d(self, grads: dict, lead: tuple) -> np.ndarray:
+        """``(dW)[..., i, j, k]`` from the component gradients ``grads[(i, j)]``
+        of shape ``lead + (d,)``."""
+        d = self.chart.dim
+        zero = np.zeros(lead + (d,))
 
         def grad_of(i, j):
             if i == j:
-                return np.zeros(d)
+                return zero
             if i < j:
                 g = grads.get((i, j))
-                return g if g is not None else np.zeros(d)
+                return g if g is not None else zero
             g = grads.get((j, i))
-            return -g if g is not None else np.zeros(d)
+            return -g if g is not None else zero
 
-        T = np.zeros((d, d, d))
+        T = np.zeros(lead + (d, d, d))
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    v = grad_of(j, k)[i] + grad_of(k, i)[j] + grad_of(i, j)[k]
-                    T[i, j, k] = v
-                    T[j, k, i] = v
-                    T[k, i, j] = v
-                    T[j, i, k] = -v
-                    T[i, k, j] = -v
-                    T[k, j, i] = -v
+                    v = grad_of(j, k)[..., i] + grad_of(k, i)[..., j] + grad_of(i, j)[..., k]
+                    T[..., i, j, k] = v
+                    T[..., j, k, i] = v
+                    T[..., k, i, j] = v
+                    T[..., j, i, k] = -v
+                    T[..., i, k, j] = -v
+                    T[..., k, j, i] = -v
         return T
 
     def is_constant(self) -> bool:
@@ -306,6 +346,10 @@ class VectorFieldExpr:
 
 
 # --- finite differences for derived fields ----------------------------------
+#
+# Each formula takes one point (d,) or a stack (N, d): steps, shifts and
+# quotients broadcast over the leading axis, and the field is called once per
+# shift with every row, in the one-point order of shifts.
 
 def fd_steps(x: Point, base_step: float = 1e-4) -> np.ndarray:
     """Per-coordinate stencil steps ``h_i = max(base, base * |x_i|)``."""
@@ -313,39 +357,42 @@ def fd_steps(x: Point, base_step: float = 1e-4) -> np.ndarray:
     return np.maximum(base_step, base_step * np.abs(x))
 
 
+def _shift(x: np.ndarray, h: np.ndarray, j: int) -> np.ndarray:
+    """The step ``h_j e_j`` at each point of ``x``."""
+    e = np.zeros_like(x)
+    e[..., j] = h[..., j]
+    return e
+
+
 def fd_jacobian(field, x: Point, base_step: float = 1e-4) -> np.ndarray:
     """Five-point central-difference Jacobian of a point-evaluable field.
 
     Fourth-order accurate; used for fields produced by linear solves, which
-    have no expression representation.
+    have no expression representation.  ``J[..., i, j] = d_j F_i``.
     """
     x = np.asarray(x, dtype=float)
     h = fd_steps(x, base_step)
-    d = len(x)
     cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h[j]
+    for j in range(x.shape[-1]):
+        e = _shift(x, h, j)
         fm2 = np.asarray(field(x - 2 * e))
         fm1 = np.asarray(field(x - e))
         fp1 = np.asarray(field(x + e))
         fp2 = np.asarray(field(x + 2 * e))
-        cols.append((fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h[j]))
-    return np.stack(cols, axis=1)
+        cols.append((fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h[..., j, None]))
+    return np.stack(cols, axis=-1)
 
 
 def scalar_fd_gradient(func, x: Point, base_step: float = 1e-4) -> np.ndarray:
     """Five-point central-difference gradient of a scalar callable."""
     x = np.asarray(x, dtype=float)
     h = fd_steps(x, base_step)
-    d = len(x)
-    g = np.zeros(d)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h[j]
-        g[j] = (
+    g = np.zeros(x.shape)
+    for j in range(x.shape[-1]):
+        e = _shift(x, h, j)
+        g[..., j] = (
             func(x - 2 * e) - 8 * func(x - e) + 8 * func(x + e) - func(x + 2 * e)
-        ) / (12 * h[j])
+        ) / (12 * h[..., j])
     return g
 
 
@@ -360,4 +407,6 @@ def lie_bracket(X, Y, x: Point, base_step: float = 1e-4) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     JX = X.jacobian(x) if hasattr(X, "jacobian") else fd_jacobian(X, x, base_step)
     JY = Y.jacobian(x) if hasattr(Y, "jacobian") else fd_jacobian(Y, x, base_step)
-    return JY @ np.asarray(X(x)) - JX @ np.asarray(Y(x))
+    # a matrix-vector product per point, with the bits of JY @ X(x)
+    Xx, Yx = np.asarray(X(x))[..., None], np.asarray(Y(x))[..., None]
+    return (JY @ Xx)[..., 0] - (JX @ Yx)[..., 0]

@@ -13,6 +13,17 @@ a commuting prefix of length r on a (2n+1)-dimensional structure:
 
 Points failing the rank checks are reported and excluded rather than
 extrapolated across; every report carries its worst witness.
+
+The pointwise checks evaluate their points as stacks (N, d), in blocks of
+``cosym.BLOCK_ROWS``: one ``FrameStack`` per block and field, the integrals'
+array code for gradients, the stencils of ``fields`` called once per shift on
+the whole block, and reductions over the residual arrays.  Every row gets the
+bits a ``Frame`` at that point computes.  A residual array is laid out in the
+order of the loop over points (and integrals, pairs or fields) it replaces,
+and the witness is its first maximum in that order (``np.argmax``); a NaN
+residual never is one, and with no residual above 0 there is no witness.  A
+point that fails raises what its ``Frame`` raises, and the first failing
+point in that order is the one that raises.
 """
 
 from __future__ import annotations
@@ -21,7 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cosym import CosymplecticStructure, StructureVectorField
+from .cosym import (
+    CosymplecticStructure,
+    StructureVectorField,
+    _ROW_ERRORS,
+    _at_row,
+    _dot,
+    map_blocks,
+)
 from .fields import Point, ScalarField, lie_bracket
 from .flow import integrate
 
@@ -121,45 +139,93 @@ def svd_rank(matrix: np.ndarray, rel_tol: float, abs_floor: float = 0.0) -> int:
     return int(np.sum(s > thr))
 
 
+def _stack(sys: IntegralSystem, points) -> np.ndarray:
+    return np.asarray(points, dtype=float).reshape(-1, sys.structure.chart.dim)
+
+
+def _columns(cols: list, n: int) -> np.ndarray:
+    """Per-row residuals (n,) side by side, (n, len(cols))."""
+    return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
+
+
+def _worst(resid: np.ndarray) -> tuple[float, tuple | None]:
+    """The largest residual and its index: the first maximum in C order, as a
+    loop that keeps a residual only when it beats the one kept (from 0)."""
+    resid = np.where(np.isnan(resid), 0.0, resid)
+    if not resid.size:
+        return 0.0, None
+    at = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    worst = float(resid[at])
+    return (worst, tuple(int(i) for i in at)) if worst > 0.0 else (0.0, None)
+
+
+def _ranks(M: np.ndarray, rel_tol: float) -> np.ndarray:
+    """``svd_rank(M[k], rel_tol)`` for every matrix of the stack ``M``."""
+    ranks = np.zeros(len(M), dtype=int)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    # the SVD of a non-finite matrix may fail; it fails as that point's would
+    for k in np.flatnonzero(~finite):
+        try:
+            ranks[k] = svd_rank(M[k], rel_tol)
+        except np.linalg.LinAlgError as err:
+            raise _at_row(err, int(k))
+    s = np.linalg.svd(M[finite], compute_uv=False)
+    ranks[finite] = np.sum(s > rel_tol * s[:, :1], axis=1)
+    return ranks
+
+
 def check_first_integrals(sys: IntegralSystem, points) -> CheckReport:
     """Residuals |Z(f_i) + {f_i, H}| at each point."""
     tol = sys.structure.tol.first_integral
-    worst = 0.0
-    witness = None
-    for k, x in enumerate(points):
-        frame = sys.structure.frame(x)
-        dH = sys.hamiltonian.gradient(x)
+
+    def rows(X):
+        frame = sys.structure.frame(X)
+        dH = frame.differential(sys.hamiltonian)
         Z = frame.reeb
+        cols = []
         for f in sys.integrals:
-            df = f.gradient(x)
-            resid = abs(float(df @ Z) + frame.bracket(df, dH))
-            if resid > worst:
-                worst = resid
-                witness = {"integral": f.name, "point_index": k, "point": list(map(float, x)), "residual": resid}
+            df = frame.differential(f)
+            cols.append(np.abs(_dot(df, Z) + frame.bracket(df, dH)))
+        return _columns(cols, len(X))
+
+    X = _stack(sys, points)
+    worst, at = _worst(map_blocks(rows, X))
+    witness = None
+    if at is not None:
+        k, i = at
+        witness = {
+            "integral": sys.integrals[i].name,
+            "point_index": k,
+            "point": list(map(float, X[k])),
+            "residual": worst,
+        }
     return CheckReport("first_integrals", worst < tol, worst, tol, witness)
 
 
 def check_commuting_prefix(sys: IntegralSystem, points) -> CheckReport:
     """max |{f_i, f_j}| over i <= r, j <= m at the sampled points."""
     tol = sys.structure.tol.commuting
-    worst = 0.0
+    pairs = [(i, j) for i in range(sys.r) for j in range(sys.m) if j != i]
+
+    def rows(X):
+        frame = sys.structure.frame(X)
+        grads = [frame.differential(f) for f in sys.integrals]
+        return _columns(
+            [np.abs(frame.bracket(grads[i], grads[j])) for i, j in pairs], len(X)
+        )
+
+    X = _stack(sys, points)
+    worst, at = _worst(map_blocks(rows, X))
     witness = None
-    for k, x in enumerate(points):
-        frame = sys.structure.frame(x)
-        grads = [f.gradient(x) for f in sys.integrals]
-        for i in range(sys.r):
-            for j in range(sys.m):
-                if j == i:
-                    continue
-                val = abs(frame.bracket(grads[i], grads[j]))
-                if val > worst:
-                    worst = val
-                    witness = {
-                        "pair": [sys.integrals[i].name, sys.integrals[j].name],
-                        "point_index": k,
-                        "point": list(map(float, x)),
-                        "residual": val,
-                    }
+    if at is not None:
+        k, p = at
+        i, j = pairs[p]
+        witness = {
+            "pair": [sys.integrals[i].name, sys.integrals[j].name],
+            "point_index": k,
+            "point": list(map(float, X[k])),
+            "residual": worst,
+        }
     return CheckReport("commuting_prefix", worst < tol, worst, tol, witness)
 
 
@@ -170,25 +236,37 @@ def check_independence(sys: IntegralSystem, points) -> CheckReport:
     excluded from the regular set and reported, never extrapolated across.
     At every regular point the symmetry fields (Y_H, X_{f_1}..X_{f_r}) must
     have rank r+1; a drop there is a defect and fails the check.  With m = 0
-    and no defects the check passes vacuously.
+    and no defects the check passes vacuously.  The symmetry fields are
+    evaluated at the regular points only.
     """
     tol = sys.structure.tol.rank_rel
-    excluded = []
-    defects = []
-    regular = 0
-    for k, x in enumerate(points):
+
+    def rows(X):
+        regular = np.ones(len(X), dtype=bool)
         if sys.m:
-            G = np.array([f.gradient(x) for f in sys.integrals])
-            if svd_rank(G, tol) != sys.m:
-                excluded.append({"point_index": k, "point": list(map(float, x))})
-                continue
-        regular += 1
-        V = np.array([vf(x) for vf in sys.symmetry_fields()])
-        rank = svd_rank(V, tol)
-        if rank != sys.r + 1:
-            defects.append(
-                {"point_index": k, "point": list(map(float, x)), "rank": rank}
-            )
+            G = np.stack([f.gradient_stack(X) for f in sys.integrals], axis=1)
+            regular = _ranks(G, tol) == sys.m
+        at = np.flatnonzero(regular)
+        try:
+            V = np.stack([vf(X[at]) for vf in sys.symmetry_fields()], axis=1)
+        except _ROW_ERRORS as err:
+            if getattr(err, "row", None) is not None:
+                err.row = int(at[err.row])
+            raise
+        rank = np.zeros(len(X), dtype=int)
+        rank[at] = _ranks(V, tol)
+        return regular, rank
+
+    X = _stack(sys, points)
+    regular, rank = map_blocks(rows, X)
+    excluded = [
+        {"point_index": int(k), "point": list(map(float, X[k]))}
+        for k in np.flatnonzero(~regular)
+    ]
+    defects = [
+        {"point_index": int(k), "point": list(map(float, X[k])), "rank": int(rank[k])}
+        for k in np.flatnonzero(regular & (rank != sys.r + 1))
+    ]
     return CheckReport(
         "independence",
         not defects,
@@ -196,7 +274,7 @@ def check_independence(sys: IntegralSystem, points) -> CheckReport:
         0.0,
         defects[0] if defects else None,
         extra={
-            "regular_points": regular,
+            "regular_points": int(np.sum(regular)),
             "excluded_points": excluded,
             "expected_ranks": [sys.m, sys.r + 1],
         },
@@ -207,44 +285,55 @@ def check_symmetry_algebra(sys: IntegralSystem, points) -> CheckReport:
     """Pairwise Lie brackets of (Y_H, X_{f_1}..X_{f_r}) vanish numerically."""
     tol = sys.structure.tol.lie_residual
     fields_ = sys.symmetry_fields()
-    worst = 0.0
+    pairs = [(i, j) for i in range(len(fields_)) for j in range(i + 1, len(fields_))]
+
+    def rows(X):
+        return _columns(
+            [
+                np.max(np.abs(lie_bracket(fields_[i], fields_[j], X)), axis=1)
+                for i, j in pairs
+            ],
+            len(X),
+        )
+
+    X = _stack(sys, points)
+    worst, at = _worst(map_blocks(rows, X))
     witness = None
-    labels = [vf.label for vf in fields_]
-    for k, x in enumerate(points):
-        for i in range(len(fields_)):
-            for j in range(i + 1, len(fields_)):
-                resid = float(np.max(np.abs(lie_bracket(fields_[i], fields_[j], x))))
-                if resid > worst:
-                    worst = resid
-                    witness = {
-                        "pair": [labels[i], labels[j]],
-                        "point_index": k,
-                        "point": list(map(float, x)),
-                        "residual": resid,
-                    }
+    if at is not None:
+        k, p = at
+        i, j = pairs[p]
+        witness = {
+            "pair": [fields_[i].label, fields_[j].label],
+            "point_index": k,
+            "point": list(map(float, X[k])),
+            "residual": worst,
+        }
     return CheckReport("symmetry_algebra", worst < tol, worst, tol, witness)
 
 
 def check_fiber_tangency(sys: IntegralSystem, points) -> CheckReport:
     """Every symmetry field annihilates every integral: <df_j, V> ~ 0."""
     tol = sys.structure.tol.first_integral
-    worst = 0.0
-    witness = None
     fields_ = sys.symmetry_fields()
-    for k, x in enumerate(points):
-        vals = [vf(x) for vf in fields_]
+
+    def rows(X):
+        vals = [vf(X) for vf in fields_]
+        cols = []
         for f in sys.integrals:
-            df = f.gradient(x)
-            for vf, v in zip(fields_, vals):
-                resid = abs(float(df @ v))
-                if resid > worst:
-                    worst = resid
-                    witness = {
-                        "integral": f.name,
-                        "field": vf.label,
-                        "point_index": k,
-                        "residual": resid,
-                    }
+            df = f.gradient_stack(X)
+            cols += [np.abs(_dot(df, v)) for v in vals]
+        return _columns(cols, len(X))
+
+    worst, at = _worst(map_blocks(rows, _stack(sys, points)))
+    witness = None
+    if at is not None:
+        k, c = at
+        witness = {
+            "integral": sys.integrals[c // len(fields_)].name,
+            "field": fields_[c % len(fields_)].label,
+            "point_index": k,
+            "residual": worst,
+        }
     return CheckReport("fiber_tangency", worst < tol, worst, tol, witness)
 
 
@@ -392,23 +481,30 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
             f"precondition unmet: {probe.witness['integral']} is not a first "
             f"integral (residual {probe.max_residual:.3e})"
         )
-    worst = 0.0
-    witness = None
-    for (i, j) in pairs:
+    X = _stack(sys, points)
+
+    def rows(X, g):
+        frame = S.frame(X)
+        dg = frame.differential(g)
+        dH = frame.differential(sys.hamiltonian)
+        return np.abs(_dot(dg, frame.reeb) + frame.bracket(dg, dH))
+
+    resid = np.zeros((len(pairs), len(X)))
+    for p, (i, j) in enumerate(pairs):
         g = S.bracket_scalar(sys.integrals[i], sys.integrals[j])
-        for k, x in enumerate(points):
-            frame = S.frame(x)
-            dg = g.gradient(x)
-            dH = sys.hamiltonian.gradient(x)
-            resid = abs(float(dg @ frame.reeb) + frame.bracket(dg, dH))
-            if resid > worst:
-                worst = resid
-                witness = {
-                    "pair": [sys.integrals[i].name, sys.integrals[j].name],
-                    "point_index": k,
-                    "residual": resid,
-                }
-    return CheckReport("bracket_of_integrals", worst < tolcfg.bracket_integral_residual, worst, tolcfg.bracket_integral_residual, witness)
+        resid[p] = map_blocks(lambda X: rows(X, g), X)
+    worst, at = _worst(resid)
+    witness = None
+    if at is not None:
+        p, k = at
+        i, j = pairs[p]
+        witness = {
+            "pair": [sys.integrals[i].name, sys.integrals[j].name],
+            "point_index": k,
+            "residual": worst,
+        }
+    tol = tolcfg.bracket_integral_residual
+    return CheckReport("bracket_of_integrals", worst < tol, worst, tol, witness)
 
 
 def sample_fiber(

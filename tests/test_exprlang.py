@@ -293,6 +293,12 @@ def _tree_value(e, x):
         u = _tree_value(e.base if isinstance(e, Pow) else e.arg, x)
         if isinstance(e, Pow):
             e._check(u)
+            c = e.exponent
+            if c >= 2.0 and c.is_integer():
+                v = _squaring_pow(u, int(c))
+                if math.isinf(v) and math.isfinite(u):
+                    raise EvalDomainError("overflow", e)
+                return v
         elif e.fn == "sqrt" and u < 0.0:
             raise EvalDomainError("sqrt of negative value", e)
         elif e.fn == "log" and u <= 0.0:
@@ -315,6 +321,18 @@ def _tree_value(e, x):
     if b == 0.0:
         raise EvalDomainError("division by zero", e)
     return a / b
+
+
+def _squaring_pow(u, n):
+    """u^n by repeated squaring: the products of integer exponents >= 2."""
+    result = 1.0
+    while n:
+        if n & 1:
+            result = result * u
+        n >>= 1
+        if n:
+            u = u * u
+    return result
 
 
 def _tree_jet1(e, x):
@@ -360,6 +378,9 @@ def _assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a) & ~nan, np.signbit(b) & ~nan)
 
 
+_SECOND_ORDER_ERRORS = ("overflow in '", "derivative singular at zero base in '")
+
+
 def _check_against_tree_walk(e, x) -> bool:
     """Compiled value, jet1 and gradient match the tree walks at ``x``, and
     jet2 agrees with them; True when the jet raised."""
@@ -376,12 +397,15 @@ def _check_against_tree_walk(e, x) -> bool:
             _assert_same_bits(jet[1].gradient, ref1[1][1])
         else:
             # only a second derivative the gradient does not need overflowed
-            assert jet[1] is EvalDomainError and jet[2].startswith("overflow in '")
+            # or is singular
+            assert jet[1] is EvalDomainError and jet[2].startswith(_SECOND_ORDER_ERRORS)
     else:
         assert compiled == ref1
         assert _outcome(lambda: e.gradient(x)) == ref1
-        # the jet raises the same error, or first overflows a second derivative
-        assert jet == ref1 or (jet[1] is EvalDomainError and jet[2].startswith("overflow in '"))
+        # the jet raises the same error, or first fails a second derivative
+        assert jet == ref1 or (
+            jet[1] is EvalDomainError and jet[2].startswith(_SECOND_ORDER_ERRORS)
+        )
     ref = _outcome(lambda: _tree_value(e, x))
     value = _outcome(lambda: e.value(x))
     if ref[0] == "ok":
@@ -405,6 +429,59 @@ def _test_points(rng, n, d):
     return pts
 
 
+def _ulps(a, b) -> np.ndarray:
+    """Distance in units in the last place; 0 between two NaNs."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ia, ib = a.view(np.int64), b.view(np.int64)
+    # map the sign-magnitude bit patterns onto one monotone integer line
+    ia = np.where(ia < 0, np.iinfo(np.int64).min - ia, ia)
+    ib = np.where(ib < 0, np.iinfo(np.int64).min - ib, ib)
+    dist = np.abs(ia.astype(float) - ib.astype(float))
+    return np.where(np.isnan(a) & np.isnan(b), 0.0, dist)
+
+
+def _is_exact_in_arrays(e) -> bool:
+    """No exp, log or power other than an integer exponent >= 0: the array
+    code then performs the scalar code's IEEE operations."""
+    if isinstance(e, Pow):
+        c = e.exponent
+        return c >= 0.0 and c.is_integer() and _is_exact_in_arrays(e.base)
+    if isinstance(e, Call):
+        return e.fn not in ("exp", "log") and _is_exact_in_arrays(e.arg)
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, Neg):
+        return _is_exact_in_arrays(e.arg)
+    return _is_exact_in_arrays(e.lhs) and _is_exact_in_arrays(e.rhs)
+
+
+def _check_stack_against_scalar(e, X):
+    """value_stack and jet1_stack agree with value and jet1 row by row, on the
+    whole stack and on each row alone (where the array code runs unless that
+    row trips a flag): exactly for IEEE operations, else to 4 ulps.  A stack
+    raises the error of its first raising row, with that row's index."""
+    limit = 0.0 if _is_exact_in_arrays(e) else 4.0
+    for stacked, scalar in ((e.value_stack, e.value), (e.jet1_stack, e.jet1)):
+        for stack in [X] + [X[k : k + 1] for k in range(len(X))]:
+            rows = [_outcome(lambda x=x: scalar(x)) for x in stack]
+            failing = [k for k, row in enumerate(rows) if row[0] == "raise"]
+            if failing:
+                with pytest.raises(EvalDomainError) as err:
+                    stacked(stack)
+                assert (type(err.value), str(err.value)) == rows[failing[0]][1:]
+                assert err.value.row == failing[0]
+                continue
+            got = stacked(stack)
+            if stacked == e.value_stack:
+                want = np.array([row[1] for row in rows])
+                assert got.shape == want.shape
+                assert _ulps(got, want).max() <= limit
+            else:
+                for k, (value, grad) in enumerate(row[1] for row in rows):
+                    assert _ulps(got[0][k], value) <= limit
+                    assert _ulps(got[1][k], grad).max() <= limit
+
+
 def test_compiled_matches_tree_walk_on_random_asts():
     rng = np.random.default_rng(17)
     names = ("t", "q", "p")
@@ -414,10 +491,12 @@ def test_compiled_matches_tree_walk_on_random_asts():
         e = _random_ast(rng, names, depth=4)
         if k % 3 == 0:
             e = Mul(Pow(e, float(rng.choice(exponents))), Pow(Var("q", 1), 2.0))
-        for x in _test_points(rng, 6, len(names)):
+        pts = _test_points(rng, 6, len(names))
+        for x in pts:
             with np.errstate(all="ignore"):  # jet2's inf and NaN are expected
                 raised += _check_against_tree_walk(e, x)
             total += 1
+        _check_stack_against_scalar(e, pts)
     # both outcomes are exercised
     assert 0 < raised < total
 
@@ -447,7 +526,6 @@ def test_compiled_domain_errors_match_tree_walk():
         # value defined, derivative singular: only the gradient raises
         "sqrt(q)": "sqrt derivative singular at zero in 'sqrt(q)'",
         "q^0.5": "derivative singular at zero base in 'q^0.5'",
-        "p^1.5 + 1": "derivative singular at zero base in 'p^1.5'",
         "q^-1": "zero base with negative exponent in 'q^-1.0'",
         "sqrt(t - 1)": "sqrt of negative value in 'sqrt(t - 1.0)'",
         "log(p)": "log of non-positive value in 'log(p)'",
@@ -464,6 +542,13 @@ def test_compiled_domain_errors_match_tree_walk():
         assert str(err.value) == message
     for src in ("sqrt(q)", "q^0.5", "p^1.5 + 1"):
         assert parse(src, names).value(x) in (0.0, 1.0)
+    # the first derivative of p^1.5 is 0 at p = 0; only the second is singular
+    e = parse("p^1.5 + 1", names)
+    assert _check_against_tree_walk(e, x)
+    assert e.gradient(x).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(EvalDomainError) as err:
+        e.eval_jet2(x)
+    assert str(err.value) == "derivative singular at zero base in 'p^1.5'"
 
 
 def test_compiled_gradient_keyed_by_point_dimension():
@@ -493,24 +578,17 @@ def test_overflow_is_domain_error():
             with pytest.raises(EvalDomainError) as err:
                 call(x)
             assert str(err.value) == message
-    # d^2/dq^2 of q^0.5 overflows at a tiny base: the value is fine and the
-    # gradient raises as the jet does
-    e = parse("q^0.5", names)
-    x = np.array([0.0, 1e-300, 0.0])
-    assert e.value(x) == math.sqrt(1e-300)
-    for call in (e.gradient, e.eval_jet2):
-        with pytest.raises(EvalDomainError, match="overflow in 'q\\^0.5'"):
-            call(x)
 
 
 def test_tiny_log_and_sqrt_arguments_have_finite_gradients():
-    # the second derivatives -1/u^2 and -1/(4 u^(3/2)) overflow here; only
-    # jet2 needs them, so value and gradient are finite and jet2 raises a
-    # typed overflow naming the node
+    # the second derivatives -1/u^2, -1/(4 u^(3/2)) and -u^(-3/2)/4 overflow
+    # here; only jet2 needs them, so value and gradient are finite and jet2
+    # raises a typed overflow naming the node
     names = ("t", "q", "p")
     for src, sub, q, slope in (
         ("log(q) + p", "log(q)", 1e-200, 1e200),
         ("2*sqrt(q)", "sqrt(q)", 1e-300, 2 * 0.5 / math.sqrt(1e-300)),
+        ("q^0.5", "q^0.5", 1e-300, 0.5 * 1e-300**-0.5),
     ):
         e = parse(src, names)
         x = np.array([0.0, q, 0.0])
