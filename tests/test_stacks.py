@@ -255,6 +255,21 @@ def test_stacked_validate_and_primitive_equal_per_point(name):
         assert S.check_primitive(pts) == _ref_primitive(S, pts)
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_structure_fields_on_a_stack_equal_per_point(name):
+    sc = builtin(name)
+    S, f = sc.structure, sc.system.integrals[0]
+    pts = sample_box(S.domain_box, 50, np.random.default_rng(7))
+    for call in (
+        S.reeb,
+        lambda x: S.hamiltonian_field(f, x),
+        lambda x: S.evaluation_field(f, x),
+        lambda x: S.gradient_field(f, x),
+        lambda x: S.poisson_bracket(f, sc.system.hamiltonian, x),
+    ):
+        assert np.array_equal(call(pts), np.array([call(x) for x in pts]))
+
+
 # --- typed errors from a stack ------------------------------------------------
 
 
