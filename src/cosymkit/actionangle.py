@@ -22,8 +22,11 @@ least-squares Newton.  The flows commute, so the endpoint of the composite
 flow moves with tau_j at exactly V_j(endpoint): the Jacobian is the field
 values there, and each Newton iteration traces the cycle once.  The lattice
 keeps the traced cycles of its basis, and the windings and the loop actions
-are read off them.  Higher-rank tori use scenario-declared lattice vectors,
-which are still polished and verified here.
+are read off them: the actions and eta pairings sum the one-forms against
+the Dormand-Prince stages each trajectory kept, so they are fifth-order
+quadratures on the flow's own steps and evaluate no field.  Higher-rank
+tori use scenario-declared lattice vectors, which are still polished and
+verified here.
 """
 
 from __future__ import annotations
@@ -65,27 +68,6 @@ __all__ = [
     "winding_ratio_test",
     "min_section_return",
 ]
-
-# 5-node Gauss-Legendre rule on [0, 1]
-_GL_NODES = np.array(
-    [
-        0.5 - 0.45308992296933200 ,
-        0.5 - 0.26923465505284155,
-        0.5,
-        0.5 + 0.26923465505284155,
-        0.5 + 0.45308992296933200,
-    ]
-)
-_GL_WEIGHTS = np.array(
-    [
-        0.5 * 0.23692688505618909,
-        0.5 * 0.47862867049936647,
-        0.5 * 0.56888888888888889,
-        0.5 * 0.47862867049936647,
-        0.5 * 0.23692688505618909,
-    ]
-)
-
 
 class ActionAngleError(Exception):
     """Base class for torus-machinery failures."""
@@ -523,18 +505,11 @@ def torus_lattice(
 def line_integral(segments, form: OneFormField) -> float:
     """Integral of a one-form along traced segments.
 
-    Gauss-Legendre with five nodes per accepted step; states interpolate from
-    the dense output and velocities are exact field evaluations.
+    Each segment's trajectory sums the form against its own Dormand-Prince
+    stages (``Trajectory.quadrature``), so the result carries the flow's
+    fifth order and no field is evaluated again.
     """
-    total = 0.0
-    for field, traj in segments:
-        for i in range(len(traj.times) - 1):
-            t0, t1 = traj.times[i], traj.times[i + 1]
-            h = t1 - t0
-            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                x = traj.state_at(t0 + h * node)
-                total += weight * h * float(form.at(x) @ field(x))
-    return total
+    return sum((traj.quadrature(form.at_stack) for _, traj in segments), 0.0)
 
 
 def action_integrals(
@@ -687,8 +662,8 @@ def empirical_frequencies(
     """Least-squares slopes of the declared angles along one trajectory.
 
     Returns (slopes, residuals); the residual is the max deviation of the
-    unwrapped angle from its linear fit.  A residual below the configured
-    angle-fit tolerance certifies linear flow in these angles.
+    unwrapped angle from its linear fit; a small residual certifies linear
+    flow in these angles.
     """
     chart = sys.structure.chart
     traj = integrate(field, x0, tau_end, flow_tol, chart)

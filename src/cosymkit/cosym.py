@@ -80,10 +80,8 @@ class ToleranceConfig:
     fiber_match: float = 1e-9         # two points share a fiber
     bracket_integral_residual: float = 1e-5  # brackets of integrals stay integrals
     lattice_return: float = 1e-6      # period-lattice closure residual
-    action_independence: float = 1e-5 # base-point independence of actions
     primitive_check: float = 1e-8     # |-d lambda - omega|
     frequency_match: float = 1e-3     # solved vs. empirical frequencies
-    angle_fit: float = 1e-3           # linear-flow fit residual
 
     @classmethod
     def from_dict(cls, overrides: dict | None) -> "ToleranceConfig":

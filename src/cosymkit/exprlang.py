@@ -710,7 +710,10 @@ class _Parser:
             expo = self.parse_factor()
             if not is_constant(expo):
                 raise ParseError("exponent must be constant", expo_offset)
-            return Pow(base, expo.value(np.zeros(0)))
+            c = expo.value(np.zeros(0))
+            if not math.isfinite(c):
+                raise ParseError("exponent must be finite", expo_offset)
+            return Pow(base, c)
         return base
 
     def parse_atom(self) -> Expr:

@@ -3,7 +3,9 @@
 An adaptive Dormand-Prince 5(4) pair drives every trajectory; the embedded
 fourth-order solution controls the local error per step against ``tol``.
 Accepted steps keep the state, the field value and the values of all declared
-integrals, so conservation is measured rather than assumed.  Dense output is
+integrals, so conservation is measured rather than assumed.  They also keep
+their stages, on which ``Trajectory.quadrature`` integrates a one-form along
+the flow as one more fifth-order ODE component.  Dense output is
 cubic Hermite on each accepted step; section crossings are located by
 bisection on the dense output and polished once with the field value.
 
@@ -77,7 +79,8 @@ class Trajectory:
 
     ``states`` are unwrapped (periodic coordinates keep accumulating);
     ``integral_values`` has one column per declared integral, evaluated at
-    every accepted step.
+    every accepted step.  ``stages[k]`` (2, 6, d) holds the stage states of
+    accepted step k and the field values there.
     """
 
     chart: ChartSpec
@@ -87,6 +90,7 @@ class Trajectory:
     derivs: np.ndarray
     integral_names: tuple[str, ...]
     integral_values: np.ndarray
+    stages: np.ndarray
 
     def __post_init__(self):
         d = np.diff(self.times)
@@ -122,6 +126,18 @@ class Trajectory:
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
         return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+    def quadrature(self, alpha) -> float:
+        """Integral of ``alpha(x) . V(x)`` over tau along the accepted steps.
+
+        ``alpha`` maps points (N, d) to covectors (N, d).  It is taken at the
+        stage states against the stage values, summed with the fifth-order
+        weights: no field is evaluated, and the result is as accurate as the
+        flow.
+        """
+        Y, K = self.stages[:, 0], self.stages[:, 1]
+        covectors = alpha(Y.reshape(-1, Y.shape[-1])).reshape(Y.shape)
+        return float(np.diff(self.times) @ (np.sum(covectors * K, axis=-1) @ _B5))
 
     def sample(self, taus) -> np.ndarray:
         return np.array([self.state_at(t) for t in np.asarray(taus, dtype=float)])
@@ -200,14 +216,13 @@ def integrate(
 
     f0 = np.asarray(field(x0), dtype=float)
     times = [0.0]
-    states = [x0.copy()]
-    derivs = [f0.copy()]
     ivals = [[f.value(x0) for f in integrals]]
+    stages = []
 
     if tau_end == 0.0:
         return Trajectory(
-            chart, label, np.array(times), np.array(states), np.array(derivs),
-            names, np.array(ivals),
+            chart, label, np.array(times), x0[None].copy(), f0[None].copy(),
+            names, np.array(ivals), np.zeros((0, 2, 6, len(x0))),
         )
 
     sign = 1.0 if tau_end > 0 else -1.0
@@ -229,9 +244,13 @@ def integrate(
         if h < h_min and h < remaining:
             raise StepSizeUnderflowError(t, y)
         hs = sign * h
+        # fresh for every try: an accepted record is kept as it is
+        record = np.empty((2, 6, len(x0)))
+        Y = record[0]
         K[0] = f_cur
+        Y[0] = y
         for i, a in enumerate(_A):
-            yi = y + hs * (a @ K[: i + 1])
+            yi = Y[i + 1] = y + hs * (a @ K[: i + 1])
             K[i + 1] = field(yi)
         y_new = y + hs * (_B5 @ K[:6])
         f_new = np.asarray(field(y_new), dtype=float)
@@ -245,19 +264,22 @@ def integrate(
             y = y_new
             f_cur = f_new
             times.append(t)
-            states.append(y.copy())
-            derivs.append(f_cur.copy())
             ivals.append([f.value(y) for f in integrals])
+            record[1] = K[:6]
+            stages.append(record)
         factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.8 * err_norm ** -0.2))
         h *= factor
+    # every step starts at its first stage state, with its first stage value
+    stages = np.array(stages)
     return Trajectory(
         chart,
         label,
         np.array(times),
-        np.array(states),
-        np.array(derivs),
+        np.concatenate((stages[:, 0, 0], [y])),
+        np.concatenate((stages[:, 1, 0], [f_cur])),
         names,
         np.array(ivals) if integrals else np.zeros((len(times), 0)),
+        stages,
     )
 
 

@@ -246,7 +246,7 @@ def test_criterion_6_action_oracle():
         worst_move = max(
             worst_move, float(np.max(np.abs(profile1.actions - profile.actions)))
         )
-    ok = worst_value < 1e-5 and worst_move < 1e-5
+    ok = worst_value < 1e-10 and worst_move < 1e-10
     _report(
         6,
         "loop action reproduces the fiber value for c in {0.25, 0.5, 1.0}",

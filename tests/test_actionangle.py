@@ -25,8 +25,9 @@ from cosymkit.actionangle import (
     trace_cycle,
     winding_ratio_test,
 )
-from cosymkit.cosym import make_canonical, make_poincare_cartan
+from cosymkit.cosym import StructureVectorField, make_canonical, make_poincare_cartan
 from cosymkit.fields import ChartSpec, OneFormField, ScalarField
+from cosymkit.flow import Trajectory
 from cosymkit.integrability import IntegralSystem
 from cosymkit.scenarios import builtin
 
@@ -114,10 +115,10 @@ def test_action_equals_fiber_value():
         x0 = np.array([0.0, math.sqrt(2 * c), 0.0])
         lattice = torus_lattice(sys, x0, angle_maps=oscillator_angles())
         profile = action_integrals(sys, lattice, lam)
-        assert profile.actions[0] == pytest.approx(c, abs=1e-5)
+        assert profile.actions[0] == pytest.approx(c, abs=1e-10)
         # the t-circle carries no p dq action
-        assert profile.actions[1] == pytest.approx(0.0, abs=1e-6)
-        assert profile.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-6)
+        assert profile.actions[1] == pytest.approx(0.0, abs=1e-10)
+        assert profile.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-10)
 
 
 def test_action_base_point_independence():
@@ -150,17 +151,21 @@ def test_action_retrace_stability():
 
 
 def test_action_integrals_integrate_no_flow(monkeypatch):
+    # the actions sum over the stages the lattice's traces kept: no flow, no
+    # field evaluation and no dense output after the trace
     sys = oscillator_system()
     x0 = np.array([0.0, 1.0, 0.0])
     lattice = torus_lattice(sys, x0, angle_maps=oscillator_angles())
 
-    def no_flow(*args, **kwargs):
-        raise AssertionError("action_integrals integrated a flow")
+    def recompute(*args, **kwargs):
+        raise AssertionError("action_integrals recomputed along a traced cycle")
 
-    monkeypatch.setattr(actionangle, "integrate", no_flow)
+    monkeypatch.setattr(actionangle, "integrate", recompute)
+    monkeypatch.setattr(StructureVectorField, "__call__", recompute)
+    monkeypatch.setattr(Trajectory, "state_at", recompute)
     profile = action_integrals(sys, lattice, sys.structure.primitive)
-    assert profile.actions == pytest.approx([0.5, 0.0], abs=1e-9)
-    assert profile.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-9)
+    assert profile.actions == pytest.approx([0.5, 0.0], abs=1e-10)
+    assert profile.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-10)
 
 
 def test_refine_traces_the_cycle_once_per_newton_iteration(monkeypatch):

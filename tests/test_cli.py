@@ -98,6 +98,16 @@ def test_verify_overflow_is_check_failure(tmp_path, capsys):
     assert payload["error"] == f"overflow in '{sub}'"
 
 
+def test_non_finite_exponent_is_usage_error(tmp_path, capsys):
+    data = dict(builtin_dict("ext-oscillator-1d"))
+    data["hamiltonian"] = "q^1e999"
+    path = tmp_path / "inf_exponent.json"
+    path.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "verify", str(path), "--points", "5")
+    assert code == 64
+    assert "exponent must be finite" in payload["error"]
+
+
 def test_verify_rejects_zero_points(capsys):
     code = main(["verify", OSC, "--points", "0"])
     assert code == 64

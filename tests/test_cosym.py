@@ -406,5 +406,6 @@ def test_tolerance_overrides():
     tol = ToleranceConfig.from_dict({"closedness": 1e-6})
     assert tol.closedness == 1e-6
     assert tol.volume_min_det == 1e-10
-    with pytest.raises(ValueError):
-        ToleranceConfig.from_dict({"nope": 1.0})
+    for name in ("nope", "action_independence", "angle_fit"):
+        with pytest.raises(ValueError, match="unknown tolerance names"):
+            ToleranceConfig.from_dict({name: 1.0})

@@ -98,6 +98,15 @@ def test_non_constant_exponent_rejected():
         parse("q^p", NAMES)
 
 
+@pytest.mark.parametrize("src", ["q^1e999", "q^(1e999-1e999)"])
+def test_non_finite_exponent_rejected(src):
+    # the folded exponent is inf or NaN: no evaluation mode can use it, and
+    # to_source would print the unparseable 'q^inf'
+    with pytest.raises(ParseError, match="exponent must be finite") as err:
+        parse(src, NAMES)
+    assert err.value.offset == 2
+
+
 def test_pi_constant():
     e = parse("cos(pi)", NAMES)
     assert e.value(np.zeros(3)) == -1.0

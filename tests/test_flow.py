@@ -75,6 +75,8 @@ def test_zero_length_trajectory():
     traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 0.0, 1e-10, CHART, [H])
     assert len(traj.times) == 1
     assert drift_report(traj) == {"H": 0.0}
+    assert traj.stages.shape == (0, 2, 6, 3)
+    assert traj.quadrature(S.eta.at_stack) == 0.0
 
 
 def test_time_reversal():
