@@ -666,14 +666,9 @@ def _default_box(chart: ChartSpec, spread: float = 2.0):
     return tuple(box)
 
 
-def make_canonical(
-    n: int,
-    box=None,
-    t_periodic: bool = True,
-    tol: ToleranceConfig | None = None,
-) -> CosymplecticStructure:
-    """Flat structure sum(dq_i ^ dp_i) with eta = dt and primitive p dq."""
-    chart = canonical_chart(n, t_periodic)
+def _flat_structure(chart: ChartSpec, box, tol) -> CosymplecticStructure:
+    """sum(dq_i ^ dp_i) with eta = dt and primitive p dq on a (t, q..., p...) chart."""
+    n = (chart.dim - 1) // 2
     upper = {(1 + i, 1 + n + i): Const(1.0) for i in range(n)}
     omega = TwoFormField(chart, upper)
     eta = OneFormField(chart, (Const(1.0),) + (Const(0.0),) * (2 * n))
@@ -684,6 +679,16 @@ def make_canonical(
     return CosymplecticStructure(
         chart, omega, eta, box or _default_box(chart), lam, tol or ToleranceConfig()
     )
+
+
+def make_canonical(
+    n: int,
+    box=None,
+    t_periodic: bool = True,
+    tol: ToleranceConfig | None = None,
+) -> CosymplecticStructure:
+    """Flat structure sum(dq_i ^ dp_i) with eta = dt and primitive p dq."""
+    return _flat_structure(canonical_chart(n, t_periodic), box, tol)
 
 
 def twist(
@@ -725,23 +730,14 @@ def make_poincare_cartan(
 ) -> CosymplecticStructure:
     """Twisted flat structure (dq^dp + dH^dt, dt) with primitive p dq - H dt.
 
-    The chart of ``H`` must follow the canonical layout (t, q..., p...).
+    The structure lives on the chart of ``H``, names and periodic mask
+    included; that chart must follow the canonical layout (t, q..., p...).
     The stored primitive satisfies -d(p dq - H dt) = dq^dp + dH^dt; this is
     verified numerically on a seeded sample.
     """
     chart = H.chart
     n = (chart.dim - 1) // 2
-    base = make_canonical(n, box=box, t_periodic=chart.periodic[0], tol=tol)
-    if base.chart.names != chart.names:
-        base_chart = chart
-        upper = {(1 + i, 1 + n + i): Const(1.0) for i in range(n)}
-        omega = TwoFormField(base_chart, upper)
-        eta = OneFormField(base_chart, (Const(1.0),) + (Const(0.0),) * (2 * n))
-        base = CosymplecticStructure(
-            base_chart, omega, eta, box or _default_box(base_chart), None,
-            tol or ToleranceConfig(),
-        )
-    twisted = twist(base, H, check_samples=0)
+    twisted = twist(_flat_structure(chart, box, tol), H, check_samples=0)
     alpha_comps = [Neg(H.expr)] + [
         exprlang.Var(chart.names[1 + n + i], 1 + n + i) for i in range(n)
     ] + [Const(0.0)] * n

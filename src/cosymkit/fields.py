@@ -139,12 +139,6 @@ class ScalarField:
         """Gradients (N, d) at the rows of ``X``."""
         return self.expr.jet1_stack(X)[1]
 
-    def hessian(self, x: Point) -> np.ndarray:
-        return self.expr.jet2(np.asarray(x, dtype=float))[2]
-
-    def eval_jet2(self, x: Point):
-        return self.expr.eval_jet2(x)
-
     def __call__(self, x: Point) -> float:
         return self.expr.value(x)
 

@@ -31,7 +31,6 @@ __all__ = [
     "SectionSpec",
     "SectionEvent",
     "integrate",
-    "flow_map",
     "drift_report",
     "section_crossings",
 ]
@@ -281,11 +280,6 @@ def integrate(
         np.array(ivals) if integrals else np.zeros((len(times), 0)),
         stages,
     )
-
-
-def flow_map(field, x0: Point, tau: float, tol: float, chart: ChartSpec) -> np.ndarray:
-    """Endpoint of the flow; convenience wrapper around :func:`integrate`."""
-    return integrate(field, x0, tau, tol, chart).final_state
 
 
 def drift_report(traj: Trajectory, integrals=None) -> dict:

@@ -1,16 +1,14 @@
 """Built-in model systems with hand-derived oracle values.
 
-Every builtin is defined as a plain JSON-able dictionary; the packaged
-scenario files under ``data/scenarios`` are byte-identical serializations of
-these dictionaries, and external scenario files go through the same schema
-validation and construction path.  Oracle entries carry a derivation note so
-each expected number is traceable.
+The packaged JSON files under ``data/scenarios`` are the catalog: each file
+is one builtin, named by its stem, and is loaded through the same schema
+validation and construction path as any external scenario file.  Oracle
+entries carry a derivation note so each expected number is traceable.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib.resources import files as _pkg_files
 
@@ -37,8 +35,7 @@ __all__ = [
     "schema_file_path",
 ]
 
-_TWO_PI = 2 * math.pi
-_PI_SQRT2 = _TWO_PI / math.sqrt(2.0)
+_SCENARIO_DIR = _pkg_files("cosymkit").joinpath("data/scenarios")
 
 
 class UnknownScenarioError(Exception):
@@ -86,263 +83,19 @@ class Scenario:
 
 # --- catalog ------------------------------------------------------------------
 
-_OSC_1D = {
-    "name": "ext-oscillator-1d",
-    "chart": {
-        "names": ["t", "q", "p"],
-        "periodic": [True, False, False],
-        "box": [[0.0, _TWO_PI], [-2.5, 2.5], [-2.5, 2.5]],
-    },
-    "omega": {"q,p": "1"},
-    "eta": ["1", "0", "0"],
-    "hamiltonian": "(q^2 + p^2)/2",
-    "integrals": {"r": 1, "fields": [{"name": "H", "expr": "(q^2 + p^2)/2"}]},
-    "lambda": ["0", "p", "0"],
-    "angle_maps": [
-        {"plane": ["q", "-p"], "label": "phase"},
-        {"coordinate": "t", "label": "t"},
-    ],
-    "fiber_compact": True,
-    "oracles": {
-        "base_point": {
-            "value": [0.0, 1.0, 0.0],
-            "note": "lies on the fiber H = 1/2",
-        },
-        "reeb_frequencies": {
-            "value": [0.0, 1.0],
-            "note": "the Reeb field is d/dt: no phase motion, unit time rate",
-        },
-        "evaluation_frequencies": {
-            "value": [1.0, 1.0],
-            "note": "unit oscillator: q = cos(tau), p = -sin(tau), t = tau",
-        },
-        "hamiltonian_frequencies": {
-            "k": 1,
-            "value": [1.0, 0.0],
-            "note": "the H-flow advances the phase angle at unit rate, t frozen",
-        },
-        "action_slope": {
-            "value": 1.0,
-            "note": "phase-circle action is the enclosed area over 2*pi:"
-            " pi*r^2/(2*pi) = H since r^2 = 2H",
-        },
-    },
-}
-
-_PC_1D = {
-    "name": "pc-oscillator-1d",
-    "chart": {
-        "names": ["t", "q", "p"],
-        "periodic": [True, False, False],
-        "box": [[0.0, _TWO_PI], [-2.5, 2.5], [-2.5, 2.5]],
-    },
-    "omega": {"t,q": "-q", "t,p": "-p", "q,p": "1"},
-    "eta": ["1", "0", "0"],
-    "hamiltonian": "0",
-    "integrals": {"r": 1, "fields": [{"name": "H", "expr": "(q^2 + p^2)/2"}]},
-    "lambda": ["-(q^2 + p^2)/2", "p", "0"],
-    "angle_maps": [
-        {"plane": ["q", "-p"], "label": "phase"},
-        {"coordinate": "t", "label": "t"},
-    ],
-    "fiber_compact": True,
-    "oracles": {
-        "base_point": {
-            "value": [0.0, 1.0, 0.0],
-            "note": "lies on the fiber H = 1/2",
-        },
-        "reeb_frequencies": {
-            "value": [1.0, 1.0],
-            "note": "the Reeb field of the twisted structure is the oscillator"
-            " evaluation field: phase and time advance together",
-        },
-        "structure_note": {
-            "value": None,
-            "note": "omega is the flat form twisted by dH ^ dt; the stored"
-            " primitive is p dq - H dt",
-        },
-    },
-}
-
-_OSC_2D_SUPER = {
-    "name": "ext-oscillator-2d-super",
-    "chart": {
-        "names": ["t", "q1", "q2", "p1", "p2"],
-        "periodic": [True, False, False, False, False],
-        "box": [[0.0, _TWO_PI], [-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]],
-    },
-    "omega": {"q1,p1": "1", "q2,p2": "1"},
-    "eta": ["1", "0", "0", "0", "0"],
-    "hamiltonian": "(q1^2 + q2^2 + p1^2 + p2^2)/2",
-    "integrals": {
-        "r": 1,
-        "fields": [
-            {"name": "H", "expr": "(q1^2 + q2^2 + p1^2 + p2^2)/2"},
-            {"name": "L", "expr": "q1*p2 - q2*p1"},
-            {"name": "F", "expr": "(p1^2 - p2^2 + q1^2 - q2^2)/2"},
-        ],
-    },
-    "lambda": ["0", "p1", "p2", "0", "0"],
-    "angle_maps": [
-        {"plane": ["q1", "-p1"], "label": "phase1"},
-        {"coordinate": "t", "label": "t"},
-    ],
-    "casimirs": ["(q1^2 + q2^2 + p1^2 + p2^2)/2"],
-    "fiber_compact": True,
-    "oracles": {
-        "base_point": {
-            "value": [0.0, 1.0, 0.1, -0.2, 1.1],
-            "note": "generic: p1*p2 + q1*q2 = -0.12 != 0 keeps (H, L, F) of rank 3",
-        },
-        "ddim_dind": {
-            "value": [3, 1],
-            "note": "three integrals, H central: the pairwise bracket matrix"
-            " has the single kernel direction H",
-        },
-        "induced_corank": {
-            "value": 1,
-            "note": "{L, F} = 2*(p1*p2 + q1*q2) is nonzero at generic points,"
-            " so the 3x3 antisymmetric matrix has rank 2",
-        },
-        "reeb_frequencies": {
-            "value": [0.0, 1.0],
-            "note": "canonical structure: the Reeb field moves only t",
-        },
-        "evaluation_frequencies": {
-            "value": [1.0, 1.0],
-            "note": "isotropic oscillator: both phases advance at rate 1, as"
-            " does t; the first angle tracks mode 1",
-        },
-    },
-}
-
-_OSC_ANISO = {
-    "name": "ext-oscillator-anisotropic",
-    "chart": {
-        "names": ["t", "q1", "q2", "p1", "p2"],
-        "periodic": [True, False, False, False, False],
-        "box": [[0.0, _TWO_PI], [-2.5, 2.5], [-3.5, 3.5], [-2.5, 2.5], [-5.0, 5.0]],
-    },
-    "omega": {"q1,p1": "1", "q2,p2": "1"},
-    "eta": ["1", "0", "0", "0", "0"],
-    "hamiltonian": "(p1^2 + p2^2 + q1^2 + 2*q2^2)/2",
-    "integrals": {
-        "r": 2,
-        "fields": [
-            {"name": "H1", "expr": "(p1^2 + q1^2)/2"},
-            {"name": "H2", "expr": "(p2^2 + 2*q2^2)/2"},
-        ],
-    },
-    "lambda": ["0", "p1", "p2", "0", "0"],
-    "angle_maps": [
-        {"plane": ["q1", "-p1"], "label": "phase1"},
-        {"plane": ["q2", "-p2/sqrt(2)"], "label": "phase2"},
-        {"coordinate": "t", "label": "t"},
-    ],
-    "period_lattice": [
-        [_TWO_PI, 0.0, 0.0],
-        [0.0, _PI_SQRT2, 0.0],
-        [0.0, 0.0, _TWO_PI],
-    ],
-    "fiber_compact": True,
-    "oracles": {
-        "base_point": {
-            "value": [0.0, 1.0, 3.0, 0.0, 0.0],
-            "note": "mode amplitudes 1 and 3: H1 = 1/2, H2 = 9; the large"
-            " second amplitude keeps near-returns of the dense orbit"
-            " visibly separated",
-        },
-        "evaluation_frequencies": {
-            "value": [1.0, 1.4142135623730951, 1.0],
-            "note": "mode frequencies 1 and sqrt(2) (stiffness 2 in q2), unit"
-            " time rate",
-        },
-        "b_diagonal": {
-            "value": [1.0, 0.7071067811865476, 1.0],
-            "note": "separable actions I1 = H1, I2 = H2/sqrt(2); eta column"
-            " pairs only the t-cycle",
-        },
-        "period_lattice_note": {
-            "value": None,
-            "note": "mode periods 2*pi and 2*pi/sqrt(2) under their own"
-            " Hamiltonian flows, t-circle period 2*pi under the Reeb flow;"
-            " declared because rank-3 lattices are not auto-detected",
-        },
-    },
-}
-
-_FLAT_TORUS = {
-    "name": "flat-torus-reeb",
-    "chart": {
-        "names": ["th1", "th2", "th3"],
-        "periodic": [True, True, True],
-        "box": [[0.0, _TWO_PI], [0.0, _TWO_PI], [0.0, _TWO_PI]],
-    },
-    "omega": {"th1,th2": "1"},
-    "eta": ["0", "0", "1"],
-    "hamiltonian": "0",
-    "integrals": {"r": 1, "fields": [{"name": "C1", "expr": "cos(th1)"}]},
-    "angle_maps": [
-        {"coordinate": "th2", "label": "th2"},
-        {"coordinate": "th3", "label": "th3"},
-    ],
-    "casimirs": ["cos(th1)"],
-    "fiber_compact": True,
-    "oracles": {
-        "base_point": {
-            "value": [1.0, 0.5, 0.0],
-            "note": "sin(th1) = 0.84 nonzero keeps dC1 of full rank",
-        },
-        "reeb_vector": {
-            "value": [0.0, 0.0, 1.0],
-            "note": "constant-coefficient structure: the kernel of omega is"
-            " the th3 direction and eta pairs it to 1",
-        },
-    },
-}
-
-_OSC_1D_LINE = {
-    "name": "ext-oscillator-1d-line",
-    "chart": {
-        "names": ["t", "q", "p"],
-        "periodic": [False, False, False],
-        "box": [[-30.0, 30.0], [-2.5, 2.5], [-2.5, 2.5]],
-    },
-    "omega": {"q,p": "1"},
-    "eta": ["1", "0", "0"],
-    "hamiltonian": "(q^2 + p^2)/2",
-    "integrals": {"r": 1, "fields": [{"name": "H", "expr": "(q^2 + p^2)/2"}]},
-    "lambda": ["0", "p", "0"],
-    "angle_maps": [{"plane": ["q", "-p"], "label": "phase"}],
-    "fiber_compact": False,
-    "oracles": {
-        "base_point": {
-            "value": [0.0, 1.0, 0.0],
-            "note": "lies on the fiber H = 1/2",
-        },
-        "topology_note": {
-            "value": None,
-            "note": "t runs over the real line: invariant sets are cylinders,"
-            " the Reeb flow never returns, torus machinery must refuse",
-        },
-    },
-}
-
-_CATALOG = {
-    d["name"]: d
-    for d in (_OSC_1D, _PC_1D, _OSC_2D_SUPER, _OSC_ANISO, _FLAT_TORUS, _OSC_1D_LINE)
-}
-
-
 def builtin_names() -> tuple[str, ...]:
-    return tuple(_CATALOG)
+    """Stems of the packaged scenario files, sorted."""
+    return tuple(sorted(
+        entry.name[: -len(".json")]
+        for entry in _SCENARIO_DIR.iterdir()
+        if entry.name.endswith(".json")
+    ))
 
 
 def builtin_dict(name: str) -> dict:
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise UnknownScenarioError(name) from None
+    """A fresh parse of the packaged file of builtin ``name``."""
+    with builtin_file_path(name).open("r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def scenario_json_text(data: dict) -> str:
@@ -355,9 +108,9 @@ def schema_file_path():
 
 
 def builtin_file_path(name: str):
-    if name not in _CATALOG:
+    if name not in builtin_names():
         raise UnknownScenarioError(name)
-    return _pkg_files("cosymkit").joinpath(f"data/scenarios/{name}.json")
+    return _SCENARIO_DIR.joinpath(f"{name}.json")
 
 
 def schema_dict() -> dict:

@@ -228,6 +228,13 @@ def test_make_poincare_cartan_primitive():
     assert S.check_primitive(pts) < 1e-9
 
 
+def test_make_poincare_cartan_keeps_periodic_mask():
+    # pendulum on (t, q, p) with an angle q: the canonical chart has q on the line
+    chart = ChartSpec(("t", "q", "p"), (True, True, False))
+    H = ScalarField.from_source("p^2/2 - cos(q)", chart, name="H")
+    assert make_poincare_cartan(H).chart == H.chart
+
+
 def test_twist_matches_poincare_cartan_componentwise():
     H = oscillator_h()
     St = twist(canonical(), H)

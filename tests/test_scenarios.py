@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,8 @@ def test_catalog_contents():
 def test_unknown_name_rejected():
     with pytest.raises(UnknownScenarioError):
         builtin("nope")
+    with pytest.raises(UnknownScenarioError):
+        scenarios.builtin_file_path("../schema/scenario")
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -46,9 +49,19 @@ def test_builtin_validates_on_load(name):
 
 @pytest.mark.parametrize("name", ALL)
 def test_packaged_file_byte_equivalent(name):
-    text = scenarios.scenario_json_text(scenarios.builtin_dict(name))
+    """Each packaged file is the canonical serialization of its own contents."""
     packaged = scenarios.builtin_file_path(name).read_bytes()
+    text = scenarios.scenario_json_text(json.loads(packaged))
     assert packaged == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_catalog_survives_mutated_dicts(name):
+    packaged = json.loads(scenarios.builtin_file_path(name).read_bytes())
+    scenarios.builtin_dict(name)["chart"]["box"][1][0] = 99.0
+    builtin(name).to_dict()["chart"]["box"][1][0] = 99.0
+    assert scenarios.builtin_dict(name) == packaged
+    assert builtin(name).to_dict() == packaged
 
 
 @pytest.mark.parametrize("name", ALL)
