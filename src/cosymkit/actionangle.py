@@ -16,17 +16,21 @@ eta(Z) = 1), and the linear systems b^T w = e_k give the frequencies of the
 Reeb flow (k = r+1) and of the Hamiltonian flows of the prefix integrals
 (k <= r).
 
-Numeric lattice detection is implemented for two-dimensional tori (r+1 = 2):
-scan one flow for near-returns, then polish the return times with a
+A lattice of any rank is seeded from one declared angle map per lattice
+direction: each field V_j is flowed once for 2pi, the mean winding rates
+R[mu, j] of the angles along it give the seed basis 2pi R^{-1} (row mu winds
+angle mu once and the others not), and every row is polished with a
 least-squares Newton.  The flows commute, so the endpoint of the composite
 flow moves with tau_j at exactly V_j(endpoint): the Jacobian is the field
-values there, and each Newton iteration traces the cycle once.  The lattice
-keeps the traced cycles of its basis, and the windings and the loop actions
-are read off them: the actions and eta pairings sum the one-forms against
-the Dormand-Prince stages each trajectory kept, so they are fifth-order
-quadratures on the flow's own steps and evaluate no field.  Higher-rank
-tori use scenario-declared lattice vectors, which are still polished and
-verified here.
+values there, and each Newton iteration traces the cycle once.  Declared
+lattice vectors are polished the same way in place of the seeds.  Either
+basis is certified by the unimodular winding matrix of its cycles against the
+angles.  Callers without angle maps fall back to a near-return scan, which
+handles two-dimensional tori (r+1 = 2) only.  The lattice keeps the traced
+cycles of its basis, and the windings and the loop actions are read off
+them: the actions and eta pairings sum the one-forms against the
+Dormand-Prince stages each trajectory kept, so they are fifth-order
+quadratures on the flow's own steps and evaluate no field.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .integrability import IntegralSystem
 
 __all__ = [
     "ActionAngleError",
+    "SingularRatesError",
     "NoReturnError",
     "ContinuationError",
     "CycleError",
@@ -71,6 +76,18 @@ __all__ = [
 
 class ActionAngleError(Exception):
     """Base class for torus-machinery failures."""
+
+
+class SingularRatesError(ActionAngleError):
+    """The declared angles do not separate the commuting fields: their
+    winding-rate matrix ``rates`` (angles by fields) is singular."""
+
+    def __init__(self, rates):
+        super().__init__(
+            f"winding rates {np.asarray(rates).tolist()} of the angle maps along "
+            "the commuting fields are singular; the angles do not separate the flows"
+        )
+        self.rates = np.asarray(rates)
 
 
 class NoReturnError(ActionAngleError):
@@ -344,13 +361,15 @@ def detect_period_lattice(
     return_tol: float | None = None,
     t_min: float = 0.3,
 ) -> PeriodLattice:
-    """Detect a lattice basis on a two-dimensional invariant torus.
+    """Detect a lattice basis on a two-dimensional invariant torus by a scan.
 
     Each commuting field is scanned for near-returns of its own flow; each
     candidate is polished with the times of both fields free.  A slanted
     combined scan backs up the pure-field scans when a flow is dense on the
     torus.  Raises NoReturnError when the horizon is exhausted (noncompact or
-    too-long periods).
+    too-long periods).  ``torus_lattice`` scans only when it has neither
+    declared vectors nor one angle map per field; tori of any rank are seeded
+    from their angle maps instead.
     """
     S = sys.structure
     chart = S.chart
@@ -358,8 +377,8 @@ def detect_period_lattice(
     fields = list(fields) if fields is not None else sys.commuting_fields()
     if len(fields) != 2:
         raise ActionAngleError(
-            "numeric lattice detection supports two commuting fields; "
-            "declare lattice vectors for higher rank"
+            "the near-return scan supports two commuting fields; "
+            "declare one angle map per field or lattice vectors for higher rank"
         )
     x0 = np.asarray(x0, dtype=float)
 
@@ -473,6 +492,27 @@ def align_lattice_to_angles(
     ])
 
 
+def _angle_seeds(fields, x0: Point, angle_maps, flow_tol: float, chart: ChartSpec) -> np.ndarray:
+    """Seed basis ``2pi R^{-1}`` from the mean winding rates of the angles.
+
+    Each field V_j is flowed once for 2pi from ``x0``;
+    ``R[mu, j] = (theta_mu(end) - theta_mu(start)) / 2pi`` is the mean rate
+    of angle mu along it, exact whenever the angle advances linearly.  Row mu
+    of the seed (column mu of ``2pi R^{-1}``) winds angle mu once and the
+    others not.  Raises SingularRatesError when the angles do not separate
+    the fields.
+    """
+    # over a flow of 2pi the winding in turns is the mean rate
+    R = np.stack([
+        cycle_windings([(vf, integrate(vf, x0, TWO_PI, flow_tol, chart))], angle_maps)
+        for vf in fields
+    ], axis=1)
+    s = np.linalg.svd(R, compute_uv=False)
+    if not s[-1] > 1e-8 * s[0]:
+        raise SingularRatesError(R)
+    return TWO_PI * np.linalg.inv(R).T
+
+
 def torus_lattice(
     sys: IntegralSystem,
     x0: Point,
@@ -482,16 +522,27 @@ def torus_lattice(
     flow_tol: float = 1e-11,
     **detect_kwargs,
 ) -> PeriodLattice:
-    """Lattice at ``x0``: polish declared vectors or detect, then align."""
+    """Lattice at ``x0``: polish seed vectors, then certify them by the angles.
+
+    The seeds are the declared vectors, or else, with one angle map per
+    field, the winding-rate basis of ``_angle_seeds``; a torus of any rank is
+    handled either way.  A caller with neither gets the two-field near-return
+    scan of ``detect_period_lattice``.  Given angle maps, the basis must wind
+    them by a unimodular matrix (the identity for angle seeds), and is
+    re-based when that matrix is not the identity.
+    """
     fields = list(fields) if fields is not None else sys.commuting_fields()
     chart = sys.structure.chart
-    if declared_vectors is not None:
+    seeds = declared_vectors
+    if seeds is None and len(angle_maps) == len(fields):
+        seeds = _angle_seeds(fields, x0, angle_maps, flow_tol, chart)
+    if seeds is not None:
         lattice = _lattice(fields, x0, [
             refine_lattice_vector(
                 fields, row, x0, chart, flow_tol=flow_tol,
                 return_tol=sys.structure.tol.lattice_return,
             )
-            for row in np.asarray(declared_vectors, dtype=float)
+            for row in np.asarray(seeds, dtype=float)
         ])
     else:
         lattice = detect_period_lattice(sys, x0, fields=fields, flow_tol=flow_tol, **detect_kwargs)

@@ -207,13 +207,22 @@ def _torus_skip_reason(scenario: Scenario) -> str | None:
         return "skipped: noncompact"
     if scenario.lam is None:
         return "skipped: no primitive declared"
-    if scenario.system.r + 1 > 2 and scenario.declared_lattice is None:
-        return "skipped: no declared lattice for rank above two"
+    rank = scenario.system.r + 1
+    if rank > 2 and scenario.declared_lattice is None and not _angle_maps(scenario):
+        # the near-return scan finds two-dimensional lattices only
+        return (
+            f"skipped: a rank-{rank} torus needs one angle map per direction"
+            " or a declared lattice"
+        )
     return None
 
 
 def _angle_maps(scenario: Scenario) -> tuple:
-    """Declared angle maps when there is one per lattice direction, else none."""
+    """Declared angle maps when there is one per lattice direction, else none.
+
+    With them the lattice of a torus of any rank is seeded from the angles'
+    winding rates.
+    """
     if len(scenario.angle_maps) == scenario.system.r + 1:
         return scenario.angle_maps
     return ()

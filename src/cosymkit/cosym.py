@@ -181,9 +181,12 @@ class Frame:
     @property
     def reeb(self) -> np.ndarray:
         if self._Z is None:
-            Z = self.solve(self.eta)
-            tol = self.structure.tol.reeb_check
-            if not (np.abs(Z @ self.Omega).max() <= tol and abs(self.eta @ Z - 1.0) <= tol):
+            if self._A_T is None:
+                Z, ok = self.structure._constant_reeb
+            else:
+                Z = self.solve(self.eta)
+                ok = _reeb_ok(Z, self.Omega, self.eta, self.structure.tol.reeb_check)
+            if not ok:
                 raise _condition_error("Reeb conditions violated", self.x)
             self._Z = Z
         return self._Z
@@ -238,6 +241,11 @@ class Frame:
     def differential(self, f) -> np.ndarray:
         """The gradient covector of ``f`` at the frame's point."""
         return f.gradient(self.x)
+
+
+def _reeb_ok(Z, Omega, eta, tol: float) -> bool:
+    """The Reeb conditions i_Z omega = 0 and eta(Z) = 1 at one point."""
+    return bool(np.abs(Z @ Omega).max() <= tol and abs(eta @ Z - 1.0) <= tol)
 
 
 def _solve_matrix(x, Omega, eta):
@@ -325,12 +333,18 @@ class FrameStack:
     @property
     def reeb(self) -> np.ndarray:
         if self._Z is None:
-            Z = self.solve(self.eta)
-            tol = self.structure.tol.reeb_check
-            ok = (np.abs(_vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
-                np.abs(_dot(self.eta, Z) - 1.0) <= tol
+            if self._A_T is None:
+                Z, ok = self.structure._constant_reeb
+            else:
+                Z = self.solve(self.eta)
+                tol = self.structure.tol.reeb_check
+                ok = (np.abs(_vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
+                    np.abs(_dot(self.eta, Z) - 1.0) <= tol
+                )
+            self._first(
+                np.logical_not(ok),
+                lambda k: _condition_error("Reeb conditions violated", self.X[k]),
             )
-            self._first(~ok, lambda k: _condition_error("Reeb conditions violated", self.X[k]))
             self._Z = np.broadcast_to(Z, self.X.shape)
         return self._Z
 
@@ -543,6 +557,15 @@ class CosymplecticStructure:
                 return Omega, eta, None, det
             return Omega, eta, np.linalg.inv(A_T), det
         return None
+
+    @cached_property
+    def _constant_reeb(self):
+        """(Z, whether Z meets the Reeb conditions) of a nondegenerate
+        constant structure, shared by all its frames.  Z is read-only."""
+        Omega, eta, inv, _ = self._constant_data
+        Z = inv @ eta
+        Z.flags.writeable = False
+        return Z, _reeb_ok(Z, Omega, eta, self.tol.reeb_check)
 
     # -- derived quantities ------------------------------------------------
 

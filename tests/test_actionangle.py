@@ -5,6 +5,7 @@ import pytest
 
 from cosymkit import actionangle
 from cosymkit.actionangle import (
+    ActionAngleError,
     ActionProfile,
     AngleMap,
     AngleUnwrapError,
@@ -429,3 +430,71 @@ def test_angle_alignment_rejects_wrong_angles():
     )
     with pytest.raises(ActionAngleError):
         align_lattice_to_angles(sys, lattice, bad)
+
+
+# --- lattices seeded from the angle maps ---------------------------------------
+
+
+def _fiber_base(sc):
+    sys = sc.system
+    return find_fiber_point(sys, sys.integral_values(sc.base_point()), sc.base_point())
+
+
+@pytest.mark.parametrize(
+    "name", ["ext-oscillator-1d", "ext-oscillator-2d-super", "pc-oscillator-1d"]
+)
+def test_angle_seeded_lattice_matches_scan(name):
+    sc = builtin(name)
+    sys = sc.system
+    x0 = _fiber_base(sc)
+    seeded = torus_lattice(sys, x0, angle_maps=sc.angle_maps)
+    scanned = align_lattice_to_angles(sys, detect_period_lattice(sys, x0), sc.angle_maps)
+    assert np.max(np.abs(seeded.basis - scanned.basis)) <= 1e-9
+    assert np.all(seeded.residuals < 1e-9)
+
+
+def _anisotropic_angles(sc, mode2_plane):
+    phase1, _, t = sc.angle_maps
+    return (phase1, AngleMap.from_spec({"plane": mode2_plane}, sc.chart), t)
+
+
+@pytest.mark.parametrize("mode2_plane", [["q2", "-p2"], ["q2 + 0.5*p2", "-p2/sqrt(2)"]])
+def test_angle_seeds_tolerate_nonuniform_angles(mode2_plane):
+    # these mode-2 angles do not advance at a constant rate, so their mean
+    # rate over the seeding flow is only near sqrt(2); Newton closes the row
+    sc = builtin("ext-oscillator-anisotropic")
+    lattice = torus_lattice(
+        sc.system, _fiber_base(sc), angle_maps=_anisotropic_angles(sc, mode2_plane)
+    )
+    assert np.max(np.abs(lattice.basis - sc.declared_lattice)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["ext-oscillator-anisotropic", "pc-oscillator-1d"])
+def test_angle_seeded_lattice_runs_no_scan(monkeypatch, name):
+    def scan(*args, **kwargs):
+        raise AssertionError("angle-seeded lattice ran the near-return scan")
+
+    monkeypatch.setattr(actionangle, "detect_period_lattice", scan)
+    monkeypatch.setattr(actionangle, "_near_return_candidates", scan)
+    sc = builtin(name)
+    sys = sc.system
+    lattice = torus_lattice(sys, _fiber_base(sc), angle_maps=sc.angle_maps)
+    assert lattice.rank == sys.r + 1
+    table = b_matrix(action_integrals(sys, lattice, sc.lam))
+    if name == "ext-oscillator-anisotropic":
+        assert lattice.basis == pytest.approx(sc.declared_lattice, abs=1e-9)
+        assert np.diag(table.b) == pytest.approx(sc.oracles["b_diagonal"]["value"], abs=1e-9)
+    else:
+        assert table.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
+
+
+@pytest.mark.parametrize("twice", [0, 1])
+def test_angles_that_do_not_separate_fields_raise(twice):
+    sys = oscillator_system()
+    angle = oscillator_angles()[twice]
+    with pytest.raises(ActionAngleError) as info:
+        torus_lattice(sys, np.array([0.0, 1.0, 0.0]), angle_maps=(angle, angle))
+    rates = info.value.rates
+    assert rates.shape == (2, 2)
+    assert np.array_equal(rates[0], rates[1])
+    assert rates[0] == pytest.approx(np.eye(2)[twice], abs=1e-9)

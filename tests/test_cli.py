@@ -214,15 +214,17 @@ def test_frequencies_empirical_verification(capsys):
 
 
 def test_frequencies_mismatch_exit_code(tmp_path, capsys):
-    # oracle sabotage: declare angle maps that wind twice as fast, so the
-    # aligned lattice disagrees with the empirical slopes is not possible --
-    # instead check the exit-code path by tightening the tolerance to zero
+    # check the exit-code path by tightening the tolerance below the slope
+    # fit's error.  The evaluation flow's solved and empirical rates differ
+    # by about 1e-12; the Reeb flow is an exact t translation, where both
+    # can round to the same float and the mismatch be 0.
     data = dict(builtin_dict("ext-oscillator-1d"))
     data = {**data, "tolerances": {"frequency_match": 1e-18}}
     f = tmp_path / "tight.json"
     f.write_text(scenario_json_text(data))
     code, payload, _ = run(
-        capsys, "frequencies", str(f), "--fiber", "0.5", "--verify-empirical"
+        capsys, "frequencies", str(f), "--fiber", "0.5", "--mode", "eval",
+        "--verify-empirical",
     )
     assert code == 3
 
@@ -274,6 +276,31 @@ def test_report_skips_actions_without_primitive(capsys):
     code, payload, _ = run(capsys, "report", FLAT, "--all")
     assert code == 0
     assert "no primitive" in payload["sections"]["actions"]["status"]
+
+
+def test_report_all_seeds_rank_three_torus_from_angles(tmp_path, capsys):
+    # without its declared lattice, ext-oscillator-anisotropic's rank-3
+    # torus is seeded from its three angle maps
+    declared = builtin_dict("ext-oscillator-anisotropic")
+    data = {key: value for key, value in declared.items() if key != "period_lattice"}
+    f = tmp_path / "anisotropic.json"
+    f.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "report", str(f), "--all")
+    assert code == 0
+    assert payload["pass"]
+    actions = payload["sections"]["actions"]
+    frequencies = payload["sections"]["frequencies"]
+    basis = np.array(actions["lattice"]["basis"])
+    assert np.max(np.abs(basis - np.array(declared["period_lattice"]))) <= 1e-9
+    # fiber H1 = 1/2, H2 = 9: actions H1 and H2/sqrt(2), none on the t-circle
+    assert actions["actions"] == pytest.approx([0.5, 9 / math.sqrt(2), 0.0], abs=1e-9)
+    oracles = declared["oracles"]
+    assert np.diag(frequencies["table"]["b"]) == pytest.approx(
+        oracles["b_diagonal"]["value"], abs=1e-9
+    )
+    assert frequencies["modes"]["eval"] == pytest.approx(
+        oracles["evaluation_frequencies"]["value"], abs=1e-9
+    )
 
 
 def test_integrate_hamiltonian_field_keeps_time(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from cosymkit.cosym import (
     CosymplecticStructure,
     DegenerateStructureError,
+    FieldConditionError,
+    FrameStack,
     StructureEvalError,
     ToleranceConfig,
     bracket_expr,
@@ -416,3 +419,25 @@ def test_tolerance_overrides():
     for name in ("nope", "action_independence", "angle_fit"):
         with pytest.raises(ValueError, match="unknown tolerance names"):
             ToleranceConfig.from_dict({name: 1.0})
+
+
+def test_constant_structure_reeb_failure_raises_at_every_point():
+    # a constant structure computes Z and the verdict of its Reeb conditions
+    # once; a failing verdict still fails every point that asks for Z.  No
+    # residual meets a negative tolerance.
+    S = make_canonical(1, box=BOX, tol=ToleranceConfig.from_dict({"reeb_check": -1.0}))
+    assert S._constant_data is not None
+    for x in ([0.1, 0.2, 0.3], [1.0, -0.5, 2.0], [0.1, 0.2, 0.3]):
+        with pytest.raises(FieldConditionError, match=re.escape(f"Reeb conditions violated at {x}")):
+            S.frame(x).reeb
+    X = np.array([[0.4, 0.1, 0.0], [0.2, 0.3, 0.1]])
+    for _ in range(2):
+        with pytest.raises(FieldConditionError, match=re.escape(f"at {X[0].tolist()}")) as info:
+            FrameStack(S, X).reeb
+        assert info.value.row == 0
+    # a passing structure shares its Z = d/dt read-only
+    S = make_canonical(1, box=BOX)
+    Z = S.frame(np.array([0.3, 1.0, -0.2])).reeb
+    assert np.array_equal(Z, [1.0, 0.0, 0.0])
+    assert not Z.flags.writeable
+    assert np.array_equal(FrameStack(S, X).reeb, np.stack([Z, Z]))
