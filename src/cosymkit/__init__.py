@@ -17,7 +17,7 @@ from .cosym import (
     make_poincare_cartan,
     twist,
 )
-from .exprlang import EvalDomainError, Expr, Jet2, ParseError, parse
+from .exprlang import EvalDomainError, Expr, ParseError, parse
 from .fields import (
     ChartSpec,
     NumericScalarField,
@@ -56,7 +56,6 @@ __all__ = [
     "TwoFormField",
     "VectorFieldExpr",
     "Expr",
-    "Jet2",
     "parse",
     "ParseError",
     "EvalDomainError",

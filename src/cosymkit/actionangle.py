@@ -520,7 +520,6 @@ def torus_lattice(
     angle_maps=(),
     declared_vectors=None,
     flow_tol: float = 1e-11,
-    **detect_kwargs,
 ) -> PeriodLattice:
     """Lattice at ``x0``: polish seed vectors, then certify them by the angles.
 
@@ -545,7 +544,7 @@ def torus_lattice(
             for row in np.asarray(seeds, dtype=float)
         ])
     else:
-        lattice = detect_period_lattice(sys, x0, fields=fields, flow_tol=flow_tol, **detect_kwargs)
+        lattice = detect_period_lattice(sys, x0, fields=fields, flow_tol=flow_tol)
     if angle_maps:
         lattice = align_lattice_to_angles(sys, lattice, angle_maps, fields, flow_tol)
     return lattice

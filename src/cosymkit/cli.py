@@ -217,6 +217,19 @@ def _torus_skip_reason(scenario: Scenario) -> str | None:
     return None
 
 
+def _refuse_torus(scenario: Scenario, command: str, out_path: str | None) -> bool:
+    """Emit why ``command`` has no torus to compute, before anything is
+    flowed; True when it did."""
+    reason = _torus_skip_reason(scenario)
+    if reason is None:
+        return False
+    error = f"no torus to compute ({reason.removeprefix('skipped: ')})"
+    if reason == "skipped: no primitive declared":
+        error += "; add a 'lambda' entry with -d(lambda) = omega"
+    _emit({"scenario": scenario.name, "command": command, "error": error}, out_path)
+    return True
+
+
 def _angle_maps(scenario: Scenario) -> tuple:
     """Declared angle maps when there is one per lattice direction, else none.
 
@@ -231,10 +244,9 @@ def _angle_maps(scenario: Scenario) -> tuple:
 def _torus_profile(scenario: Scenario, fiber) -> ActionProfile:
     """The one torus computation per fiber: point, lattice, loop actions.
 
-    Both the actions and the frequencies sections read from it.
+    Both the actions and the frequencies sections read from it; callers have
+    checked ``_torus_skip_reason``.
     """
-    if scenario.lam is None:
-        raise ActionAngleError("no primitive one-form available for actions")
     sys_ = scenario.system
     x0 = find_fiber_point(sys_, fiber, scenario.base_point())
     lattice = torus_lattice(
@@ -368,20 +380,8 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
-def _cmd_actions(args) -> int:
-    scenario = load_scenario_file(args.file)
-    reason = _torus_skip_reason(scenario)
-    if reason == "skipped: no primitive declared":
-        _emit(
-            {
-                "scenario": scenario.name,
-                "command": "actions",
-                "error": "scenario declares no primitive one-form;"
-                " add a 'lambda' entry with -d(lambda) = omega",
-            },
-            args.out,
-        )
-        return CHECK_FAILED
+def _fiber_arg(scenario: Scenario, args) -> np.ndarray:
+    """The ``--fiber`` values, or the integral values at the base point."""
     fiber = np.asarray(
         args.fiber if args.fiber is not None else _default_fiber(scenario), dtype=float
     )
@@ -389,6 +389,14 @@ def _cmd_actions(args) -> int:
         raise argparse.ArgumentTypeError(
             f"--fiber needs {scenario.system.m} values, got {len(fiber)}"
         )
+    return fiber
+
+
+def _cmd_actions(args) -> int:
+    scenario = load_scenario_file(args.file)
+    fiber = _fiber_arg(scenario, args)
+    if _refuse_torus(scenario, "actions", args.out):
+        return CHECK_FAILED
     section = _actions_section(_torus_profile(scenario, fiber))
     report = {
         "scenario": scenario.name,
@@ -401,13 +409,7 @@ def _cmd_actions(args) -> int:
 
 def _cmd_frequencies(args) -> int:
     scenario = load_scenario_file(args.file)
-    fiber = np.asarray(
-        args.fiber if args.fiber is not None else _default_fiber(scenario), dtype=float
-    )
-    if len(fiber) != scenario.system.m:
-        raise argparse.ArgumentTypeError(
-            f"--fiber needs {scenario.system.m} values, got {len(fiber)}"
-        )
+    fiber = _fiber_arg(scenario, args)
     if args.mode == "reeb":
         modes, ham_index = ("reeb",), None
     elif args.mode == "eval":
@@ -418,8 +420,13 @@ def _cmd_frequencies(args) -> int:
             ham_index = int(args.mode[4:])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad mode '{args.mode}'")
+        r = scenario.system.r
+        if not 1 <= ham_index <= r:
+            raise argparse.ArgumentTypeError(f"bad mode '{args.mode}' (K in 1..{r})")
     else:
         raise argparse.ArgumentTypeError(f"bad mode '{args.mode}' (reeb|eval|ham:K)")
+    if _refuse_torus(scenario, "frequencies", args.out):
+        return CHECK_FAILED
     section = _frequency_section(
         scenario,
         _torus_profile(scenario, fiber),

@@ -609,9 +609,16 @@ class CosymplecticStructure:
     def evaluation_vf(self, f) -> StructureVectorField:
         return StructureVectorField(self, "evaluation", f)
 
-    def bracket_scalar(self, f, g, name: str | None = None) -> NumericScalarField:
-        """{f, g} as a point-evaluable scalar field."""
+    def bracket_scalar(
+        self, f, g, name: str | None = None
+    ) -> ScalarField | NumericScalarField:
+        """{f, g} as a point-evaluable scalar field: the expression of
+        ``bracket_expr`` on constant structures, whose gradient is exact,
+        else a numeric field of point brackets."""
         label = name or f"{{{getattr(f, 'name', 'f')},{getattr(g, 'name', 'g')}}}"
+        expr = bracket_expr(self, f, g)
+        if expr is not None:
+            return ScalarField(self.chart, expr, label)
         return NumericScalarField(
             lambda x: self.poisson_bracket(f, g, x), name=label
         )

@@ -1,22 +1,28 @@
-"""Small arithmetic expression language with exact forward-mode derivatives.
+"""Small arithmetic expression language with exact derivatives.
 
 Expressions are parsed against an ordered list of coordinate names and
-evaluated at points.  Evaluation can produce the plain value (``value``), the
-value with gradient (``jet1``, ``gradient``), or a full second-order jet
-(``jet2``: value, gradient, Hessian).  All derivatives come from dual-number
-style propagation rules, so no finite differences are ever used on raw
-expressions.
+evaluated at points.  Derivatives come from two engines, and no finite
+difference is ever used on raw expressions:
 
-``value`` and ``jet1`` run straight-line Python generated from the AST and
-compiled once per expression (per point dimension for ``jet1``); ``jet2`` is
-the recursive tree walk.  The generated code applies the tree walk's rules
-component by component without constant folding, so both give the same
-numbers, signed zeros included, and raise the same first
-``EvalDomainError``; only ``jet2`` computes second derivatives, and only it
-raises when they overflow or are singular.  An overflow of ``exp`` or ``^``
-and ``sin`` or ``cos`` of an infinite value are ``EvalDomainError``s too.
-Integer exponents of at least 2 multiply by repeated squaring, so ``q^2`` is
-``q*q`` in every mode.
+* ``differentiate`` builds the exact symbolic partial derivative as a new
+  expression;
+* ``value`` and ``jet1`` (value with gradient; ``gradient``) run
+  straight-line Python generated from the AST and compiled once per
+  expression (per point dimension for ``jet1``): forward-mode propagation
+  of the value and the gradient.
+
+A Hessian is the gradient of the symbolic first derivatives: build
+``de = [differentiate(e, i) for i in range(d)]`` once (each new expression
+compiles on first use) and take ``np.array([di.jet1(x)[1] for di in de])``,
+or the same with ``jet1_stack`` on a point stack.  Its entries can be
+infinite where a first derivative overflows (``1/q`` at tiny ``q``), so
+callers check them.
+
+Domain failures are ``EvalDomainError``s naming the subexpression, and the
+generated code raises the first one in post-order.  An overflow of ``exp``
+or ``^`` and ``sin`` or ``cos`` of an infinite value are ``EvalDomainError``s
+too.  Integer exponents of at least 2 multiply by repeated squaring, so
+``q^2`` is ``q*q`` in every mode.
 
 ``value_stack`` and ``jet1_stack`` evaluate the rows of a point stack
 ``X`` of shape (N, d) at once: the same generated code in array mode, with
@@ -59,7 +65,6 @@ __all__ = [
     "Div",
     "Pow",
     "Call",
-    "Jet2",
     "ExprError",
     "ParseError",
     "UnknownIdentifierError",
@@ -96,8 +101,8 @@ class UnknownIdentifierError(ParseError):
 
 class EvalDomainError(ExprError):
     """Evaluation left the domain of a subexpression (log, sqrt, division,
-    sin or cos of an infinite value, overflow of exp, ^ or a jet2 second
-    derivative)."""
+    sin or cos of an infinite value, overflow of exp or ^, or a derivative
+    singular at zero)."""
 
     #: index of the failing row when a stacked evaluation raised
     row = None
@@ -107,21 +112,13 @@ class EvalDomainError(ExprError):
         self.subexpr = subexpr
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Second-order jet: value, gradient and symmetric Hessian at a point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
 class Expr:
     """Base class of AST nodes.  Nodes are immutable and safe to share.
 
     ``value``, ``jet1`` and ``gradient`` run straight-line functions generated
     by ``_compile`` on first use and cached on the node, and so do their
-    stacked forms; ``jet2`` is the recursive tree walk.
+    stacked forms.  A higher derivative is the ``jet1`` of a
+    ``differentiate`` result.
     """
 
     _value_fn = None
@@ -170,13 +167,6 @@ class Expr:
         values = np.array([v for v, _ in out], dtype=float)
         return values, np.array([g for _, g in out], dtype=float).reshape(X.shape)
 
-    def jet2(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def eval_jet2(self, x) -> Jet2:
-        v, g, h = self.jet2(np.asarray(x, dtype=float))
-        return Jet2(v, g, h)
-
     def __str__(self) -> str:
         return to_source(self)
 
@@ -185,30 +175,16 @@ class Expr:
 class Const(Expr):
     val: float
 
-    def jet2(self, x):
-        d = len(x)
-        return self.val, np.zeros(d), np.zeros((d, d))
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
     index: int
 
-    def jet2(self, x):
-        d = len(x)
-        g = np.zeros(d)
-        g[self.index] = 1.0
-        return float(x[self.index]), g, np.zeros((d, d))
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-    def jet2(self, x):
-        v, g, h = self.arg.jet2(x)
-        return -v, -g, -h
 
 
 @dataclass(frozen=True)
@@ -216,21 +192,11 @@ class Add(Expr):
     lhs: Expr
     rhs: Expr
 
-    def jet2(self, x):
-        va, ga, ha = self.lhs.jet2(x)
-        vb, gb, hb = self.rhs.jet2(x)
-        return va + vb, ga + gb, ha + hb
-
 
 @dataclass(frozen=True)
 class Sub(Expr):
     lhs: Expr
     rhs: Expr
-
-    def jet2(self, x):
-        va, ga, ha = self.lhs.jet2(x)
-        vb, gb, hb = self.rhs.jet2(x)
-        return va - vb, ga - gb, ha - hb
 
 
 @dataclass(frozen=True)
@@ -238,28 +204,11 @@ class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
-    def jet2(self, x):
-        va, ga, ha = self.lhs.jet2(x)
-        vb, gb, hb = self.rhs.jet2(x)
-        cross = np.outer(ga, gb)
-        return va * vb, va * gb + vb * ga, va * hb + vb * ha + cross + cross.T
-
 
 @dataclass(frozen=True)
 class Div(Expr):
     lhs: Expr
     rhs: Expr
-
-    def jet2(self, x):
-        va, ga, ha = self.lhs.jet2(x)
-        vb, gb, hb = self.rhs.jet2(x)
-        if vb == 0.0:
-            raise EvalDomainError("division by zero", self)
-        v = va / vb
-        g = (ga - v * gb) / vb
-        cross = np.outer(g, gb)
-        h = (ha - v * hb - cross - cross.T) / vb
-        return v, g, h
 
 
 @dataclass(frozen=True)
@@ -295,22 +244,6 @@ class Pow(Expr):
             return v, c * math.pow(u, c - 1.0)
         except OverflowError:
             raise EvalDomainError("overflow", self) from None
-
-    def jet2(self, x):
-        u, gu, hu = self.base.jet2(x)
-        v, d1 = self._derivs(u)
-        # the second derivative, which only the jet needs
-        c = self.exponent
-        if c == 0.0 or c == 1.0:
-            d2 = 0.0
-        elif u == 0.0 and c < 2.0:
-            raise EvalDomainError("derivative singular at zero base", self)
-        else:
-            try:
-                d2 = c * (c - 1.0) * math.pow(u, c - 2.0)
-            except OverflowError:
-                raise EvalDomainError("overflow", self) from None
-        return v, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
 
 
 def _int_exponent(c: float) -> int:
@@ -364,22 +297,6 @@ class Call(Expr):
             return s, 0.5 / s
         raise ExprError(f"unknown function '{fn}'")
 
-    def jet2(self, x):
-        u, gu, hu = self.arg.jet2(x)
-        v, d1 = self._derivs(u)
-        # the second derivative, which only the jet needs; 1/u^2 and
-        # 1/(sqrt(u)*u) overflow where u*u or sqrt(u)*u underflows to zero
-        try:
-            if self.fn == "log":
-                d2 = -1.0 / (u * u)
-            elif self.fn == "sqrt":
-                d2 = -0.25 / (v * u)
-            else:
-                d2 = v if self.fn == "exp" else -v
-        except ZeroDivisionError:
-            raise EvalDomainError("overflow", self) from None
-        return v, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
-
 
 # --- compilation -----------------------------------------------------------
 #
@@ -387,11 +304,11 @@ class Call(Expr):
 # generated from the AST on first use: the source-transformation form of
 # forward-mode differentiation (Griewank & Walther, Evaluating Derivatives,
 # 2nd ed., SIAM 2008, ch. 3 and 6).  Every gradient component is one local
-# float.  The code applies jet2's value and gradient rules component by
-# component, in the same order and without constant folding, so the value,
-# the gradient (signed zeros and inf included; a NaN's sign bit may differ,
-# as numpy's vector loops order two NaN operands their own way) and the first
-# domain error raised are the tree walk's.
+# float.  Each node applies its rule component by component, without
+# constant folding: d(a*b) = a*db + b*da, d(a/b) = (da - (a/b)*db)/b, and a
+# Call or non-integer Pow scales the argument's gradient by the first
+# derivative of its node's _derivs.  Second derivatives are not propagated;
+# they are the jet1 of differentiate's expressions, the second engine.
 #
 # The array mode emits the same code on columns (Harris et al., Array
 # programming with NumPy, Nature 585, 2020).  + - * / and the products of

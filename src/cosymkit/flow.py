@@ -282,18 +282,13 @@ def integrate(
     )
 
 
-def drift_report(traj: Trajectory, integrals=None) -> dict:
-    """Max |f_i(x(tau)) - f_i(x(0))| per declared integral over the trajectory."""
-    if integrals is not None:
-        values = np.array([[f.value(x) for f in integrals] for x in traj.states])
-        names = tuple(getattr(f, "name", f"f{i}") for i, f in enumerate(integrals))
-    else:
-        values = traj.integral_values
-        names = traj.integral_names
+def drift_report(traj: Trajectory) -> dict:
+    """Max |f_i(x(tau)) - f_i(x(0))| per integral recorded on the trajectory."""
+    values = traj.integral_values
     if values.shape[1] == 0:
         return {}
     drifts = np.max(np.abs(values - values[0]), axis=0)
-    return {name: float(d) for name, d in zip(names, drifts)}
+    return {name: float(d) for name, d in zip(traj.integral_names, drifts)}
 
 
 @dataclass(frozen=True)

@@ -130,13 +130,12 @@ class CheckReport:
         return out
 
 
-def svd_rank(matrix: np.ndarray, rel_tol: float, abs_floor: float = 0.0) -> int:
-    """Rank by singular values above ``max(abs_floor, rel_tol * s_max)``."""
+def svd_rank(matrix: np.ndarray, rel_tol: float) -> int:
+    """Rank by singular values above ``rel_tol * s_max``."""
     if matrix.size == 0:
         return 0
     s = np.linalg.svd(matrix, compute_uv=False)
-    thr = max(abs_floor, rel_tol * float(s[0]))
-    return int(np.sum(s > thr))
+    return int(np.sum(s > rel_tol * float(s[0])))
 
 
 def _stack(sys: IntegralSystem, points) -> np.ndarray:
@@ -461,7 +460,8 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
 
     Refuses when either member of a pair fails the first-integral condition
     at the sampled points (the statement has nothing to say then).  The
-    derivatives of the bracket function come from finite differences.
+    derivatives of the bracket function are exact on constant structures
+    (``bracket_expr``) and come from finite differences otherwise.
     """
     tolcfg = sys.structure.tol
     S = sys.structure

@@ -177,10 +177,39 @@ def test_actions_missing_lambda_hint(capsys):
     assert "lambda" in payload["error"]
 
 
-def test_actions_noncompact_surfaces_no_return(capsys):
+def _forbid_torus(monkeypatch):
+    import cosymkit.cli as cli
+
+    def torus_lattice(*args, **kwargs):
+        raise AssertionError("a noncompact fiber was flowed")
+
+    monkeypatch.setattr(cli, "torus_lattice", torus_lattice)
+
+
+def test_actions_noncompact_surfaces_no_return(monkeypatch, capsys):
+    # refused before any flow, by the check that makes report --all skip it
+    _forbid_torus(monkeypatch)
     code, payload, _ = run(capsys, "actions", LINE, "--fiber", "0.5")
     assert code == 2
-    assert "horizon" in payload["error"]
+    assert payload["error"] == "no torus to compute (noncompact)"
+
+
+def test_frequencies_noncompact_refused_before_flowing(monkeypatch, capsys):
+    _forbid_torus(monkeypatch)
+    code, payload, _ = run(capsys, "frequencies", LINE, "--fiber", "0.5")
+    assert code == 2
+    assert payload["error"] == "no torus to compute (noncompact)"
+
+
+@pytest.mark.parametrize("mode", ["ham:0", "ham:2", "ham:-1"])
+def test_frequencies_hamiltonian_index_out_of_range_is_usage_error(
+    mode, monkeypatch, capsys
+):
+    # ext-oscillator-1d has r = 1 commuting integral, so K must be 1
+    _forbid_torus(monkeypatch)
+    code, payload, _ = run(capsys, "frequencies", OSC, "--fiber", "0.5", "--mode", mode)
+    assert code == 64
+    assert payload["error"] == f"bad mode '{mode}' (K in 1..1)"
 
 
 def test_frequencies_reeb_mode(capsys):

@@ -56,28 +56,39 @@ def test_empty_source_rejected():
         parse("   ", NAMES)
 
 
+def _hessian(e, x) -> np.ndarray:
+    """Hessian at ``x``: the gradients of the symbolic first derivatives."""
+    return np.array([differentiate(e, i).jet1(x)[1] for i in range(len(x))])
+
+
+def _jet2(e, x):
+    """Second-order jet (value, gradient, Hessian) at ``x``."""
+    value, gradient = e.jet1(x)
+    return value, gradient, _hessian(e, x)
+
+
 def test_jet2_bilinear():
     e = parse("q*p", NAMES)
-    jet = e.eval_jet2(np.array([0.0, 2.0, 3.0]))
-    assert jet.value == 6.0
-    assert np.array_equal(jet.gradient, [0.0, 3.0, 2.0])
-    assert jet.hessian[1, 2] == 1.0 and jet.hessian[2, 1] == 1.0
-    assert jet.hessian[1, 1] == 0.0
+    value, gradient, hessian = _jet2(e, np.array([0.0, 2.0, 3.0]))
+    assert value == 6.0
+    assert np.array_equal(gradient, [0.0, 3.0, 2.0])
+    assert hessian[1, 2] == 1.0 and hessian[2, 1] == 1.0
+    assert hessian[1, 1] == 0.0
 
 
 def test_jet2_square():
     e = parse("q^2", NAMES)
-    jet = e.eval_jet2(np.array([0.0, 3.0, 0.0]))
-    assert jet.value == 9.0
-    assert jet.hessian[1, 1] == 2.0
+    value, _, hessian = _jet2(e, np.array([0.0, 3.0, 0.0]))
+    assert value == 9.0
+    assert hessian[1, 1] == 2.0
 
 
 def test_jet2_exp():
     e = parse("exp(q)", NAMES)
-    jet = e.eval_jet2(np.array([0.0, 0.0, 0.0]))
-    assert jet.value == 1.0
-    assert jet.gradient[1] == 1.0
-    assert jet.hessian[1, 1] == 1.0
+    value, gradient, hessian = _jet2(e, np.array([0.0, 0.0, 0.0]))
+    assert value == 1.0
+    assert gradient[1] == 1.0
+    assert hessian[1, 1] == 1.0
 
 
 def test_precedence_and_associativity():
@@ -165,15 +176,15 @@ def test_jets_match_finite_differences():
     for _ in range(25):
         e = _random_polynomial(rng, names)
         x = rng.uniform(-1.5, 1.5, size=d)
-        jet = e.eval_jet2(x)
-        assert np.array_equal(jet.hessian, jet.hessian.T)
-        scale = max(1.0, abs(jet.value))
+        value, gradient, hessian = _jet2(e, x)
+        assert np.array_equal(hessian, hessian.T)
+        scale = max(1.0, abs(value))
         for i in range(d):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
             fd = (e.value(xp) - e.value(xm)) / (2 * h)
-            assert abs(fd - jet.gradient[i]) <= 1e-6 * max(scale, abs(fd))
+            assert abs(fd - gradient[i]) <= 1e-6 * max(scale, abs(fd))
         for i in range(d):
             for j in range(d):
                 xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
@@ -193,7 +204,7 @@ def test_jets_match_finite_differences():
                     fd = (
                         e.value(xpp) - e.value(xpm) - e.value(xmp) + e.value(xmm)
                     ) / (4 * h * h)
-                assert abs(fd - jet.hessian[i, j]) <= 1e-4 * max(scale, abs(fd))
+                assert abs(fd - hessian[i, j]) <= 1e-4 * max(scale, abs(fd))
 
 
 def _random_ast(rng, names, depth):
@@ -275,11 +286,11 @@ def test_evaluation_deterministic():
     e = parse("sin(q)*exp(p) + q^3/7", NAMES)
     x = np.array([0.3, 1.1, -0.4])
     assert e.value(x) == e.value(x.copy())
-    j1 = e.eval_jet2(x)
-    j2 = e.eval_jet2(x)
-    assert j1.value == j2.value
-    assert np.array_equal(j1.gradient, j2.gradient)
-    assert np.array_equal(j1.hessian, j2.hessian)
+    v1, g1, h1 = _jet2(e, x)
+    v2, g2, h2 = _jet2(e, x.copy())
+    assert v1 == v2
+    assert np.array_equal(g1, g2)
+    assert np.array_equal(h1, h2)
 
 
 def test_pretty_print_of_pi():
@@ -345,10 +356,14 @@ def _squaring_pow(u, n):
 
 
 def _tree_jet1(e, x):
-    """Post-order tree walk of the value and gradient with jet2's rules but
-    no second derivatives, the reference for ``jet1``."""
-    if isinstance(e, (Const, Var)):
-        return e.jet2(x)[:2]
+    """Post-order tree walk of the value and gradient, the reference for
+    ``jet1``."""
+    if isinstance(e, Const):
+        return e.val, np.zeros(len(x))
+    if isinstance(e, Var):
+        g = np.zeros(len(x))
+        g[e.index] = 1.0
+        return float(x[e.index]), g
     if isinstance(e, Neg):
         v, g = _tree_jet1(e.arg, x)
         return -v, -g
@@ -387,13 +402,9 @@ def _assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a) & ~nan, np.signbit(b) & ~nan)
 
 
-_SECOND_ORDER_ERRORS = ("overflow in '", "derivative singular at zero base in '")
-
-
 def _check_against_tree_walk(e, x) -> bool:
-    """Compiled value, jet1 and gradient match the tree walks at ``x``, and
-    jet2 agrees with them; True when the jet raised."""
-    jet = _outcome(lambda: e.eval_jet2(x))
+    """Compiled value, jet1 and gradient match the tree walks at ``x``; True
+    when the gradient raised."""
     ref1 = _outcome(lambda: _tree_jet1(e, x))
     compiled = _outcome(lambda: e.jet1(x))
     if ref1[0] == "ok":
@@ -401,30 +412,19 @@ def _check_against_tree_walk(e, x) -> bool:
         _assert_same_bits(compiled[1][0], ref1[1][0])
         _assert_same_bits(compiled[1][1], ref1[1][1])
         _assert_same_bits(e.gradient(x), ref1[1][1])
-        if jet[0] == "ok":
-            _assert_same_bits(jet[1].value, ref1[1][0])
-            _assert_same_bits(jet[1].gradient, ref1[1][1])
-        else:
-            # only a second derivative the gradient does not need overflowed
-            # or is singular
-            assert jet[1] is EvalDomainError and jet[2].startswith(_SECOND_ORDER_ERRORS)
     else:
         assert compiled == ref1
         assert _outcome(lambda: e.gradient(x)) == ref1
-        # the jet raises the same error, or first fails a second derivative
-        assert jet == ref1 or (
-            jet[1] is EvalDomainError and jet[2].startswith(_SECOND_ORDER_ERRORS)
-        )
     ref = _outcome(lambda: _tree_value(e, x))
     value = _outcome(lambda: e.value(x))
     if ref[0] == "ok":
         assert value[0] == "ok", value
         _assert_same_bits(value[1], ref[1])
-        if jet[0] == "ok":
-            _assert_same_bits(value[1], jet[1].value)
+        if ref1[0] == "ok":
+            _assert_same_bits(value[1], ref1[1][0])
     else:
         assert value == ref
-    return jet[0] != "ok"
+    return ref1[0] != "ok"
 
 
 def _test_points(rng, n, d):
@@ -502,7 +502,7 @@ def test_compiled_matches_tree_walk_on_random_asts():
             e = Mul(Pow(e, float(rng.choice(exponents))), Pow(Var("q", 1), 2.0))
         pts = _test_points(rng, 6, len(names))
         for x in pts:
-            with np.errstate(all="ignore"):  # jet2's inf and NaN are expected
+            with np.errstate(all="ignore"):  # the reference's inf and NaN
                 raised += _check_against_tree_walk(e, x)
             total += 1
         _check_stack_against_scalar(e, pts)
@@ -526,6 +526,13 @@ def test_compiled_matches_tree_walk_on_builtin_expressions():
         for e in exprs:
             for x in pts:
                 assert not _check_against_tree_walk(e, x)
+            # the Hessians are defined and finite too, on the stack as at
+            # each point
+            de = [differentiate(e, i) for i in range(pts.shape[1])]
+            H = np.stack([di.jet1_stack(pts)[1] for di in de], axis=1)
+            assert np.isfinite(H).all()
+            per_point = [[di.jet1(x)[1] for di in de] for x in pts]
+            assert _ulps(H, per_point).max() <= 4.0
 
 
 def test_compiled_domain_errors_match_tree_walk():
@@ -551,13 +558,14 @@ def test_compiled_domain_errors_match_tree_walk():
         assert str(err.value) == message
     for src in ("sqrt(q)", "q^0.5", "p^1.5 + 1"):
         assert parse(src, names).value(x) in (0.0, 1.0)
-    # the first derivative of p^1.5 is 0 at p = 0; only the second is singular
+    # the first derivative of p^1.5 is 0 at p = 0; only the second is
+    # singular, and its route raises at the symbolic derivative's p^0.5
     e = parse("p^1.5 + 1", names)
-    assert _check_against_tree_walk(e, x)
+    assert not _check_against_tree_walk(e, x)
     assert e.gradient(x).tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(EvalDomainError) as err:
-        e.eval_jet2(x)
-    assert str(err.value) == "derivative singular at zero base in 'p^1.5'"
+        _hessian(e, x)
+    assert str(err.value) == "derivative singular at zero base in 'p^0.5'"
 
 
 def test_compiled_gradient_keyed_by_point_dimension():
@@ -567,9 +575,8 @@ def test_compiled_gradient_keyed_by_point_dimension():
     for x in (x3, x5, x3):
         v, g = e.jet1(x)
         assert g.shape == (len(x),)
-        jet = e.eval_jet2(x)
-        _assert_same_bits(v, jet.value)
-        _assert_same_bits(g, jet.gradient)
+        _assert_same_bits(v, _tree_jet1(e, x)[0])
+        _assert_same_bits(g, _tree_jet1(e, x)[1])
         assert e.value(x) == v
 
 
@@ -583,7 +590,7 @@ def test_overflow_is_domain_error():
         e = parse(src, names)
         x = np.array(x)
         message = f"overflow in '{to_source(parse(sub, names))}'"
-        for call in (e.value, e.gradient, e.eval_jet2):
+        for call in (e.value, e.gradient):
             with pytest.raises(EvalDomainError) as err:
                 call(x)
             assert str(err.value) == message
@@ -591,21 +598,28 @@ def test_overflow_is_domain_error():
 
 def test_tiny_log_and_sqrt_arguments_have_finite_gradients():
     # the second derivatives -1/u^2, -1/(4 u^(3/2)) and -u^(-3/2)/4 overflow
-    # here; only jet2 needs them, so value and gradient are finite and jet2
-    # raises a typed overflow naming the node
+    # here; value and gradient do not need them and stay finite.  The Hessian
+    # route evaluates the symbolic first derivatives' gradients: 1/q and
+    # 1/(2 sqrt(q)) divide to -inf, and q^-0.5 raises a typed overflow naming
+    # its node, so a caller must check the Hessian for finite entries
     names = ("t", "q", "p")
-    for src, sub, q, slope in (
-        ("log(q) + p", "log(q)", 1e-200, 1e200),
-        ("2*sqrt(q)", "sqrt(q)", 1e-300, 2 * 0.5 / math.sqrt(1e-300)),
-        ("q^0.5", "q^0.5", 1e-300, 0.5 * 1e-300**-0.5),
+    for src, q, slope, hessian in (
+        ("log(q) + p", 1e-200, 1e200, -math.inf),
+        ("2*sqrt(q)", 1e-300, 2 * 0.5 / math.sqrt(1e-300), -math.inf),
+        ("q^0.5", 1e-300, 0.5 * 1e-300**-0.5, "overflow in 'q^-0.5'"),
     ):
         e = parse(src, names)
         x = np.array([0.0, q, 0.0])
         assert math.isfinite(e.value(x))
         assert e.gradient(x).tolist() == [0.0, slope, 1.0 if "p" in src else 0.0]
-        with pytest.raises(EvalDomainError) as err:
-            e.eval_jet2(x)
-        assert str(err.value) == f"overflow in '{sub}'"
+        if isinstance(hessian, str):
+            with pytest.raises(EvalDomainError) as err:
+                _hessian(e, x)
+            assert str(err.value) == hessian
+        else:
+            expected = np.zeros((3, 3))
+            expected[1, 1] = hessian
+            assert np.array_equal(_hessian(e, x), expected)
 
 
 @pytest.mark.parametrize("fn", ["sin", "cos"])
@@ -614,7 +628,7 @@ def test_trig_of_infinity_is_domain_error(fn, q):
     e = parse(f"1 + {fn}(2*q)", ("t", "q", "p"))
     x = np.array([0.0, q, 0.0])
     message = f"{fn} of infinite value in '{fn}(2.0*q)'"
-    for call in (e.value, e.gradient, e.eval_jet2):
+    for call in (e.value, e.gradient):
         with pytest.raises(EvalDomainError) as err, np.errstate(invalid="ignore"):
             call(x)
         assert str(err.value) == message

@@ -16,6 +16,7 @@ from cosymkit.integrability import (
     check_symmetry_algebra,
     sample_fiber,
 )
+from cosymkit.scenarios import builtin
 
 CHART1 = ChartSpec(("t", "q", "p"), (True, False, False))
 BOX1 = [[0.0, 2 * math.pi], [-2.0, 2.0], [-2.0, 2.0]]
@@ -244,6 +245,22 @@ def test_bracket_of_integrals_is_integral():
     report = check_bracket_of_integrals(sys, [(1, 2)], pts(sys, 25, seed=23))
     assert report.passed
     assert report.max_residual < 1e-5
+
+
+def test_bracket_of_integrals_exact_on_constant_structure(monkeypatch):
+    # the bracket of two integrals is an expression on a constant structure,
+    # so the check differences nothing and its residual is at rounding level
+    import cosymkit.fields as fields
+
+    def stencil(*args, **kwargs):
+        raise AssertionError("the bracket check ran a finite-difference stencil")
+
+    monkeypatch.setattr(fields, "scalar_fd_gradient", stencil)
+    sys = builtin("ext-oscillator-2d-super").system
+    # the pairs and point count of `cosym verify --points 1500`
+    report = check_bracket_of_integrals(sys, [(0, 1), (0, 2), (1, 2)], pts(sys, 187))
+    assert report.passed
+    assert report.max_residual <= 1e-13
 
 
 def test_bracket_of_commuting_pair_trivial():
