@@ -21,13 +21,19 @@ canonical-coordinate example.
 ``Frame`` holds that solve at one point; ``FrameStack`` holds it at every
 row of a point stack (N, d) and gives each row Frame's bits and Frame's
 errors.  ``CosymplecticStructure.frame`` picks one by the shape of its input.
+When omega and eta have constant coefficients the solve is done once per
+structure: ``X_f = C df`` with one matrix C, and the defining conditions
+become identities of C checked once, with limits on ``||df||`` that cover
+the rounding at each point (docs/CONVENTIONS.md, "Constant structures").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
+from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,6 +131,11 @@ def _condition_error(what: str, x, detail: str = "") -> FieldConditionError:
     return FieldConditionError(f"{what} at {np.asarray(x).tolist()}{detail}")
 
 
+#: The defining conditions of X_f and Y_f, in the order they are checked.
+_X_CONDITIONS = ("eta(X_f) != 0", "i_X omega != df - Z(f) eta")
+_Y_CONDITION = "eta(Y_f) != 1"
+
+
 def _not_finite(x, what: str) -> StructureEvalError:
     return StructureEvalError(x, ValueError(f"{what} is not finite"))
 
@@ -136,25 +147,23 @@ def _at_row(err: Exception, row: int) -> Exception:
 
 
 class Frame:
-    """Per-point solve context: Omega, eta and A^T, or the inverse of A^T
-    shared by every point of a constant structure.
+    """Per-point solve context: Omega, eta and A^T at one point.
 
     Reused by every derived quantity at the same point so the structure
-    matrices are evaluated once.
+    matrices are evaluated once.  On a constant structure every frame reads
+    what its structure derived once (``_constant_data``): ``X_f = C df`` with
+    no solve, and the defining conditions of ``X_f`` and ``Y_f`` are limits
+    on ``||df||_inf`` (``_field_limits``) in place of residuals at the point.
     """
 
-    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "_inv", "det", "_Z")
+    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const")
 
     def __init__(self, structure: "CosymplecticStructure", x: Point):
         self.structure = structure
         self.x = np.asarray(x, dtype=float)
-        const = structure._constant_data
+        self._const = const = structure._constant_data
         if const is not None:
-            # constant structures keep one inverse of A^T: a 3x3 matvec costs
-            # about 1 us, against a np.linalg.solve at every point; bracket_expr
-            # also assembles its symbolic bracket from the same inverse
-            self.Omega, self.eta, self._inv, self.det = const
-            self._A_T = None
+            self.Omega, self.eta, self._A_T, self.det = const[:4]
         else:
             try:
                 self.Omega = structure.omega.at(self.x)
@@ -162,7 +171,6 @@ class Frame:
             except exprlang.ExprError as err:
                 raise StructureEvalError(self.x, err) from err
             self._A_T, self.det = _solve_matrix(self.x, self.Omega, self.eta)
-            self._inv = None
         if abs(self.det) < structure.tol.volume_min_det:
             raise DegenerateStructureError(self.x, self.det)
         self._Z = None
@@ -174,15 +182,13 @@ class Frame:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A^T u = rhs."""
-        if self._inv is not None:
-            return self._inv @ rhs
         return np.linalg.solve(self._A_T, rhs)
 
     @property
     def reeb(self) -> np.ndarray:
         if self._Z is None:
-            if self._A_T is None:
-                Z, ok = self.structure._constant_reeb
+            if self._const is not None:
+                Z, ok = self._const.Z, self._const.reeb_ok
             else:
                 Z = self.solve(self.eta)
                 ok = _reeb_ok(Z, self.Omega, self.eta, self.structure.tol.reeb_check)
@@ -198,19 +204,31 @@ class Frame:
         if not math.isfinite(zf):
             # Z is finite, so an inf or NaN in df shows here
             raise _not_finite(self.x, f"df(Z) = {zf}")
+        const = self._const
+        if const is not None:
+            size = max(map(abs, df.tolist()))
+            if not size < const.limits[0]:
+                raise _condition_error(_X_CONDITIONS[0], self.x)
+            if not size < const.limits[1]:
+                raise _condition_error(_X_CONDITIONS[1], self.x)
+            return const.C @ df
         rhs = df - zf * self.eta
         X = self.solve(rhs)
         tol = self.structure.tol
         if not (abs(self.eta @ X) <= tol.reeb_check):
-            raise _condition_error("eta(X_f) != 0", self.x)
+            raise _condition_error(_X_CONDITIONS[0], self.x)
         if not (np.abs(X @ self.Omega - rhs).max() <= tol.field_check):
-            raise _condition_error("i_X omega != df - Z(f) eta", self.x)
+            raise _condition_error(_X_CONDITIONS[1], self.x)
         return X
 
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
-        if not (abs(self.eta @ Y - 1.0) <= self.structure.tol.reeb_check):
-            raise _condition_error("eta(Y_f) != 1", self.x)
+        if self._const is not None:
+            ok = max(map(abs, df.tolist())) < self._const.limits[2]
+        else:
+            ok = abs(self.eta @ Y - 1.0) <= self.structure.tol.reeb_check
+        if not ok:
+            raise _condition_error(_Y_CONDITION, self.x)
         return Y
 
     def gradient(self, df: np.ndarray) -> np.ndarray:
@@ -263,6 +281,123 @@ def _solve_matrix(x, Omega, eta):
 _A_NAME = "A = Omega + eta eta^T"
 
 
+class _Constant(NamedTuple):
+    """What every frame of a constant structure shares."""
+
+    Omega: np.ndarray
+    eta: np.ndarray
+    A_T: np.ndarray
+    det: float
+    Z: np.ndarray
+    reeb_ok: bool
+    C: np.ndarray
+    limits: tuple  # on ||df||_inf: eta(X_f), i_X omega, eta(Y_f)
+
+
+_U = 2.0**-53  # unit roundoff of a double
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1 - n * _U)
+
+
+def _field_limits(Omega, eta, M, Z, C, tol: ToleranceConfig) -> tuple:
+    """Limits on ``s = ||df||_inf`` under which X_f and Y_f of a constant
+    structure meet their defining conditions, one per condition in the order
+    they are checked: ``eta(X_f) = 0`` (``tol.reeb_check``),
+    ``i_X omega = df - Z(f) eta`` (``tol.field_check``) and
+    ``eta(Y_f) = 1`` (``tol.reeb_check``).
+
+    With the exact matrix ``C* = M - (M eta) Z^T`` (``M`` the inverse of
+    ``A^T``; ``C`` is ``C*`` rounded) the conditions are the identities
+    ``eta^T C* = 0`` and ``Omega^T C* = I - eta Z^T``, and ``eta.Z = 1``.
+    Their residuals, and ``C - C*``, are computed exactly, in rational
+    arithmetic on the stored doubles.
+
+    For each condition ``B_c(s) = e_c + K_c s`` bounds the residual that the
+    per-point check computes in floating point -- the one varying structures
+    run -- at every finite df with ``||df||_inf <= s``, whichever X it checks:
+    the solve's ``fl(M fl(df - fl(df.Z) eta))`` or ``fl(C df)``.  A point
+    passes when ``s < (tol_c - e_c) / K_c``, so it passes only where the
+    per-point check would; a tolerance at or below ``e_c`` fails every point.
+
+    Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3): each operation rounds with unit roundoff ``u``; a dot product of
+    length n errs by at most ``gamma_n |x|.|y|``, ``gamma_n = n u/(1 - n u)``,
+    in any summation order.  ``|.|`` is entrywise, ``1`` the ones vector,
+    ``a = ||Z||_1``, ``E = |eta|``, ``g = gamma_d``.
+
+    * ``zf = fl(df.Z) = df.Z + dz`` with ``|dz| <= g a s``.
+    * ``r = fl(df - fl(zf eta)) = df - zf eta + dr`` with
+      ``|dr| <= s dr_ = s gamma_2 (1 + (1 + g) a E)``; ``|r| <= s rho``,
+      ``rho = (1 + gamma_2)(1 + (1 + g) a E)``.
+    * Either X is ``C* df + xi`` with ``|xi| <= s xi_``.  The solve gives
+      ``xi = -dz M eta + M dr + fl-error(M r)``:
+      ``g a |M| E + |M| dr_ + g |M| rho``.  ``fl(C df)`` gives
+      ``xi = (C - C*) df + fl-error(C df)``: ``|C - C*| 1 + g |C| 1``.
+      ``xi_`` is their entrywise maximum, and ``|X| <= s x_``,
+      ``x_ = |C*| 1 + xi_``.
+    * ``eta(X_f)``: ``eta.X = eta^T C* df + eta.xi``, and ``fl`` adds
+      ``g E.|X|``: ``K_1 = ||eta^T C*||_1 + E.xi_ + g E.x_``.
+    * ``i_X omega``: ``Omega^T X - r = R df + dz eta + Omega^T xi - dr`` with
+      ``R = Omega^T C* - (I - eta Z^T)``; the product adds
+      ``g |Omega|^T |X|`` and the difference a factor ``1 + u``:
+      ``K_2 = (1 + u) max(|R| 1 + g a E + |Omega|^T xi_ + dr_ + g |Omega|^T x_)``.
+    * ``eta(Y_f)``: ``fl(fl(eta.fl(Z + X)) - 1)``; with ``h = u + g (1 + u)``,
+      ``e_3 = (1 + u)(|eta.Z - 1| + h E.|Z|)`` and
+      ``K_3 = (1 + u)(||eta^T C*||_1 + E.xi_ + h E.x_)``.
+
+    Gradual underflow adds at most ``2^-1074`` to a product, which the
+    matrices above amplify by less than ``(1 + ||eta||_1)^2 (1 + ||M||_inf)
+    (1 + ||Omega||_1)``; every ``e_c`` carries ``4 d 2^-1074`` times that.
+    ``K_c`` and ``e_c`` are sums of nonnegative terms evaluated in fewer than
+    2^12 roundings, so a factor ``1 + 2^-40`` covers them, and each limit is
+    rounded down.  Below a limit no intermediate of the check can overflow:
+    limits are capped at ``2^1000`` over the largest coefficient of ``s`` in
+    an intermediate's size, and a limit below the smallest normal number is
+    0.
+    """
+    d = len(eta)
+    exact = np.vectorize(Fraction, otypes=[object])
+    W_, e_, M_, Z_ = (exact(v) for v in (Omega, eta, M, Z))
+    C_ex = M_ - np.outer(M_ @ e_, Z_)
+    I_ = np.eye(d, dtype=int).astype(object)
+    r1 = float(np.abs(e_ @ C_ex).sum())
+    R = np.abs(W_.T @ C_ex - (I_ - np.outer(e_, Z_))).astype(float).sum(axis=1)
+    dC = np.abs(exact(C) - C_ex).astype(float).sum(axis=1)
+    absC_ex = np.abs(C_ex).astype(float).sum(axis=1)
+    ez = float(abs(e_ @ Z_ - 1))
+
+    u, g, g2 = _U, _gamma(d), _gamma(2)
+    E, AM, AW = np.abs(eta), np.abs(M), np.abs(Omega)
+    a = float(np.abs(Z).sum())
+    dr = g2 * (1 + (1 + g) * a * E)
+    rho = (1 + g2) * (1 + (1 + g) * a * E)
+    rowsC = np.abs(C).sum(axis=1)
+    xi = np.maximum(g * a * (AM @ E) + AM @ dr + g * (AM @ rho), dC + g * rowsC)
+    xb = absC_ex + xi
+    h = u + g * (1 + u)
+    K = (
+        r1 + float(E @ xi + g * (E @ xb)),
+        (1 + u) * float(np.max(R + g * a * E + AW.T @ xi + dr + g * (AW.T @ xb))),
+        (1 + u) * (r1 + float(E @ xi + h * (E @ xb))),
+    )
+    norm_e = float(E.sum())
+    underflow = 4 * d * 2.0**-1074 * (1 + norm_e) ** 2 * (
+        1 + float(AM.sum(axis=1).max())
+    ) * (1 + float(AW.sum(axis=0).max()))
+    e = (underflow, underflow, (1 + u) * (ez + h * float(E @ np.abs(Z))) + underflow)
+    sizes = (a, rho, AM @ rho, rowsC, xb, AW.T @ xb + rho, E @ xb)
+    cap = 2.0**1000 / max(1.0, *(float(np.max(v)) for v in sizes))
+    limits = []
+    for e_c, K_c, t in zip(e, K, (tol.reeb_check, tol.field_check, tol.reeb_check)):
+        e_c, K_c = e_c * (1 + 2.0**-40), K_c * (1 + 2.0**-40)
+        limit = (t - e_c) / K_c * (1 - 2.0**-50) if t > e_c else 0.0
+        limits.append(min(limit, cap) if limit >= _TINY else 0.0)
+    return tuple(limits)
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` row by row over leading axes, with the bits of one-point
     products (numpy's matmul runs the same kernel on every stacked pair)."""
@@ -279,24 +414,21 @@ class FrameStack:
 
     Each quantity is computed with Frame's operations over a leading point
     axis: one ``np.linalg.solve`` over the stacked ``A^T`` (or products with
-    the shared inverse of a constant structure) and matrix products per row,
+    the shared ``C`` of a constant structure) and matrix products per row,
     so every row has the bits Frame has at that point.  A stage that fails at
     some rows raises the error Frame raises at the first of them, marked with
     its ``row``; :func:`map_blocks` makes that the first failing row in point
     order.
     """
 
-    __slots__ = ("structure", "X", "Omega", "eta", "_A_T", "_inv", "det", "_Z")
+    __slots__ = ("structure", "X", "Omega", "eta", "_A_T", "det", "_Z", "_const")
 
     def __init__(self, structure: "CosymplecticStructure", X):
         self.structure = structure
         self.X = X = np.asarray(X, dtype=float)
-        const = structure._constant_data
+        self._const = const = structure._constant_data
         if const is not None:
-            self.Omega, self.eta, self._inv, self.det = const
-            self._A_T = None
-            if self._inv is None:  # degenerate: any row raises below
-                self._inv = np.full(self.Omega.shape, math.nan)
+            self.Omega, self.eta, self._A_T, self.det = const[:4]
         else:
             try:
                 self.Omega = structure.omega.at_stack(X)
@@ -308,7 +440,7 @@ class FrameStack:
             self._first(
                 ~np.isfinite(A_T).all(axis=(1, 2)), lambda k: _not_finite(X[k], _A_NAME)
             )
-            self._A_T, self.det, self._inv = A_T, np.linalg.det(A_T), None
+            self._A_T, self.det = A_T, np.linalg.det(A_T)
         det = np.broadcast_to(self.det, X.shape[:1])
         self._first(
             np.abs(det) < structure.tol.volume_min_det,
@@ -324,17 +456,14 @@ class FrameStack:
             raise _at_row(error(k), k)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A^T u = rhs at every row; ``rhs`` is (N, d), or (d,) when it
-        is shared by every row of a constant structure."""
-        if self._A_T is None:
-            return (self._inv @ rhs[..., None])[..., 0]
+        """Solve A^T u = rhs at every row; ``rhs`` is (N, d)."""
         return np.linalg.solve(self._A_T, rhs[..., None])[..., 0]
 
     @property
     def reeb(self) -> np.ndarray:
         if self._Z is None:
-            if self._A_T is None:
-                Z, ok = self.structure._constant_reeb
+            if self._const is not None:
+                Z, ok = self._const.Z, self._const.reeb_ok
             else:
                 Z = self.solve(self.eta)
                 tol = self.structure.tol.reeb_check
@@ -352,25 +481,32 @@ class FrameStack:
         Z = self.reeb
         zf = _dot(df, Z)
         self._first(~np.isfinite(zf), lambda k: _not_finite(self.X[k], f"df(Z) = {zf[k]}"))
+        const = self._const
+        if const is not None:
+            size = np.abs(df).max(axis=-1)
+            for limit, what in zip(const.limits, _X_CONDITIONS):
+                self._first(~(size < limit), lambda k: _condition_error(what, self.X[k]))
+            return (const.C @ df[..., None])[..., 0]
         rhs = df - zf[:, None] * self.eta
         Xf = self.solve(rhs)
         tol = self.structure.tol
         self._first(
             ~(np.abs(_dot(self.eta, Xf)) <= tol.reeb_check),
-            lambda k: _condition_error("eta(X_f) != 0", self.X[k]),
+            lambda k: _condition_error(_X_CONDITIONS[0], self.X[k]),
         )
         self._first(
             ~(np.abs(_vecmat(Xf, self.Omega) - rhs).max(axis=-1) <= tol.field_check),
-            lambda k: _condition_error("i_X omega != df - Z(f) eta", self.X[k]),
+            lambda k: _condition_error(_X_CONDITIONS[1], self.X[k]),
         )
         return Xf
 
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
-        self._first(
-            ~(np.abs(_dot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check),
-            lambda k: _condition_error("eta(Y_f) != 1", self.X[k]),
-        )
+        if self._const is not None:
+            ok = np.abs(df).max(axis=-1) < self._const.limits[2]
+        else:
+            ok = np.abs(_dot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
+        self._first(~ok, lambda k: _condition_error(_Y_CONDITION, self.X[k]))
         return Y
 
     def gradient(self, df: np.ndarray) -> np.ndarray:
@@ -547,25 +683,34 @@ class CosymplecticStructure:
         object.__setattr__(self, "domain_box", box)
 
     @cached_property
-    def _constant_data(self):
-        """Shared (Omega, eta, inverse of A^T, det) for constant structures."""
-        if self.omega.is_constant() and self.eta.is_constant():
-            x0 = np.array([lo for lo, _ in self.domain_box])
-            Omega, eta = self.omega.at(x0), self.eta.at(x0)
-            A_T, det = _solve_matrix(x0, Omega, eta)
-            if abs(det) < self.tol.volume_min_det:
-                return Omega, eta, None, det
-            return Omega, eta, np.linalg.inv(A_T), det
-        return None
+    def _constant_data(self) -> "_Constant | None":
+        """What every frame of a constant structure shares, derived once;
+        None when omega or eta varies.
 
-    @cached_property
-    def _constant_reeb(self):
-        """(Z, whether Z meets the Reeb conditions) of a nondegenerate
-        constant structure, shared by all its frames.  Z is read-only."""
-        Omega, eta, inv, _ = self._constant_data
-        Z = inv @ eta
-        Z.flags.writeable = False
-        return Z, _reeb_ok(Z, Omega, eta, self.tol.reeb_check)
+        ``Z = M eta`` and ``C = M (I - eta Z^T)``, with ``M`` the inverse of
+        ``A^T``, so ``X_f = C df`` and ``Y_f = Z + C df``; ``limits`` bound
+        ``||df||_inf`` for the defining conditions of X_f and Y_f
+        (:func:`_field_limits`).  Z and C are read-only.  Frames of a
+        degenerate structure raise before reading Z, C or the limits, which
+        are NaN and 0 there.
+        """
+        if not (self.omega.is_constant() and self.eta.is_constant()):
+            return None
+        x0 = np.array([lo for lo, _ in self.domain_box])
+        Omega, eta = self.omega.at(x0), self.eta.at(x0)
+        A_T, det = _solve_matrix(x0, Omega, eta)
+        d = len(eta)
+        if abs(det) < self.tol.volume_min_det:
+            nan = np.full((d, d), math.nan)
+            return _Constant(Omega, eta, A_T, det, nan[0], False, nan, (0.0, 0.0, 0.0))
+        M = np.linalg.inv(A_T)
+        Z = M @ eta
+        C = M @ (np.eye(d) - np.outer(eta, Z))
+        Z.flags.writeable = C.flags.writeable = False
+        return _Constant(
+            Omega, eta, A_T, det, Z, _reeb_ok(Z, Omega, eta, self.tol.reeb_check), C,
+            _field_limits(Omega, eta, M, Z, C, self.tol),
+        )
 
     # -- derived quantities ------------------------------------------------
 
@@ -789,20 +934,19 @@ def make_poincare_cartan(
 def bracket_expr(S: CosymplecticStructure, f: ScalarField, g: ScalarField) -> Expr | None:
     """{f, g} as an expression when omega and eta have constant coefficients.
 
-    In that case X_f = C df with a constant matrix C, so the bracket is the
-    constant quadratic form ``df^T (C^T Omega C) dg`` assembled symbolically.
-    Returns None for structures with varying coefficients; callers fall back
-    to a numeric bracket field.
+    In that case X_f = C df with the structure's constant matrix C (the one
+    its frames use), so the bracket is the constant quadratic form
+    ``df^T (C^T Omega C) dg`` assembled symbolically.  Returns None for
+    structures with varying coefficients; callers fall back to a numeric
+    bracket field.
     """
-    if S._constant_data is None:
+    const = S._constant_data
+    if const is None:
         return None
-    Omega, eta, M, _ = S._constant_data  # M = (A^T)^{-1}
-    if M is None:
-        raise DegenerateStructureError(np.zeros(S.chart.dim), S._constant_data[3])
+    if abs(const.det) < S.tol.volume_min_det:
+        raise DegenerateStructureError(np.zeros(S.chart.dim), const.det)
     d = S.chart.dim
-    Z = M @ eta
-    C = M @ (np.eye(d) - np.outer(eta, Z))
-    P = C.T @ Omega @ C
+    P = const.C.T @ const.Omega @ const.C
     P[np.abs(P) < 1e-14] = 0.0
     df = [exprlang.differentiate(f.expr, i) for i in range(d)]
     dg = [exprlang.differentiate(g.expr, i) for i in range(d)]

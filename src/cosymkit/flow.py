@@ -234,7 +234,8 @@ def integrate(
     y = x0.copy()
     f_cur = f0
     steps = 0
-    K = np.empty((7, len(x0)))
+    n = len(x0)
+    K = np.empty((7, n))
     while sign * (tau_end - t) > 1e-15 * span:
         if steps >= max_steps:
             raise FlowError(f"exceeded {max_steps} steps at tau={t}")
@@ -244,7 +245,7 @@ def integrate(
             raise StepSizeUnderflowError(t, y)
         hs = sign * h
         # fresh for every try: an accepted record is kept as it is
-        record = np.empty((2, 6, len(x0)))
+        record = np.empty((2, 6, n))
         Y = record[0]
         K[0] = f_cur
         Y[0] = y
@@ -256,7 +257,9 @@ def integrate(
         K[6] = f_new
         err = hs * (_E @ K)
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
+        v = err / sc
+        # the RMS norm: np.mean's add.reduce and division, without its wrapper
+        err_norm = math.sqrt(float(np.add.reduce(v * v)) / n)
         steps += 1
         if err_norm <= 1.0:
             t = tau_end if abs(tau_end - (t + hs)) <= 1e-15 * span else t + hs

@@ -3,11 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st, target
 
 from cosymkit.cosym import (
     CosymplecticStructure,
     DegenerateStructureError,
     FieldConditionError,
+    Frame,
     FrameStack,
     StructureEvalError,
     ToleranceConfig,
@@ -27,6 +29,7 @@ from cosymkit.fields import (
     sample_box,
 )
 from cosymkit.scenarios import builtin
+from linear_charts import canonical_in_linear_chart, chart_change
 
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
 BOX = [[0.0, 2 * math.pi], [-2.0, 2.0], [-2.0, 2.0]]
@@ -207,6 +210,24 @@ def test_varying_solve_path_matches_constant_path():
             assert np.max(np.abs(derived(S_var) - derived(S_const))) <= 1e-15
         bracket = [S.poisson_bracket(f, g, x) for S in (S_var, S_const)]
         assert abs(bracket[0] - bracket[1]) <= 1e-15
+    # in a linear chart C has inexact entries and eta != dt, so C df and the
+    # solve round differently: they agree to 1e-14 relative
+    P = chart_change(5)
+    S_var, S_const = (canonical_in_linear_chart(P, varying) for varying in (True, False))
+    assert S_var._constant_data is None
+    assert S_const._constant_data is not None
+    f = _random_polynomial_field(rng, S_const.chart, "f")
+    g = _random_polynomial_field(rng, S_const.chart, "g")
+    for x in sample_box(S_const.domain_box, 30, rng):
+        for derived in (
+            lambda S: S.reeb(x),
+            lambda S: S.hamiltonian_field(f, x),
+            lambda S: S.evaluation_field(f, x),
+            lambda S: S.gradient_field(f, x),
+            lambda S: np.array([S.poisson_bracket(f, g, x)]),
+        ):
+            want = derived(S_var)
+            assert np.max(np.abs(derived(S_const) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_frame_solve_backward_error_on_varying_structure():
@@ -441,3 +462,89 @@ def test_constant_structure_reeb_failure_raises_at_every_point():
     assert np.array_equal(Z, [1.0, 0.0, 0.0])
     assert not Z.flags.writeable
     assert np.array_equal(FrameStack(S, X).reeb, np.stack([Z, Z]))
+
+
+def _residual_checks(S, df):
+    """Reference: the residual checks at one point, with Z and X from the
+    inverse of A^T; (Reeb verdict, residuals of eta(X_f), i_X omega and
+    eta(Y_f))."""
+    x0 = np.zeros(S.chart.dim)
+    W, e, tol = S.omega.at(x0), S.eta.at(x0), S.tol
+    M = np.linalg.inv(e[:, None] * e - W)
+    Z = M @ e
+    reeb_ok = np.abs(Z @ W).max() <= tol.reeb_check and abs(e @ Z - 1.0) <= tol.reeb_check
+    rhs = df - (df @ Z) * e
+    X = M @ rhs
+    return reeb_ok, (abs(e @ X), np.abs(X @ W - rhs).max(), abs(e @ (Z + X) - 1.0))
+
+
+_CONDITIONS = ("eta(X_f) != 0", "i_X omega != df - Z(f) eta", "eta(Y_f) != 1")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    P=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+    scales=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    exponents=st.lists(st.floats(-6.0, 12.0), min_size=3, max_size=3),
+    negative=st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_field_limits_raise_wherever_residual_checks_do(P, scales, exponents, negative):
+    # a constant structure whose C has inexact entries (rows of the chart
+    # change scaled by 10^scale, so A can be ill-conditioned), df log-uniform
+    # over 1e-6..1e12 with random signs.  The limits on ||df||_inf bound the
+    # residuals of the per-point checks, so they fail wherever those checks
+    # fail; a tolerance just below a residual makes the bound meet it.  They
+    # name the first condition whose limit fails: the checks' condition or,
+    # where the bound of an earlier one is exceeded but its residual happened
+    # to stay small, that earlier condition.
+    P = np.reshape(P, (3, 3))
+    assume(abs(np.linalg.det(P)) >= 0.1)
+    P = P * 10.0 ** np.array(scales, dtype=float)[:, None]
+    df = np.array([(-1.0 if neg else 1.0) * 10.0**k for k, neg in zip(exponents, negative)])
+    x = np.array([0.5, 0.25, -1.0])
+    size = np.abs(df).max()
+    S = canonical_in_linear_chart(P)
+    assume(abs(S._constant_data.det) >= S.tol.volume_min_det)
+    _, (r1, r2, r3) = _residual_checks(S, df)
+    # steer the search toward residuals close to their bounds; B_c(s) is
+    # about tol_c s / limit_c for the first two conditions
+    limits = S._constant_data.limits
+    target(max(r1 * limits[0] / S.tol.reeb_check, r2 * limits[1] / S.tol.field_check) / size)
+    below = 1 - 2.0**-20
+    for overrides in (
+        {},
+        {"field_check": -1.0},
+        {"reeb_check": -1.0},
+        {"reeb_check": r1 * below},
+        {"field_check": r2 * below},
+        {"reeb_check": r3 * below},
+    ):
+        S = canonical_in_linear_chart(P, tol=ToleranceConfig.from_dict(overrides))
+        reeb_ok, residuals = _residual_checks(S, df)
+        tols = (S.tol.reeb_check, S.tol.field_check, S.tol.reeb_check)
+        for n in (2, 3):  # X_f, then Y_f
+            failed = [
+                what for what, limit in zip(_CONDITIONS[:n], S._constant_data.limits)
+                if not size < limit
+            ]
+            want = next(
+                (what for what, r, t in zip(_CONDITIONS[:n], residuals, tols) if not r <= t),
+                None,
+            )
+            errors = []
+            for frame, arg in ((Frame(S, x), df), (FrameStack(S, x[None]), df[None])):
+                try:
+                    (frame.hamiltonian if n == 2 else frame.evaluation)(arg)
+                except FieldConditionError as err:
+                    errors.append(str(err))
+                else:
+                    errors.append(None)
+            assert errors[0] == errors[1]
+            if not reeb_ok:
+                assert errors[0] == f"Reeb conditions violated at {x.tolist()}"
+                continue
+            assert errors[0] == (f"{failed[0]} at {x.tolist()}" if failed else None)
+            if want is not None:
+                assert failed and _CONDITIONS.index(failed[0]) <= _CONDITIONS.index(want)
+            if not overrides and not any(scales) and size <= 1.0:
+                assert not failed

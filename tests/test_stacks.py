@@ -29,6 +29,7 @@ from cosymkit.integrability import (
     svd_rank,
 )
 from cosymkit.scenarios import builtin, builtin_names
+from linear_charts import canonical_in_linear_chart, chart_change
 
 # --- per-point references -----------------------------------------------------
 
@@ -255,17 +256,24 @@ def test_stacked_validate_and_primitive_equal_per_point(name):
         assert S.check_primitive(pts) == _ref_primitive(S, pts)
 
 
-@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("name", [*builtin_names(), "canonical-in-linear-chart"])
 def test_structure_fields_on_a_stack_equal_per_point(name):
-    sc = builtin(name)
-    S, f = sc.structure, sc.system.integrals[0]
+    if name in builtin_names():
+        sc = builtin(name)
+        S, f, g = sc.structure, sc.system.integrals[0], sc.system.hamiltonian
+    else:
+        # C has inexact entries and eta != dt, so the stacked and one-point
+        # products of C with df could differ in their bits
+        S = canonical_in_linear_chart(chart_change(11))
+        f = ScalarField.from_source("0.3*q^2 + 0.7*p*q - 1.1*t*p", S.chart, "f")
+        g = ScalarField.from_source("(q^2 + p^2)/2 + 0.2*t", S.chart, "g")
     pts = sample_box(S.domain_box, 50, np.random.default_rng(7))
     for call in (
         S.reeb,
         lambda x: S.hamiltonian_field(f, x),
         lambda x: S.evaluation_field(f, x),
         lambda x: S.gradient_field(f, x),
-        lambda x: S.poisson_bracket(f, sc.system.hamiltonian, x),
+        lambda x: S.poisson_bracket(f, g, x),
     ):
         assert np.array_equal(call(pts), np.array([call(x) for x in pts]))
 
