@@ -746,12 +746,10 @@ def winding_ratio_test(
     any_irrational = False
     for i in range(len(freqs)):
         for j in range(i + 1, len(freqs)):
-            if freqs[j] == 0.0 and freqs[i] == 0.0:
-                continue
             lo, hi = sorted([abs(freqs[i]), abs(freqs[j])])
             if hi == 0.0:
                 continue
-            ratio = lo / hi if hi else 0.0
+            ratio = lo / hi
             frac = Fraction(ratio).limit_denominator(max_denominator)
             err = abs(ratio - float(frac))
             rational = err <= rational_tol

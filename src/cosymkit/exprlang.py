@@ -9,7 +9,9 @@ difference is ever used on raw expressions:
 * ``value`` and ``jet1`` (value with gradient; ``gradient``) run
   straight-line Python generated from the AST and compiled once per
   expression (per point dimension for ``jet1``): forward-mode propagation
-  of the value and the gradient.
+  of the value and the gradient.  The code generator writes the value,
+  first derivative and domain checks of each function and of ``^`` once,
+  for every mode; the AST nodes hold data only.
 
 A Hessian is the gradient of the symbolic first derivatives: build
 ``de = [differentiate(e, i) for i in range(d)]`` once (each new expression
@@ -21,8 +23,11 @@ callers check them.
 Domain failures are ``EvalDomainError``s naming the subexpression, and the
 generated code raises the first one in post-order.  An overflow of ``exp``
 or ``^`` and ``sin`` or ``cos`` of an infinite value are ``EvalDomainError``s
-too.  Integer exponents of at least 2 multiply by repeated squaring, so
-``q^2`` is ``q*q`` in every mode.
+too.  ``jet1`` also raises where the value is defined but the first
+derivative is not: ``sqrt`` at zero and ``^`` with an exponent strictly
+between 0 and 1 at a zero base (``sqrt(q)`` at ``q = 0`` has value 0).
+Integer exponents of at least 2 multiply by repeated squaring, so ``q^2``
+is ``q*q`` in every mode.
 
 ``value_stack`` and ``jet1_stack`` evaluate the rows of a point stack
 ``X`` of shape (N, d) at once: the same generated code in array mode, with
@@ -218,84 +223,11 @@ class Pow(Expr):
     base: Expr
     exponent: float
 
-    def _check(self, u: float):
-        c = self.exponent
-        if c != round(c) and u < 0.0:
-            raise EvalDomainError("negative base with non-integer exponent", self)
-        if c < 0.0 and u == 0.0:
-            raise EvalDomainError("zero base with negative exponent", self)
-
-    def _derivs(self, u: float) -> tuple[float, float]:
-        """Value and first derivative at ``u``."""
-        c = self.exponent
-        self._check(u)
-        n = _int_exponent(c)
-        if n:
-            v = _int_pow(u, n)
-            if v - v != 0.0 and u - u == 0.0:  # a finite base overflowed
-                raise EvalDomainError("overflow", self)
-            return v, c * _int_pow(u, n - 1)
-        try:
-            v = math.pow(u, c)
-            if c == 0.0 or c == 1.0:
-                return v, c
-            if u == 0.0 and c < 1.0:
-                raise EvalDomainError("derivative singular at zero base", self)
-            return v, c * math.pow(u, c - 1.0)
-        except OverflowError:
-            raise EvalDomainError("overflow", self) from None
-
-
-def _int_exponent(c: float) -> int:
-    """``c`` as an int when it is an integer of at least 2, else 0."""
-    return int(c) if c >= 2.0 and c.is_integer() else 0
-
-
-def _int_pow(u, n: int):
-    """``u^n`` for an int ``n >= 1`` by repeated squaring, on floats or arrays;
-    ``_Emitter.power`` writes the same products."""
-    result = None
-    while True:
-        if n & 1:
-            result = u if result is None else result * u
-        n >>= 1
-        if not n:
-            return result
-        u = u * u
-
 
 @dataclass(frozen=True)
 class Call(Expr):
     fn: str
     arg: Expr
-
-    def _derivs(self, u: float) -> tuple[float, float]:
-        """Value and first derivative at ``u``."""
-        fn = self.fn
-        if fn == "sin" or fn == "cos":
-            try:
-                s, c = math.sin(u), math.cos(u)
-            except ValueError:
-                raise EvalDomainError(f"{fn} of infinite value", self) from None
-            return (s, c) if fn == "sin" else (c, -s)
-        if fn == "exp":
-            try:
-                e = math.exp(u)
-            except OverflowError:
-                raise EvalDomainError("overflow", self) from None
-            return e, e
-        if fn == "log":
-            if u <= 0.0:
-                raise EvalDomainError("log of non-positive value", self)
-            return math.log(u), 1.0 / u
-        if fn == "sqrt":
-            if u < 0.0:
-                raise EvalDomainError("sqrt of negative value", self)
-            if u == 0.0:
-                raise EvalDomainError("sqrt derivative singular at zero", self)
-            s = math.sqrt(u)
-            return s, 0.5 / s
-        raise ExprError(f"unknown function '{fn}'")
 
 
 # --- compilation -----------------------------------------------------------
@@ -306,9 +238,11 @@ class Call(Expr):
 # 2nd ed., SIAM 2008, ch. 3 and 6).  Every gradient component is one local
 # float.  Each node applies its rule component by component, without
 # constant folding: d(a*b) = a*db + b*da, d(a/b) = (da - (a/b)*db)/b, and a
-# Call or non-integer Pow scales the argument's gradient by the first
-# derivative of its node's _derivs.  Second derivatives are not propagated;
-# they are the jet1 of differentiate's expressions, the second engine.
+# Call or Pow scales the argument's gradient by its first derivative.  The
+# value, first derivative and domain checks of each function and of ^ are
+# written once, in _Emitter._call and _Emitter._pow, for every mode.  Second
+# derivatives are not propagated; they are the jet1 of differentiate's
+# expressions, the second engine.
 #
 # The array mode emits the same code on columns (Harris et al., Array
 # programming with NumPy, Nature 585, 2020).  + - * / and the products of
@@ -363,7 +297,10 @@ class _Emitter:
             self.lines.append(f"if {cond}: raise _E({message!r}, {node})")
 
     def checked(self, src: str, node: str, error: str, message: str) -> str:
-        """Assign ``src``, raising ``_E(message, node)`` on ``error``."""
+        """Assign ``src``; scalar code raises ``_E(message, node)`` on
+        ``error``."""
+        if self.stack:
+            return self.assign(src)
         name = self.temp()
         self.lines += [
             "try:",
@@ -373,11 +310,8 @@ class _Emitter:
         ]
         return name
 
-    def overflow_checked(self, src: str, node: str) -> str:
-        return self.checked(src, node, "OverflowError", "overflow")
-
     def power(self, u: str, n: int) -> str:
-        """``u^n`` for an int ``n >= 1``: the products of ``_int_pow``."""
+        """``u^n`` for an int ``n >= 1`` by repeated squaring."""
         result = None
         while True:
             if n & 1:
@@ -422,70 +356,70 @@ class _Emitter:
             self.raise_if(f"{b} == 0.0", "division by zero", self.bind(e))
             v = self.assign(f"{a} / {b}")
             return v, [self.assign(f"({g} - {v} * {h}) / {b}") for g, h in zip(ga, gb)]
-        u, gu = self.emit(e.base if isinstance(e, Pow) else e.arg)
-        node = self.bind(e)
-        if isinstance(e, Call) and e.fn not in FUNCTIONS:
-            raise ExprError(f"unknown function '{e.fn}'")
-        n = _int_exponent(e.exponent) if isinstance(e, Pow) else 0
-        if n:
-            # _derivs' products; a finite base that overflowed raises
-            v = self.power(u, n)
-            self.raise_if(f"{v} - {v} != 0.0 and {u} - {u} == 0.0", "overflow", node)
-            if self.dim is None:
-                return v, []
-            d1 = self.assign(f"{self.bind(e.exponent)} * {self.power(u, n - 1)}")
-        elif self.stack:
-            v, d1 = self._stack_derivs(e, u)
-        elif self.dim is not None:
-            v, d1 = self.temp(), self.temp()
-            self.lines.append(f"{v}, {d1} = {node}._derivs({u})")
+        if isinstance(e, Pow):
+            u, gu = self.emit(e.base)
+            v, d1 = self._pow(e, u, self.bind(e))
         else:
-            return self._value(e, u, node), []
+            u, gu = self.emit(e.arg)
+            v, d1 = self._call(e, u, self.bind(e))
         return v, [self.assign(f"{d1} * {g}") for g in gu]
 
-    def _value(self, e: Expr, u: str, node: str) -> str:
-        """Scalar value of a Call or non-integer Pow node, with its checks."""
-        if isinstance(e, Pow):
-            c = e.exponent
-            if c != round(c) or c < 0.0:
-                self.lines.append(f"{node}._check({u})")
-            return self.overflow_checked(f"_pow({u}, {self.bind(c)})", node)
-        if e.fn == "log":
-            self.raise_if(f"{u} <= 0.0", "log of non-positive value", node)
-        elif e.fn == "sqrt":
-            self.raise_if(f"{u} < 0.0", "sqrt of negative value", node)
-        elif e.fn == "exp":
-            return self.overflow_checked(f"_exp({u})", node)
-        else:  # sin, cos
-            return self.checked(
-                f"_{e.fn}({u})", node, "ValueError", f"{e.fn} of infinite value"
-            )
-        return self.assign(f"_{e.fn}({u})")
-
-    def _stack_derivs(self, e: Expr, u: str) -> tuple[str, str | None]:
-        """Array value and first derivative of a Call or non-integer Pow
-        node: the formulas of its ``_derivs``."""
-        if isinstance(e, Pow):
-            c = e.exponent
-            v = self.assign(f"_pow({u}, {self.bind(c)})")
-        else:
-            v = self.assign(f"_{e.fn}({u})")
-        if self.dim is None:
+    def _pow(self, e: Pow, u: str, node: str) -> tuple[str, str | None]:
+        """Value of ``u^c`` with its domain checks and, unless ``dim`` is
+        None, its first derivative ``c*u^(c-1)`` with the derivative's own
+        checks."""
+        c = e.exponent
+        jet = self.dim is not None
+        if c >= 2.0 and c.is_integer():
+            # repeated squaring in every mode; a finite base that overflowed
+            # raises
+            n = int(c)
+            v = self.power(u, n)
+            self.raise_if(f"{v} - {v} != 0.0 and {u} - {u} == 0.0", "overflow", node)
+            if not jet:
+                return v, None
+            return v, self.assign(f"{self.bind(c)} * {self.power(u, n - 1)}")
+        if c != round(c):
+            self.raise_if(f"{u} < 0.0", "negative base with non-integer exponent", node)
+        if c < 0.0:
+            self.raise_if(f"{u} == 0.0", "zero base with negative exponent", node)
+        v = self.checked(f"_pow({u}, {self.bind(c)})", node, "OverflowError", "overflow")
+        if not jet:
             return v, None
-        if isinstance(e, Pow):
-            if c == 0.0 or c == 1.0:
-                return v, self.bind(c)
-            return v, self.assign(f"{self.bind(c)} * _pow({u}, {self.bind(c - 1.0)})")
-        fn = e.fn
-        if fn == "sin":
-            return v, self.assign(f"_cos({u})")
-        if fn == "cos":
-            return v, self.assign(f"-_sin({u})")
-        if fn == "exp":
-            return v, v
-        if fn == "log":
-            return v, self.assign(f"1.0 / {u}")
-        return v, self.assign(f"0.5 / {v}")  # sqrt
+        if c == 0.0 or c == 1.0:
+            return v, self.bind(c)
+        if c < 1.0:
+            self.raise_if(f"{u} == 0.0", "derivative singular at zero base", node)
+        d1 = f"{self.bind(c)} * _pow({u}, {self.bind(c - 1.0)})"
+        return v, self.checked(d1, node, "OverflowError", "overflow")
+
+    def _call(self, e: Call, u: str, node: str) -> tuple[str, str | None]:
+        """Value of ``fn(u)`` with its domain checks and, unless ``dim`` is
+        None, its first derivative with the derivative's own checks."""
+        fn, d1 = e.fn, None
+        jet = self.dim is not None
+        if fn == "sin" or fn == "cos":
+            message = f"{fn} of infinite value"
+            v = self.checked(f"_{fn}({u})", node, "ValueError", message)
+            if jet:
+                d1 = self.assign(f"_cos({u})" if fn == "sin" else f"-_sin({u})")
+        elif fn == "exp":
+            v = d1 = self.checked(f"_exp({u})", node, "OverflowError", "overflow")
+        elif fn == "log":
+            self.raise_if(f"{u} <= 0.0", "log of non-positive value", node)
+            v = self.assign(f"_log({u})")
+            if jet:
+                d1 = self.assign(f"1.0 / {u}")
+        elif fn == "sqrt":
+            self.raise_if(f"{u} < 0.0", "sqrt of negative value", node)
+            if jet:
+                self.raise_if(f"{u} == 0.0", "sqrt derivative singular at zero", node)
+            v = self.assign(f"_sqrt({u})")
+            if jet:
+                d1 = self.assign(f"0.5 / {v}")
+        else:
+            raise ExprError(f"unknown function '{fn}'")
+        return v, d1
 
 
 def _compile(e: Expr, dim: int | None, stack: bool = False):

@@ -16,7 +16,6 @@ in exported views (CSV, ``normalized_states``).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -168,11 +167,6 @@ class Trajectory:
         finally:
             if close:
                 handle.close()
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def _initial_step(field, y0, f0, sign, tol):

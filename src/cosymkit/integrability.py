@@ -88,10 +88,6 @@ class IntegralSystem:
     def m(self) -> int:
         return len(self.integrals)
 
-    @property
-    def n(self) -> int:
-        return (self.structure.chart.dim - 1) // 2
-
     def commuting_fields(self) -> list[StructureVectorField]:
         """X_{f_1}..X_{f_r} followed by the Reeb field."""
         S = self.structure

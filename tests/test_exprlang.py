@@ -310,27 +310,7 @@ def _tree_value(e, x):
     if isinstance(e, Neg):
         return -_tree_value(e.arg, x)
     if isinstance(e, (Pow, Call)):
-        u = _tree_value(e.base if isinstance(e, Pow) else e.arg, x)
-        if isinstance(e, Pow):
-            e._check(u)
-            c = e.exponent
-            if c >= 2.0 and c.is_integer():
-                v = _squaring_pow(u, int(c))
-                if math.isinf(v) and math.isfinite(u):
-                    raise EvalDomainError("overflow", e)
-                return v
-        elif e.fn == "sqrt" and u < 0.0:
-            raise EvalDomainError("sqrt of negative value", e)
-        elif e.fn == "log" and u <= 0.0:
-            raise EvalDomainError("log of non-positive value", e)
-        try:
-            if isinstance(e, Pow):
-                return math.pow(u, e.exponent)
-            return getattr(math, e.fn)(u)
-        except OverflowError:
-            raise EvalDomainError("overflow", e) from None
-        except ValueError:
-            raise EvalDomainError(f"{e.fn} of infinite value", e) from None
+        return _node_value(e, _tree_value(e.base if isinstance(e, Pow) else e.arg, x))
     a, b = _tree_value(e.lhs, x), _tree_value(e.rhs, x)
     if isinstance(e, Add):
         return a + b
@@ -355,6 +335,73 @@ def _squaring_pow(u, n):
     return result
 
 
+# The reference's own rules for Pow and Call nodes, written apart from the
+# code generator so that the compiled code is checked against an
+# independent statement of each value, first derivative and domain check.
+
+def _pow_check(e, u):
+    """The domain of ``u^c`` shared by value and jet1."""
+    c = e.exponent
+    if c != round(c) and u < 0.0:
+        raise EvalDomainError("negative base with non-integer exponent", e)
+    if c < 0.0 and u == 0.0:
+        raise EvalDomainError("zero base with negative exponent", e)
+
+
+def _node_value(e, u):
+    """Value of a Pow or Call node at ``u``, raising as value does."""
+    if isinstance(e, Pow):
+        _pow_check(e, u)
+        c = e.exponent
+        if c >= 2.0 and c.is_integer():
+            v = _squaring_pow(u, int(c))
+            if math.isinf(v) and math.isfinite(u):
+                raise EvalDomainError("overflow", e)
+            return v
+    elif e.fn == "sqrt" and u < 0.0:
+        raise EvalDomainError("sqrt of negative value", e)
+    elif e.fn == "log" and u <= 0.0:
+        raise EvalDomainError("log of non-positive value", e)
+    try:
+        if isinstance(e, Pow):
+            return math.pow(u, e.exponent)
+        return getattr(math, e.fn)(u)
+    except OverflowError:
+        raise EvalDomainError("overflow", e) from None
+    except ValueError:
+        raise EvalDomainError(f"{e.fn} of infinite value", e) from None
+
+
+def _derivs(e, u):
+    """Value and first derivative of a Pow or Call node at ``u``, raising as
+    jet1 does: where value raises, then where only the derivative is
+    singular or overflows."""
+    v = _node_value(e, u)
+    if isinstance(e, Pow):
+        c = e.exponent
+        if c >= 2.0 and c.is_integer():
+            return v, c * _squaring_pow(u, int(c) - 1)
+        if c == 0.0 or c == 1.0:
+            return v, c
+        if u == 0.0 and c < 1.0:
+            raise EvalDomainError("derivative singular at zero base", e)
+        try:
+            return v, c * math.pow(u, c - 1.0)
+        except OverflowError:
+            raise EvalDomainError("overflow", e) from None
+    if e.fn == "sin":
+        return v, math.cos(u)
+    if e.fn == "cos":
+        return v, -math.sin(u)
+    if e.fn == "exp":
+        return v, v
+    if e.fn == "log":
+        return v, 1.0 / u
+    if u == 0.0:
+        raise EvalDomainError("sqrt derivative singular at zero", e)
+    return v, 0.5 / v
+
+
 def _tree_jet1(e, x):
     """Post-order tree walk of the value and gradient, the reference for
     ``jet1``."""
@@ -369,7 +416,7 @@ def _tree_jet1(e, x):
         return -v, -g
     if isinstance(e, (Pow, Call)):
         u, gu = _tree_jet1(e.base if isinstance(e, Pow) else e.arg, x)
-        v, d1 = e._derivs(u)[:2]
+        v, d1 = _derivs(e, u)
         return v, d1 * gu
     va, ga = _tree_jet1(e.lhs, x)
     vb, gb = _tree_jet1(e.rhs, x)
@@ -438,6 +485,15 @@ def _test_points(rng, n, d):
     return pts
 
 
+def _non_finite_points(rng, n, d):
+    """Seeded points with one or two coordinates set to +inf, -inf or NaN."""
+    pts = rng.uniform(-3.0, 3.0, size=(n, d))
+    for x in pts:
+        for i in rng.choice(d, size=int(rng.integers(1, 3)), replace=False):
+            x[i] = rng.choice([math.inf, -math.inf, math.nan])
+    return pts
+
+
 def _ulps(a, b) -> np.ndarray:
     """Distance in units in the last place; 0 between two NaNs."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -493,6 +549,8 @@ def _check_stack_against_scalar(e, X):
 
 def test_compiled_matches_tree_walk_on_random_asts():
     rng = np.random.default_rng(17)
+    # a generator of its own keeps the ASTs and finite points of rng
+    special = np.random.default_rng(19)
     names = ("t", "q", "p")
     exponents = [2.0, 3.0, 0.5, -1.0, -2.0, 1.0, 0.0, 1.5, 2.5, -0.5]
     raised = total = 0
@@ -501,7 +559,7 @@ def test_compiled_matches_tree_walk_on_random_asts():
         if k % 3 == 0:
             e = Mul(Pow(e, float(rng.choice(exponents))), Pow(Var("q", 1), 2.0))
         pts = _test_points(rng, 6, len(names))
-        for x in pts:
+        for x in [*pts, *_non_finite_points(special, 4, len(names))]:
             with np.errstate(all="ignore"):  # the reference's inf and NaN
                 raised += _check_against_tree_walk(e, x)
             total += 1

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -141,7 +142,9 @@ def test_pc_reeb_flow_matches_oscillator():
 def test_csv_export_shape():
     S, H = oscillator()
     traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 1.0, 1e-8, CHART, [H])
-    text = traj.to_csv_text()
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    text = buf.getvalue()
     lines = text.strip().split("\n")
     assert lines[0] == "tau,t,q,p,H"
     assert len(lines) == len(traj.times) + 1
