@@ -29,7 +29,7 @@ from .fields import (
     lie_bracket,
     sample_box,
 )
-from .flow import SectionSpec, Trajectory, drift_report, integrate, section_crossings
+from .flow import Trajectory, drift_report, integrate
 from .integrability import IntegralSystem
 from .actionangle import (
     ActionProfile,
@@ -71,10 +71,8 @@ __all__ = [
     "twist",
     "IntegralSystem",
     "Trajectory",
-    "SectionSpec",
     "integrate",
     "drift_report",
-    "section_crossings",
     "AngleMap",
     "PeriodLattice",
     "ActionProfile",

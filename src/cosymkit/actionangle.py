@@ -44,7 +44,7 @@ import numpy as np
 from .cosym import ToleranceConfig
 from .exprlang import Expr, parse
 from .fields import TWO_PI, ChartSpec, OneFormField, Point
-from .flow import SectionSpec, Trajectory, integrate, section_crossings
+from .flow import Trajectory, integrate
 from .integrability import IntegralSystem
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "evaluation_frequencies",
     "empirical_frequencies",
     "winding_ratio_test",
-    "min_section_return",
 ]
 
 class ActionAngleError(Exception):
@@ -657,28 +656,17 @@ def solve_frequencies(table: FrequencyTable, mode: str, k: int | None = None) ->
     return np.linalg.solve(b.T, rhs)
 
 
-def evaluation_frequencies(
-    table: FrequencyTable, sys: IntegralSystem, probes=None
-) -> np.ndarray:
+def evaluation_frequencies(table: FrequencyTable, sys: IntegralSystem) -> np.ndarray:
     """Frequencies of the evaluation flow Y_H in the cycle basis.
 
     Writes dH as a constant combination of the prefix differentials
-    df_1..df_r (fit at probe points); Y_H = Z + sum c_nu X_{f_nu} then gives
-    w_eval = w_reeb + sum c_nu W^nu.  Fails when H is not generated by the
-    commuting prefix.
+    df_1..df_r (fit at the lattice base point); Y_H = Z + sum c_nu X_{f_nu}
+    then gives w_eval = w_reeb + sum c_nu W^nu.  Fails when H is not
+    generated by the commuting prefix.
     """
-    if probes is None:
-        probes = [table.lattice.base_point]
-    rows = []
-    rhs = []
-    for x in probes:
-        G = np.array([f.gradient(x) for f in sys.integrals[: sys.r]])
-        if sys.r == 0:
-            G = np.zeros((0, len(x)))
-        rows.append(G.T)
-        rhs.append(sys.hamiltonian.gradient(x))
-    Gs = np.vstack(rows) if sys.r else np.zeros((0, 0))
-    hs = np.concatenate(rhs)
+    x = table.lattice.base_point
+    Gs = np.array([f.gradient(x) for f in sys.integrals[: sys.r]]).T
+    hs = sys.hamiltonian.gradient(x)
     if sys.r == 0:
         if np.max(np.abs(hs)) > 1e-8:
             raise ActionAngleError("H is not constant and the prefix is empty")
@@ -764,41 +752,3 @@ def winding_ratio_test(
                 }
             )
     return {"pairs": pairs, "irrational_winding": any_irrational}
-
-
-def min_section_return(
-    sys: IntegralSystem,
-    field,
-    x0: Point,
-    tau_max: float,
-    section_coordinate: str | None = None,
-    flow_tol: float = 1e-9,
-    t_min: float = 1.0,
-) -> tuple[float, float]:
-    """Closest approach to ``x0`` among section returns up to ``tau_max``.
-
-    The section is the level set of a periodic coordinate through ``x0``
-    (defaults to the first periodic coordinate), the natural candidate times
-    for near returns.  Returns (min distance, time of that crossing).
-    """
-    chart = sys.structure.chart
-    if section_coordinate is None:
-        idx = next(i for i, per in enumerate(chart.periodic) if per)
-        section_coordinate = chart.names[idx]
-    x0 = np.asarray(x0, dtype=float)
-    traj = integrate(field, x0, tau_max, flow_tol, chart)
-    events = section_crossings(
-        traj,
-        SectionSpec(section_coordinate, float(x0[chart.index(section_coordinate)]), direction=1),
-        field=field,
-    )
-    best = (math.inf, math.nan)
-    for ev in events:
-        if ev.time < t_min:
-            continue
-        dist = chart.distance(ev.state, x0)
-        if dist < best[0]:
-            best = (dist, ev.time)
-    if not math.isfinite(best[0]):
-        raise NoReturnError(tau_max)
-    return best

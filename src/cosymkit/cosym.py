@@ -156,7 +156,7 @@ class Frame:
     on ``||df||_inf`` (``_field_limits``) in place of residuals at the point.
     """
 
-    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const")
+    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_df_size")
 
     def __init__(self, structure: "CosymplecticStructure", x: Point):
         self.structure = structure
@@ -206,7 +206,8 @@ class Frame:
             raise _not_finite(self.x, f"df(Z) = {zf}")
         const = self._const
         if const is not None:
-            size = max(map(abs, df.tolist()))
+            # kept for evaluation(df), whose Y_f condition is a third limit on it
+            self._df_size = size = max(map(abs, df.tolist()))
             if not size < const.limits[0]:
                 raise _condition_error(_X_CONDITIONS[0], self.x)
             if not size < const.limits[1]:
@@ -224,7 +225,7 @@ class Frame:
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
         if self._const is not None:
-            ok = max(map(abs, df.tolist())) < self._const.limits[2]
+            ok = self._df_size < self._const.limits[2]
         else:
             ok = abs(self.eta @ Y - 1.0) <= self.structure.tol.reeb_check
         if not ok:
@@ -421,7 +422,7 @@ class FrameStack:
     order.
     """
 
-    __slots__ = ("structure", "X", "Omega", "eta", "_A_T", "det", "_Z", "_const")
+    __slots__ = ("structure", "X", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_df_size")
 
     def __init__(self, structure: "CosymplecticStructure", X):
         self.structure = structure
@@ -483,7 +484,8 @@ class FrameStack:
         self._first(~np.isfinite(zf), lambda k: _not_finite(self.X[k], f"df(Z) = {zf[k]}"))
         const = self._const
         if const is not None:
-            size = np.abs(df).max(axis=-1)
+            # kept for evaluation(df), whose Y_f condition is a third limit on it
+            self._df_size = size = np.abs(df).max(axis=-1)
             for limit, what in zip(const.limits, _X_CONDITIONS):
                 self._first(~(size < limit), lambda k: _condition_error(what, self.X[k]))
             return (const.C @ df[..., None])[..., 0]
@@ -503,7 +505,7 @@ class FrameStack:
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
         if self._const is not None:
-            ok = np.abs(df).max(axis=-1) < self._const.limits[2]
+            ok = self._df_size < self._const.limits[2]
         else:
             ok = np.abs(_dot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
         self._first(~ok, lambda k: _condition_error(_Y_CONDITION, self.X[k]))

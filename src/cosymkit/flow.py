@@ -6,8 +6,7 @@ Accepted steps keep the state, the field value and the values of all declared
 integrals, so conservation is measured rather than assumed.  They also keep
 their stages, on which ``Trajectory.quadrature`` integrates a one-form along
 the flow as one more fifth-order ODE component.  Dense output is
-cubic Hermite on each accepted step; section crossings are located by
-bisection on the dense output and polished once with the field value.
+cubic Hermite on each accepted step.
 
 Internal states are never folded into periodic ranges: winding counts stay
 exact and angle unwrapping downstream is trivial.  Normalization happens only
@@ -27,11 +26,8 @@ __all__ = [
     "FlowError",
     "StepSizeUnderflowError",
     "Trajectory",
-    "SectionSpec",
-    "SectionEvent",
     "integrate",
     "drift_report",
-    "section_crossings",
 ]
 
 
@@ -82,7 +78,6 @@ class Trajectory:
     """
 
     chart: ChartSpec
-    field_label: str
     times: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
@@ -193,7 +188,6 @@ def integrate(
     chart: ChartSpec,
     integrals=(),
     max_steps: int = 2_000_000,
-    first_step: float | None = None,
 ) -> Trajectory:
     """Integrate ``dx/dtau = field(x)`` from 0 to ``tau_end`` adaptively.
 
@@ -204,7 +198,6 @@ def integrate(
     if tol <= 0:
         raise ValueError("tol must be positive")
     x0 = np.asarray(x0, dtype=float)
-    label = getattr(field, "label", getattr(field, "kind", "field"))
     names = tuple(getattr(f, "name", f"f{i}") for i, f in enumerate(integrals))
 
     f0 = np.asarray(field(x0), dtype=float)
@@ -214,14 +207,13 @@ def integrate(
 
     if tau_end == 0.0:
         return Trajectory(
-            chart, label, np.array(times), x0[None].copy(), f0[None].copy(),
+            chart, np.array(times), x0[None].copy(), f0[None].copy(),
             names, np.array(ivals), np.zeros((0, 2, 6, len(x0))),
         )
 
     sign = 1.0 if tau_end > 0 else -1.0
     span = abs(tau_end)
-    h = first_step if first_step else _initial_step(field, x0, f0, sign, tol)
-    h = min(h, span)
+    h = min(_initial_step(field, x0, f0, sign, tol), span)
     h_min = 1e-14 * max(1.0, span)
 
     t = 0.0
@@ -269,7 +261,6 @@ def integrate(
     stages = np.array(stages)
     return Trajectory(
         chart,
-        label,
         np.array(times),
         np.concatenate((stages[:, 0, 0], [y])),
         np.concatenate((stages[:, 1, 0], [f_cur])),
@@ -286,115 +277,3 @@ def drift_report(traj: Trajectory) -> dict:
         return {}
     drifts = np.max(np.abs(values - values[0]), axis=0)
     return {name: float(d) for name, d in zip(traj.integral_names, drifts)}
-
-
-@dataclass(frozen=True)
-class SectionSpec:
-    """Codimension-one section {coordinate == value (mod 2*pi if periodic)}."""
-
-    coordinate: str
-    value: float
-    direction: int = 1  # +1 upward, -1 downward, 0 both
-
-
-@dataclass(frozen=True)
-class SectionEvent:
-    time: float
-    state: np.ndarray           # unwrapped
-    state_normalized: np.ndarray
-    level_index: int            # which 2*pi image of the section was hit
-    winding: dict
-
-
-def section_crossings(
-    traj: Trajectory,
-    section: SectionSpec,
-    field=None,
-    time_tol: float = 1e-10,
-) -> list[SectionEvent]:
-    """Locate section crossings on the dense output.
-
-    Bisection brings the crossing time to ``time_tol``; if ``field`` is given
-    one Newton step with the exact field value polishes the result.  The
-    initial point never counts as a crossing.
-    """
-    chart = traj.chart
-    c = chart.index(section.coordinate) if isinstance(section.coordinate, str) else int(section.coordinate)
-    periodic = chart.periodic[c]
-    events: list[SectionEvent] = []
-    x_start = traj.states[0]
-
-    def coord_at(tau):
-        return traj.state_at(tau)[c]
-
-    for i in range(len(traj.times) - 1):
-        t0, t1 = float(traj.times[i]), float(traj.times[i + 1])
-        c0, c1 = float(traj.states[i][c]), float(traj.states[i + 1][c])
-        if periodic:
-            k_lo = math.ceil((min(c0, c1) - section.value) / TWO_PI - 1e-12)
-            k_hi = math.floor((max(c0, c1) - section.value) / TWO_PI + 1e-12)
-            levels = [section.value + TWO_PI * k for k in range(k_lo, k_hi + 1)]
-        else:
-            lo, hi = min(c0, c1), max(c0, c1)
-            levels = [section.value] if lo <= section.value <= hi else []
-        for level in levels:
-            g0, g1 = c0 - level, c1 - level
-            if g0 == 0.0:
-                continue  # counted at the end of the previous segment
-            if g0 * g1 > 0.0:
-                continue
-            a, b = t0, t1
-            ga = g0
-            while abs(b - a) > time_tol:
-                mid = 0.5 * (a + b)
-                gm = coord_at(mid) - level
-                if gm == 0.0:
-                    a = b = mid
-                    break
-                if (ga < 0) != (gm < 0):
-                    b = mid
-                else:
-                    a, ga = mid, gm
-            tau_c = 0.5 * (a + b)
-            state = traj.state_at(tau_c)
-            speed = None
-            if field is not None:
-                speed = float(np.asarray(field(state))[c])
-                if speed != 0.0:
-                    tau_n = tau_c - (state[c] - level) / speed
-                    if min(t0, t1) <= tau_n <= max(t0, t1):
-                        tau_c = tau_n
-                        state = traj.state_at(tau_c)
-            if speed is None:
-                h = max(1e-8, 1e-8 * abs(tau_c))
-                speed = (coord_at(tau_c + h) - coord_at(tau_c - h)) / (2 * h)
-            forward = speed * (1.0 if t1 >= t0 else -1.0)
-            if section.direction > 0 and forward <= 0:
-                continue
-            if section.direction < 0 and forward >= 0:
-                continue
-            if abs(tau_c) <= time_tol:
-                continue
-            winding = {}
-            for j, per in enumerate(chart.periodic):
-                if not per:
-                    continue
-                if j == c:
-                    winding[chart.names[j]] = int(
-                        round((level - section.value) / TWO_PI)
-                    )
-                else:
-                    winding[chart.names[j]] = int(
-                        math.floor((state[j] - x_start[j]) / TWO_PI + 1e-9)
-                    )
-            events.append(
-                SectionEvent(
-                    time=float(tau_c),
-                    state=state,
-                    state_normalized=chart.normalize(state),
-                    level_index=int(round((level - section.value) / TWO_PI)) if periodic else 0,
-                    winding=winding,
-                )
-            )
-    events.sort(key=lambda e: e.time)
-    return events

@@ -334,10 +334,9 @@ def check_fiber_tangency(sys: IntegralSystem, points) -> CheckReport:
 
 @dataclass
 class InducedBracket:
-    """Sampled pairwise-bracket matrices a_ij grouped by fiber."""
+    """Coranks and closure spread of the sampled bracket matrices a_ij, by fiber."""
 
     fiber_groups: list
-    matrices: list
     coranks: list
     regular_flags: list
     closure_spread: float
@@ -397,7 +396,6 @@ def bracket_closure_and_corank(
     groups = [list(g) for g in fiber_samples]
     if any(len(g) < 2 for g in groups):
         raise ValueError("each fiber group needs at least two points")
-    matrices = []
     coranks = []
     regular = []
     spread = 0.0
@@ -436,10 +434,8 @@ def bracket_closure_and_corank(
         base = group_mats[0]
         for a in group_mats[1:]:
             spread = max(spread, float(np.max(np.abs(a - base))))
-        matrices.extend(group_mats)
     return InducedBracket(
         fiber_groups=groups,
-        matrices=matrices,
         coranks=coranks,
         regular_flags=regular,
         closure_spread=spread,

@@ -16,7 +16,6 @@ from cosymkit.actionangle import (
     empirical_frequencies,
     evaluation_frequencies,
     find_fiber_point,
-    min_section_return,
     solve_frequencies,
     torus_lattice,
     trace_cycle,
@@ -318,9 +317,12 @@ def test_criterion_8_dense_winding():
     )
     gap = float(np.max(np.abs(slopes - expected)))
     ratios = winding_ratio_test(slopes)
-    dist, when = min_section_return(
-        sys_, sc.structure.evaluation_vf(sys_.hamiltonian), x0, 500.0
-    )
+    # t advances at unit rate: the orbit crosses the section t = t(0) at 2*pi*k
+    chart = sc.structure.chart
+    traj = integrate(sc.structure.evaluation_vf(sys_.hamiltonian), x0, 500.0, 1e-9, chart)
+    returns = TWO_PI * np.arange(1, int(500.0 // TWO_PI) + 1)
+    dists = [chart.distance(x, x0) for x in traj.sample(returns)]
+    dist, when = min(dists), returns[np.argmin(dists)]
     ok = gap < 1e-3 and ratios["irrational_winding"] and dist > 0.1
     _report(
         8,

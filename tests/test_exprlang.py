@@ -216,23 +216,15 @@ def _random_ast(rng, names, depth):
         return Var(names[i], i)
     kind = rng.integers(0, 6)
     if kind == 0:
-        from cosymkit.exprlang import Neg
-
         return Neg(_random_ast(rng, names, depth - 1))
     if kind == 1:
         return Add(_random_ast(rng, names, depth - 1), _random_ast(rng, names, depth - 1))
     if kind == 2:
-        from cosymkit.exprlang import Sub
-
         return Sub(_random_ast(rng, names, depth - 1), _random_ast(rng, names, depth - 1))
     if kind == 3:
         return Mul(_random_ast(rng, names, depth - 1), _random_ast(rng, names, depth - 1))
     if kind == 4:
-        from cosymkit.exprlang import Div
-
         return Div(_random_ast(rng, names, depth - 1), _random_ast(rng, names, depth - 1))
-    from cosymkit.exprlang import Call
-
     fn = ("sin", "cos", "exp", "log", "sqrt")[rng.integers(0, 5)]
     return Call(fn, _random_ast(rng, names, depth - 1))
 

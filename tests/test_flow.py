@@ -6,13 +6,8 @@ import pytest
 
 from cosymkit.cosym import make_canonical, make_poincare_cartan
 from cosymkit.fields import ChartSpec, ScalarField
-from cosymkit.flow import (
-    SectionSpec,
-    StepSizeUnderflowError,
-    drift_report,
-    integrate,
-    section_crossings,
-)
+from cosymkit.flow import StepSizeUnderflowError, drift_report, integrate
+from cosymkit.scenarios import builtin, builtin_names
 
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
 BOX = [[0.0, 2 * math.pi], [-2.0, 2.0], [-2.0, 2.0]]
@@ -101,34 +96,21 @@ def test_flow_commutativity():
     assert np.max(np.abs(one - two)) < 1e-6
 
 
-def test_t_section_events_at_multiples_of_two_pi():
-    S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 25.0, 1e-10, CHART)
-    events = section_crossings(
-        traj, SectionSpec("t", 0.0, direction=1), field=S.evaluation_vf(H)
-    )
-    times = [e.time for e in events]
-    assert times == pytest.approx([TWO_PI, 2 * TWO_PI, 3 * TWO_PI], abs=1e-9)
-    assert [e.winding["t"] for e in events] == [1, 2, 3]
-
-
-def test_q_section_events_oscillator():
-    S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 20.0, 1e-10, CHART)
-    events = section_crossings(
-        traj, SectionSpec("q", 0.0, direction=1), field=S.evaluation_vf(H)
-    )
-    # q = cos(tau) crosses zero upward at 3*pi/2 + 2*pi*k
-    times = [e.time for e in events]
-    expected = [3 * math.pi / 2 + TWO_PI * k for k in range(3)]
-    assert times == pytest.approx(expected, abs=1e-9)
-
-
-def test_no_crossing_returns_empty():
-    S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 3.0, 1e-10, CHART)
-    events = section_crossings(traj, SectionSpec("q", 5.0, direction=0))
-    assert events == []
+@pytest.mark.parametrize("flow", ["evaluation", "reeb"])
+@pytest.mark.parametrize("name", builtin_names())
+def test_eta_coordinate_advances_at_unit_rate(name, flow):
+    # eta(Y_H) = eta(Z) = 1 and eta is d of one coordinate, so that
+    # coordinate reads tau at every step: where it is periodic, the section
+    # {x_c = x_c(0)} is crossed at exactly tau = 2*pi*k
+    sc = builtin(name)
+    S = sc.structure
+    x0 = sc.base_point()
+    field = S.evaluation_vf(sc.system.hamiltonian) if flow == "evaluation" else S.reeb_vf()
+    traj = integrate(field, x0, 50.0, 1e-10, S.chart)
+    c = int(np.argmax(np.abs(S.eta.at(x0))))
+    assert np.all(S.eta.at_stack(traj.states) == np.eye(len(x0))[c])
+    drift = traj.states[:, c] - traj.states[0, c] - traj.times
+    assert np.all(np.abs(drift) <= 1e-12 * (1 + traj.times))
 
 
 def test_pc_reeb_flow_matches_oscillator():
