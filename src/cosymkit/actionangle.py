@@ -241,15 +241,14 @@ def find_fiber_point(
     sys: IntegralSystem,
     target,
     seed: Point,
-    tol: float = 1e-12,
-    max_iter: int = 60,
 ) -> np.ndarray:
-    """Least-norm Newton solve of f(x) = target starting from ``seed``."""
+    """Least-norm Newton solve of f(x) = target starting from ``seed``, to
+    |f(x) - target| < 1e-12 within 60 iterations."""
     target = np.asarray(target, dtype=float)
     x = np.array(seed, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(60):
         resid = target - sys.integral_values(x)
-        if np.max(np.abs(resid)) < tol:
+        if np.max(np.abs(resid)) < 1e-12:
             return x
         J = np.array([f.gradient(x) for f in sys.integrals])
         step, *_ = np.linalg.lstsq(J, resid, rcond=None)
@@ -695,16 +694,16 @@ def empirical_frequencies(
     angle_maps,
     tau_end: float,
     sample_step: float = 0.1,
-    flow_tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares slopes of the declared angles along one trajectory.
+    """Least-squares slopes of the declared angles along one trajectory,
+    flowed at tolerance 1e-10.
 
     Returns (slopes, residuals); the residual is the max deviation of the
     unwrapped angle from its linear fit; a small residual certifies linear
     flow in these angles.
     """
     chart = sys.structure.chart
-    traj = integrate(field, x0, tau_end, flow_tol, chart)
+    traj = integrate(field, x0, tau_end, 1e-10, chart)
     taus = np.arange(0.0, tau_end, sample_step)
     taus = np.append(taus, tau_end)
     states = traj.sample(taus)
@@ -720,14 +719,12 @@ def empirical_frequencies(
     return np.array(slopes), np.array(residuals)
 
 
-def winding_ratio_test(
-    freqs, max_denominator: int = 32, rational_tol: float = 1e-4
-) -> dict:
+def winding_ratio_test(freqs) -> dict:
     """Classify pairwise frequency ratios as commensurate or not.
 
-    A ratio counts as rational when some fraction with denominator up to
-    ``max_denominator`` approximates it within ``rational_tol`` (well above
-    the measurement error of the slope fits).
+    A ratio counts as rational when some fraction with denominator up to 32
+    approximates it within 1e-4 (well above the measurement error of the
+    slope fits).
     """
     freqs = np.asarray(freqs, dtype=float)
     pairs = []
@@ -738,9 +735,9 @@ def winding_ratio_test(
             if hi == 0.0:
                 continue
             ratio = lo / hi
-            frac = Fraction(ratio).limit_denominator(max_denominator)
+            frac = Fraction(ratio).limit_denominator(32)
             err = abs(ratio - float(frac))
-            rational = err <= rational_tol
+            rational = err <= 1e-4
             any_irrational = any_irrational or not rational
             pairs.append(
                 {

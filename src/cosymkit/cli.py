@@ -129,12 +129,12 @@ def _verify_section(scenario: Scenario, points_n: int, seed: int) -> dict:
     sys_ = scenario.system
     rng = np.random.default_rng(seed)
     points = sample_box(scenario.structure.domain_box, points_n, rng)
-    lie_points = points[: max(4, points_n // 8)]
+    bracket_points = points[: max(4, points_n // 8)]
     sections = {
         "first_integrals": check_first_integrals(sys_, points).to_dict(),
         "commuting_prefix": check_commuting_prefix(sys_, points).to_dict(),
         "independence": check_independence(sys_, points).to_dict(),
-        "symmetry_algebra": check_symmetry_algebra(sys_, lie_points).to_dict(),
+        "symmetry_algebra": check_symmetry_algebra(sys_, bracket_points).to_dict(),
         "fiber_tangency": check_fiber_tangency(sys_, points).to_dict(),
     }
     # closure and corank on flow-generated fiber groups
@@ -165,10 +165,9 @@ def _verify_section(scenario: Scenario, points_n: int, seed: int) -> dict:
         if i >= sys_.r or j >= sys_.r
     ]
     if noncommuting:
-        pair_pts = points[: max(4, points_n // 8)]
         try:
             sections["bracket_of_integrals"] = check_bracket_of_integrals(
-                sys_, noncommuting, pair_pts
+                sys_, noncommuting, bracket_points
             ).to_dict()
         except _RUNTIME_ERRORS as err:
             sections["bracket_of_integrals"] = {"pass": False, "error": str(err)}

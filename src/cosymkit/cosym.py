@@ -146,6 +146,25 @@ def _at_row(err: Exception, row: int) -> Exception:
     return err
 
 
+def _first_row(bad: np.ndarray, error) -> None:
+    """Raise ``error(k)``, marked with its row, for the first row ``k``
+    flagged in ``bad``."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _at_row(error(k), k)
+
+
+def _first_not_finite(X: np.ndarray, named) -> None:
+    """Raise ``StructureEvalError`` as ``Frame`` words it at the first row of
+    ``X`` where one of the ``(name, stack)`` pairs in ``named``, tried in
+    order, is not finite."""
+    for what, T in named:
+        _first_row(
+            ~np.isfinite(T).all(axis=tuple(range(1, T.ndim))),
+            lambda k: _not_finite(X[k], what),
+        )
+
+
 class Frame:
     """Per-point solve context: Omega, eta and A^T at one point.
 
@@ -438,9 +457,7 @@ class FrameStack:
                 k = err.row or 0  # an error of no row fails every row
                 raise _at_row(StructureEvalError(X[k], err), k) from err
             A_T = self.eta[:, :, None] * self.eta[:, None, :] - self.Omega
-            self._first(
-                ~np.isfinite(A_T).all(axis=(1, 2)), lambda k: _not_finite(X[k], _A_NAME)
-            )
+            _first_not_finite(X, [(_A_NAME, A_T)])
             self._A_T, self.det = A_T, np.linalg.det(A_T)
         det = np.broadcast_to(self.det, X.shape[:1])
         self._first(
@@ -451,10 +468,7 @@ class FrameStack:
 
     def _first(self, bad, error) -> None:
         """Raise ``error(k)`` for the first row ``k`` flagged in ``bad``."""
-        bad = np.broadcast_to(bad, self.X.shape[:1])
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise _at_row(error(k), k)
+        _first_row(np.broadcast_to(bad, self.X.shape[:1]), error)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A^T u = rhs at every row; ``rhs`` is (N, d)."""
@@ -593,11 +607,6 @@ def _first_failure(compute, X):
         else:
             break
     raise first
-
-
-def _max_seen(values: np.ndarray) -> float:
-    """The running maximum of a loop that starts at 0 and skips NaN."""
-    return float(np.max(np.where(np.isnan(values), 0.0, values), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -776,7 +785,9 @@ class CosymplecticStructure:
         """Check closedness of omega and eta and the volume condition.
 
         Draws ``samples`` uniform points from the domain box with a seeded
-        generator, so reports are reproducible.
+        generator, so reports are reproducible.  A sample where ``A``,
+        ``d omega`` or ``d eta`` is not finite raises ``StructureEvalError``,
+        the first such sample in draw order.
         """
         if samples <= 0:
             raise ValueError("samples must be positive")
@@ -792,33 +803,34 @@ class CosymplecticStructure:
             except exprlang.ExprError as err:
                 k = err.row or 0
                 raise _at_row(StructureEvalError(X[k], err), k) from err
-            det = np.abs(np.linalg.det(W + ev[:, :, None] * ev[:, None, :]))
-            return _abs_max_per_row(dw), _abs_max_per_row(de), det
+            A = W + ev[:, :, None] * ev[:, None, :]
+            _first_not_finite(X, [(_A_NAME, A), ("d omega", dw), ("d eta", de)])
+            return _abs_max_per_row(dw), _abs_max_per_row(de), np.abs(np.linalg.det(A))
 
         dw, de, det = map_blocks(rows, pts)
-        # the first minimum below inf; a NaN determinant never is one
-        det = np.where(np.isnan(det), math.inf, det)
         k = int(np.argmin(det))
         return ValidationReport(
-            samples, _max_seen(dw), _max_seen(de), float(det[k]), self.tol, pts[k]
+            samples, float(dw.max()), float(de.max()), float(det[k]), self.tol, pts[k]
         )
 
     def check_primitive(self, points, lam: OneFormField | None = None) -> float:
-        """Max of |-d lambda - omega| over the given points."""
+        """Max of |-d lambda - omega| over the given points; the first point
+        where it is not finite raises ``StructureEvalError``."""
         lam = lam if lam is not None else self.primitive
         if lam is None:
             raise ValueError("structure carries no primitive one-form")
 
         def rows(X):
-            dlam = lam.exterior_derivative_stack(X)
-            return _abs_max_per_row(-dlam - self.omega.at_stack(X))
+            resid = -lam.exterior_derivative_stack(X) - self.omega.at_stack(X)
+            _first_not_finite(X, [("-d lambda - omega", resid)])
+            return _abs_max_per_row(resid)
 
         X = np.asarray(points, dtype=float).reshape(-1, self.chart.dim)
-        return _max_seen(map_blocks(rows, X))
+        return float(np.max(map_blocks(rows, X), initial=0.0))
 
 
 def _abs_max_per_row(T: np.ndarray) -> np.ndarray:
-    """max |T| over all but the first axis; NaN where a row holds NaN."""
+    """max |T| over all but the first axis."""
     return np.abs(T).max(axis=tuple(range(1, T.ndim)), initial=0.0)
 
 

@@ -86,11 +86,12 @@ class ChartSpec:
         return self.names.index(name)
 
     def normalize(self, x: Point) -> Point:
-        """Fold periodic coordinates into [0, 2*pi); other coordinates pass."""
+        """Fold periodic coordinates into [0, 2*pi); other coordinates pass.
+        Takes one point (d,) or a stack (N, d)."""
         out = np.array(x, dtype=float)
         for i, per in enumerate(self.periodic):
             if per:
-                out[i] = np.mod(out[i], TWO_PI)
+                out[..., i] = np.mod(out[..., i], TWO_PI)
         return out
 
     def wrap_difference(self, a: Point, b: Point) -> Point:
@@ -151,16 +152,15 @@ class NumericScalarField:
     through the same machinery as parsed fields.
     """
 
-    def __init__(self, func, name: str = "g", base_step: float = 1e-4):
+    def __init__(self, func, name: str = "g"):
         self._func = func
         self.name = name
-        self.base_step = base_step
 
     def value(self, x: Point) -> float:
         return float(self._func(np.asarray(x, dtype=float)))
 
     def gradient(self, x: Point) -> np.ndarray:
-        return scalar_fd_gradient(self._func, x, self.base_step)
+        return scalar_fd_gradient(self._func, x)
 
     # the stencil takes stacks too; the evaluator must then accept them
     gradient_stack = gradient
@@ -345,10 +345,14 @@ class VectorFieldExpr:
 # quotients broadcast over the leading axis, and the field is called once per
 # shift with every row, in the one-point order of shifts.
 
-def fd_steps(x: Point, base_step: float = 1e-4) -> np.ndarray:
+#: The relative (and smallest absolute) stencil step.
+_BASE_STEP = 1e-4
+
+
+def fd_steps(x: Point) -> np.ndarray:
     """Per-coordinate stencil steps ``h_i = max(base, base * |x_i|)``."""
     x = np.asarray(x, dtype=float)
-    return np.maximum(base_step, base_step * np.abs(x))
+    return np.maximum(_BASE_STEP, _BASE_STEP * np.abs(x))
 
 
 def _shift(x: np.ndarray, h: np.ndarray, j: int) -> np.ndarray:
@@ -358,14 +362,14 @@ def _shift(x: np.ndarray, h: np.ndarray, j: int) -> np.ndarray:
     return e
 
 
-def fd_jacobian(field, x: Point, base_step: float = 1e-4) -> np.ndarray:
+def fd_jacobian(field, x: Point) -> np.ndarray:
     """Five-point central-difference Jacobian of a point-evaluable field.
 
     Fourth-order accurate; used for fields produced by linear solves, which
     have no expression representation.  ``J[..., i, j] = d_j F_i``.
     """
     x = np.asarray(x, dtype=float)
-    h = fd_steps(x, base_step)
+    h = fd_steps(x)
     cols = []
     for j in range(x.shape[-1]):
         e = _shift(x, h, j)
@@ -377,10 +381,10 @@ def fd_jacobian(field, x: Point, base_step: float = 1e-4) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def scalar_fd_gradient(func, x: Point, base_step: float = 1e-4) -> np.ndarray:
+def scalar_fd_gradient(func, x: Point) -> np.ndarray:
     """Five-point central-difference gradient of a scalar callable."""
     x = np.asarray(x, dtype=float)
-    h = fd_steps(x, base_step)
+    h = fd_steps(x)
     g = np.zeros(x.shape)
     for j in range(x.shape[-1]):
         e = _shift(x, h, j)
@@ -390,7 +394,7 @@ def scalar_fd_gradient(func, x: Point, base_step: float = 1e-4) -> np.ndarray:
     return g
 
 
-def lie_bracket(X, Y, x: Point, base_step: float = 1e-4) -> np.ndarray:
+def lie_bracket(X, Y, x: Point) -> np.ndarray:
     """Commutator ``[X, Y]`` at ``x``: ``J_Y X - J_X Y``.
 
     Fields carrying a ``jacobian`` method (expression-backed fields) use exact
@@ -399,8 +403,8 @@ def lie_bracket(X, Y, x: Point, base_step: float = 1e-4) -> np.ndarray:
     orders reuse the same two Jacobian evaluations.
     """
     x = np.asarray(x, dtype=float)
-    JX = X.jacobian(x) if hasattr(X, "jacobian") else fd_jacobian(X, x, base_step)
-    JY = Y.jacobian(x) if hasattr(Y, "jacobian") else fd_jacobian(Y, x, base_step)
+    JX = X.jacobian(x) if hasattr(X, "jacobian") else fd_jacobian(X, x)
+    JY = Y.jacobian(x) if hasattr(Y, "jacobian") else fd_jacobian(Y, x)
     # a matrix-vector product per point, with the bits of JY @ X(x)
     Xx, Yx = np.asarray(X(x))[..., None], np.asarray(Y(x))[..., None]
     return (JY @ Xx)[..., 0] - (JX @ Yx)[..., 0]

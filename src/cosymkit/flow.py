@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TWO_PI, ChartSpec, Point
+from .fields import ChartSpec, Point
 
 __all__ = [
     "FlowError",
@@ -136,11 +136,7 @@ class Trajectory:
         return np.array([self.state_at(t) for t in np.asarray(taus, dtype=float)])
 
     def normalized_states(self) -> np.ndarray:
-        out = np.array(self.states)
-        for i, per in enumerate(self.chart.periodic):
-            if per:
-                out[:, i] = np.mod(out[:, i], TWO_PI)
-        return out
+        return self.chart.normalize(self.states)
 
     def to_csv(self, target) -> None:
         """Write ``tau,<coords...>,<integrals...>`` rows, one per accepted step."""
@@ -180,6 +176,10 @@ def _initial_step(field, y0, f0, sign, tol):
     return min(100 * h0, h1)
 
 
+#: Step attempts (accepted or rejected) after which a flow is abandoned.
+_MAX_STEPS = 2_000_000
+
+
 def integrate(
     field,
     x0: Point,
@@ -187,7 +187,6 @@ def integrate(
     tol: float,
     chart: ChartSpec,
     integrals=(),
-    max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate ``dx/dtau = field(x)`` from 0 to ``tau_end`` adaptively.
 
@@ -223,8 +222,8 @@ def integrate(
     n = len(x0)
     K = np.empty((7, n))
     while sign * (tau_end - t) > 1e-15 * span:
-        if steps >= max_steps:
-            raise FlowError(f"exceeded {max_steps} steps at tau={t}")
+        if steps >= _MAX_STEPS:
+            raise FlowError(f"exceeded {_MAX_STEPS} steps at tau={t}")
         remaining = abs(tau_end - t)
         h = min(h, remaining)
         if h < h_min and h < remaining:

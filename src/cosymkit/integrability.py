@@ -14,16 +14,17 @@ a commuting prefix of length r on a (2n+1)-dimensional structure:
 Points failing the rank checks are reported and excluded rather than
 extrapolated across; every report carries its worst witness.
 
-The pointwise checks evaluate their points as stacks (N, d), in blocks of
-``cosym.BLOCK_ROWS``: one ``FrameStack`` per block and field, the integrals'
-array code for gradients, the stencils of ``fields`` called once per shift on
-the whole block, and reductions over the residual arrays.  Every row gets the
-bits a ``Frame`` at that point computes.  A residual array is laid out in the
-order of the loop over points (and integrals, pairs or fields) it replaces,
-and the witness is its first maximum in that order (``np.argmax``); a NaN
-residual never is one, and with no residual above 0 there is no witness.  A
-point that fails raises what its ``Frame`` raises, and the first failing
-point in that order is the one that raises.
+Every check evaluates its points as stacks (N, d), in blocks of
+``cosym.BLOCK_ROWS``, and the induced bracket one stack per fiber group: one
+``FrameStack`` per block and field, the integrals' array code for gradients,
+the stencils of ``fields`` called once per shift on the whole block, and
+reductions over the residual arrays.  Every row gets the bits a ``Frame`` at
+that point computes.  A residual array is laid out in the order of the loop
+over points (and integrals, pairs or fields) it replaces, and the witness is
+its first maximum in that order (``np.argmax``); a NaN residual never is one,
+and with no residual above 0 there is no witness.  A point that fails raises
+what its ``Frame`` raises, and the first failing point in that order is the
+one that raises.
 """
 
 from __future__ import annotations
@@ -143,6 +144,11 @@ def _columns(cols: list, n: int) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
 
 
+def _point(X: np.ndarray, k: int) -> dict:
+    """The witness entries naming row ``k`` of the stack ``X``."""
+    return {"point_index": k, "point": list(map(float, X[k]))}
+
+
 def _worst(resid: np.ndarray) -> tuple[float, tuple | None]:
     """The largest residual and its index: the first maximum in C order, as a
     loop that keeps a residual only when it beats the one kept (from 0)."""
@@ -169,6 +175,15 @@ def _ranks(M: np.ndarray, rel_tol: float) -> np.ndarray:
     return ranks
 
 
+def _report(name: str, tol: float, resid: np.ndarray, describe) -> CheckReport:
+    """The report of a residual check: it passes when the worst residual is
+    below ``tol``, and its witness is ``describe(*index)`` of the worst entry
+    followed by that residual."""
+    worst, at = _worst(resid)
+    witness = {**describe(*at), "residual": worst} if at is not None else None
+    return CheckReport(name, worst < tol, worst, tol, witness)
+
+
 def check_first_integrals(sys: IntegralSystem, points) -> CheckReport:
     """Residuals |Z(f_i) + {f_i, H}| at each point."""
     tol = sys.structure.tol.first_integral
@@ -184,17 +199,10 @@ def check_first_integrals(sys: IntegralSystem, points) -> CheckReport:
         return _columns(cols, len(X))
 
     X = _stack(sys, points)
-    worst, at = _worst(map_blocks(rows, X))
-    witness = None
-    if at is not None:
-        k, i = at
-        witness = {
-            "integral": sys.integrals[i].name,
-            "point_index": k,
-            "point": list(map(float, X[k])),
-            "residual": worst,
-        }
-    return CheckReport("first_integrals", worst < tol, worst, tol, witness)
+    return _report(
+        "first_integrals", tol, map_blocks(rows, X),
+        lambda k, i: {"integral": sys.integrals[i].name, **_point(X, k)},
+    )
 
 
 def check_commuting_prefix(sys: IntegralSystem, points) -> CheckReport:
@@ -210,18 +218,10 @@ def check_commuting_prefix(sys: IntegralSystem, points) -> CheckReport:
         )
 
     X = _stack(sys, points)
-    worst, at = _worst(map_blocks(rows, X))
-    witness = None
-    if at is not None:
-        k, p = at
-        i, j = pairs[p]
-        witness = {
-            "pair": [sys.integrals[i].name, sys.integrals[j].name],
-            "point_index": k,
-            "point": list(map(float, X[k])),
-            "residual": worst,
-        }
-    return CheckReport("commuting_prefix", worst < tol, worst, tol, witness)
+    return _report(
+        "commuting_prefix", tol, map_blocks(rows, X),
+        lambda k, p: {"pair": [sys.integrals[i].name for i in pairs[p]], **_point(X, k)},
+    )
 
 
 def check_independence(sys: IntegralSystem, points) -> CheckReport:
@@ -254,12 +254,9 @@ def check_independence(sys: IntegralSystem, points) -> CheckReport:
 
     X = _stack(sys, points)
     regular, rank = map_blocks(rows, X)
-    excluded = [
-        {"point_index": int(k), "point": list(map(float, X[k]))}
-        for k in np.flatnonzero(~regular)
-    ]
+    excluded = [_point(X, int(k)) for k in np.flatnonzero(~regular)]
     defects = [
-        {"point_index": int(k), "point": list(map(float, X[k])), "rank": int(rank[k])}
+        {**_point(X, int(k)), "rank": int(rank[k])}
         for k in np.flatnonzero(regular & (rank != sys.r + 1))
     ]
     return CheckReport(
@@ -292,18 +289,10 @@ def check_symmetry_algebra(sys: IntegralSystem, points) -> CheckReport:
         )
 
     X = _stack(sys, points)
-    worst, at = _worst(map_blocks(rows, X))
-    witness = None
-    if at is not None:
-        k, p = at
-        i, j = pairs[p]
-        witness = {
-            "pair": [fields_[i].label, fields_[j].label],
-            "point_index": k,
-            "point": list(map(float, X[k])),
-            "residual": worst,
-        }
-    return CheckReport("symmetry_algebra", worst < tol, worst, tol, witness)
+    return _report(
+        "symmetry_algebra", tol, map_blocks(rows, X),
+        lambda k, p: {"pair": [fields_[i].label for i in pairs[p]], **_point(X, k)},
+    )
 
 
 def check_fiber_tangency(sys: IntegralSystem, points) -> CheckReport:
@@ -319,24 +308,21 @@ def check_fiber_tangency(sys: IntegralSystem, points) -> CheckReport:
             cols += [np.abs(_dot(df, v)) for v in vals]
         return _columns(cols, len(X))
 
-    worst, at = _worst(map_blocks(rows, _stack(sys, points)))
-    witness = None
-    if at is not None:
-        k, c = at
-        witness = {
+    return _report(
+        "fiber_tangency", tol, map_blocks(rows, _stack(sys, points)),
+        lambda k, c: {
             "integral": sys.integrals[c // len(fields_)].name,
             "field": fields_[c % len(fields_)].label,
             "point_index": k,
-            "residual": worst,
-        }
-    return CheckReport("fiber_tangency", worst < tol, worst, tol, witness)
+        },
+    )
 
 
 @dataclass
 class InducedBracket:
     """Coranks and closure spread of the sampled bracket matrices a_ij, by fiber."""
 
-    fiber_groups: list
+    fibers: int
     coranks: list
     regular_flags: list
     closure_spread: float
@@ -373,7 +359,7 @@ class InducedBracket:
             "closure_ok": self.closure_ok,
             "corank_ok": self.corank_ok(),
             "parity_ok": self.parity_ok(),
-            "fibers": len(self.fiber_groups),
+            "fibers": self.fibers,
             "regular_points": int(sum(self.regular_flags)),
         }
         if self.casimir_residual is not None:
@@ -390,60 +376,58 @@ def bracket_closure_and_corank(
     single fiber (integral values within the fiber-match tolerance).  Groups
     need at least two points for the constancy test to mean anything.
     Optional ``casimirs`` are scalar fields expected to commute with all
-    integrals.
+    integrals.  Each group is evaluated as one stack; the corank of a is the
+    number of its singular values at most ``max(1e-10, 1e-8 s_0)``.
     """
-    tolcfg = sys.structure.tol
-    groups = [list(g) for g in fiber_samples]
+    S = sys.structure
+    groups = [_stack(sys, g) for g in fiber_samples]
     if any(len(g) < 2 for g in groups):
         raise ValueError("each fiber group needs at least two points")
-    coranks = []
-    regular = []
-    spread = 0.0
-    casimir_worst = 0.0 if casimirs else None
-    for group in groups:
-        fvals = [sys.integral_values(x) for x in group]
+    m = sys.m
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+    def rows(X):
+        frame = S.frame(X)
+        grads = [frame.differential(f) for f in sys.integrals]
+        a = np.zeros((len(X), m, m))
+        for i, j in pairs:
+            a[:, i, j] = frame.bracket(grads[i], grads[j])
+            a[:, j, i] = -a[:, i, j]
+        regular = np.ones(len(X), dtype=bool)
+        if m:
+            regular = _ranks(np.stack(grads, axis=1), S.tol.rank_rel) == m
+        cols = []
+        for g in casimirs:
+            dg = frame.differential(g)
+            cols += [np.abs(frame.bracket(dg, df)) for df in grads]
+        return a, regular, _columns(cols, len(X))
+
+    coranks, flags = [], []
+    spread = casimir = 0.0
+    for X in groups:
+        fvals = [sys.integral_values(x) for x in X]
         for fv in fvals[1:]:
-            if np.max(np.abs(fv - fvals[0])) > tolcfg.fiber_match:
+            if np.max(np.abs(fv - fvals[0])) > S.tol.fiber_match:
                 raise ValueError(
                     "fiber group mixes distinct fibers: "
                     f"{fvals[0].tolist()} vs {fv.tolist()}"
                 )
-        group_mats = []
-        for x in group:
-            frame = sys.structure.frame(x)
-            grads = [f.gradient(x) for f in sys.integrals]
-            a = np.zeros((sys.m, sys.m))
-            for i in range(sys.m):
-                for j in range(i + 1, sys.m):
-                    a[i, j] = frame.bracket(grads[i], grads[j])
-                    a[j, i] = -a[i, j]
-            group_mats.append(a)
-            G = np.array(grads) if sys.m else np.zeros((0, len(x)))
-            is_regular = svd_rank(G, tolcfg.rank_rel) == sys.m
-            regular.append(is_regular)
-            s = np.linalg.svd(a, compute_uv=False) if sys.m else np.array([])
-            thr = max(1e-10, (float(s[0]) if len(s) else 0.0) * 1e-8)
-            coranks.append(int(np.sum(s <= thr)))
-            if casimirs:
-                for g in casimirs:
-                    dg = g.gradient(x)
-                    for df in grads:
-                        casimir_worst = max(
-                            casimir_worst, abs(frame.bracket(dg, df))
-                        )
-        base = group_mats[0]
-        for a in group_mats[1:]:
-            spread = max(spread, float(np.max(np.abs(a - base))))
+        a, regular, resid = map_blocks(rows, X)
+        s = np.linalg.svd(a, compute_uv=False)
+        coranks += np.sum(s <= np.maximum(1e-10, 1e-8 * s[:, :1]), axis=1).tolist()
+        flags += regular.tolist()
+        spread = max(spread, float(np.max(np.abs(a[1:] - a[0]), initial=0.0)))
+        casimir = max(casimir, float(np.max(resid, initial=0.0)))
     return InducedBracket(
-        fiber_groups=groups,
+        fibers=len(groups),
         coranks=coranks,
-        regular_flags=regular,
+        regular_flags=flags,
         closure_spread=spread,
-        ddim=sys.m,
+        ddim=m,
         dind=sys.r,
-        dim=sys.structure.chart.dim,
-        casimir_residual=casimir_worst,
-        closure_tol=tolcfg.closure_fiber,
+        dim=S.chart.dim,
+        casimir_residual=casimir if casimirs else None,
+        closure_tol=S.tol.closure_fiber,
     )
 
 
@@ -455,18 +439,10 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
     derivatives of the bracket function are exact on constant structures
     (``bracket_expr``) and come from finite differences otherwise.
     """
-    tolcfg = sys.structure.tol
     S = sys.structure
-    members = sorted({i for pair in pairs for i in pair})
+    members = tuple(sys.integrals[i] for i in sorted({i for pair in pairs for i in pair}))
     probe = check_first_integrals(
-        IntegralSystem(
-            S,
-            sys.hamiltonian,
-            tuple(sys.integrals[i] for i in members),
-            r=0,
-            enforce_completeness=False,
-        ),
-        points,
+        IntegralSystem(S, sys.hamiltonian, members, r=0, enforce_completeness=False), points
     )
     if not probe.passed:
         raise ValueError(
@@ -485,18 +461,10 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
     for p, (i, j) in enumerate(pairs):
         g = S.bracket_scalar(sys.integrals[i], sys.integrals[j])
         resid[p] = map_blocks(lambda X: rows(X, g), X)
-    worst, at = _worst(resid)
-    witness = None
-    if at is not None:
-        p, k = at
-        i, j = pairs[p]
-        witness = {
-            "pair": [sys.integrals[i].name, sys.integrals[j].name],
-            "point_index": k,
-            "residual": worst,
-        }
-    tol = tolcfg.bracket_integral_residual
-    return CheckReport("bracket_of_integrals", worst < tol, worst, tol, witness)
+    return _report(
+        "bracket_of_integrals", S.tol.bracket_integral_residual, resid,
+        lambda p, k: {"pair": [sys.integrals[i].name for i in pairs[p]], "point_index": k},
+    )
 
 
 def sample_fiber(
@@ -505,13 +473,13 @@ def sample_fiber(
     count: int,
     rng: np.random.Generator,
     span: float = 4.0,
-    tol: float = 1e-12,
 ) -> list:
     """Points on the fiber (connected component) of ``x0``, by symmetry flows.
 
     Flowing the tangent symmetry fields keeps the integral values fixed up to
     integrator error, and stays on the same connected component, which fiber
-    grouping by integral values alone cannot guarantee.
+    grouping by integral values alone cannot guarantee.  The flows run at
+    tolerance 1e-12.
     """
     fields_ = sys.symmetry_fields()
     chart = sys.structure.chart
@@ -520,6 +488,6 @@ def sample_fiber(
         x = out[0]
         for vf in fields_:
             tau = float(rng.uniform(0.3, span))
-            x = integrate(vf, x, tau, tol, chart).final_state
+            x = integrate(vf, x, tau, 1e-12, chart).final_state
         out.append(x)
     return out

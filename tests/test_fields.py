@@ -37,6 +37,11 @@ def test_normalize_and_wrap():
     assert d[0] == pytest.approx(0.2)
 
 
+def test_normalize_folds_each_row_of_a_stack():
+    X = np.array([[2 * math.pi + 0.5, 3.0, -1.0], [-0.25, 7.0, 0.0], [0.0, -9.0, 4.0]])
+    assert np.array_equal(CHART.normalize(X), np.array([CHART.normalize(x) for x in X]))
+
+
 def test_exterior_derivative_constant_form_is_zero():
     theta = OneFormField.from_sources(["1", "0", "0"], CHART)  # dt
     assert np.array_equal(theta.exterior_derivative(np.array([0.3, 1.0, 2.0])), np.zeros((3, 3)))

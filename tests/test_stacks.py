@@ -20,12 +20,14 @@ from cosymkit.exprlang import EvalDomainError
 from cosymkit.fields import OneFormField, ScalarField, TwoFormField, lie_bracket, sample_box
 from cosymkit.integrability import (
     IntegralSystem,
+    bracket_closure_and_corank,
     check_bracket_of_integrals,
     check_commuting_prefix,
     check_fiber_tangency,
     check_first_integrals,
     check_independence,
     check_symmetry_algebra,
+    sample_fiber,
     svd_rank,
 )
 from cosymkit.scenarios import builtin, builtin_names
@@ -166,6 +168,32 @@ def _ref_primitive(S, points):
     return worst
 
 
+def _ref_closure_and_corank(sys, groups, casimirs=()):
+    tol = sys.structure.tol
+    coranks, regular, spread, casimir = [], [], 0.0, 0.0
+    for group in groups:
+        mats = []
+        for x in group:
+            frame = sys.structure.frame(x)
+            grads = [f.gradient(x) for f in sys.integrals]
+            a = np.zeros((sys.m, sys.m))
+            for i in range(sys.m):
+                for j in range(i + 1, sys.m):
+                    a[i, j] = frame.bracket(grads[i], grads[j])
+                    a[j, i] = -a[i, j]
+            mats.append(a)
+            regular.append(svd_rank(np.array(grads), tol.rank_rel) == sys.m)
+            s = np.linalg.svd(a, compute_uv=False)
+            coranks.append(int(np.sum(s <= max(1e-10, float(s[0]) * 1e-8))))
+            for g in casimirs:
+                dg = g.gradient(x)
+                for df in grads:
+                    casimir = max(casimir, abs(frame.bracket(dg, df)))
+        for a in mats[1:]:
+            spread = max(spread, float(np.max(np.abs(a - mats[0]))))
+    return coranks, regular, spread, casimir if casimirs else None
+
+
 def _all_pairs(sys):
     return [(i, j) for i in range(sys.m) for j in range(i + 1, sys.m)]
 
@@ -256,6 +284,21 @@ def test_stacked_validate_and_primitive_equal_per_point(name):
         assert S.check_primitive(pts) == _ref_primitive(S, pts)
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_stacked_closure_and_corank_equals_per_point(name):
+    sc = builtin(name)
+    sys = sc.system
+    rng = np.random.default_rng(71)
+    seeds = [sc.base_point(), sc.base_point() * 0.9]
+    groups = [sample_fiber(sys, x0, 3, rng) for x0 in seeds]
+    got = bracket_closure_and_corank(sys, groups, casimirs=sc.casimirs)
+    coranks, regular, spread, casimir = _ref_closure_and_corank(sys, groups, sc.casimirs)
+    assert got.fibers == 2 and len(got.coranks) == 6
+    assert (got.coranks, got.regular_flags) == (coranks, regular)
+    assert (got.closure_spread, got.casimir_residual) == (spread, casimir)
+    assert got.closure_ok and got.corank_ok()
+
+
 @pytest.mark.parametrize("name", [*builtin_names(), "canonical-in-linear-chart"])
 def test_structure_fields_on_a_stack_equal_per_point(name):
     if name in builtin_names():
@@ -326,6 +369,68 @@ def test_degenerate_row_raises_frame_error():
     assert np.array_equal(err.point, x)
     # the stencils of the Lie check meet a shifted point first, as the loop does
     _assert_raises_like_loops(sys, pts)
+
+
+def test_closure_and_corank_degenerate_point_raises_frame_error():
+    # omega = q dq^dp degenerates at q = 0; the third point of the second
+    # group lies on the fiber H = 1/2 there
+    sc = builtin("pc-oscillator-1d")
+    chart = sc.structure.chart
+    S = CosymplecticStructure(
+        chart,
+        TwoFormField.from_upper_sources({"q,p": "q"}, chart),
+        OneFormField.from_sources(["1", "0", "0"], chart),
+        sc.structure.domain_box,
+    )
+    H = ScalarField.from_source("(q^2 + p^2)/2", chart, "H")
+    sys = IntegralSystem(S, H, (H,), r=1)
+    c, s = math.cos(0.4), math.sin(0.4)
+    groups = [
+        [[0.1, c, s], [0.2, s, c]],
+        [[0.3, c, -s], [0.4, -s, c], [1.0, 0.0, 1.0], [1.2, 0.0, -1.0]],
+    ]
+    want = _error_of(lambda: _ref_closure_and_corank(sys, groups, (H,)))
+    assert isinstance(want, DegenerateStructureError)
+    err = _error_of(lambda: bracket_closure_and_corank(sys, groups, casimirs=(H,)))
+    assert (type(err), str(err)) == (type(want), str(want))
+    assert np.array_equal(err.point, [1.0, 0.0, 1.0])
+
+
+def test_validate_raises_at_first_non_finite_sample():
+    sc = builtin("pc-oscillator-1d")
+    chart = sc.structure.chart
+    eta = OneFormField.from_sources(["1", "0", "0"], chart)
+    # the first omega is infinite wherever q != 0, the second where |q| > 1.34
+    for source in ("1e300*q*q*q*1e300", "1 + 1e308*q*q"):
+        S = CosymplecticStructure(
+            chart, TwoFormField.from_upper_sources({"q,p": source}, chart), eta,
+            sc.structure.domain_box,
+        )
+        pts = sample_box(S.domain_box, 50, np.random.default_rng(2))
+        k = next(k for k, x in enumerate(pts) if not np.isfinite(S.omega.at(x)).all())
+        want = _error_of(lambda: S.reeb(pts[k]))
+        err = _error_of(lambda: S.validate(50, seed=2))
+        assert type(err) is StructureEvalError and str(err) == str(want), source
+        assert np.array_equal(err.point, pts[k])
+
+
+def test_check_primitive_raises_at_first_non_finite_point():
+    sc = builtin("ext-oscillator-1d")
+    S, chart = sc.structure, sc.structure.chart
+    pts = sample_box(S.domain_box, 9, np.random.default_rng(73))
+    pts[:, 1] = 0.1
+    pts[[3, 6], 1] = 2.0
+    # d/dq of 1e308 q^3 overflows at q = 2, and the diagonal of d lambda
+    # is then inf - inf
+    for source, at in (("1e600*q^3", 0), ("1e308*q*q*q", 3)):
+        lam = OneFormField.from_sources(["0", source, "0"], chart)
+        err = _error_of(lambda: S.check_primitive(pts, lam))
+        assert type(err) is StructureEvalError
+        assert str(err) == (
+            f"evaluation failed at {pts[at].tolist()}: -d lambda - omega is not finite"
+        )
+        assert np.array_equal(err.point, pts[at])
+    assert S.check_primitive(pts, OneFormField.from_sources(["0", "0", "0"], chart)) == 1.0
 
 
 def test_non_finite_structure_row_raises_frame_error():
