@@ -29,7 +29,7 @@ angles.  Callers without angle maps fall back to a near-return scan, which
 handles two-dimensional tori (r+1 = 2) only.  The lattice keeps the traced
 cycles of its basis, and the windings and the loop actions are read off
 them: the actions and eta pairings sum the one-forms against the
-Dormand-Prince stages each trajectory kept, so they are fifth-order
+Dormand-Prince stages each trajectory kept, so they are eighth-order
 quadratures on the flow's own steps and evaluate no field.
 """
 
@@ -104,7 +104,7 @@ class CycleError(ActionAngleError):
 
 
 class AngleUnwrapError(ActionAngleError):
-    """Angle samples jumped too far; a smaller output step is required."""
+    """Consecutive angle values jumped too far apart to unwrap."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class AngleMap:
         if len(wrapped_jumps) and np.max(wrapped_jumps) > 0.9 * math.pi:
             raise AngleUnwrapError(
                 f"angle '{self.label}' jumps by {np.max(wrapped_jumps):.3f} rad "
-                "between samples; reduce the output step"
+                "between consecutive states"
             )
         return np.unwrap(raw)
 
@@ -334,14 +334,13 @@ def _lattice(fields, x0: Point, refined) -> PeriodLattice:
 
 
 def _near_return_candidates(traj: Trajectory, x0, window, t_min):
+    """Accepted times past ``t_min`` where the distance to ``x0`` has a local
+    minimum below ``window``."""
     chart = traj.chart
-    span = abs(traj.duration)
-    n = max(64, int(span / 0.05))
-    taus = np.linspace(0.0, traj.times[-1], n + 1)
-    states = traj.sample(taus)
-    dists = np.array([chart.distance(s, x0) for s in states])
+    taus = traj.times
+    dists = np.array([chart.distance(s, x0) for s in traj.states])
     out = []
-    for k in range(1, n):
+    for k in range(1, len(taus) - 1):
         if dists[k] <= dists[k - 1] and dists[k] <= dists[k + 1]:
             if dists[k] < window and abs(taus[k]) > t_min:
                 out.append(float(taus[k]))
@@ -555,7 +554,7 @@ def line_integral(segments, form: OneFormField) -> float:
 
     Each segment's trajectory sums the form against its own Dormand-Prince
     stages (``Trajectory.quadrature``), so the result carries the flow's
-    fifth order and no field is evaluated again.
+    eighth order and no field is evaluated again.
     """
     return sum((traj.quadrature(form.at_stack) for _, traj in segments), 0.0)
 
@@ -693,10 +692,9 @@ def empirical_frequencies(
     x0: Point,
     angle_maps,
     tau_end: float,
-    sample_step: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares slopes of the declared angles along one trajectory,
-    flowed at tolerance 1e-10.
+    flowed at tolerance 1e-10 and fit at its accepted states.
 
     Returns (slopes, residuals); the residual is the max deviation of the
     unwrapped angle from its linear fit; a small residual certifies linear
@@ -704,14 +702,11 @@ def empirical_frequencies(
     """
     chart = sys.structure.chart
     traj = integrate(field, x0, tau_end, 1e-10, chart)
-    taus = np.arange(0.0, tau_end, sample_step)
-    taus = np.append(taus, tau_end)
-    states = traj.sample(taus)
-    A = np.vstack([taus, np.ones_like(taus)]).T
+    A = np.vstack([traj.times, np.ones_like(traj.times)]).T
     slopes = []
     residuals = []
     for amap in angle_maps:
-        series = amap.series(states)
+        series = amap.series(traj.states)
         coef, *_ = np.linalg.lstsq(A, series, rcond=None)
         fit = A @ coef
         slopes.append(float(coef[0]))

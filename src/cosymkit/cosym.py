@@ -815,13 +815,18 @@ class CosymplecticStructure:
 
     def check_primitive(self, points, lam: OneFormField | None = None) -> float:
         """Max of |-d lambda - omega| over the given points; the first point
-        where it is not finite raises ``StructureEvalError``."""
+        where it fails to evaluate or is not finite raises
+        ``StructureEvalError``."""
         lam = lam if lam is not None else self.primitive
         if lam is None:
             raise ValueError("structure carries no primitive one-form")
 
         def rows(X):
-            resid = -lam.exterior_derivative_stack(X) - self.omega.at_stack(X)
+            try:
+                resid = -lam.exterior_derivative_stack(X) - self.omega.at_stack(X)
+            except exprlang.ExprError as err:
+                k = err.row or 0
+                raise _at_row(StructureEvalError(X[k], err), k) from err
             _first_not_finite(X, [("-d lambda - omega", resid)])
             return _abs_max_per_row(resid)
 

@@ -1,12 +1,13 @@
 """Numerical flows of Reeb, Hamiltonian and evaluation fields.
 
-An adaptive Dormand-Prince 5(4) pair drives every trajectory; the embedded
-fourth-order solution controls the local error per step against ``tol``.
-Accepted steps keep the state, the field value and the values of all declared
-integrals, so conservation is measured rather than assumed.  They also keep
-their stages, on which ``Trajectory.quadrature`` integrates a one-form along
-the flow as one more fifth-order ODE component.  Dense output is
-cubic Hermite on each accepted step.
+An adaptive Dormand-Prince 8(5,3) pair drives every trajectory; the combined
+fifth- and third-order error estimate controls the local error per step
+against ``tol``.  Accepted steps keep the state and the values of all
+declared integrals, so conservation is measured rather than assumed.  They
+also keep their twelve stages, on which ``Trajectory.quadrature`` integrates
+a one-form along the flow as one more eighth-order ODE component.  Dense
+output takes one step of the same method from the accepted state before the
+requested time.
 
 Internal states are never folded into periodic ranges: winding counts stay
 exact and angle unwrapping downstream is trivial.  Normalization happens only
@@ -44,27 +45,110 @@ class StepSizeUnderflowError(FlowError):
         self.state = np.asarray(state, dtype=float)
 
 
-# Dormand-Prince 5(4) tableau; the propagating solution is fifth order and
-# the last stage is the derivative at the new point (FSAL).
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, 2nd ed., sec. II.10).  Twelve stages propagate an
+# eighth-order solution; the error weights _E5 and _E3 give the fifth- and
+# third-order estimates of the combined norm.  Row i of _A holds the
+# coefficients of stage i + 1 on stages 0..i; _C[i] is the row sum.
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
 _A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([5.26001519587677318785587544488e-2]),
+    np.array([1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]),
+    np.array([2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]),
+    np.array([
+        2.41365134159266685502369798665e-1, 0.0,
+        -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1,
+    ]),
+    np.array([
+        3.7037037037037037037037037037e-2, 0.0, 0.0,
+        1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1,
+    ]),
+    np.array([
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ]),
+    np.array([
+        3.70920001185047927108779319836e-2, 0.0, 0.0,
+        1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+        -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3,
+    ]),
+    np.array([
+        6.24110958716075717114429577812e-1, 0.0, 0.0,
+        -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+        2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+        -4.34898841810699588477366255144e1,
+    ]),
+    np.array([
+        4.77662536438264365890433908527e-1, 0.0, 0.0,
+        -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+        2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+        -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2,
+    ]),
+    np.array([
+        -9.3714243008598732571704021658e-1, 0.0, 0.0,
+        5.18637242884406370830023853209, 1.09143734899672957818500254654,
+        -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+        -3.0467644718982195003823669022,
+    ]),
+    np.array([
+        2.27331014751653820792359768449, 0.0, 0.0,
+        -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+        -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+        1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1,
+    ]),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array(
-    [
-        71 / 57600,
-        0.0,
-        -71 / 16695,
-        71 / 1920,
-        -17253 / 339200,
-        22 / 525,
-        -1 / 40,
-    ]
-)
+_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+])
+# _B minus the third-order weights
+_E3 = _B - np.array([
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0,
+    0.220588235294117647058823529412e-1,
+])
+
+
+def _step(field, y, f, hs):
+    """One Dormand-Prince 8 step of signed size ``hs`` from ``y`` with
+    ``f = field(y)``.
+
+    Returns the stage record (2, 12, d), its stage states and the field
+    values there, and the eighth-order state at the end of the step.
+    """
+    record = np.empty((2, 12, len(y)))
+    Y, K = record
+    Y[0] = y
+    K[0] = f
+    for i, a in enumerate(_A, start=1):
+        yi = Y[i] = y + hs * (a @ K[:i])
+        K[i] = field(yi)
+    return record, y + hs * (_B @ K)
 
 
 @dataclass
@@ -73,17 +157,18 @@ class Trajectory:
 
     ``states`` are unwrapped (periodic coordinates keep accumulating);
     ``integral_values`` has one column per declared integral, evaluated at
-    every accepted step.  ``stages[k]`` (2, 6, d) holds the stage states of
-    accepted step k and the field values there.
+    every accepted step.  ``stages[k]`` (2, 12, d) holds the stage states of
+    accepted step k and the field values there.  ``field`` is the flowed
+    field, which dense output steps with.
     """
 
     chart: ChartSpec
     times: np.ndarray
     states: np.ndarray
-    derivs: np.ndarray
     integral_names: tuple[str, ...]
     integral_values: np.ndarray
     stages: np.ndarray
+    field: object
 
     def __post_init__(self):
         d = np.diff(self.times)
@@ -98,42 +183,28 @@ class Trajectory:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def _segment(self, tau: float) -> int:
-        t = self.times
-        sign = 1.0 if t[-1] >= t[0] else -1.0
-        idx = int(np.searchsorted(sign * t, sign * tau, side="right")) - 1
-        return min(max(idx, 0), len(t) - 2)
-
     def state_at(self, tau: float) -> np.ndarray:
-        """Cubic Hermite interpolation on the accepted step containing tau."""
-        if len(self.times) == 1:
+        """The state at ``tau``: one step of the flow's own method from the
+        accepted state before ``tau``, shorter than the step accepted there."""
+        t = self.times
+        if len(t) == 1:
             return self.states[0].copy()
-        i = self._segment(tau)
-        t0, t1 = self.times[i], self.times[i + 1]
-        h = t1 - t0
-        s = (tau - t0) / h
-        y0, y1 = self.states[i], self.states[i + 1]
-        f0, f1 = self.derivs[i], self.derivs[i + 1]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+        sign = 1.0 if t[-1] >= t[0] else -1.0
+        i = int(np.searchsorted(sign * t, sign * tau, side="right")) - 1
+        i = min(max(i, 0), len(t) - 2)
+        return _step(self.field, self.states[i], self.stages[i, 1, 0], tau - t[i])[1]
 
     def quadrature(self, alpha) -> float:
         """Integral of ``alpha(x) . V(x)`` over tau along the accepted steps.
 
         ``alpha`` maps points (N, d) to covectors (N, d).  It is taken at the
-        stage states against the stage values, summed with the fifth-order
+        stage states against the stage values, summed with the eighth-order
         weights: no field is evaluated, and the result is as accurate as the
         flow.
         """
         Y, K = self.stages[:, 0], self.stages[:, 1]
         covectors = alpha(Y.reshape(-1, Y.shape[-1])).reshape(Y.shape)
-        return float(np.diff(self.times) @ (np.sum(covectors * K, axis=-1) @ _B5))
-
-    def sample(self, taus) -> np.ndarray:
-        return np.array([self.state_at(t) for t in np.asarray(taus, dtype=float)])
+        return float(np.diff(self.times) @ (np.sum(covectors * K, axis=-1) @ _B))
 
     def normalized_states(self) -> np.ndarray:
         return self.chart.normalize(self.states)
@@ -172,7 +243,7 @@ def _initial_step(field, y0, f0, sign, tol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100 * h0, h1)
 
 
@@ -206,8 +277,8 @@ def integrate(
 
     if tau_end == 0.0:
         return Trajectory(
-            chart, np.array(times), x0[None].copy(), f0[None].copy(),
-            names, np.array(ivals), np.zeros((0, 2, 6, len(x0))),
+            chart, np.array(times), x0[None].copy(), names, np.array(ivals),
+            np.zeros((0, 2, 12, len(x0))), field,
         )
 
     sign = 1.0 if tau_end > 0 else -1.0
@@ -220,7 +291,6 @@ def integrate(
     f_cur = f0
     steps = 0
     n = len(x0)
-    K = np.empty((7, n))
     while sign * (tau_end - t) > 1e-15 * span:
         if steps >= _MAX_STEPS:
             raise FlowError(f"exceeded {_MAX_STEPS} steps at tau={t}")
@@ -229,43 +299,36 @@ def integrate(
         if h < h_min and h < remaining:
             raise StepSizeUnderflowError(t, y)
         hs = sign * h
-        # fresh for every try: an accepted record is kept as it is
-        record = np.empty((2, 6, n))
-        Y = record[0]
-        K[0] = f_cur
-        Y[0] = y
-        for i, a in enumerate(_A):
-            yi = Y[i + 1] = y + hs * (a @ K[: i + 1])
-            K[i + 1] = field(yi)
-        y_new = y + hs * (_B5 @ K[:6])
-        f_new = np.asarray(field(y_new), dtype=float)
-        K[6] = f_new
-        err = hs * (_E @ K)
+        record, y_new = _step(field, y, f_cur, hs)
+        K = record[1]
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        v = err / sc
-        # the RMS norm: np.mean's add.reduce and division, without its wrapper
-        err_norm = math.sqrt(float(np.add.reduce(v * v)) / n)
+        e5 = (_E5 @ K) / sc
+        e3 = (_E3 @ K) / sc
+        s5 = float(np.add.reduce(e5 * e5))
+        s3 = float(np.add.reduce(e3 * e3))
+        # the combined norm e5^2 / sqrt(e5^2 + 0.01 e3^2) shrinks like h^8,
+        # the order that the step factor's exponent -1/8 assumes
+        err_norm = 0.0 if s5 == 0.0 else h * s5 / math.sqrt(n * (s5 + 0.01 * s3))
         steps += 1
         if err_norm <= 1.0:
             t = tau_end if abs(tau_end - (t + hs)) <= 1e-15 * span else t + hs
             y = y_new
-            f_cur = f_new
+            f_cur = np.asarray(field(y), dtype=float)
             times.append(t)
             ivals.append([f.value(y) for f in integrals])
-            record[1] = K[:6]
             stages.append(record)
-        factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.8 * err_norm ** -0.2))
+        factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.8 * err_norm ** -0.125))
         h *= factor
-    # every step starts at its first stage state, with its first stage value
+    # every step starts at its first stage state
     stages = np.array(stages)
     return Trajectory(
         chart,
         np.array(times),
         np.concatenate((stages[:, 0, 0], [y])),
-        np.concatenate((stages[:, 1, 0], [f_cur])),
         names,
         np.array(ivals) if integrals else np.zeros((len(times), 0)),
         stages,
+        field,
     )
 
 

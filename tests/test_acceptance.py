@@ -321,7 +321,7 @@ def test_criterion_8_dense_winding():
     chart = sc.structure.chart
     traj = integrate(sc.structure.evaluation_vf(sys_.hamiltonian), x0, 500.0, 1e-9, chart)
     returns = TWO_PI * np.arange(1, int(500.0 // TWO_PI) + 1)
-    dists = [chart.distance(x, x0) for x in traj.sample(returns)]
+    dists = [chart.distance(traj.state_at(tau), x0) for tau in returns]
     dist, when = min(dists), returns[np.argmin(dists)]
     ok = gap < 1e-3 and ratios["irrational_winding"] and dist > 0.1
     _report(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cosymkit import flow
 from cosymkit.cosym import make_canonical, make_poincare_cartan
 from cosymkit.fields import ChartSpec, ScalarField
 from cosymkit.flow import StepSizeUnderflowError, drift_report, integrate
@@ -70,7 +71,7 @@ def test_zero_length_trajectory():
     traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 0.0, 1e-10, CHART, [H])
     assert len(traj.times) == 1
     assert drift_report(traj) == {"H": 0.0}
-    assert traj.stages.shape == (0, 2, 6, 3)
+    assert traj.stages.shape == (0, 2, 12, 3)
     assert traj.quadrature(S.eta.at_stack) == 0.0
 
 
@@ -148,5 +149,32 @@ def test_dense_output_accuracy():
     traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], TWO_PI, 1e-10, CHART)
     for tau in np.linspace(0.3, 6.0, 17):
         x = traj.state_at(tau)
-        assert x[1] == pytest.approx(math.cos(tau), abs=1e-7)
-        assert x[2] == pytest.approx(-math.sin(tau), abs=1e-7)
+        assert x[1] == pytest.approx(math.cos(tau), abs=1e-9)
+        assert x[2] == pytest.approx(-math.sin(tau), abs=1e-9)
+
+
+def test_tableau_order_conditions():
+    # a mistyped coefficient breaks one of these without a reference solver
+    c = flow._C
+    assert len(flow._A) == 11
+    for i, row in enumerate(flow._A, start=1):
+        assert len(row) == i
+        assert np.sum(row) == pytest.approx(c[i], abs=1e-14)
+    for k in range(1, 9):
+        assert flow._B @ c ** (k - 1) == pytest.approx(1 / k, abs=1e-14)
+    # eighth order exactly: the ninth quadrature condition fails
+    assert abs(flow._B @ c**8 - 1 / 9) > 1e-6
+    for k in range(1, 6):
+        assert flow._E5 @ c ** (k - 1) == pytest.approx(0.0, abs=1e-14)
+    for k in range(1, 4):
+        assert flow._E3 @ c ** (k - 1) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_evaluation_flow_step_count():
+    # Dormand-Prince 5(4) took 505 accepted steps on this flow
+    sc = builtin("pc-oscillator-1d")
+    S = sc.structure
+    traj = integrate(
+        S.evaluation_vf(sc.system.hamiltonian), sc.base_point(), 20.0, 1e-10, S.chart
+    )
+    assert len(traj.times) - 1 <= 80

@@ -433,6 +433,21 @@ def test_check_primitive_raises_at_first_non_finite_point():
     assert S.check_primitive(pts, OneFormField.from_sources(["0", "0", "0"], chart)) == 1.0
 
 
+def test_check_primitive_wraps_domain_error_at_first_failing_row():
+    sc = builtin("ext-oscillator-1d")
+    S, chart = sc.structure, sc.structure.chart
+    lam = OneFormField.from_sources(["0", "log(q)", "0"], chart)
+    pts = np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.5], [0.0, -1.0, 0.5], [0.0, -2.0, 0.5]])
+    err = _error_of(lambda: S.check_primitive(pts, lam))
+    assert type(err) is StructureEvalError
+    assert isinstance(err.cause, EvalDomainError)
+    assert err.row == 2
+    assert np.array_equal(err.point, pts[2])
+    assert str(err) == (
+        f"evaluation failed at {pts[2].tolist()}: log of non-positive value in 'log(q)'"
+    )
+
+
 def test_non_finite_structure_row_raises_frame_error():
     sc = builtin("pc-oscillator-1d")
     chart = sc.structure.chart
