@@ -11,7 +11,6 @@ from .cosym import (
     CosymplecticStructure,
     DegenerateStructureError,
     ToleranceConfig,
-    bracket_expr,
     canonical_chart,
     make_canonical,
     make_poincare_cartan,
@@ -20,7 +19,6 @@ from .cosym import (
 from .exprlang import EvalDomainError, Expr, ParseError, parse
 from .fields import (
     ChartSpec,
-    NumericScalarField,
     OneFormField,
     Point,
     ScalarField,
@@ -51,7 +49,6 @@ __all__ = [
     "ChartSpec",
     "Point",
     "ScalarField",
-    "NumericScalarField",
     "OneFormField",
     "TwoFormField",
     "VectorFieldExpr",
@@ -64,7 +61,6 @@ __all__ = [
     "CosymplecticStructure",
     "ToleranceConfig",
     "DegenerateStructureError",
-    "bracket_expr",
     "canonical_chart",
     "make_canonical",
     "make_poincare_cartan",

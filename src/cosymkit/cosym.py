@@ -38,10 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exprlang
-from .exprlang import Const, Expr, Neg
+from .exprlang import Const, Neg
 from .fields import (
     ChartSpec,
-    NumericScalarField,
     OneFormField,
     Point,
     ScalarField,
@@ -64,7 +63,6 @@ __all__ = [
     "make_canonical",
     "make_poincare_cartan",
     "twist",
-    "bracket_expr",
     "canonical_chart",
 ]
 
@@ -81,10 +79,8 @@ class ToleranceConfig:
     first_integral: float = 1e-8      # |Z(f) + {f, H}|
     commuting: float = 1e-8           # |{f_i, f_j}| on the commuting prefix
     rank_rel: float = 1e-10           # SVD rank threshold (relative to s_max)
-    lie_residual: float = 1e-5        # finite-difference Lie brackets
     closure_fiber: float = 1e-7       # spread of a_ij within one fiber
     fiber_match: float = 1e-9         # two points share a fiber
-    bracket_integral_residual: float = 1e-5  # brackets of integrals stay integrals
     lattice_return: float = 1e-6      # period-lattice closure residual
     primitive_check: float = 1e-8     # |-d lambda - omega|
     frequency_match: float = 1e-3     # solved vs. empirical frequencies
@@ -146,6 +142,13 @@ def _at_row(err: Exception, row: int) -> Exception:
     return err
 
 
+def _row_error(X: np.ndarray, err: exprlang.ExprError) -> StructureEvalError:
+    """An expression error of a stacked structure evaluation as the
+    ``StructureEvalError`` of its row; an error of no row fails every row."""
+    k = err.row or 0
+    return _at_row(StructureEvalError(X[k], err), k)
+
+
 def _first_row(bad: np.ndarray, error) -> None:
     """Raise ``error(k)``, marked with its row, for the first row ``k``
     flagged in ``bad``."""
@@ -193,11 +196,6 @@ class Frame:
         if abs(self.det) < structure.tol.volume_min_det:
             raise DegenerateStructureError(self.x, self.det)
         self._Z = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The solve matrix A = Omega + eta eta^T."""
-        return self.Omega + self.eta[:, None] * self.eta
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A^T u = rhs."""
@@ -441,7 +439,8 @@ class FrameStack:
     order.
     """
 
-    __slots__ = ("structure", "X", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_df_size")
+    __slots__ = ("structure", "X", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_df_size",
+                 "_d")
 
     def __init__(self, structure: "CosymplecticStructure", X):
         self.structure = structure
@@ -454,8 +453,7 @@ class FrameStack:
                 self.Omega = structure.omega.at_stack(X)
                 self.eta = structure.eta.at_stack(X)
             except exprlang.ExprError as err:
-                k = err.row or 0  # an error of no row fails every row
-                raise _at_row(StructureEvalError(X[k], err), k) from err
+                raise _row_error(X, err) from err
             A_T = self.eta[:, :, None] * self.eta[:, None, :] - self.Omega
             _first_not_finite(X, [(_A_NAME, A_T)])
             self._A_T, self.det = A_T, np.linalg.det(A_T)
@@ -464,7 +462,7 @@ class FrameStack:
             np.abs(det) < structure.tol.volume_min_det,
             lambda k: DegenerateStructureError(X[k], float(det[k])),
         )
-        self._Z = None
+        self._Z = self._d = None
 
     def _first(self, bad, error) -> None:
         """Raise ``error(k)`` for the first row ``k`` flagged in ``bad``."""
@@ -561,6 +559,43 @@ class FrameStack:
         """The gradient covectors (N, d) of ``f`` at the rows."""
         return f.gradient_stack(self.X)
 
+    # -- exact Jacobians J[:, i, k] = d_k V_i (docs/CONVENTIONS.md, "Jacobians")
+
+    def _derivatives(self):
+        """``d Omega``, ``d eta``, ``d A^T`` and ``J(Z)`` at the rows, derived
+        once per stack; a constant structure has zero gradient tensors."""
+        if self._d is None:
+            try:
+                dW = self.structure.omega.gradient_stack(self.X)
+                de = self.structure.eta.gradient_stack(self.X)
+            except exprlang.ExprError as err:
+                raise _row_error(self.X, err) from err
+            e = np.broadcast_to(self.eta, self.X.shape)
+            dA = de[:, :, None, :] * e[:, None, :, None] + e[:, :, None, None] * de[:, None] - dW
+            self._d = dW, de, dA, self._implicit(dA, de, self.reeb, "J(Z)")
+        return self._d
+
+    def _implicit(self, dA, db, V, what: str) -> np.ndarray:
+        """``J(V)`` of the solution of ``A^T V = b``, ``db[:, :, k] = d_k b``:
+        ``d_k V = A^-T (d_k b - d_k A^T V)``, one solve over the d columns."""
+        dAV = (np.moveaxis(dA, 3, 1) @ V[:, None, :, None])[..., 0]  # [:, k, i]
+        J = np.linalg.solve(self._A_T, db - np.swapaxes(dAV, 1, 2))
+        _first_not_finite(self.X, [(what, J)])
+        return J
+
+    def _hamiltonian_jacobian(self, f):
+        """``X_f``, ``J(X_f)``, ``Z(f)`` and ``d(Z(f))`` at the rows."""
+        df = self.differential(f)
+        Xf = self.hamiltonian(df)
+        _, de, dA, JZ = self._derivatives()
+        Z = self.reeb
+        zf = _dot(df, Z)
+        Hf = f.hessian_stack(self.X)
+        dzf = _vecmat(Z, Hf) + _vecmat(df, JZ)
+        e = np.broadcast_to(self.eta, self.X.shape)
+        db = Hf - e[:, :, None] * dzf[:, None, :] - zf[:, None, None] * de
+        return Xf, self._implicit(dA, db, Xf, "J(X_f)"), zf, dzf
+
 
 #: Rows per block of a stacked evaluation; bounds the stacks alive at once.
 BLOCK_ROWS = 512
@@ -639,11 +674,12 @@ class ValidationReport:
 
 
 class StructureVectorField:
-    """Point-evaluable derived vector field (Jacobians via finite differences).
+    """Point-evaluable derived vector field with exact Jacobians.
 
     Called with one point (d,) it solves a ``Frame``; called with a stack
-    (N, d) it solves a ``FrameStack`` and returns (N, d), so the stencils of
-    ``fields`` evaluate it once per shift on a whole stack.
+    (N, d) it solves a ``FrameStack`` and returns (N, d).  ``jacobian``
+    differentiates the stack's solve implicitly; at one point it solves a
+    one-row stack.
     """
 
     def __init__(self, structure, kind: str, scalar=None):
@@ -665,12 +701,49 @@ class StructureVectorField:
         frame = self.structure.frame(x)
         if self.kind == "reeb":
             return frame.reeb
-        df = frame.differential(self.scalar)
-        if self.kind == "hamiltonian":
-            return frame.hamiltonian(df)
-        if self.kind == "evaluation":
-            return frame.evaluation(df)
-        return frame.gradient(df)
+        # hamiltonian, evaluation or gradient
+        return getattr(frame, self.kind)(frame.differential(self.scalar))
+
+    def jacobian(self, x: Point) -> np.ndarray:
+        """``J[..., i, k] = d_k V_i`` at one point (d,) or the rows of (N, d)."""
+        x = np.asarray(x, dtype=float)
+        frame = FrameStack(self.structure, x.reshape(-1, x.shape[-1]))
+        J = frame._derivatives()[3]
+        if self.kind != "reeb":
+            _, JX, zf, dzf = frame._hamiltonian_jacobian(self.scalar)
+            if self.kind == "gradient":  # grad f = X_f + Z(f) Z
+                J = JX + frame.reeb[:, :, None] * dzf[:, None, :] + zf[:, None, None] * J
+            else:
+                J = JX + J if self.kind == "evaluation" else JX
+        return J if x.ndim == 2 else J[0]
+
+
+@dataclass(frozen=True)
+class BracketField:
+    """The Poisson bracket ``{f, g} = X_f . Omega X_g`` as a scalar field:
+    values from the frames' cross-checked brackets, gradients from the exact
+    Jacobians of ``X_f`` and ``X_g``."""
+
+    structure: CosymplecticStructure
+    f: ScalarField
+    g: ScalarField
+    name: str
+
+    def value(self, x: Point) -> float:
+        return self.structure.poisson_bracket(self.f, self.g, x)
+
+    def gradient_stack(self, X) -> np.ndarray:
+        """Gradients (N, d) at the rows of ``X``."""
+        frame = FrameStack(self.structure, X)
+        Xf, JXf, _, _ = frame._hamiltonian_jacobian(self.f)
+        Xg, JXg, _, _ = frame._hamiltonian_jacobian(self.g)
+        n, d = frame.X.shape
+        XfdW = _vecmat(Xf, frame._derivatives()[0].reshape(n, d, d * d)).reshape(n, d, d)
+        WXg = (frame.Omega @ Xg[..., None])[..., 0]
+        return _vecmat(WXg, JXf) + _vecmat(Xg, XfdW) + _vecmat(_vecmat(Xf, frame.Omega), JXg)
+
+    def gradient(self, x: Point) -> np.ndarray:
+        return self.gradient_stack(np.asarray(x, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -734,25 +807,18 @@ class CosymplecticStructure:
         return self.frame(x).reeb
 
     def hamiltonian_field(self, f, x: Point) -> np.ndarray:
-        frame = self.frame(x)
-        return frame.hamiltonian(frame.differential(f))
+        return StructureVectorField(self, "hamiltonian", f)(x)
 
     def evaluation_field(self, f, x: Point) -> np.ndarray:
-        frame = self.frame(x)
-        return frame.evaluation(frame.differential(f))
+        return StructureVectorField(self, "evaluation", f)(x)
 
     def gradient_field(self, f, x: Point) -> np.ndarray:
-        frame = self.frame(x)
-        return frame.gradient(frame.differential(f))
+        return StructureVectorField(self, "gradient", f)(x)
 
     def poisson_bracket(self, f, g, x: Point) -> float:
         """{f, g} at one point, or (N,) at the rows of a stack."""
         frame = self.frame(x)
         return frame.bracket(frame.differential(f), frame.differential(g))
-
-    def reeb_derivative(self, f, x: Point) -> float:
-        """Z(f) = <df, Z>."""
-        return float(f.gradient(x) @ self.frame(x).reeb)
 
     # -- vector-field factories ---------------------------------------------
 
@@ -765,19 +831,10 @@ class CosymplecticStructure:
     def evaluation_vf(self, f) -> StructureVectorField:
         return StructureVectorField(self, "evaluation", f)
 
-    def bracket_scalar(
-        self, f, g, name: str | None = None
-    ) -> ScalarField | NumericScalarField:
-        """{f, g} as a point-evaluable scalar field: the expression of
-        ``bracket_expr`` on constant structures, whose gradient is exact,
-        else a numeric field of point brackets."""
+    def bracket_scalar(self, f, g, name: str | None = None) -> BracketField:
+        """{f, g} as a scalar field with exact gradients."""
         label = name or f"{{{getattr(f, 'name', 'f')},{getattr(g, 'name', 'g')}}}"
-        expr = bracket_expr(self, f, g)
-        if expr is not None:
-            return ScalarField(self.chart, expr, label)
-        return NumericScalarField(
-            lambda x: self.poisson_bracket(f, g, x), name=label
-        )
+        return BracketField(self, f, g, label)
 
     # -- validation ----------------------------------------------------------
 
@@ -801,8 +858,7 @@ class CosymplecticStructure:
                 W = self.omega.at_stack(X)
                 ev = self.eta.at_stack(X)
             except exprlang.ExprError as err:
-                k = err.row or 0
-                raise _at_row(StructureEvalError(X[k], err), k) from err
+                raise _row_error(X, err) from err
             A = W + ev[:, :, None] * ev[:, None, :]
             _first_not_finite(X, [(_A_NAME, A), ("d omega", dw), ("d eta", de)])
             return _abs_max_per_row(dw), _abs_max_per_row(de), np.abs(np.linalg.det(A))
@@ -825,8 +881,7 @@ class CosymplecticStructure:
             try:
                 resid = -lam.exterior_derivative_stack(X) - self.omega.at_stack(X)
             except exprlang.ExprError as err:
-                k = err.row or 0
-                raise _at_row(StructureEvalError(X[k], err), k) from err
+                raise _row_error(X, err) from err
             _first_not_finite(X, [("-d lambda - omega", resid)])
             return _abs_max_per_row(resid)
 
@@ -894,7 +949,7 @@ def twist(
     to skip.
     """
     chart = S.chart
-    dH = [exprlang.differentiate(H.expr, i) for i in range(chart.dim)]
+    dH = H._derivatives
     upper = {}
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
@@ -947,33 +1002,3 @@ def make_poincare_cartan(
         raise FieldConditionError(f"structure failed validation: {report.to_dict()}")
     return result
 
-
-# --- symbolic bracket on constant-coefficient structures ---------------------
-
-def bracket_expr(S: CosymplecticStructure, f: ScalarField, g: ScalarField) -> Expr | None:
-    """{f, g} as an expression when omega and eta have constant coefficients.
-
-    In that case X_f = C df with the structure's constant matrix C (the one
-    its frames use), so the bracket is the constant quadratic form
-    ``df^T (C^T Omega C) dg`` assembled symbolically.  Returns None for
-    structures with varying coefficients; callers fall back to a numeric
-    bracket field.
-    """
-    const = S._constant_data
-    if const is None:
-        return None
-    if abs(const.det) < S.tol.volume_min_det:
-        raise DegenerateStructureError(np.zeros(S.chart.dim), const.det)
-    d = S.chart.dim
-    P = const.C.T @ const.Omega @ const.C
-    P[np.abs(P) < 1e-14] = 0.0
-    df = [exprlang.differentiate(f.expr, i) for i in range(d)]
-    dg = [exprlang.differentiate(g.expr, i) for i in range(d)]
-    total: Expr = Const(0.0)
-    for a in range(d):
-        for b in range(d):
-            if P[a, b] == 0.0:
-                continue
-            term = exprlang.mul(Const(float(P[a, b])), exprlang.mul(df[a], dg[b]))
-            total = exprlang.add(total, term)
-    return total

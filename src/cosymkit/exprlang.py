@@ -21,11 +21,12 @@ infinite where a first derivative overflows (``1/q`` at tiny ``q``), so
 callers check them.
 
 Domain failures are ``EvalDomainError``s naming the subexpression, and the
-generated code raises the first one in post-order.  An overflow of ``exp``
-or ``^`` and ``sin`` or ``cos`` of an infinite value are ``EvalDomainError``s
-too.  ``jet1`` also raises where the value is defined but the first
-derivative is not: ``sqrt`` at zero and ``^`` with an exponent strictly
-between 0 and 1 at a zero base (``sqrt(q)`` at ``q = 0`` has value 0).
+generated code raises the first one in post-order.  An overflow of ``exp``,
+``^``, ``*`` or ``/`` (finite operands, infinite result) and ``sin`` or
+``cos`` of an infinite value are ``EvalDomainError``s too.  ``jet1`` also
+raises where the value is defined but the first derivative is not:
+``sqrt`` at zero and ``^`` with an exponent strictly between 0 and 1 at a
+zero base (``sqrt(q)`` at ``q = 0`` has value 0).
 Integer exponents of at least 2 multiply by repeated squaring, so ``q^2``
 is ``q*q`` in every mode.
 
@@ -106,8 +107,8 @@ class UnknownIdentifierError(ParseError):
 
 class EvalDomainError(ExprError):
     """Evaluation left the domain of a subexpression (log, sqrt, division,
-    sin or cos of an infinite value, overflow of exp or ^, or a derivative
-    singular at zero)."""
+    sin or cos of an infinite value, overflow of exp, ^, * or /, or a
+    derivative singular at zero)."""
 
     #: index of the failing row when a stacked evaluation raised
     row = None
@@ -349,12 +350,14 @@ class _Emitter:
                 return self.assign(f"{a} - {b}"), [
                     self.assign(f"{g} - {h}") for g, h in zip(ga, gb)
                 ]
+            node = self.bind(e)
+            if isinstance(e, Div):
+                self.raise_if(f"{b} == 0.0", "division by zero", node)
+            v = self.assign(f"{a} * {b}" if isinstance(e, Mul) else f"{a} / {b}")
+            overflow = f"{v} - {v} != 0.0 and {a} - {a} == 0.0 and {b} - {b} == 0.0"
+            self.raise_if(overflow, "overflow", node)  # of finite operands, as for ^
             if isinstance(e, Mul):
-                return self.assign(f"{a} * {b}"), [
-                    self.assign(f"{a} * {h} + {b} * {g}") for g, h in zip(ga, gb)
-                ]
-            self.raise_if(f"{b} == 0.0", "division by zero", self.bind(e))
-            v = self.assign(f"{a} / {b}")
+                return v, [self.assign(f"{a} * {h} + {b} * {g}") for g, h in zip(ga, gb)]
             return v, [self.assign(f"({g} - {v} * {h}) / {b}") for g, h in zip(ga, gb)]
         if isinstance(e, Pow):
             u, gu = self.emit(e.base)

@@ -3,14 +3,17 @@
 A single global chart covers each model; circle factors are emulated with a
 periodic flag per coordinate (period 2*pi).  Raw fields carry expression
 components and therefore exact derivatives; derived fields (anything produced
-by a linear solve) expose only point evaluation, and their Jacobians are taken
-with the five-point stencil in :func:`fd_jacobian`.
+by a linear solve) get theirs from the implicit derivative of that solve
+(``cosym.StructureVectorField.jacobian``).  The five-point stencils in
+:func:`fd_jacobian` and :func:`scalar_fd_gradient` serve plain point-evaluable
+callables only.
 
 Fields also evaluate on point stacks ``X`` of shape (N, d): the ``*_stack``
 methods of expression fields run their expressions' array code, and the
 stencils broadcast their one formula and step rule over a leading point axis,
-so a derived field is called once per shift on the whole stack.  Each row
-gets the bits of the one-point call.
+so a callable is called once per shift on the whole stack.  Each row gets the
+bits of the one-point call.  Gradient tensors put the derivative index last:
+``[..., k]`` is ``d_k``.
 
 Index conventions, fixed once for the whole package (see docs/CONVENTIONS.md):
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +39,10 @@ __all__ = [
     "ChartSpec",
     "Point",
     "ScalarField",
-    "NumericScalarField",
     "OneFormField",
     "TwoFormField",
     "VectorFieldExpr",
     "sample_box",
-    "fd_steps",
     "fd_jacobian",
     "scalar_fd_gradient",
     "lie_bracket",
@@ -140,36 +142,18 @@ class ScalarField:
         """Gradients (N, d) at the rows of ``X``."""
         return self.expr.jet1_stack(X)[1]
 
+    @cached_property
+    def _derivatives(self) -> tuple[Expr, ...]:
+        """The symbolic first derivatives, built (and compiled) once."""
+        return tuple(exprlang.differentiate(self.expr, i) for i in range(self.chart.dim))
+
+    def hessian_stack(self, X) -> np.ndarray:
+        """Hessians (N, d, d) at the rows of ``X``, ``[n, i, k] = d_k d_i f``:
+        the gradients of the symbolic first derivatives."""
+        return np.stack([e.jet1_stack(X)[1] for e in self._derivatives], axis=1)
+
     def __call__(self, x: Point) -> float:
         return self.expr.value(x)
-
-
-class NumericScalarField:
-    """Scalar field given only by a point evaluator (no expression).
-
-    Gradients come from the five-point stencil, so quantities built from
-    linear solves (bracket values, directional derivatives) can be fed back
-    through the same machinery as parsed fields.
-    """
-
-    def __init__(self, func, name: str = "g"):
-        self._func = func
-        self.name = name
-
-    def value(self, x: Point) -> float:
-        return float(self._func(np.asarray(x, dtype=float)))
-
-    def gradient(self, x: Point) -> np.ndarray:
-        return scalar_fd_gradient(self._func, x)
-
-    # the stencil takes stacks too; the evaluator must then accept them
-    gradient_stack = gradient
-
-    def jet1(self, x: Point) -> tuple[float, np.ndarray]:
-        return self.value(x), self.gradient(x)
-
-    def __call__(self, x: Point) -> float:
-        return self.value(x)
 
 
 @dataclass(frozen=True)
@@ -201,9 +185,14 @@ class OneFormField:
         grads = np.array([c.jet1(x)[1] for c in self.components])  # grads[j, i]
         return grads.T - grads
 
+    def gradient_stack(self, X) -> np.ndarray:
+        """Component gradients (N, d, d) at the rows of ``X``,
+        ``[n, j, k] = d_k theta_j``."""
+        return np.stack([c.jet1_stack(X)[1] for c in self.components], axis=1)
+
     def exterior_derivative_stack(self, X) -> np.ndarray:
         """``exterior_derivative`` at the rows of ``X``, shape (N, d, d)."""
-        grads = np.stack([c.jet1_stack(X)[1] for c in self.components], axis=1)
+        grads = self.gradient_stack(X)
         return np.swapaxes(grads, 1, 2) - grads
 
     def is_constant(self) -> bool:
@@ -260,17 +249,21 @@ class TwoFormField:
             W[:, j, i] = -v
         return W
 
+    def gradient_stack(self, X) -> np.ndarray:
+        """Component gradients (N, d, d, d) at the rows of ``X``,
+        ``[n, i, j, k] = d_k W[i, j]``, antisymmetric in ``i, j``."""
+        d = self.chart.dim
+        T = np.zeros((len(X), d, d, d))
+        for (i, j), e in self.upper.items():
+            g = e.jet1_stack(X)[1]
+            T[:, i, j] = g
+            T[:, j, i] = -g
+        return T
+
     def component_gradient(self, i: int, j: int, x: Point) -> np.ndarray:
-        """Exact gradient of the (i, j) component, using antisymmetry."""
-        if i == j:
-            return np.zeros(self.chart.dim)
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        e = self.upper.get((i, j))
-        if e is None:
-            return np.zeros(self.chart.dim)
-        return sign * e.jet1(np.asarray(x, dtype=float))[1]
+        """Exact gradient of the (i, j) component at one point: a view of
+        ``gradient_stack``."""
+        return self.gradient_stack(np.asarray(x, dtype=float)[None])[0, i, j]
 
     def exterior_derivative(self, x: Point) -> np.ndarray:
         """Fully antisymmetric tensor ``(dW)[i,j,k]`` (exact derivatives)."""
@@ -339,7 +332,7 @@ class VectorFieldExpr:
         return np.array([c.jet1(x)[1] for c in self.components])
 
 
-# --- finite differences for derived fields ----------------------------------
+# --- finite differences for plain callables ---------------------------------
 #
 # Each formula takes one point (d,) or a stack (N, d): steps, shifts and
 # quotients broadcast over the leading axis, and the field is called once per
@@ -349,30 +342,18 @@ class VectorFieldExpr:
 _BASE_STEP = 1e-4
 
 
-def fd_steps(x: Point) -> np.ndarray:
-    """Per-coordinate stencil steps ``h_i = max(base, base * |x_i|)``."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(_BASE_STEP, _BASE_STEP * np.abs(x))
-
-
-def _shift(x: np.ndarray, h: np.ndarray, j: int) -> np.ndarray:
-    """The step ``h_j e_j`` at each point of ``x``."""
-    e = np.zeros_like(x)
-    e[..., j] = h[..., j]
-    return e
-
-
 def fd_jacobian(field, x: Point) -> np.ndarray:
     """Five-point central-difference Jacobian of a point-evaluable field.
 
-    Fourth-order accurate; used for fields produced by linear solves, which
-    have no expression representation.  ``J[..., i, j] = d_j F_i``.
+    Fourth-order accurate; for callables with no ``jacobian`` of their own.
+    ``J[..., i, j] = d_j F_i``, with the steps ``h_j = max(base, base |x_j|)``.
     """
     x = np.asarray(x, dtype=float)
-    h = fd_steps(x)
+    h = np.maximum(_BASE_STEP, _BASE_STEP * np.abs(x))
     cols = []
     for j in range(x.shape[-1]):
-        e = _shift(x, h, j)
+        e = np.zeros_like(x)
+        e[..., j] = h[..., j]
         fm2 = np.asarray(field(x - 2 * e))
         fm1 = np.asarray(field(x - e))
         fp1 = np.asarray(field(x + e))
@@ -382,25 +363,18 @@ def fd_jacobian(field, x: Point) -> np.ndarray:
 
 
 def scalar_fd_gradient(func, x: Point) -> np.ndarray:
-    """Five-point central-difference gradient of a scalar callable."""
-    x = np.asarray(x, dtype=float)
-    h = fd_steps(x)
-    g = np.zeros(x.shape)
-    for j in range(x.shape[-1]):
-        e = _shift(x, h, j)
-        g[..., j] = (
-            func(x - 2 * e) - 8 * func(x - e) + 8 * func(x + e) - func(x + 2 * e)
-        ) / (12 * h[..., j])
-    return g
+    """Five-point central-difference gradient of a scalar callable: the
+    stencil Jacobian of ``func`` as a one-component field."""
+    return fd_jacobian(lambda y: np.asarray(func(y))[..., None], x)[..., 0, :]
 
 
 def lie_bracket(X, Y, x: Point) -> np.ndarray:
     """Commutator ``[X, Y]`` at ``x``: ``J_Y X - J_X Y``.
 
-    Fields carrying a ``jacobian`` method (expression-backed fields) use exact
-    derivatives; everything else falls back to the five-point stencil.  The
-    result is exactly antisymmetric under swapping X and Y because both
-    orders reuse the same two Jacobian evaluations.
+    Fields carrying a ``jacobian`` method (expression and structure fields)
+    use exact derivatives; plain callables fall back to the five-point
+    stencil.  The result is exactly antisymmetric under swapping X and Y
+    because both orders reuse the same two Jacobian evaluations.
     """
     x = np.asarray(x, dtype=float)
     JX = X.jacobian(x) if hasattr(X, "jacobian") else fd_jacobian(X, x)

@@ -17,9 +17,10 @@ extrapolated across; every report carries its worst witness.
 Every check evaluates its points as stacks (N, d), in blocks of
 ``cosym.BLOCK_ROWS``, and the induced bracket one stack per fiber group: one
 ``FrameStack`` per block and field, the integrals' array code for gradients,
-the stencils of ``fields`` called once per shift on the whole block, and
-reductions over the residual arrays.  Every row gets the bits a ``Frame`` at
-that point computes.  A residual array is laid out in the order of the loop
+exact Jacobians of the structure fields (``StructureVectorField.jacobian``)
+for Lie brackets, and reductions over the residual arrays.  Every row gets
+the bits a ``Frame`` (or a one-row ``FrameStack``, for Jacobians) at that
+point computes.  A residual array is laid out in the order of the loop
 over points (and integrals, pairs or fields) it replaces, and the witness is
 its first maximum in that order (``np.argmax``); a NaN residual never is one,
 and with no residual above 0 there is no witness.  A point that fails raises
@@ -275,7 +276,7 @@ def check_independence(sys: IntegralSystem, points) -> CheckReport:
 
 def check_symmetry_algebra(sys: IntegralSystem, points) -> CheckReport:
     """Pairwise Lie brackets of (Y_H, X_{f_1}..X_{f_r}) vanish numerically."""
-    tol = sys.structure.tol.lie_residual
+    tol = sys.structure.tol.commuting
     fields_ = sys.symmetry_fields()
     pairs = [(i, j) for i in range(len(fields_)) for j in range(i + 1, len(fields_))]
 
@@ -436,8 +437,8 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
 
     Refuses when either member of a pair fails the first-integral condition
     at the sampled points (the statement has nothing to say then).  The
-    derivatives of the bracket function are exact on constant structures
-    (``bracket_expr``) and come from finite differences otherwise.
+    bracket function's gradient is exact (``bracket_scalar``) on every
+    structure, so the residual is held to the ``first_integral`` tolerance.
     """
     S = sys.structure
     members = tuple(sys.integrals[i] for i in sorted({i for pair in pairs for i in pair}))
@@ -462,7 +463,7 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
         g = S.bracket_scalar(sys.integrals[i], sys.integrals[j])
         resid[p] = map_blocks(lambda X: rows(X, g), X)
     return _report(
-        "bracket_of_integrals", S.tol.bracket_integral_residual, resid,
+        "bracket_of_integrals", S.tol.first_integral, resid,
         lambda p, k: {"pair": [sys.integrals[i].name for i in pairs[p]], "point_index": k},
     )
 

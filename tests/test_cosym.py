@@ -12,23 +12,24 @@ from cosymkit.cosym import (
     Frame,
     FrameStack,
     StructureEvalError,
+    StructureVectorField,
     ToleranceConfig,
-    bracket_expr,
     make_canonical,
     make_poincare_cartan,
     twist,
 )
-from cosymkit.exprlang import Const
+from cosymkit.exprlang import Const, EvalDomainError
 from cosymkit.fields import (
     ChartSpec,
-    NumericScalarField,
     OneFormField,
     ScalarField,
     TwoFormField,
+    fd_jacobian,
     lie_bracket,
     sample_box,
+    scalar_fd_gradient,
 )
-from cosymkit.scenarios import builtin
+from cosymkit.scenarios import builtin, builtin_names
 from linear_charts import canonical_in_linear_chart, chart_change
 
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
@@ -175,11 +176,12 @@ def test_non_finite_structure_is_eval_error():
 
 
 def test_non_finite_gradient_is_eval_error():
-    # d/dq of 1e308*q*q is 1e308*q + 1e308*q = inf at q = 1.5, so df(Z) is
-    # NaN; every "resid > tol" check would let the NaN field through
+    # d/dq of 1e308*q*q is 1e308*q + 1e308*q = inf at q = 1.2, where the
+    # value is finite, so df(Z) is NaN; every "resid > tol" check would let
+    # the NaN field through
     S = builtin("ext-oscillator-1d").structure
     H = ScalarField.from_source("1e308*q*q + p*p", S.chart, "H")
-    x = np.array([0.0, 1.5, 0.3])
+    x = np.array([0.0, 1.2, 0.3])
     assert not np.isfinite(H.gradient(x)).all()
     for call in (S.hamiltonian_field, S.evaluation_field):
         with pytest.raises(StructureEvalError) as info:
@@ -238,7 +240,7 @@ def test_frame_solve_backward_error_on_varying_structure():
     rng = np.random.default_rng(17)
     for x in sample_box(S.domain_box, 30, rng):
         frame = S.frame(x)
-        A_T = frame.matrix.T
+        A_T = (frame.Omega + np.outer(frame.eta, frame.eta)).T
         for rhs in (frame.eta, rng.normal(size=3)):
             u = frame.solve(rhs)
             bound = 1e-14 * np.linalg.norm(A_T, 2) * np.linalg.norm(u)
@@ -315,23 +317,24 @@ def test_identity_contraction_of_hamiltonian_and_gradient_agree():
 
 
 def test_identity_bracket_field_is_minus_commutator():
-    # X_{{f,g}} == -[X_f, X_g], finite-difference commutator
+    # X_{{f,g}} == -[X_f, X_g], exact commutator
     S = canonical()
     rng = np.random.default_rng(9)
     f = _random_polynomial_field(rng, CHART, "f")
     g = _random_polynomial_field(rng, CHART, "g")
-    fg = ScalarField(CHART, bracket_expr(S, f, g), "{f,g}")
+    fg = S.bracket_scalar(f, g)
     Xf, Xg = S.hamiltonian_vf(f), S.hamiltonian_vf(g)
     for x in sample_box(BOX, 20, rng):
         lhs = S.hamiltonian_field(fg, x)
         rhs = -lie_bracket(Xf, Xg, x)
-        assert np.max(np.abs(lhs - rhs)) < 1e-5
+        assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_identity_bracket_field_numeric_fallback():
-    # same identity on the twisted structure, bracket as a numeric field
+    # same identity on the twisted structure, whose omega varies: the
+    # bracket's gradient comes from the implicit derivatives of X_f and X_g
     S = twist(canonical(), oscillator_h())
-    assert bracket_expr(S, None, None) is None
+    assert S._constant_data is None
     rng = np.random.default_rng(10)
     f = _random_polynomial_field(rng, CHART, "f")
     g = _random_polynomial_field(rng, CHART, "g")
@@ -340,7 +343,14 @@ def test_identity_bracket_field_numeric_fallback():
     for x in sample_box(BOX, 5, rng):
         lhs = S.frame(x).hamiltonian(fg.gradient(x))
         rhs = -lie_bracket(Xf, Xg, x)
-        assert np.max(np.abs(lhs - rhs)) < 1e-5
+        assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def reeb_derivative_gradient(S, f, X):
+    """d(Z(f)) = Hess f Z + J(Z)^T df at the rows of ``X``."""
+    Z, JZ = S.reeb(X), S.reeb_vf().jacobian(X)
+    hess_z = (Z[:, None, :] @ f.hessian_stack(X))[:, 0]
+    return hess_z + (f.gradient_stack(X)[:, None, :] @ JZ)[:, 0]
 
 
 def test_identity_reeb_commutator():
@@ -349,11 +359,11 @@ def test_identity_reeb_commutator():
     rng = np.random.default_rng(11)
     f = _random_polynomial_field(rng, CHART, "f")
     Z, Xf = S.reeb_vf(), S.hamiltonian_vf(f)
-    zf = NumericScalarField(lambda x: S.reeb_derivative(f, x), name="Z(f)")
-    for x in sample_box(BOX, 10, rng):
+    pts = sample_box(BOX, 10, rng)
+    for x, dzf in zip(pts, reeb_derivative_gradient(S, f, pts)):
         lhs = lie_bracket(Z, Xf, x)
-        rhs = S.frame(x).hamiltonian(zf.gradient(x))
-        assert np.max(np.abs(lhs - rhs)) < 1e-5
+        rhs = S.frame(x).hamiltonian(dzf)
+        assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_reeb_commutator_vanishes_for_autonomous_h():
@@ -429,7 +439,8 @@ def test_reeb_uniqueness_bound():
         u = u - (frame.eta @ u) * Z  # eta(u) = 0 so eta(v) stays 1
         v = Z + eps * u
         residual = np.linalg.norm(v @ frame.Omega)
-        inv_norm = np.linalg.norm(np.linalg.inv(frame.matrix), 2)
+        A = frame.Omega + np.outer(frame.eta, frame.eta)
+        inv_norm = np.linalg.norm(np.linalg.inv(A), 2)
         assert np.linalg.norm(v - Z) <= inv_norm * residual * (1 + 1e-6)
 
 
@@ -548,3 +559,95 @@ def test_field_limits_raise_wherever_residual_checks_do(P, scales, exponents, ne
                 assert failed and _CONDITIONS.index(failed[0]) <= _CONDITIONS.index(want)
             if not overrides and not any(scales) and size <= 1.0:
                 assert not failed
+
+
+# --- exact Jacobians ------------------------------------------------------------
+
+
+def _jacobian_case(name):
+    """A structure and two scalars: a builtin's first integral and a quadratic
+    in every coordinate; the canonical structure in a linear chart; a
+    structure whose eta varies, ``dt + 0.1 d(q p)``; a twist by a
+    t-dependent Hamiltonian."""
+    if name in builtin_names():
+        sc = builtin(name)
+        names = sc.chart.names
+        g = " + ".join(f"0.3*{a}*{b}" for a, b in zip(names, names[1:]))
+        return sc.structure, sc.system.integrals[0], ScalarField.from_source(g, sc.chart, "g")
+    f = ScalarField.from_source("q*p + 0.2*cos(t)*q^3", CHART, "f")
+    g = ScalarField.from_source("(q^2 + p^2)/2*(1 + 0.3*sin(t))", CHART, "g")
+    if name == "linear-chart":
+        S = canonical_in_linear_chart(chart_change(11))
+        f, g = (ScalarField(S.chart, e.expr, e.name) for e in (f, g))
+    elif name == "varying-eta":
+        S = CosymplecticStructure(
+            CHART,
+            TwoFormField.from_upper_sources({"q,p": "1"}, CHART),
+            OneFormField.from_sources(["1", "0.1*p", "0.1*q"], CHART),
+            BOX,
+        )
+        assert S.validate(50).passed
+    else:
+        S = twist(canonical(), g)
+    return S, f, g
+
+
+@pytest.mark.parametrize(
+    "name", [*builtin_names(), "linear-chart", "varying-eta", "t-dependent-twist"]
+)
+def test_exact_jacobians_match_stencils(name):
+    S, f, g = _jacobian_case(name)
+    pts = sample_box(S.domain_box, 12, np.random.default_rng(17))
+    for kind in ("reeb", "hamiltonian", "evaluation", "gradient"):
+        V = StructureVectorField(S, kind, f)
+        J = V.jacobian(pts)
+        assert J.shape == (12, S.chart.dim, S.chart.dim)
+        assert np.array_equal(J, np.array([V.jacobian(x) for x in pts])), kind
+        assert np.max(np.abs(J - fd_jacobian(V, pts))) <= 1e-8, kind
+    fg = S.bracket_scalar(f, g)
+    grad = fg.gradient_stack(pts)
+    assert np.array_equal(grad, np.array([fg.gradient(x) for x in pts]))
+    reference = scalar_fd_gradient(lambda X: S.poisson_bracket(f, g, X), pts)
+    assert np.max(np.abs(grad - reference)) <= 1e-8
+    assert fg.value(pts[0]) == S.poisson_bracket(f, g, pts[0])
+    const = S._constant_data
+    if const is not None:
+        # X_f = C df, so J(X_f) = C Hess f up to rounding
+        CH = const.C @ f.hessian_stack(pts)
+        assert np.max(np.abs(S.hamiltonian_vf(f).jacobian(pts) - CH)) <= 1e-12
+
+
+def test_jacobian_failures_are_typed_at_their_row():
+    S = canonical()
+    pts = np.tile([0.5, 0.5, 0.5], (5, 1))
+    # d/dq of 1e-190 log(q) is 1e5 at q = 1e-195, and its derivative is -inf
+    f = ScalarField.from_source("1e-190*log(q)", CHART, "f")
+    pts[2, 1] = pts[4, 1] = 1e-195
+    with np.errstate(invalid="ignore"):  # the solve meets the inf on purpose
+        err = _error_of(lambda: S.hamiltonian_vf(f).jacobian(pts))
+        one = _error_of(lambda: S.hamiltonian_vf(f).jacobian(pts[2]))
+    assert type(err) is StructureEvalError and err.row == 2
+    assert str(err) == f"evaluation failed at {pts[2].tolist()}: J(X_f) is not finite"
+    assert str(one) == str(err)
+    # a second derivative outside its domain stays an expression error
+    f = ScalarField.from_source("q^1.5 + p", CHART, "f")
+    pts[2, 1] = 0.0
+    err = _error_of(lambda: S.hamiltonian_vf(f).jacobian(pts))
+    assert type(err) is EvalDomainError and err.row == 2
+    # a structure whose omega has no gradient at a point fails there
+    S = CosymplecticStructure(
+        CHART,
+        TwoFormField.from_upper_sources({"q,p": "1 + sqrt(q)"}, CHART),
+        OneFormField.from_sources(["1", "0", "0"], CHART),
+        BOX,
+    )
+    err = _error_of(lambda: S.reeb_vf().jacobian(pts))
+    assert type(err) is StructureEvalError and err.row == 2
+    assert isinstance(err.cause, EvalDomainError)
+    assert np.array_equal(err.point, pts[2])
+
+
+def _error_of(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value

@@ -308,11 +308,18 @@ def _tree_value(e, x):
         return a + b
     if isinstance(e, Sub):
         return a - b
-    if isinstance(e, Mul):
-        return a * b
-    if b == 0.0:
+    return _product(e, a, b)
+
+
+def _product(e, a, b):
+    """``a * b`` or ``a / b`` for a Mul or Div node, raising on division by
+    zero and where finite operands overflow."""
+    if isinstance(e, Div) and b == 0.0:
         raise EvalDomainError("division by zero", e)
-    return a / b
+    v = a * b if isinstance(e, Mul) else a / b
+    if math.isinf(v) and math.isfinite(a) and math.isfinite(b):
+        raise EvalDomainError("overflow", e)
+    return v
 
 
 def _squaring_pow(u, n):
@@ -416,11 +423,9 @@ def _tree_jet1(e, x):
         return va + vb, ga + gb
     if isinstance(e, Sub):
         return va - vb, ga - gb
+    v = _product(e, va, vb)
     if isinstance(e, Mul):
-        return va * vb, va * gb + vb * ga
-    if vb == 0.0:
-        raise EvalDomainError("division by zero", e)
-    v = va / vb
+        return v, va * gb + vb * ga
     return v, (ga - v * gb) / vb
 
 
@@ -644,6 +649,28 @@ def test_overflow_is_domain_error():
             with pytest.raises(EvalDomainError) as err:
                 call(x)
             assert str(err.value) == message
+
+
+def test_product_and_quotient_overflow_is_domain_error():
+    # finite operands whose product or quotient overflows raise as q^2 does,
+    # in value, jet1 and on a stack at the failing row; an infinite operand
+    # passes through
+    names = ("t", "q", "p")
+    for src, x in (("q*q", [0.0, 1e200, 1.0]), ("q/p", [0.0, 1.0, 1e-320])):
+        e = parse(src, names)
+        x = np.array(x)
+        message = f"overflow in '{src}'"
+        for call in (e.value, e.jet1):
+            with pytest.raises(EvalDomainError) as err:
+                call(x)
+            assert str(err.value) == message
+        for call in (e.value_stack, e.jet1_stack):
+            with pytest.raises(EvalDomainError) as err:
+                call(np.array([[0.0, 1.0, 1.0], x, x]))
+            assert str(err.value) == message and err.value.row == 1
+    assert parse("q*p", names).value(np.array([0.0, math.inf, 2.0])) == math.inf
+    with pytest.raises(EvalDomainError, match="overflow in 'q\\^2.0'"):
+        parse("q^2", names).value(np.array([0.0, 1e200, 1.0]))
 
 
 def test_tiny_log_and_sqrt_arguments_have_finite_gradients():

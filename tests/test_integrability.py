@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from cosymkit.cli import main
 from cosymkit.cosym import make_canonical
 from cosymkit.fields import ChartSpec, ScalarField, sample_box
 from cosymkit.integrability import (
@@ -16,7 +18,7 @@ from cosymkit.integrability import (
     check_symmetry_algebra,
     sample_fiber,
 )
-from cosymkit.scenarios import builtin
+from cosymkit.scenarios import builtin, builtin_file_path, builtin_names
 
 CHART1 = ChartSpec(("t", "q", "p"), (True, False, False))
 BOX1 = [[0.0, 2 * math.pi], [-2.0, 2.0], [-2.0, 2.0]]
@@ -248,7 +250,7 @@ def test_bracket_of_integrals_is_integral():
 
 
 def test_bracket_of_integrals_exact_on_constant_structure(monkeypatch):
-    # the bracket of two integrals is an expression on a constant structure,
+    # the bracket's gradient comes from the exact Jacobians of X_f and X_g,
     # so the check differences nothing and its residual is at rounding level
     import cosymkit.fields as fields
 
@@ -261,6 +263,26 @@ def test_bracket_of_integrals_exact_on_constant_structure(monkeypatch):
     report = check_bracket_of_integrals(sys, [(0, 1), (0, 2), (1, 2)], pts(sys, 187))
     assert report.passed
     assert report.max_residual <= 1e-13
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_verify_runs_no_stencil(monkeypatch, capsys, name):
+    # every check of `cosym verify --points 1500` differentiates structure
+    # fields and brackets exactly, so both Lie-bracket residuals sit at
+    # rounding level
+    import cosymkit.fields as fields
+
+    def stencil(*args, **kwargs):
+        raise AssertionError("verify ran a finite-difference stencil")
+
+    monkeypatch.setattr(fields, "fd_jacobian", stencil)
+    monkeypatch.setattr(fields, "scalar_fd_gradient", stencil)
+    assert main(["verify", str(builtin_file_path(name)), "--points", "1500"]) == 0
+    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+    assert checks["symmetry_algebra"]["max_residual"] <= 1e-12
+    assert checks["symmetry_algebra"]["tolerance"] == 1e-8
+    if "bracket_of_integrals" in checks:
+        assert checks["bracket_of_integrals"]["max_residual"] <= 1e-12
 
 
 def test_bracket_of_commuting_pair_trivial():

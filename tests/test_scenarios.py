@@ -27,6 +27,7 @@ def test_catalog_contents():
         "ext-oscillator-1d",
         "pc-oscillator-1d",
         "ext-oscillator-2d-super",
+        "pc-oscillator-2d-super",
         "ext-oscillator-anisotropic",
         "flat-torus-reeb",
         "ext-oscillator-1d-line",

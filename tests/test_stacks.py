@@ -2,7 +2,8 @@
 
 The integrability checks, ``validate`` and ``check_primitive`` evaluate their
 points as stacks.  The references here are loops over the points that build
-one ``Frame`` per point and call the one-point field and stencil code.
+one ``Frame`` per point and call the one-point field and Jacobian code; only
+the bracket functions' gradients are taken once per stack.
 """
 
 import math
@@ -130,10 +131,10 @@ def _ref_bracket_of_integrals(sys, pairs, points):
         raise ValueError("precondition unmet")
     worst, witness = 0.0, None
     for i, j in pairs:
-        g = S.bracket_scalar(sys.integrals[i], sys.integrals[j])
+        grads = S.bracket_scalar(sys.integrals[i], sys.integrals[j]).gradient_stack(points)
         for k, x in enumerate(points):
             frame = S.frame(x)
-            dg = g.gradient(x)
+            dg = grads[k]
             dH = sys.hamiltonian.gradient(x)
             resid = abs(float(dg @ frame.reeb) + frame.bracket(dg, dH))
             if resid > worst:
@@ -367,7 +368,7 @@ def test_degenerate_row_raises_frame_error():
     err = _error_of(lambda: check_first_integrals(sys, pts))
     assert type(err) is DegenerateStructureError and str(err) == str(want)
     assert np.array_equal(err.point, x)
-    # the stencils of the Lie check meet a shifted point first, as the loop does
+    # the Jacobians of the Lie check fail at the point, as the loop's do
     _assert_raises_like_loops(sys, pts)
 
 
@@ -400,14 +401,22 @@ def test_validate_raises_at_first_non_finite_sample():
     sc = builtin("pc-oscillator-1d")
     chart = sc.structure.chart
     eta = OneFormField.from_sources(["1", "0", "0"], chart)
-    # the first omega is infinite wherever q != 0, the second where |q| > 1.34
-    for source in ("1e300*q*q*q*1e300", "1 + 1e308*q*q"):
+    # the first omega is infinite wherever q != 0; the second and third
+    # overflow (a typed error) wherever q != 0 and where |q| > 1.34
+    for source in ("1e400*q", "1e300*q*q*q*1e300", "1 + 1e308*q*q"):
         S = CosymplecticStructure(
             chart, TwoFormField.from_upper_sources({"q,p": source}, chart), eta,
             sc.structure.domain_box,
         )
         pts = sample_box(S.domain_box, 50, np.random.default_rng(2))
-        k = next(k for k, x in enumerate(pts) if not np.isfinite(S.omega.at(x)).all())
+
+        def fails(x):
+            try:
+                return not np.isfinite(S.omega.at(x)).all()
+            except EvalDomainError:
+                return True
+
+        k = next(k for k, x in enumerate(pts) if fails(x))
         want = _error_of(lambda: S.reeb(pts[k]))
         err = _error_of(lambda: S.validate(50, seed=2))
         assert type(err) is StructureEvalError and str(err) == str(want), source
@@ -419,9 +428,9 @@ def test_check_primitive_raises_at_first_non_finite_point():
     S, chart = sc.structure, sc.structure.chart
     pts = sample_box(S.domain_box, 9, np.random.default_rng(73))
     pts[:, 1] = 0.1
-    pts[[3, 6], 1] = 2.0
-    # d/dq of 1e308 q^3 overflows at q = 2, and the diagonal of d lambda
-    # is then inf - inf
+    pts[[3, 6], 1] = 1.0
+    # d/dq of 1e308 q^3 overflows at q = 1, where its value is finite, and
+    # the diagonal of d lambda is then inf - inf
     for source, at in (("1e600*q^3", 0), ("1e308*q*q*q", 3)):
         lam = OneFormField.from_sources(["0", source, "0"], chart)
         err = _error_of(lambda: S.check_primitive(pts, lam))
