@@ -54,6 +54,8 @@ from .scenarios import Scenario, ScenarioFormatError, load_scenario_file
 USAGE_ERROR = 64
 CHECK_FAILED = 2
 MISMATCH = 3
+#: Span and tolerance of the report's evaluation flow from the base point.
+_FLOW_TAU, _FLOW_TOL = 20.0, 1e-10
 
 _RUNTIME_ERRORS = (
     FlowError,
@@ -177,26 +179,26 @@ def _verify_section(scenario: Scenario, points_n: int, seed: int) -> dict:
     return {"pass": ok, "checks": sections}
 
 
-def _flow_section(scenario: Scenario, seed: int, tau: float = 20.0, tol: float = 1e-10) -> dict:
+def _flow_section(scenario: Scenario) -> dict:
     sys_ = scenario.system
     S = scenario.structure
     x0 = scenario.base_point()
     field = S.evaluation_vf(sys_.hamiltonian)
-    traj = integrate(field, x0, tau, tol, S.chart, sys_.integrals)
+    traj = integrate(field, x0, _FLOW_TAU, _FLOW_TOL, S.chart, sys_.integrals)
     drifts = drift_report(traj)
     worst = max(drifts.values()) if drifts else 0.0
-    fwd = integrate(field, x0, 0.25, tol, S.chart)
-    back = integrate(field, fwd.final_state, -0.25, tol, S.chart)
+    fwd = integrate(field, x0, 0.25, _FLOW_TOL, S.chart)
+    back = integrate(field, fwd.final_state, -0.25, _FLOW_TOL, S.chart)
     reversal = float(np.max(np.abs(back.final_state - x0)))
-    ok = worst < 1e-7 and reversal < 10 * tol
+    ok = worst < 1e-7 and reversal < 10 * _FLOW_TOL
     return {
         "pass": ok,
-        "tau": tau,
-        "tol": tol,
+        "tau": _FLOW_TAU,
+        "tol": _FLOW_TOL,
         "integral_drift": drifts,
         "drift_threshold": 1e-7,
         "time_reversal_residual": reversal,
-        "reversal_threshold": 10 * tol,
+        "reversal_threshold": 10 * _FLOW_TOL,
         "steps": len(traj.times) - 1,
     }
 
@@ -450,7 +452,7 @@ def _cmd_report(args) -> int:
     sections = {"validate": _validate_section(scenario, args.samples, args.seed)}
     sections["verify"] = _verify_section(scenario, args.points, args.seed)
     if args.all:
-        sections["flow"] = _flow_section(scenario, args.seed)
+        sections["flow"] = _flow_section(scenario)
         reason = _torus_skip_reason(scenario)
         if reason:
             sections["actions"] = {"status": reason}

@@ -18,9 +18,9 @@ since ``Omega^T v`` is the contraction of ``v`` and the eta-term vanishes on
 the solution.  docs/CONVENTIONS.md carries the derivation and the worked
 canonical-coordinate example.
 
-``Frame`` holds that solve at one point; ``FrameStack`` holds it at every
-row of a point stack (N, d) and gives each row Frame's bits and Frame's
-errors.  ``CosymplecticStructure.frame`` picks one by the shape of its input.
+``Frame`` holds that solve at one point; its subclass ``FrameStack`` holds
+it at every row of a point stack (N, d) and gives each row Frame's bits and
+Frame's errors.  ``CosymplecticStructure.frame`` picks one by input shape.
 When omega and eta have constant coefficients the solve is done once per
 structure: ``X_f = C df`` with one matrix C, and the defining conditions
 become identities of C checked once, with limits on ``||df||`` that cover
@@ -169,13 +169,15 @@ def _first_not_finite(X: np.ndarray, named) -> None:
 
 
 class Frame:
-    """Per-point solve context: Omega, eta and A^T at one point.
+    """Per-point solve context: Omega, eta and A^T at one point ``x`` (d,).
 
     Reused by every derived quantity at the same point so the structure
     matrices are evaluated once.  On a constant structure every frame reads
     what its structure derived once (``_constant_data``): ``X_f = C df`` with
     no solve, and the defining conditions of ``X_f`` and ``Y_f`` are limits
     on ``||df||_inf`` (``_field_limits``) in place of residuals at the point.
+    ``gradient`` and ``bracket`` run over leading axes, for ``FrameStack`` to
+    inherit; the rest is one-point code, which every flow stage runs.
     """
 
     __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_df_size")
@@ -196,6 +198,11 @@ class Frame:
         if abs(self.det) < structure.tol.volume_min_det:
             raise DegenerateStructureError(self.x, self.det)
         self._Z = None
+
+    def _first(self, bad, error) -> None:
+        """Raise ``error(())`` if ``bad``; ``x[()]`` is the point."""
+        if bad:
+            raise error(())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A^T u = rhs."""
@@ -251,27 +258,34 @@ class Frame:
 
     def gradient(self, df: np.ndarray) -> np.ndarray:
         Z = self.reeb
-        zf = df @ Z
-        G = self.hamiltonian(df) + zf * Z
+        zf = np.vecdot(df, Z)
+        G = self.hamiltonian(df) + zf[..., None] * Z
         tol = self.structure.tol.field_check
-        rhs = df - zf * self.eta
-        if not (np.abs(G @ self.Omega - rhs).max() <= tol and abs(self.eta @ G - zf) <= tol):
-            raise _condition_error("gradient conditions violated", self.x)
+        rhs = df - zf[..., None] * self.eta
+        ok = (np.abs(np.vecmat(G, self.Omega) - rhs).max(axis=-1) <= tol) & (
+            np.abs(np.vecdot(self.eta, G) - zf) <= tol
+        )
+        self._first(~ok, lambda k: _condition_error("gradient conditions violated", self.x[k]))
         return G
 
-    def bracket(self, df: np.ndarray, dg: np.ndarray) -> float:
-        """Poisson bracket from gradient covectors, cross-checked both ways."""
+    def bracket(self, df: np.ndarray, dg: np.ndarray):
+        """Poisson bracket from gradient covectors, cross-checked both ways:
+        a float at one point, (N,) on a stack."""
         Xf = self.hamiltonian(df)
         Xg = self.hamiltonian(dg)
-        via_fields = float(Xf @ self.Omega @ Xg)
+        via_fields = np.vecdot(np.vecmat(Xf, self.Omega), Xg)
         Z = self.reeb
-        Gf = Xf + (df @ Z) * Z
-        Gg = Xg + (dg @ Z) * Z
-        via_gradients = float(Gf @ self.Omega @ Gg)
-        if not (abs(via_fields - via_gradients) <= self.structure.tol.bracket_agreement):
-            raise _condition_error(
-                "bracket formulas disagree", self.x, f": {via_fields} vs {via_gradients}"
-            )
+        Gf = Xf + np.vecdot(df, Z)[..., None] * Z
+        Gg = Xg + np.vecdot(dg, Z)[..., None] * Z
+        via_gradients = np.vecdot(np.vecmat(Gf, self.Omega), Gg)
+        self._first(
+            ~(np.abs(via_fields - via_gradients) <= self.structure.tol.bracket_agreement),
+            lambda k: _condition_error(
+                "bracket formulas disagree",
+                self.x[k],
+                f": {float(via_fields[k])} vs {float(via_gradients[k])}",
+            ),
+        )
         return via_fields
 
     def differential(self, f) -> np.ndarray:
@@ -416,57 +430,45 @@ def _field_limits(Omega, eta, M, Z, C, tol: ToleranceConfig) -> tuple:
     return tuple(limits)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` row by row over leading axes, with the bits of one-point
-    products (numpy's matmul runs the same kernel on every stacked pair)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``v @ M`` row by row over leading axes."""
-    return (v[..., None, :] @ M)[..., 0, :]
-
-
-class FrameStack:
-    """The frames at every row of a point stack ``X`` (N, d), solved at once.
+class FrameStack(Frame):
+    """The frames at every row of a point stack ``x`` (N, d), solved at once.
 
     Each quantity is computed with Frame's operations over a leading point
     axis: one ``np.linalg.solve`` over the stacked ``A^T`` (or products with
-    the shared ``C`` of a constant structure) and matrix products per row,
-    so every row has the bits Frame has at that point.  A stage that fails at
-    some rows raises the error Frame raises at the first of them, marked with
-    its ``row``; :func:`map_blocks` makes that the first failing row in point
-    order.
+    the shared ``C`` of a constant structure) and numpy's row-wise products,
+    so every row has the bits Frame has at that point; ``gradient`` and
+    ``bracket`` are Frame's own.  A stage that fails at some rows raises the
+    error Frame raises at the first of them, marked with its ``row``;
+    :func:`map_blocks` makes that the first failing row in point order.
     """
 
-    __slots__ = ("structure", "X", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_df_size",
-                 "_d")
+    __slots__ = ("_d",)
 
-    def __init__(self, structure: "CosymplecticStructure", X):
+    def __init__(self, structure: "CosymplecticStructure", x):
         self.structure = structure
-        self.X = X = np.asarray(X, dtype=float)
+        self.x = x = np.asarray(x, dtype=float)
         self._const = const = structure._constant_data
         if const is not None:
             self.Omega, self.eta, self._A_T, self.det = const[:4]
         else:
             try:
-                self.Omega = structure.omega.at_stack(X)
-                self.eta = structure.eta.at_stack(X)
+                self.Omega = structure.omega.at_stack(x)
+                self.eta = structure.eta.at_stack(x)
             except exprlang.ExprError as err:
-                raise _row_error(X, err) from err
+                raise _row_error(x, err) from err
             A_T = self.eta[:, :, None] * self.eta[:, None, :] - self.Omega
-            _first_not_finite(X, [(_A_NAME, A_T)])
+            _first_not_finite(x, [(_A_NAME, A_T)])
             self._A_T, self.det = A_T, np.linalg.det(A_T)
-        det = np.broadcast_to(self.det, X.shape[:1])
+        det = np.broadcast_to(self.det, x.shape[:1])
         self._first(
             np.abs(det) < structure.tol.volume_min_det,
-            lambda k: DegenerateStructureError(X[k], float(det[k])),
+            lambda k: DegenerateStructureError(x[k], float(det[k])),
         )
         self._Z = self._d = None
 
     def _first(self, bad, error) -> None:
         """Raise ``error(k)`` for the first row ``k`` flagged in ``bad``."""
-        _first_row(np.broadcast_to(bad, self.X.shape[:1]), error)
+        _first_row(np.broadcast_to(bad, self.x.shape[:1]), error)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A^T u = rhs at every row; ``rhs`` is (N, d)."""
@@ -480,84 +482,49 @@ class FrameStack:
             else:
                 Z = self.solve(self.eta)
                 tol = self.structure.tol.reeb_check
-                ok = (np.abs(_vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
-                    np.abs(_dot(self.eta, Z) - 1.0) <= tol
+                ok = (np.abs(np.vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
+                    np.abs(np.vecdot(self.eta, Z) - 1.0) <= tol
                 )
             self._first(
                 np.logical_not(ok),
-                lambda k: _condition_error("Reeb conditions violated", self.X[k]),
+                lambda k: _condition_error("Reeb conditions violated", self.x[k]),
             )
-            self._Z = np.broadcast_to(Z, self.X.shape)
+            self._Z = np.broadcast_to(Z, self.x.shape)
         return self._Z
 
     def hamiltonian(self, df: np.ndarray) -> np.ndarray:
         Z = self.reeb
-        zf = _dot(df, Z)
-        self._first(~np.isfinite(zf), lambda k: _not_finite(self.X[k], f"df(Z) = {zf[k]}"))
+        zf = np.vecdot(df, Z)
+        self._first(~np.isfinite(zf), lambda k: _not_finite(self.x[k], f"df(Z) = {zf[k]}"))
         const = self._const
         if const is not None:
             # kept for evaluation(df), whose Y_f condition is a third limit on it
             self._df_size = size = np.abs(df).max(axis=-1)
-            for limit, what in zip(const.limits, _X_CONDITIONS):
-                self._first(~(size < limit), lambda k: _condition_error(what, self.X[k]))
-            return (const.C @ df[..., None])[..., 0]
-        rhs = df - zf[:, None] * self.eta
-        Xf = self.solve(rhs)
-        tol = self.structure.tol
-        self._first(
-            ~(np.abs(_dot(self.eta, Xf)) <= tol.reeb_check),
-            lambda k: _condition_error(_X_CONDITIONS[0], self.X[k]),
-        )
-        self._first(
-            ~(np.abs(_vecmat(Xf, self.Omega) - rhs).max(axis=-1) <= tol.field_check),
-            lambda k: _condition_error(_X_CONDITIONS[1], self.X[k]),
-        )
-        return Xf
+            ok = [size < limit for limit in const.limits[:2]]
+        else:
+            rhs = df - zf[:, None] * self.eta
+            Xf = self.solve(rhs)
+            tol = self.structure.tol
+            ok = [
+                np.abs(np.vecdot(self.eta, Xf)) <= tol.reeb_check,
+                np.abs(np.vecmat(Xf, self.Omega) - rhs).max(axis=-1) <= tol.field_check,
+            ]
+        for ok_c, what in zip(ok, _X_CONDITIONS):
+            self._first(~ok_c, lambda k: _condition_error(what, self.x[k]))
+        return Xf if const is None else np.matvec(const.C, df)
 
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
         if self._const is not None:
             ok = self._df_size < self._const.limits[2]
         else:
-            ok = np.abs(_dot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
-        self._first(~ok, lambda k: _condition_error(_Y_CONDITION, self.X[k]))
+            ok = np.abs(np.vecdot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
+        self._first(~ok, lambda k: _condition_error(_Y_CONDITION, self.x[k]))
         return Y
-
-    def gradient(self, df: np.ndarray) -> np.ndarray:
-        Z = self.reeb
-        zf = _dot(df, Z)
-        G = self.hamiltonian(df) + zf[:, None] * Z
-        tol = self.structure.tol.field_check
-        rhs = df - zf[:, None] * self.eta
-        ok = (np.abs(_vecmat(G, self.Omega) - rhs).max(axis=-1) <= tol) & (
-            np.abs(_dot(self.eta, G) - zf) <= tol
-        )
-        self._first(~ok, lambda k: _condition_error("gradient conditions violated", self.X[k]))
-        return G
-
-    def bracket(self, df: np.ndarray, dg: np.ndarray) -> np.ndarray:
-        """Poisson brackets (N,) from gradient covectors, cross-checked both
-        ways."""
-        Xf = self.hamiltonian(df)
-        Xg = self.hamiltonian(dg)
-        via_fields = _dot(_vecmat(Xf, self.Omega), Xg)
-        Z = self.reeb
-        Gf = Xf + _dot(df, Z)[:, None] * Z
-        Gg = Xg + _dot(dg, Z)[:, None] * Z
-        via_gradients = _dot(_vecmat(Gf, self.Omega), Gg)
-        self._first(
-            ~(np.abs(via_fields - via_gradients) <= self.structure.tol.bracket_agreement),
-            lambda k: _condition_error(
-                "bracket formulas disagree",
-                self.X[k],
-                f": {float(via_fields[k])} vs {float(via_gradients[k])}",
-            ),
-        )
-        return via_fields
 
     def differential(self, f) -> np.ndarray:
         """The gradient covectors (N, d) of ``f`` at the rows."""
-        return f.gradient_stack(self.X)
+        return f.gradient_stack(self.x)
 
     # -- exact Jacobians J[:, i, k] = d_k V_i (docs/CONVENTIONS.md, "Jacobians")
 
@@ -566,11 +533,11 @@ class FrameStack:
         once per stack; a constant structure has zero gradient tensors."""
         if self._d is None:
             try:
-                dW = self.structure.omega.gradient_stack(self.X)
-                de = self.structure.eta.gradient_stack(self.X)
+                dW = self.structure.omega.gradient_stack(self.x)
+                de = self.structure.eta.gradient_stack(self.x)
             except exprlang.ExprError as err:
-                raise _row_error(self.X, err) from err
-            e = np.broadcast_to(self.eta, self.X.shape)
+                raise _row_error(self.x, err) from err
+            e = np.broadcast_to(self.eta, self.x.shape)
             dA = de[:, :, None, :] * e[:, None, :, None] + e[:, :, None, None] * de[:, None] - dW
             self._d = dW, de, dA, self._implicit(dA, de, self.reeb, "J(Z)")
         return self._d
@@ -580,7 +547,7 @@ class FrameStack:
         ``d_k V = A^-T (d_k b - d_k A^T V)``, one solve over the d columns."""
         dAV = (np.moveaxis(dA, 3, 1) @ V[:, None, :, None])[..., 0]  # [:, k, i]
         J = np.linalg.solve(self._A_T, db - np.swapaxes(dAV, 1, 2))
-        _first_not_finite(self.X, [(what, J)])
+        _first_not_finite(self.x, [(what, J)])
         return J
 
     def _hamiltonian_jacobian(self, f):
@@ -589,10 +556,10 @@ class FrameStack:
         Xf = self.hamiltonian(df)
         _, de, dA, JZ = self._derivatives()
         Z = self.reeb
-        zf = _dot(df, Z)
-        Hf = f.hessian_stack(self.X)
-        dzf = _vecmat(Z, Hf) + _vecmat(df, JZ)
-        e = np.broadcast_to(self.eta, self.X.shape)
+        zf = np.vecdot(df, Z)
+        Hf = f.hessian_stack(self.x)
+        dzf = np.vecmat(Z, Hf) + np.vecmat(df, JZ)
+        e = np.broadcast_to(self.eta, self.x.shape)
         db = Hf - e[:, :, None] * dzf[:, None, :] - zf[:, None, None] * de
         return Xf, self._implicit(dA, db, Xf, "J(X_f)"), zf, dzf
 
@@ -679,7 +646,8 @@ class StructureVectorField:
     Called with one point (d,) it solves a ``Frame``; called with a stack
     (N, d) it solves a ``FrameStack`` and returns (N, d).  ``jacobian``
     differentiates the stack's solve implicitly; at one point it solves a
-    one-row stack.
+    one-row stack.  ``on`` and ``jacobian_on`` read a frame the caller built,
+    so several fields share one solve.
     """
 
     def __init__(self, structure, kind: str, scalar=None):
@@ -698,7 +666,10 @@ class StructureVectorField:
         return f"{self.kind}({getattr(self.scalar, 'name', 'f')})"
 
     def __call__(self, x: Point) -> np.ndarray:
-        frame = self.structure.frame(x)
+        return self.on(self.structure.frame(x))
+
+    def on(self, frame: Frame) -> np.ndarray:
+        """The field at the frame's point, or at its rows."""
         if self.kind == "reeb":
             return frame.reeb
         # hamiltonian, evaluation or gradient
@@ -707,7 +678,11 @@ class StructureVectorField:
     def jacobian(self, x: Point) -> np.ndarray:
         """``J[..., i, k] = d_k V_i`` at one point (d,) or the rows of (N, d)."""
         x = np.asarray(x, dtype=float)
-        frame = FrameStack(self.structure, x.reshape(-1, x.shape[-1]))
+        J = self.jacobian_on(FrameStack(self.structure, x.reshape(-1, x.shape[-1])))
+        return J if x.ndim == 2 else J[0]
+
+    def jacobian_on(self, frame: FrameStack) -> np.ndarray:
+        """The Jacobians (N, d, d) at the rows of ``frame``."""
         J = frame._derivatives()[3]
         if self.kind != "reeb":
             _, JX, zf, dzf = frame._hamiltonian_jacobian(self.scalar)
@@ -715,7 +690,7 @@ class StructureVectorField:
                 J = JX + frame.reeb[:, :, None] * dzf[:, None, :] + zf[:, None, None] * J
             else:
                 J = JX + J if self.kind == "evaluation" else JX
-        return J if x.ndim == 2 else J[0]
+        return J
 
 
 @dataclass(frozen=True)
@@ -734,13 +709,18 @@ class BracketField:
 
     def gradient_stack(self, X) -> np.ndarray:
         """Gradients (N, d) at the rows of ``X``."""
-        frame = FrameStack(self.structure, X)
+        return self.gradient_on(FrameStack(self.structure, X))
+
+    def gradient_on(self, frame: FrameStack) -> np.ndarray:
+        """Gradients (N, d) at the rows of ``frame``."""
         Xf, JXf, _, _ = frame._hamiltonian_jacobian(self.f)
         Xg, JXg, _, _ = frame._hamiltonian_jacobian(self.g)
-        n, d = frame.X.shape
-        XfdW = _vecmat(Xf, frame._derivatives()[0].reshape(n, d, d * d)).reshape(n, d, d)
-        WXg = (frame.Omega @ Xg[..., None])[..., 0]
-        return _vecmat(WXg, JXf) + _vecmat(Xg, XfdW) + _vecmat(_vecmat(Xf, frame.Omega), JXg)
+        n, d = frame.x.shape
+        XfdW = np.vecmat(Xf, frame._derivatives()[0].reshape(n, d, d * d)).reshape(n, d, d)
+        WXg = np.matvec(frame.Omega, Xg)
+        return (
+            np.vecmat(WXg, JXf) + np.vecmat(Xg, XfdW) + np.vecmat(np.vecmat(Xf, frame.Omega), JXg)
+        )
 
     def gradient(self, x: Point) -> np.ndarray:
         return self.gradient_stack(np.asarray(x, dtype=float)[None])[0]

@@ -379,6 +379,9 @@ def lie_bracket(X, Y, x: Point) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     JX = X.jacobian(x) if hasattr(X, "jacobian") else fd_jacobian(X, x)
     JY = Y.jacobian(x) if hasattr(Y, "jacobian") else fd_jacobian(Y, x)
-    # a matrix-vector product per point, with the bits of JY @ X(x)
-    Xx, Yx = np.asarray(X(x))[..., None], np.asarray(Y(x))[..., None]
-    return (JY @ Xx)[..., 0] - (JX @ Yx)[..., 0]
+    return commutator(JX, np.asarray(X(x)), JY, np.asarray(Y(x)))
+
+
+def commutator(JX, X, JY, Y) -> np.ndarray:
+    """``J_Y X - J_X Y`` at one point or row by row, with the bits of ``JY @ X``."""
+    return (JY @ X[..., None])[..., 0] - (JX @ Y[..., None])[..., 0]

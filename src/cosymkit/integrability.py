@@ -16,16 +16,16 @@ extrapolated across; every report carries its worst witness.
 
 Every check evaluates its points as stacks (N, d), in blocks of
 ``cosym.BLOCK_ROWS``, and the induced bracket one stack per fiber group: one
-``FrameStack`` per block and field, the integrals' array code for gradients,
-exact Jacobians of the structure fields (``StructureVectorField.jacobian``)
-for Lie brackets, and reductions over the residual arrays.  Every row gets
-the bits a ``Frame`` (or a one-row ``FrameStack``, for Jacobians) at that
-point computes.  A residual array is laid out in the order of the loop
-over points (and integrals, pairs or fields) it replaces, and the witness is
-its first maximum in that order (``np.argmax``); a NaN residual never is one,
-and with no residual above 0 there is no witness.  A point that fails raises
-what its ``Frame`` raises, and the first failing point in that order is the
-one that raises.
+``FrameStack`` per block, read by every field in the order a loop over the
+points needs them, the integrals' array code for gradients, exact Jacobians
+of the structure fields for Lie brackets, and reductions over the residual
+arrays.  Every row gets the bits a ``Frame`` (or a one-row ``FrameStack``,
+for Jacobians) at that point computes.  A residual array is laid out in the
+order of the loop over points (and integrals, pairs or fields) it replaces,
+and the witness is its first maximum in that order (``np.argmax``); a NaN
+residual never is one, and with no residual above 0 there is no witness.  A
+point that fails raises what its ``Frame`` raises, and the first failing
+point is the one that raises.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from .cosym import (
     StructureVectorField,
     _ROW_ERRORS,
     _at_row,
-    _dot,
     map_blocks,
 )
-from .fields import Point, ScalarField, lie_bracket
+from .fields import Point, ScalarField, commutator
 from .flow import integrate
 
 __all__ = [
@@ -196,7 +195,7 @@ def check_first_integrals(sys: IntegralSystem, points) -> CheckReport:
         cols = []
         for f in sys.integrals:
             df = frame.differential(f)
-            cols.append(np.abs(_dot(df, Z) + frame.bracket(df, dH)))
+            cols.append(np.abs(np.vecdot(df, Z) + frame.bracket(df, dH)))
         return _columns(cols, len(X))
 
     X = _stack(sys, points)
@@ -244,7 +243,8 @@ def check_independence(sys: IntegralSystem, points) -> CheckReport:
             regular = _ranks(G, tol) == sys.m
         at = np.flatnonzero(regular)
         try:
-            V = np.stack([vf(X[at]) for vf in sys.symmetry_fields()], axis=1)
+            frame = sys.structure.frame(X[at])
+            V = np.stack([vf.on(frame) for vf in sys.symmetry_fields()], axis=1)
         except _ROW_ERRORS as err:
             if getattr(err, "row", None) is not None:
                 err.row = int(at[err.row])
@@ -281,17 +281,18 @@ def check_symmetry_algebra(sys: IntegralSystem, points) -> CheckReport:
     pairs = [(i, j) for i in range(len(fields_)) for j in range(i + 1, len(fields_))]
 
     def rows(X):
+        frame = sys.structure.frame(X)
+        J, V = {}, {}
+        for i, j in pairs:  # J_i, J_j, V_i, V_j: the order lie_bracket needs them in
+            J.update({k: fields_[k].jacobian_on(frame) for k in (i, j) if k not in J})
+            V.update({k: fields_[k].on(frame) for k in (i, j) if k not in V})
         return _columns(
-            [
-                np.max(np.abs(lie_bracket(fields_[i], fields_[j], X)), axis=1)
-                for i, j in pairs
-            ],
-            len(X),
+            [np.max(np.abs(commutator(J[i], V[i], J[j], V[j])), axis=1) for i, j in pairs], len(X)
         )
 
     X = _stack(sys, points)
     return _report(
-        "symmetry_algebra", tol, map_blocks(rows, X),
+        "symmetry_algebra", tol, map_blocks(rows, X) if pairs else np.zeros((len(X), 0)),
         lambda k, p: {"pair": [fields_[i].label for i in pairs[p]], **_point(X, k)},
     )
 
@@ -302,11 +303,12 @@ def check_fiber_tangency(sys: IntegralSystem, points) -> CheckReport:
     fields_ = sys.symmetry_fields()
 
     def rows(X):
-        vals = [vf(X) for vf in fields_]
+        frame = sys.structure.frame(X)
+        vals = [vf.on(frame) for vf in fields_]
         cols = []
         for f in sys.integrals:
             df = f.gradient_stack(X)
-            cols += [np.abs(_dot(df, v)) for v in vals]
+            cols += [np.abs(np.vecdot(df, v)) for v in vals]
         return _columns(cols, len(X))
 
     return _report(
@@ -450,18 +452,19 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
             f"precondition unmet: {probe.witness['integral']} is not a first "
             f"integral (residual {probe.max_residual:.3e})"
         )
-    X = _stack(sys, points)
+    brackets = [S.bracket_scalar(sys.integrals[i], sys.integrals[j]) for i, j in pairs]
 
-    def rows(X, g):
+    def rows(X):
         frame = S.frame(X)
-        dg = frame.differential(g)
         dH = frame.differential(sys.hamiltonian)
-        return np.abs(_dot(dg, frame.reeb) + frame.bracket(dg, dH))
+        cols = []
+        for g in brackets:
+            dg = g.gradient_on(frame)
+            cols.append(np.abs(np.vecdot(dg, frame.reeb) + frame.bracket(dg, dH)))
+        return _columns(cols, len(X))
 
-    resid = np.zeros((len(pairs), len(X)))
-    for p, (i, j) in enumerate(pairs):
-        g = S.bracket_scalar(sys.integrals[i], sys.integrals[j])
-        resid[p] = map_blocks(lambda X: rows(X, g), X)
+    X = _stack(sys, points)
+    resid = map_blocks(rows, X).T if pairs else np.zeros((0, len(X)))
     return _report(
         "bracket_of_integrals", S.tol.first_integral, resid,
         lambda p, k: {"pair": [sys.integrals[i].name for i in pairs[p]], "point_index": k},

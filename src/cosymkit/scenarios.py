@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib.resources import files as _pkg_files
 
 import jsonschema
@@ -118,11 +119,19 @@ def schema_dict() -> dict:
         return json.load(handle)
 
 
+@cache
+def _schema_validator():
+    """The scenario schema's validator, built and checked on first use."""
+    schema = schema_dict()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_scenario_dict(data: dict) -> Scenario:
     """Validate a scenario dictionary against the schema and construct it."""
-    try:
-        jsonschema.validate(data, schema_dict())
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
+    if err is not None:
         raise ScenarioFormatError(f"scenario failed schema validation: {err.message}") from err
     try:
         chart = ChartSpec(tuple(data["chart"]["names"]), tuple(data["chart"]["periodic"]))

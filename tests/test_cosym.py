@@ -135,6 +135,8 @@ def test_poisson_bracket_examples():
     assert S.poisson_bracket(q, p, x) == pytest.approx(1.0, abs=1e-12)
     assert S.poisson_bracket(f, f, x) == pytest.approx(0.0, abs=1e-14)
     assert S.poisson_bracket(t, f, x) == pytest.approx(0.0, abs=1e-12)
+    # the bracket formula is shared with FrameStack; one point still gives a float
+    assert isinstance(S.poisson_bracket(q, p, x), float)
 
 
 def test_degenerate_structure_is_hard_error():

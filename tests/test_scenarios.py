@@ -1,6 +1,7 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -83,6 +84,32 @@ def test_schema_rejects_bad_expression():
     data = {**data, "hamiltonian": "(q^2 +"}
     with pytest.raises(ScenarioFormatError):
         scenarios.load_scenario_dict(data)
+
+
+def test_schema_is_checked_once_per_process(monkeypatch):
+    schema = scenarios.schema_dict()
+    cls = jsonschema.validators.validator_for(schema)
+    calls = []
+    check = cls.check_schema
+
+    def counting(schema, *args, **kwargs):
+        calls.append(1)
+        return check(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+    scenarios._schema_validator.cache_clear()
+    data = scenarios.builtin_dict("ext-oscillator-1d")
+    scenarios.load_scenario_dict(data)
+    scenarios.load_scenario_dict(data)
+    assert len(calls) == 1
+    # a rejection reads as jsonschema.validate words it
+    bad = {**data, "surprise": 1}
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, schema)
+    with pytest.raises(ScenarioFormatError) as got:
+        scenarios.load_scenario_dict(bad)
+    assert str(got.value) == f"scenario failed schema validation: {want.value.message}"
+    scenarios._schema_validator.cache_clear()
 
 
 def test_flat_torus_reeb_vector():

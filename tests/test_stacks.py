@@ -522,16 +522,29 @@ def test_first_failing_point_raises_across_stages():
 
 @pytest.mark.parametrize("name", ["ext-oscillator-2d-super", "pc-oscillator-1d"])
 def test_pointwise_checks_build_no_frames(monkeypatch, name):
-    calls = []
-    original = cosym.Frame.__init__
+    calls, stacks = [], []
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        original(self, *args, **kwargs)
+    def counting(into, original):
+        def init(self, *args, **kwargs):
+            into.append(1)
+            original(self, *args, **kwargs)
 
-    monkeypatch.setattr(cosym.Frame, "__init__", counting)
+        return init
+
+    monkeypatch.setattr(cosym.Frame, "__init__", counting(calls, cosym.Frame.__init__))
+    monkeypatch.setattr(cosym.FrameStack, "__init__", counting(stacks, cosym.FrameStack.__init__))
+    monkeypatch.setattr(cosym, "BLOCK_ROWS", 200)
     sys = builtin(name).system
     pts = sample_box(sys.structure.domain_box, 500, np.random.default_rng(67))
-    for check, _ in CHECKS.values():
-        assert check(sys, pts).passed
+    blocks = 3
+    # one FrameStack per block serves every field a check reads; a check with
+    # no pairs builds none, and check_bracket_of_integrals first runs
+    # check_first_integrals as its probe
+    want = {check: blocks for check in CHECKS}
+    want["symmetry_algebra"] *= len(sys.symmetry_fields()) > 1
+    want["bracket_of_integrals"] *= 1 + bool(_all_pairs(sys))
+    for check, (run, _) in CHECKS.items():
+        stacks.clear()
+        assert run(sys, pts).passed
+        assert len(stacks) == want[check], check
     assert len(calls) == 0
