@@ -25,12 +25,13 @@ flow moves with tau_j at exactly V_j(endpoint): the Jacobian is the field
 values there, and each Newton iteration traces the cycle once.  Declared
 lattice vectors are polished the same way in place of the seeds.  Either
 basis is certified by the unimodular winding matrix of its cycles against the
-angles.  Callers without angle maps fall back to a near-return scan, which
-handles two-dimensional tori (r+1 = 2) only.  The lattice keeps the traced
-cycles of its basis, and the windings and the loop actions are read off
-them: the actions and eta pairings sum the one-forms against the
-Dormand-Prince stages each trajectory kept, so they are eighth-order
-quadratures on the flow's own steps and evaluate no field.
+angles.  A caller with neither is refused before anything is flowed; no
+lattice runs the near-return scan, ``detect_period_lattice``, which stays
+callable on its own.  The lattice keeps the traced cycles of its basis, and
+the windings and the loop actions are read off them: the actions and eta
+pairings sum the one-forms against the Dormand-Prince stages each trajectory
+kept, so they are eighth-order quadratures on the flow's own steps and
+evaluate no field.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .integrability import IntegralSystem
 __all__ = [
     "ActionAngleError",
     "SingularRatesError",
+    "WindingError",
     "NoReturnError",
     "ContinuationError",
     "CycleError",
@@ -87,6 +89,15 @@ class SingularRatesError(ActionAngleError):
             "the commuting fields are singular; the angles do not separate the flows"
         )
         self.rates = np.asarray(rates)
+
+
+class WindingError(ActionAngleError):
+    """The cycles wind the declared angles by ``windings`` (cycles by angles,
+    in turns), which is not a unimodular integer matrix."""
+
+    def __init__(self, message, windings):
+        super().__init__(message)
+        self.windings = np.asarray(windings)
 
 
 class NoReturnError(ActionAngleError):
@@ -262,6 +273,10 @@ def find_fiber_point(
 
 # --- composite flows and lattice refinement ----------------------------------
 
+#: Flow tolerance of the seeding flows and of every traced lattice cycle.
+_LATTICE_FLOW_TOL = 1e-11
+
+
 def trace_cycle(fields, times, x0: Point, tol: float, chart: ChartSpec) -> list[tuple]:
     """Trajectories of the composite flow, in the order they are traversed
     (last field first).
@@ -284,7 +299,7 @@ def refine_lattice_vector(
     times0,
     x0: Point,
     chart: ChartSpec,
-    flow_tol: float = 1e-11,
+    flow_tol: float = _LATTICE_FLOW_TOL,
     return_tol: float = 1e-6,
     max_iter: int = 15,
 ) -> tuple[np.ndarray, float, list[tuple]]:
@@ -354,7 +369,7 @@ def detect_period_lattice(
     horizon: float = 250.0,
     window: float = 0.5,
     scan_tol: float = 1e-9,
-    flow_tol: float = 1e-11,
+    flow_tol: float = _LATTICE_FLOW_TOL,
     return_tol: float | None = None,
     t_min: float = 0.3,
 ) -> PeriodLattice:
@@ -364,9 +379,8 @@ def detect_period_lattice(
     candidate is polished with the times of both fields free.  A slanted
     combined scan backs up the pure-field scans when a flow is dense on the
     torus.  Raises NoReturnError when the horizon is exhausted (noncompact or
-    too-long periods).  ``torus_lattice`` scans only when it has neither
-    declared vectors nor one angle map per field; tori of any rank are seeded
-    from their angle maps instead.
+    too-long periods).  ``torus_lattice`` never scans: tori of any rank are
+    seeded from their angle maps or declared vectors.
     """
     S = sys.structure
     chart = S.chart
@@ -451,16 +465,13 @@ def align_lattice_to_angles(
     sys: IntegralSystem,
     lattice: PeriodLattice,
     angle_maps,
-    fields=None,
-    flow_tol: float = 1e-11,
 ) -> PeriodLattice:
     """Change the lattice basis so cycle mu winds angle mu once and others not.
 
-    The winding matrix of the detected basis against the declared angles must
-    be unimodular; its integer inverse transforms the basis.  Rows are then
-    re-polished.  The windings are read off the lattice's traced cycles.
+    The winding matrix of the basis against the declared angles, read off the
+    lattice's traced cycles, must be unimodular, or WindingError carries it;
+    its integer inverse transforms the basis, and the rows are re-polished.
     """
-    fields = list(fields) if fields is not None else sys.commuting_fields()
     k = lattice.rank
     if len(angle_maps) != k:
         raise ActionAngleError(
@@ -469,27 +480,29 @@ def align_lattice_to_angles(
     W = np.array([cycle_windings(segments, angle_maps) for segments in lattice.cycles])
     Wi = np.rint(W).astype(int)
     if np.max(np.abs(W - Wi)) > 5e-3:
-        raise ActionAngleError(f"cycle windings are not integers: {W.tolist()}")
+        raise WindingError(f"cycle windings are not integers: {W.tolist()}", W)
     det = int(round(np.linalg.det(Wi)))
     if abs(det) != 1:
-        raise ActionAngleError(
+        raise WindingError(
             f"winding matrix {Wi.tolist()} is not unimodular; "
-            "angle maps do not match the detected torus"
+            "angle maps do not match the detected torus",
+            W,
         )
     if np.array_equal(Wi, np.eye(k, dtype=int)):
         return lattice
+    fields = sys.commuting_fields()
     Winv = np.rint(np.linalg.inv(Wi)).astype(int)
     return _lattice(fields, lattice.base_point, [
         refine_lattice_vector(
             fields, Winv[mu].astype(float) @ lattice.basis, lattice.base_point,
-            sys.structure.chart, flow_tol=flow_tol,
+            sys.structure.chart, flow_tol=_LATTICE_FLOW_TOL,
             return_tol=sys.structure.tol.lattice_return,
         )
         for mu in range(k)
     ])
 
 
-def _angle_seeds(fields, x0: Point, angle_maps, flow_tol: float, chart: ChartSpec) -> np.ndarray:
+def _angle_seeds(fields, x0: Point, angle_maps, chart: ChartSpec) -> np.ndarray:
     """Seed basis ``2pi R^{-1}`` from the mean winding rates of the angles.
 
     Each field V_j is flowed once for 2pi from ``x0``;
@@ -501,7 +514,7 @@ def _angle_seeds(fields, x0: Point, angle_maps, flow_tol: float, chart: ChartSpe
     """
     # over a flow of 2pi the winding in turns is the mean rate
     R = np.stack([
-        cycle_windings([(vf, integrate(vf, x0, TWO_PI, flow_tol, chart))], angle_maps)
+        cycle_windings([(vf, integrate(vf, x0, TWO_PI, _LATTICE_FLOW_TOL, chart))], angle_maps)
         for vf in fields
     ], axis=1)
     s = np.linalg.svd(R, compute_uv=False)
@@ -513,37 +526,36 @@ def _angle_seeds(fields, x0: Point, angle_maps, flow_tol: float, chart: ChartSpe
 def torus_lattice(
     sys: IntegralSystem,
     x0: Point,
-    fields=None,
     angle_maps=(),
     declared_vectors=None,
-    flow_tol: float = 1e-11,
 ) -> PeriodLattice:
     """Lattice at ``x0``: polish seed vectors, then certify them by the angles.
 
-    The seeds are the declared vectors, or else, with one angle map per
-    field, the winding-rate basis of ``_angle_seeds``; a torus of any rank is
-    handled either way.  A caller with neither gets the two-field near-return
-    scan of ``detect_period_lattice``.  Given angle maps, the basis must wind
-    them by a unimodular matrix (the identity for angle seeds), and is
-    re-based when that matrix is not the identity.
+    The seeds are the declared vectors, or else the winding-rate basis of
+    ``_angle_seeds``; a torus of any rank is handled either way.  Given angle
+    maps, one per commuting field, the basis must wind them by a unimodular
+    matrix (the identity for angle seeds), and is re-based when it is not the
+    identity.  Miscounted angle maps, or no seeds, raise before any flow.
     """
-    fields = list(fields) if fields is not None else sys.commuting_fields()
+    fields = sys.commuting_fields()
+    if len(angle_maps) not in (0, len(fields)) or (declared_vectors is None and not angle_maps):
+        raise ActionAngleError(
+            f"a lattice of {len(fields)} commuting fields needs declared vectors or one"
+            f" angle map per field; got {len(angle_maps)} angle maps"
+        )
     chart = sys.structure.chart
     seeds = declared_vectors
-    if seeds is None and len(angle_maps) == len(fields):
-        seeds = _angle_seeds(fields, x0, angle_maps, flow_tol, chart)
-    if seeds is not None:
-        lattice = _lattice(fields, x0, [
-            refine_lattice_vector(
-                fields, row, x0, chart, flow_tol=flow_tol,
-                return_tol=sys.structure.tol.lattice_return,
-            )
-            for row in np.asarray(seeds, dtype=float)
-        ])
-    else:
-        lattice = detect_period_lattice(sys, x0, fields=fields, flow_tol=flow_tol)
+    if seeds is None:
+        seeds = _angle_seeds(fields, x0, angle_maps, chart)
+    lattice = _lattice(fields, x0, [
+        refine_lattice_vector(
+            fields, row, x0, chart, flow_tol=_LATTICE_FLOW_TOL,
+            return_tol=sys.structure.tol.lattice_return,
+        )
+        for row in np.asarray(seeds, dtype=float)
+    ])
     if angle_maps:
-        lattice = align_lattice_to_angles(sys, lattice, angle_maps, fields, flow_tol)
+        lattice = align_lattice_to_angles(sys, lattice, angle_maps)
     return lattice
 
 

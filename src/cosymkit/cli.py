@@ -208,13 +208,6 @@ def _torus_skip_reason(scenario: Scenario) -> str | None:
         return "skipped: noncompact"
     if scenario.lam is None:
         return "skipped: no primitive declared"
-    rank = scenario.system.r + 1
-    if rank > 2 and scenario.declared_lattice is None and not _angle_maps(scenario):
-        # the near-return scan finds two-dimensional lattices only
-        return (
-            f"skipped: a rank-{rank} torus needs one angle map per direction"
-            " or a declared lattice"
-        )
     return None
 
 
@@ -231,17 +224,6 @@ def _refuse_torus(scenario: Scenario, command: str, out_path: str | None) -> boo
     return True
 
 
-def _angle_maps(scenario: Scenario) -> tuple:
-    """Declared angle maps when there is one per lattice direction, else none.
-
-    With them the lattice of a torus of any rank is seeded from the angles'
-    winding rates.
-    """
-    if len(scenario.angle_maps) == scenario.system.r + 1:
-        return scenario.angle_maps
-    return ()
-
-
 def _torus_profile(scenario: Scenario, fiber) -> ActionProfile:
     """The one torus computation per fiber: point, lattice, loop actions.
 
@@ -250,12 +232,7 @@ def _torus_profile(scenario: Scenario, fiber) -> ActionProfile:
     """
     sys_ = scenario.system
     x0 = find_fiber_point(sys_, fiber, scenario.base_point())
-    lattice = torus_lattice(
-        sys_,
-        x0,
-        angle_maps=_angle_maps(scenario),
-        declared_vectors=scenario.declared_lattice,
-    )
+    lattice = torus_lattice(sys_, x0, scenario.angle_maps, scenario.declared_lattice)
     return action_integrals(sys_, lattice, scenario.lam)
 
 
@@ -272,7 +249,6 @@ def _frequency_section(
     verify_empirical: bool = False,
 ) -> dict:
     sys_ = scenario.system
-    angle_maps = _angle_maps(scenario)
     table = b_matrix(profile, scenario.structure.tol.lattice_return)
     out = {"pass": True, "table": table.to_dict(), "modes": {}}
     solved = {}
@@ -288,8 +264,6 @@ def _frequency_section(
     for label, value in solved.items():
         out["modes"][label] = [float(v) for v in value]
     if verify_empirical:
-        if not angle_maps:
-            raise ActionAngleError("empirical verification needs declared angle maps")
         tol_match = scenario.structure.tol.frequency_match
         x0 = table.lattice.base_point
         mismatch = 0.0
@@ -303,7 +277,7 @@ def _frequency_section(
                     sys_.integrals[ham_index - 1]
                 )
             slopes, resid = empirical_frequencies(
-                sys_, field, x0, angle_maps, tau_end=40.0
+                sys_, field, x0, scenario.angle_maps, tau_end=40.0
             )
             gap = float(np.max(np.abs(slopes - np.asarray(value))))
             mismatch = max(mismatch, gap)
@@ -428,6 +402,8 @@ def _cmd_frequencies(args) -> int:
         raise argparse.ArgumentTypeError(f"bad mode '{args.mode}' (reeb|eval|ham:K)")
     if _refuse_torus(scenario, "frequencies", args.out):
         return CHECK_FAILED
+    if args.verify_empirical and not scenario.angle_maps:
+        raise ActionAngleError("empirical verification needs declared angle maps")
     section = _frequency_section(
         scenario,
         _torus_profile(scenario, fiber),

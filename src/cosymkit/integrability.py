@@ -438,35 +438,37 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
     """{f_i, f_j} must itself be a first integral, for the given index pairs.
 
     Refuses when either member of a pair fails the first-integral condition
-    at the sampled points (the statement has nothing to say then).  The
+    at the sampled points (the statement has nothing to say then); their
+    residuals come from each block's frame, ahead of the brackets'.  The
     bracket function's gradient is exact (``bracket_scalar``) on every
     structure, so the residual is held to the ``first_integral`` tolerance.
     """
     S = sys.structure
     members = tuple(sys.integrals[i] for i in sorted({i for pair in pairs for i in pair}))
-    probe = check_first_integrals(
-        IntegralSystem(S, sys.hamiltonian, members, r=0, enforce_completeness=False), points
-    )
-    if not probe.passed:
-        raise ValueError(
-            f"precondition unmet: {probe.witness['integral']} is not a first "
-            f"integral (residual {probe.max_residual:.3e})"
-        )
     brackets = [S.bracket_scalar(sys.integrals[i], sys.integrals[j]) for i, j in pairs]
 
     def rows(X):
         frame = S.frame(X)
-        dH = frame.differential(sys.hamiltonian)
-        cols = []
-        for g in brackets:
-            dg = g.gradient_on(frame)
-            cols.append(np.abs(np.vecdot(dg, frame.reeb) + frame.bracket(dg, dH)))
-        return _columns(cols, len(X))
+        dH, Z = frame.differential(sys.hamiltonian), frame.reeb
+
+        def residual(df):
+            return np.abs(np.vecdot(df, Z) + frame.bracket(df, dH))
+
+        return (
+            _columns([residual(frame.differential(f)) for f in members], len(X)),
+            _columns([residual(g.gradient_on(frame)) for g in brackets], len(X)),
+        )
 
     X = _stack(sys, points)
-    resid = map_blocks(rows, X).T if pairs else np.zeros((0, len(X)))
+    member_resid, resid = map_blocks(rows, X)
+    worst, at = _worst(member_resid)
+    if not worst < S.tol.first_integral:
+        raise ValueError(
+            f"precondition unmet: {members[at[1]].name} is not a first "
+            f"integral (residual {worst:.3e})"
+        )
     return _report(
-        "bracket_of_integrals", S.tol.first_integral, resid,
+        "bracket_of_integrals", S.tol.first_integral, resid.T,
         lambda p, k: {"pair": [sys.integrals[i].name for i in pairs[p]], "point_index": k},
     )
 

@@ -129,7 +129,8 @@ def _schema_validator():
 
 
 def load_scenario_dict(data: dict) -> Scenario:
-    """Validate a scenario dictionary against the schema and construct it."""
+    """Validate a scenario dictionary against the schema and construct it.  A
+    compact fiber declares r+1 angle maps, or a period_lattice and none."""
     err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
     if err is not None:
         raise ScenarioFormatError(f"scenario failed schema validation: {err.message}") from err
@@ -163,9 +164,16 @@ def load_scenario_dict(data: dict) -> Scenario:
             if "period_lattice" in data
             else None
         )
-        if lattice is not None and lattice.shape != (system.r + 1, system.r + 1):
+        rank = system.r + 1
+        if lattice is not None and lattice.shape != (rank, rank):
             raise ScenarioFormatError(
-                f"period_lattice must be {(system.r + 1, system.r + 1)}, got {lattice.shape}"
+                f"period_lattice must be {(rank, rank)}, got {lattice.shape}"
+            )
+        fiber_compact = bool(data.get("fiber_compact", True))
+        if fiber_compact and len(angle_maps) != rank and (lattice is None or angle_maps):
+            raise ScenarioFormatError(
+                f"a compact fiber needs r+1 = {rank} angle maps, or a period_lattice"
+                f" and no angle maps; found {len(angle_maps)}"
             )
     except ScenarioFormatError:
         raise
@@ -179,7 +187,7 @@ def load_scenario_dict(data: dict) -> Scenario:
         angle_maps=angle_maps,
         casimirs=casimirs,
         declared_lattice=lattice,
-        fiber_compact=bool(data.get("fiber_compact", True)),
+        fiber_compact=fiber_compact,
         oracles=data.get("oracles", {}),
         raw=data,
     )

@@ -11,6 +11,7 @@ from cosymkit.actionangle import (
     AngleUnwrapError,
     CycleError,
     NoReturnError,
+    WindingError,
     action_integrals,
     align_lattice_to_angles,
     b_matrix,
@@ -135,18 +136,18 @@ def test_action_base_point_independence():
     assert np.max(np.abs(I1 - I0)) < 1e-5
 
 
-def test_action_retrace_stability():
+def test_action_retrace_stability(monkeypatch):
     # the actions come from the cycles the refinement traced, so the flow
     # tolerance is the lattice's
     sys = oscillator_system()
     lam = sys.structure.primitive
     x0 = np.array([0.0, 1.0, 0.0])
-    I_a, I_b = (
-        action_integrals(
-            sys, torus_lattice(sys, x0, angle_maps=oscillator_angles(), flow_tol=tol), lam
-        ).actions
-        for tol in (1e-10, 5e-11)
-    )
+    actions = []
+    for tol in (1e-10, 5e-11):
+        monkeypatch.setattr(actionangle, "_LATTICE_FLOW_TOL", tol)
+        lattice = torus_lattice(sys, x0, angle_maps=oscillator_angles())
+        actions.append(action_integrals(sys, lattice, lam).actions)
+    I_a, I_b = actions
     assert np.max(np.abs(I_a - I_b)) < 1e-6
 
 
@@ -499,3 +500,43 @@ def test_angles_that_do_not_separate_fields_raise(twice):
     assert rates.shape == (2, 2)
     assert np.array_equal(rates[0], rates[1])
     assert rates[0] == pytest.approx(np.eye(2)[twice], abs=1e-9)
+
+
+def _forbid_flows(monkeypatch):
+    def flow(*args, **kwargs):
+        raise AssertionError("the lattice flowed or scanned")
+
+    for name in ("integrate", "detect_period_lattice", "_near_return_candidates"):
+        monkeypatch.setattr(actionangle, name, flow)
+
+
+def test_lattice_without_seeds_raises_before_flowing(monkeypatch):
+    _forbid_flows(monkeypatch)
+    sys = oscillator_system()
+    with pytest.raises(ActionAngleError, match="needs declared vectors or one angle map"):
+        torus_lattice(sys, np.array([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_lattice_with_miscounted_angles_raises_before_flowing(monkeypatch, count):
+    _forbid_flows(monkeypatch)
+    sys = oscillator_system()
+    angles = (oscillator_angles() * 2)[:count]
+    with pytest.raises(ActionAngleError, match=f"per field; got {count} angle maps"):
+        torus_lattice(
+            sys, np.array([0.0, 1.0, 0.0]), angle_maps=angles,
+            declared_vectors=np.diag([TWO_PI, TWO_PI]),
+        )
+
+
+def test_non_unimodular_windings_are_typed():
+    # row 0 doubled still closes, but winds the first phase twice
+    sc = builtin("ext-oscillator-anisotropic")
+    doubled = sc.declared_lattice.copy()
+    doubled[0] *= 2
+    with pytest.raises(WindingError) as info:
+        torus_lattice(
+            sc.system, _fiber_base(sc), angle_maps=sc.angle_maps, declared_vectors=doubled
+        )
+    assert "not unimodular" in str(info.value)
+    assert info.value.windings == pytest.approx(np.diag([2.0, 1.0, 1.0]), abs=1e-6)

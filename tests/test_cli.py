@@ -332,6 +332,58 @@ def test_report_all_seeds_rank_three_torus_from_angles(tmp_path, capsys):
     )
 
 
+def _without_lattice_directions(variant):
+    data = dict(builtin_dict("ext-oscillator-1d"))
+    phase, t = data["angle_maps"]
+    if variant == "one map":
+        data["angle_maps"] = [phase]
+    elif variant == "three maps":
+        data["angle_maps"] = [phase, t, {"plane": ["p", "q"], "label": "extra"}]
+    else:
+        del data["angle_maps"]
+    return data
+
+
+@pytest.mark.parametrize("variant", ["one map", "three maps", "neither"])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_compact_scenario_must_declare_its_lattice_directions(
+    variant, command, tmp_path, capsys
+):
+    # a compact fiber of rank r+1 = 2 declares two angle maps, or a lattice
+    # and no angle maps; the loader refuses anything else
+    f = tmp_path / "compact.json"
+    f.write_text(scenario_json_text(_without_lattice_directions(variant)))
+    code, payload, _ = run(capsys, command, str(f))
+    found = {"one map": 1, "three maps": 3, "neither": 0}[variant]
+    assert code == 64
+    assert payload["error"] == (
+        "a compact fiber needs r+1 = 2 angle maps, or a period_lattice and no"
+        f" angle maps; found {found}"
+    )
+
+
+def test_empirical_verification_without_angles_refused_before_flowing(
+    monkeypatch, tmp_path, capsys
+):
+    # a compact fiber may declare only its lattice; the slope fits need the
+    # angles, so frequencies --verify-empirical refuses before any flow
+    import cosymkit.actionangle as actionangle
+    import cosymkit.cli as cli
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("a torus was flowed")
+
+    monkeypatch.setattr(actionangle, "integrate", integrate)
+    monkeypatch.setattr(cli, "integrate", integrate)
+    data = dict(builtin_dict("ext-oscillator-anisotropic"))
+    del data["angle_maps"]
+    f = tmp_path / "lattice-only.json"
+    f.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "frequencies", str(f), "--verify-empirical")
+    assert code == 2
+    assert payload == {"error": "empirical verification needs declared angle maps"}
+
+
 def test_integrate_hamiltonian_field_keeps_time(capsys):
     code, payload, _ = run(
         capsys, "integrate", OSC, "--field", "ham:H", "--x0", "0.3,1,0",

@@ -177,6 +177,7 @@ def test_non_finite_structure_is_eval_error():
             assert np.array_equal(info.value.point, x)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_gradient_is_eval_error():
     # d/dq of 1e308*q*q is 1e308*q + 1e308*q = inf at q = 1.2, where the
     # value is finite, so df(Z) is NaN; every "resid > tol" check would let
