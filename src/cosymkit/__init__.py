@@ -39,6 +39,7 @@ from .actionangle import (
     detect_period_lattice,
     empirical_frequencies,
     solve_frequencies,
+    torus_lattice,
 )
 from .scenarios import Scenario, builtin, builtin_names
 
@@ -73,6 +74,7 @@ __all__ = [
     "PeriodLattice",
     "ActionProfile",
     "FrequencyTable",
+    "torus_lattice",
     "detect_period_lattice",
     "action_integrals",
     "b_matrix",

@@ -17,6 +17,8 @@ from cosymkit.cosym import (
     make_canonical,
     make_poincare_cartan,
     twist,
+    _reeb_ok,
+    _solve_matrix,
 )
 from cosymkit.exprlang import Const, EvalDomainError
 from cosymkit.fields import (
@@ -248,6 +250,85 @@ def test_frame_solve_backward_error_on_varying_structure():
             u = frame.solve(rhs)
             bound = 1e-14 * np.linalg.norm(A_T, 2) * np.linalg.norm(u)
             assert np.linalg.norm(A_T @ u - rhs) <= bound
+
+
+def test_one_point_kernels_give_the_public_api_bits():
+    # Frame's one-point path calls the LAPACK gufuncs behind np.linalg.solve
+    # and np.linalg.det without their wrappers; a numpy whose private kernels
+    # differ from what the public API runs fails here.  With Omega = -A and
+    # eta = 0, _solve_matrix forms A^T = 0 - (-A) = A exactly.
+    rng = np.random.default_rng(20)
+    frame = Frame.__new__(Frame)
+    for d in (2, 3, 5, 7):
+        signs, systems = set(), 0
+        while systems < 800:
+            A = rng.normal(size=(d, d))
+            if np.linalg.cond(A) > 1e4:
+                continue
+            systems += 1
+            frame._A_T, det = _solve_matrix(None, -A, np.zeros(d))
+            assert np.array_equal(frame._A_T, A)
+            assert det == np.linalg.det(A)
+            rhs = rng.normal(size=d)
+            assert np.array_equal(frame.solve(rhs), np.linalg.solve(A, rhs))
+            signs.add(math.copysign(1.0, det))
+        assert signs == {-1.0, 1.0}, d
+
+
+@pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
+def test_one_point_frames_skip_the_numpy_linalg_wrappers(name, monkeypatch):
+    scenario = builtin(name)
+    S, x = scenario.structure, scenario.base_point()
+    assert S._constant_data is None
+    Y = S.evaluation_vf(scenario.system.hamiltonian)
+    want = Y(x), S.reeb(x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-point frame called a numpy.linalg wrapper")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    assert np.array_equal(Y(x), want[0])
+    assert np.array_equal(S.reeb(x), want[1])
+
+
+@pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_one_point_residual_checks_reject_non_finite_entries(name, bad):
+    # one non-finite entry of Omega at (i, j) makes entry j of i_V omega
+    # non-finite when V_i != 0, and only that entry; the check must fail
+    # whichever entry it is (a plain max() over a list skips a NaN that
+    # follows the first entry)
+    scenario = builtin(name)
+    S, x = scenario.structure, scenario.base_point()
+    names = S.chart.names
+    f = ScalarField.from_source(f"{names[1]} + 2*{names[-1]}", S.chart, "f")
+    tol = S.tol.reeb_check
+    frame = S.frame(x)
+    Z, Omega = frame.reeb, frame.Omega
+    df = frame.differential(f)
+    X = frame.hamiltonian(df)
+    i_Z, i_X = int(np.argmax(np.abs(Z))), int(np.argmax(np.abs(X)))
+    assert _reeb_ok(Z, Omega, frame.eta, tol)
+    for j in range(len(x)):
+        W = Omega.copy()
+        W[i_Z, j] = bad
+        assert _only_entry_not_finite(Z @ W, j)
+        assert not _reeb_ok(Z, W, frame.eta, tol), j
+        fresh = S.frame(x)
+        fresh.Omega = W
+        with pytest.raises(FieldConditionError, match="Reeb conditions violated"):
+            fresh.reeb
+        W = Omega.copy()
+        W[i_X, j] = bad
+        assert _only_entry_not_finite(X @ W, j)
+        frame.Omega = W
+        with pytest.raises(FieldConditionError, match=re.escape("i_X omega != df - Z(f) eta")):
+            frame.hamiltonian(df)
+
+
+def _only_entry_not_finite(v, j) -> bool:
+    return [k for k, c in enumerate(v.tolist()) if not math.isfinite(c)] == [j]
 
 
 def test_make_poincare_cartan_primitive():

@@ -86,6 +86,16 @@ def test_schema_rejects_bad_expression():
         scenarios.load_scenario_dict(data)
 
 
+@pytest.mark.parametrize("floor", [0.0, -1e-10, float("nan")])
+def test_volume_floor_must_be_positive(floor):
+    # one-point frames solve with no singular-matrix guard of their own: a
+    # point with det A = 0 must meet the floor first
+    data = scenarios.builtin_dict("pc-oscillator-1d")
+    data = {**data, "tolerances": {**data.get("tolerances", {}), "volume_min_det": floor}}
+    with pytest.raises(ScenarioFormatError, match="volume_min_det must be positive"):
+        scenarios.load_scenario_dict(data)
+
+
 def test_schema_is_checked_once_per_process(monkeypatch):
     schema = scenarios.schema_dict()
     cls = jsonschema.validators.validator_for(schema)
