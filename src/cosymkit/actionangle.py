@@ -134,19 +134,17 @@ class AngleMap:
     @classmethod
     def from_spec(cls, spec: dict, chart: ChartSpec) -> "AngleMap":
         label = spec.get("label")
+        if ("coordinate" in spec) == ("plane" in spec):
+            raise ValueError("angle map needs exactly one of 'coordinate' and 'plane'")
         if "coordinate" in spec:
             name = spec["coordinate"]
             if not chart.periodic[chart.index(name)]:
                 raise ValueError(f"angle coordinate '{name}' is not periodic")
             return cls(chart, label or name, coordinate=name)
-        if "plane" in spec:
-            xs, ys = spec["plane"]
-            return cls(
-                chart,
-                label or f"arg({xs},{ys})",
-                plane=(parse(xs, chart), parse(ys, chart)),
-            )
-        raise ValueError("angle map needs 'coordinate' or 'plane'")
+        xs, ys = spec["plane"]
+        return cls(
+            chart, label or f"arg({xs},{ys})", plane=(parse(xs, chart), parse(ys, chart))
+        )
 
     def series(self, states: np.ndarray) -> np.ndarray:
         """Continuous angle values along a sequence of (unwrapped) states."""
@@ -275,6 +273,8 @@ def find_fiber_point(
 
 #: Flow tolerance of the seeding flows and of every traced lattice cycle.
 _LATTICE_FLOW_TOL = 1e-11
+#: Newton iterations ``refine_lattice_vector`` takes at most.
+_LATTICE_NEWTON_ITER = 15
 
 
 def trace_cycle(fields, times, x0: Point, tol: float, chart: ChartSpec) -> list[tuple]:
@@ -299,22 +299,23 @@ def refine_lattice_vector(
     times0,
     x0: Point,
     chart: ChartSpec,
-    flow_tol: float = _LATTICE_FLOW_TOL,
     return_tol: float = 1e-6,
-    max_iter: int = 15,
 ) -> tuple[np.ndarray, float, list[tuple]]:
     """Newton-polish candidate return times.
 
     The flows commute, so d(endpoint)/d(tau_j) = V_j(endpoint): the Jacobian
     is the field values at the endpoint, and each iteration traces the cycle
-    once.  Returns the best iterate's times, its return distance and its
-    traced segments.
+    once, at ``_LATTICE_FLOW_TOL``, for at most ``_LATTICE_NEWTON_ITER``
+    iterations.  Returns the best iterate's times, its return distance and
+    its traced segments.  Raises CycleError when the best iterate does not
+    close within ``return_tol``, or when it collapses to the trivial vector
+    (every time within ``return_tol`` of 0), which closes without a cycle.
     """
     x0 = np.asarray(x0, dtype=float)
     v = np.array(times0, dtype=float)
     best, best_v, best_segments = math.inf, v, []
-    for _ in range(max_iter):
-        segments = trace_cycle(fields, v, x0, flow_tol, chart)
+    for _ in range(_LATTICE_NEWTON_ITER):
+        segments = trace_cycle(fields, v, x0, _LATTICE_FLOW_TOL, chart)
         end = segments[-1][1].final_state if segments else x0
         F = chart.wrap_difference(end, x0)
         resid = float(np.linalg.norm(F))
@@ -333,6 +334,8 @@ def refine_lattice_vector(
         raise CycleError(
             f"lattice vector failed to close: residual {best:.3e} at times {best_v.tolist()}"
         )
+    if np.all(np.abs(best_v) <= return_tol):
+        raise CycleError(f"lattice vector collapsed to zero: times {best_v.tolist()}")
     return best_v, best, best_segments
 
 
@@ -369,7 +372,6 @@ def detect_period_lattice(
     horizon: float = 250.0,
     window: float = 0.5,
     scan_tol: float = 1e-9,
-    flow_tol: float = _LATTICE_FLOW_TOL,
     return_tol: float | None = None,
     t_min: float = 0.3,
 ) -> PeriodLattice:
@@ -417,8 +419,7 @@ def detect_period_lattice(
             for s in _near_return_candidates(traj, x0, window, t_min - start):
                 try:
                     hit = refine_lattice_vector(
-                        fields, seed_times(start + s), x0, chart,
-                        flow_tol=flow_tol, return_tol=return_tol,
+                        fields, seed_times(start + s), x0, chart, return_tol
                     )
                 except CycleError:
                     continue
@@ -495,8 +496,7 @@ def align_lattice_to_angles(
     return _lattice(fields, lattice.base_point, [
         refine_lattice_vector(
             fields, Winv[mu].astype(float) @ lattice.basis, lattice.base_point,
-            sys.structure.chart, flow_tol=_LATTICE_FLOW_TOL,
-            return_tol=sys.structure.tol.lattice_return,
+            sys.structure.chart, sys.structure.tol.lattice_return,
         )
         for mu in range(k)
     ])
@@ -548,10 +548,7 @@ def torus_lattice(
     if seeds is None:
         seeds = _angle_seeds(fields, x0, angle_maps, chart)
     lattice = _lattice(fields, x0, [
-        refine_lattice_vector(
-            fields, row, x0, chart, flow_tol=_LATTICE_FLOW_TOL,
-            return_tol=sys.structure.tol.lattice_return,
-        )
+        refine_lattice_vector(fields, row, x0, chart, sys.structure.tol.lattice_return)
         for row in np.asarray(seeds, dtype=float)
     ])
     if angle_maps:

@@ -241,43 +241,51 @@ def _actions_section(profile: ActionProfile) -> dict:
     return {"pass": True, "fiber": body.pop("fiber"), **body}
 
 
+def _frequency_mode(scenario: Scenario, mode: str):
+    """``(label, flow field, solve)`` of a ``reeb | eval | ham:K`` mode;
+    ``solve`` maps a frequency table to the mode's frequencies.  A bad mode
+    raises ArgumentTypeError, and nothing is flowed."""
+    S, sys_ = scenario.structure, scenario.system
+    if mode == "reeb":
+        return "reeb", S.reeb_vf(), lambda table: solve_frequencies(table, "reeb")
+    if mode == "eval":
+        return (
+            "eval",
+            S.evaluation_vf(sys_.hamiltonian),
+            lambda table: evaluation_frequencies(table, sys_),
+        )
+    if not mode.startswith("ham:"):
+        raise argparse.ArgumentTypeError(f"bad mode '{mode}' (reeb|eval|ham:K)")
+    try:
+        k = int(mode[4:])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad mode '{mode}'")
+    if not 1 <= k <= sys_.r:
+        raise argparse.ArgumentTypeError(f"bad mode '{mode}' (K in 1..{sys_.r})")
+    return (
+        f"ham:{k}",
+        S.hamiltonian_vf(sys_.integrals[k - 1]),
+        lambda table: solve_frequencies(table, "hamiltonian", k),
+    )
+
+
 def _frequency_section(
-    scenario: Scenario,
-    profile: ActionProfile,
-    modes=("reeb", "eval"),
-    ham_index: int | None = None,
-    verify_empirical: bool = False,
+    scenario: Scenario, profile: ActionProfile, modes, verify_empirical: bool = False
 ) -> dict:
-    sys_ = scenario.system
+    """Frequencies of each ``_frequency_mode`` in ``modes``, optionally
+    checked against the angles' slopes along the mode's flow."""
     table = b_matrix(profile, scenario.structure.tol.lattice_return)
     out = {"pass": True, "table": table.to_dict(), "modes": {}}
-    solved = {}
-    for mode in modes:
-        if mode == "reeb":
-            solved["reeb"] = solve_frequencies(table, "reeb")
-        elif mode == "eval":
-            solved["eval"] = evaluation_frequencies(table, sys_)
-        elif mode == "ham":
-            solved[f"ham:{ham_index}"] = solve_frequencies(
-                table, "hamiltonian", ham_index
-            )
-    for label, value in solved.items():
+    solved = [(label, field, solve(table)) for label, field, solve in modes]
+    for label, _, value in solved:
         out["modes"][label] = [float(v) for v in value]
     if verify_empirical:
         tol_match = scenario.structure.tol.frequency_match
         x0 = table.lattice.base_point
         mismatch = 0.0
-        for label, value in solved.items():
-            if label == "reeb":
-                field = scenario.structure.reeb_vf()
-            elif label == "eval":
-                field = scenario.structure.evaluation_vf(sys_.hamiltonian)
-            else:
-                field = scenario.structure.hamiltonian_vf(
-                    sys_.integrals[ham_index - 1]
-                )
+        for label, field, value in solved:
             slopes, resid = empirical_frequencies(
-                sys_, field, x0, scenario.angle_maps, tau_end=40.0
+                scenario.system, field, x0, scenario.angle_maps, tau_end=40.0
             )
             gap = float(np.max(np.abs(slopes - np.asarray(value))))
             mismatch = max(mismatch, gap)
@@ -385,31 +393,13 @@ def _cmd_actions(args) -> int:
 def _cmd_frequencies(args) -> int:
     scenario = load_scenario_file(args.file)
     fiber = _fiber_arg(scenario, args)
-    if args.mode == "reeb":
-        modes, ham_index = ("reeb",), None
-    elif args.mode == "eval":
-        modes, ham_index = ("eval",), None
-    elif args.mode.startswith("ham:"):
-        modes = ("ham",)
-        try:
-            ham_index = int(args.mode[4:])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad mode '{args.mode}'")
-        r = scenario.system.r
-        if not 1 <= ham_index <= r:
-            raise argparse.ArgumentTypeError(f"bad mode '{args.mode}' (K in 1..{r})")
-    else:
-        raise argparse.ArgumentTypeError(f"bad mode '{args.mode}' (reeb|eval|ham:K)")
+    mode = _frequency_mode(scenario, args.mode)
     if _refuse_torus(scenario, "frequencies", args.out):
         return CHECK_FAILED
     if args.verify_empirical and not scenario.angle_maps:
         raise ActionAngleError("empirical verification needs declared angle maps")
     section = _frequency_section(
-        scenario,
-        _torus_profile(scenario, fiber),
-        modes,
-        ham_index,
-        args.verify_empirical,
+        scenario, _torus_profile(scenario, fiber), [mode], args.verify_empirical
     )
     report = {
         "scenario": scenario.name,
@@ -436,7 +426,9 @@ def _cmd_report(args) -> int:
         else:
             profile = _torus_profile(scenario, _default_fiber(scenario))
             sections["actions"] = _actions_section(profile)
-            sections["frequencies"] = _frequency_section(scenario, profile)
+            sections["frequencies"] = _frequency_section(
+                scenario, profile, [_frequency_mode(scenario, m) for m in ("reeb", "eval")]
+            )
     failed = [
         name
         for name, section in sections.items()

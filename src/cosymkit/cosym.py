@@ -97,9 +97,15 @@ class ToleranceConfig:
         return cls(**{k: float(v) for k, v in overrides.items()})
 
     def __post_init__(self):
-        # the floor is what keeps a singular A away from every solve
-        if not self.volume_min_det > 0.0:
-            raise ValueError(f"volume_min_det must be positive, got {self.volume_min_det}")
+        # A NaN threshold fails every check and an inf one passes every check.
+        # Negative ones stay, to force a check to fail, except the floor: it
+        # is what keeps a singular A away from every solve.
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if f.name == "volume_min_det" and not value > 0.0:
+                raise ValueError(f"volume_min_det must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 class DegenerateStructureError(Exception):
@@ -833,10 +839,11 @@ class CosymplecticStructure:
     def evaluation_vf(self, f) -> StructureVectorField:
         return StructureVectorField(self, "evaluation", f)
 
-    def bracket_scalar(self, f, g, name: str | None = None) -> BracketField:
+    def bracket_scalar(self, f, g) -> BracketField:
         """{f, g} as a scalar field with exact gradients."""
-        label = name or f"{{{getattr(f, 'name', 'f')},{getattr(g, 'name', 'g')}}}"
-        return BracketField(self, f, g, label)
+        return BracketField(
+            self, f, g, f"{{{getattr(f, 'name', 'f')},{getattr(g, 'name', 'g')}}}"
+        )
 
     # -- validation ----------------------------------------------------------
 
@@ -942,13 +949,11 @@ def make_canonical(
     return _flat_structure(canonical_chart(n, t_periodic), box, tol)
 
 
-def twist(
-    S: CosymplecticStructure, H: ScalarField, check_samples: int = 20
-) -> CosymplecticStructure:
+def twist(S: CosymplecticStructure, H: ScalarField) -> CosymplecticStructure:
     """Structure (omega + dH ^ eta, eta), assembled symbolically.
 
-    The result is validated on a small seeded sample; pass ``check_samples=0``
-    to skip.
+    The result is validated on 20 points drawn with seed 0, and raises
+    FieldConditionError when that fails.
     """
     chart = S.chart
     dH = H._derivatives
@@ -967,12 +972,9 @@ def twist(
     twisted = CosymplecticStructure(
         chart, TwoFormField(chart, upper), S.eta, S.domain_box, None, S.tol
     )
-    if check_samples:
-        report = twisted.validate(check_samples, seed=0)
-        if not report.passed:
-            raise FieldConditionError(
-                f"twisted structure failed validation: {report.to_dict()}"
-            )
+    report = twisted.validate(20, seed=0)
+    if not report.passed:
+        raise FieldConditionError(f"twisted structure failed validation: {report.to_dict()}")
     return twisted
 
 
@@ -988,7 +990,7 @@ def make_poincare_cartan(
     """
     chart = H.chart
     n = (chart.dim - 1) // 2
-    twisted = twist(_flat_structure(chart, box, tol), H, check_samples=0)
+    twisted = twist(_flat_structure(chart, box, tol), H)
     alpha_comps = [Neg(H.expr)] + [
         exprlang.Var(chart.names[1 + n + i], 1 + n + i) for i in range(n)
     ] + [Const(0.0)] * n
@@ -999,8 +1001,5 @@ def make_poincare_cartan(
     worst = result.check_primitive(pts)
     if worst > 1e-9:
         raise FieldConditionError(f"-d alpha differs from omega by {worst:.3e}")
-    report = result.validate(20, seed=0)
-    if not report.passed:
-        raise FieldConditionError(f"structure failed validation: {report.to_dict()}")
     return result
 

@@ -179,10 +179,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
     def state_at(self, tau: float) -> np.ndarray:
         """The state at ``tau``: one step of the flow's own method from the
         accepted state before ``tau``, shorter than the step accepted there."""

@@ -478,14 +478,14 @@ def sample_fiber(
     x0: Point,
     count: int,
     rng: np.random.Generator,
-    span: float = 4.0,
 ) -> list:
     """Points on the fiber (connected component) of ``x0``, by symmetry flows.
 
     Flowing the tangent symmetry fields keeps the integral values fixed up to
     integrator error, and stays on the same connected component, which fiber
-    grouping by integral values alone cannot guarantee.  The flows run at
-    tolerance 1e-12.
+    grouping by integral values alone cannot guarantee.  Each point after
+    ``x0`` flows every field from ``x0`` in turn, for a time drawn uniformly
+    from [0.3, 4.0), at tolerance 1e-12.
     """
     fields_ = sys.symmetry_fields()
     chart = sys.structure.chart
@@ -493,7 +493,7 @@ def sample_fiber(
     for _ in range(count - 1):
         x = out[0]
         for vf in fields_:
-            tau = float(rng.uniform(0.3, span))
+            tau = float(rng.uniform(0.3, 4.0))
             x = integrate(vf, x, tau, 1e-12, chart).final_state
         out.append(x)
     return out

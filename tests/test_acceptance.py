@@ -189,7 +189,7 @@ def test_criterion_4_induced_bracket_corank():
         seed = sample_box(sc.structure.domain_box, 1, rng)[0]
         if check_independence(sys_, [seed]).extra["regular_points"] != 1:
             continue
-        groups.append(sample_fiber(sys_, seed, 5, rng, span=3.0))
+        groups.append(sample_fiber(sys_, seed, 5, rng))
         regular_total += 5
     result = bracket_closure_and_corank(sys_, groups, casimirs=sc.casimirs)
     regular = int(sum(result.regular_flags))

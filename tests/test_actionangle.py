@@ -104,9 +104,21 @@ def test_refine_rejects_far_guess():
     sys = oscillator_system()
     with pytest.raises(CycleError):
         refine_lattice_vector(
-            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART,
-            max_iter=3,
+            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART
         )
+
+
+def test_refine_refuses_the_zero_vector_naming_its_times():
+    # Newton from (1.0, 0.5) closes the cycle by shrinking both times to
+    # about 5e-11: a return with no cycle, which must not pass for a period
+    sys = oscillator_system()
+    with pytest.raises(CycleError, match="collapsed to zero: times ") as err:
+        refine_lattice_vector(
+            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART
+        )
+    times = [float(v) for v in str(err.value).split("times ")[1].strip("[]").split(",")]
+    assert len(times) == 2
+    assert max(map(abs, times)) < 1e-9
 
 
 def test_action_equals_fiber_value():
@@ -197,7 +209,7 @@ def test_refine_traces_the_cycle_once_per_newton_iteration(monkeypatch):
     assert len(flows) == 2 * len(traces)
     # the returned cycle is the last iterate's trace, not a new one
     assert segments is traces[-1]
-    assert [traj.duration for _, traj in segments] == [v[1], v[0]]
+    assert [traj.times[-1] - traj.times[0] for _, traj in segments] == [v[1], v[0]]
 
 
 def test_refine_jacobian_is_endpoint_field_values():
@@ -488,6 +500,12 @@ def test_angle_seeded_lattice_runs_no_scan(monkeypatch, name):
         assert np.diag(table.b) == pytest.approx(sc.oracles["b_diagonal"]["value"], abs=1e-9)
     else:
         assert table.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
+
+
+def test_angle_map_needs_coordinate_or_plane():
+    # naming both is refused the same way (tests/test_cli.py)
+    with pytest.raises(ValueError, match="exactly one of 'coordinate' and 'plane'"):
+        AngleMap.from_spec({"label": "none"}, CHART)
 
 
 @pytest.mark.parametrize("twice", [0, 1])

@@ -8,9 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cosymkit.actionangle import SingularRatesError, torus_lattice
 from cosymkit.cli import main
 from cosymkit.exprlang import parse, to_source
-from cosymkit.scenarios import builtin_dict, builtin_file_path, scenario_json_text
+from cosymkit.scenarios import (
+    builtin_dict,
+    builtin_file_path,
+    load_scenario_dict,
+    scenario_json_text,
+)
 
 OSC = str(builtin_file_path("ext-oscillator-1d"))
 PC = str(builtin_file_path("pc-oscillator-1d"))
@@ -177,6 +183,57 @@ def test_actions_missing_lambda_hint(capsys):
     assert "lambda" in payload["error"]
 
 
+def test_actions_unreachable_fiber_is_check_failure(capsys):
+    # H = (q^2 + p^2)/2 takes no negative value: Newton cannot reach it
+    code, payload, _ = run(capsys, "actions", OSC, "--fiber", "-1")
+    assert code == 2
+    assert payload["error"].startswith("could not reach fiber [-1.0] from ")
+
+
+def test_actions_angles_that_do_not_separate_the_flows(tmp_path, capsys):
+    data = dict(builtin_dict("ext-oscillator-1d"))
+    data = {**data, "angle_maps": [{"coordinate": "t"}, {"coordinate": "t"}]}
+    f = tmp_path / "tt.json"
+    f.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "actions", str(f), "--fiber", "0.5")
+    assert code == 2
+    assert payload["error"].startswith("winding rates ")
+    assert payload["error"].endswith(
+        " of the angle maps along the commuting fields are singular;"
+        " the angles do not separate the flows"
+    )
+    sc = load_scenario_dict(data)
+    with pytest.raises(SingularRatesError) as info:
+        torus_lattice(sc.system, sc.base_point(), sc.angle_maps)
+    # t advances along Z and not along X_H, whichever map reads it
+    assert info.value.rates == pytest.approx(np.array([[0.0, 1.0], [0.0, 1.0]]), abs=1e-9)
+
+
+def test_angle_map_naming_coordinate_and_plane_is_usage_error(tmp_path, capsys):
+    data = dict(builtin_dict("ext-oscillator-1d"))
+    phase, t = data["angle_maps"]
+    data = {**data, "angle_maps": [{**phase, "coordinate": "t"}, t]}
+    f = tmp_path / "both.json"
+    f.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "actions", str(f), "--fiber", "0.5")
+    assert code == 64
+    assert "exactly one of 'coordinate' and 'plane'" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "name, value", [("reeb_check", math.nan), ("first_integral", math.inf)]
+)
+def test_non_finite_tolerance_is_usage_error(name, value, tmp_path, capsys):
+    # a NaN threshold fails every check and an inf one passes every check
+    data = dict(builtin_dict("ext-oscillator-1d"))
+    data = {**data, "tolerances": {name: value}}
+    f = tmp_path / "tol.json"
+    f.write_text(json.dumps(data))  # writes NaN / Infinity, which json reads back
+    code, payload, _ = run(capsys, "report", "--all", str(f))
+    assert code == 64
+    assert payload["error"].endswith(f"{name} must be finite, got {value}")
+
+
 def _forbid_torus(monkeypatch):
     import cosymkit.cli as cli
 
@@ -210,6 +267,32 @@ def test_frequencies_hamiltonian_index_out_of_range_is_usage_error(
     code, payload, _ = run(capsys, "frequencies", OSC, "--fiber", "0.5", "--mode", mode)
     assert code == 64
     assert payload["error"] == f"bad mode '{mode}' (K in 1..1)"
+
+
+@pytest.mark.parametrize(
+    "mode, label, code, error",
+    [
+        ("reeb", "reeb", 0, None),
+        ("eval", "eval", 0, None),
+        ("ham:1", "ham:1", 0, None),
+        ("ham:01", "ham:1", 0, None),
+        ("ham:x", None, 64, "bad mode 'ham:x'"),
+        ("ham:9", None, 64, "bad mode 'ham:9' (K in 1..1)"),
+        ("bogus", None, 64, "bad mode 'bogus' (reeb|eval|ham:K)"),
+    ],
+)
+def test_frequencies_mode_forms(mode, label, code, error, monkeypatch, capsys):
+    # a bad mode is refused before the torus is flowed; a good one reports
+    # under its canonical label and echoes the mode as given
+    if error is not None:
+        _forbid_torus(monkeypatch)
+    got, payload, _ = run(capsys, "frequencies", OSC, "--fiber", "0.5", "--mode", mode)
+    assert got == code
+    if error is not None:
+        assert payload == {"error": error}
+    else:
+        assert payload["mode"] == mode
+        assert list(payload["report"]["modes"]) == [label]
 
 
 def test_frequencies_reeb_mode(capsys):

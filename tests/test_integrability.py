@@ -179,7 +179,7 @@ def test_verifier_self_consistency():
 def _fiber_groups(sys, seeds, rng, per_fiber=3):
     groups = []
     for x0 in seeds:
-        groups.append(sample_fiber(sys, x0, per_fiber, rng, span=3.0))
+        groups.append(sample_fiber(sys, x0, per_fiber, rng))
     return groups
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from cosymkit import scenarios
+from cosymkit.cosym import ToleranceConfig
 from cosymkit.integrability import (
     check_commuting_prefix,
     check_first_integrals,
@@ -93,6 +95,16 @@ def test_volume_floor_must_be_positive(floor):
     data = scenarios.builtin_dict("pc-oscillator-1d")
     data = {**data, "tolerances": {**data.get("tolerances", {}), "volume_min_det": floor}}
     with pytest.raises(ScenarioFormatError, match="volume_min_det must be positive"):
+        scenarios.load_scenario_dict(data)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ToleranceConfig)])
+def test_tolerances_must_be_finite(name, value):
+    # the volume floor reports a NaN or -inf as not positive
+    data = scenarios.builtin_dict("ext-oscillator-1d")
+    data = {**data, "tolerances": {name: value}}
+    with pytest.raises(ScenarioFormatError, match=f"{name} must be (finite|positive), got"):
         scenarios.load_scenario_dict(data)
 
 
