@@ -42,7 +42,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cosym import ToleranceConfig
 from .exprlang import Expr, parse
 from .fields import TWO_PI, ChartSpec, OneFormField, Point
 from .flow import Trajectory, integrate
@@ -299,7 +298,7 @@ def refine_lattice_vector(
     times0,
     x0: Point,
     chart: ChartSpec,
-    return_tol: float = 1e-6,
+    return_tol: float,
 ) -> tuple[np.ndarray, float, list[tuple]]:
     """Newton-polish candidate return times.
 
@@ -612,9 +611,7 @@ def action_integrals(
 
 # --- frequency matrix and solves ----------------------------------------------
 
-def b_matrix(
-    profile: ActionProfile, eta_tol: float = ToleranceConfig.lattice_return
-) -> FrequencyTable:
+def b_matrix(profile: ActionProfile, eta_tol: float) -> FrequencyTable:
     """Frequency matrix of a torus, read off its period lattice.
 
     ``b = basis / 2pi`` by the period-action relation.  The eta pairings that

@@ -256,10 +256,12 @@ def _frequency_mode(scenario: Scenario, mode: str):
         )
     if not mode.startswith("ham:"):
         raise argparse.ArgumentTypeError(f"bad mode '{mode}' (reeb|eval|ham:K)")
-    try:
-        k = int(mode[4:])
-    except ValueError:
+    # K is a decimal integer; int() alone would also take spaces, a plus
+    # sign, underscores and non-ASCII digits
+    digits = mode[4:].removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"bad mode '{mode}'")
+    k = int(mode[4:])
     if not 1 <= k <= sys_.r:
         raise argparse.ArgumentTypeError(f"bad mode '{mode}' (K in 1..{sys_.r})")
     return (

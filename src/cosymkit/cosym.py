@@ -25,6 +25,15 @@ When omega and eta have constant coefficients the solve is done once per
 structure: ``X_f = C df`` with one matrix C, and the defining conditions
 become identities of C checked once, with limits on ``||df||`` that cover
 the rounding at each point (docs/CONVENTIONS.md, "Constant structures").
+
+Flows evaluate a field at one point per stage.  On a varying structure the
+Reeb, Hamiltonian and evaluation fields do that with one straight-line
+function per structure and field kind, generated from omega's and eta's
+expressions (:func:`_one_point_function`): Frame's stages on Python floats
+around the same LAPACK calls, so the bits and errors are Frame's at about
+half its cost.  Frame's one-point code stays as the reference that
+tests hold the generated functions and ``FrameStack`` to, and for the
+gradient field and the bracket at a point.
 """
 
 from __future__ import annotations
@@ -139,7 +148,8 @@ def _condition_error(what: str, x, detail: str = "") -> FieldConditionError:
     return FieldConditionError(f"{what} at {np.asarray(x).tolist()}{detail}")
 
 
-#: The defining conditions of X_f and Y_f, in the order they are checked.
+#: The defining conditions of Z, X_f and Y_f, in the order they are checked.
+_REEB_CONDITIONS = "Reeb conditions violated"
 _X_CONDITIONS = ("eta(X_f) != 0", "i_X omega != df - Z(f) eta")
 _Y_CONDITION = "eta(Y_f) != 1"
 
@@ -189,7 +199,11 @@ class Frame:
     no solve, and the defining conditions of ``X_f`` and ``Y_f`` are limits
     on ``||df||_inf`` (``_field_limits``) in place of residuals at the point.
     ``gradient`` and ``bracket`` run over leading axes, for ``FrameStack`` to
-    inherit; the rest is one-point code, which every flow stage runs.
+    inherit; the rest is one-point code.  On a constant structure every flow
+    stage runs it.  On a varying one no flow does: the flowed fields run
+    generated functions (:func:`_one_point_function`) with Frame's stages,
+    and this code is the reference they and ``FrameStack`` are tested
+    against, and the path of ``gradient``, ``poisson_bracket`` and ``on``.
 
     The one-point code calls the LAPACK gufuncs that ``np.linalg.solve`` and
     ``np.linalg.det`` dispatch to (``_lapack.solve1``, ``_lapack.det``), so
@@ -240,7 +254,7 @@ class Frame:
                 Z = self.solve(self.eta)
                 ok = _reeb_ok(Z, self.Omega, self.eta, self.structure.tol.reeb_check)
             if not ok:
-                raise _condition_error("Reeb conditions violated", self.x)
+                raise _condition_error(_REEB_CONDITIONS, self.x)
             self._Z = Z
         return self._Z
 
@@ -515,7 +529,7 @@ class FrameStack(Frame):
                 )
             self._first(
                 np.logical_not(ok),
-                lambda k: _condition_error("Reeb conditions violated", self.x[k]),
+                lambda k: _condition_error(_REEB_CONDITIONS, self.x[k]),
             )
             self._Z = np.broadcast_to(Z, self.x.shape)
         return self._Z
@@ -668,14 +682,126 @@ class ValidationReport:
         }
 
 
+def _one_point_function(S: "CosymplecticStructure", kind: str):
+    """``field(x, scalar)``: the ``reeb``, ``hamiltonian`` or ``evaluation``
+    field of the varying structure ``S`` at one point ``x`` (a float array),
+    for ``scalar`` (ignored by ``reeb``), as straight-line code.
+
+    It runs ``Frame``'s stages in ``Frame``'s order on Python floats, with
+    ``Frame``'s errors: omega's and eta's components in one body, the
+    entries ``eta_i eta_j - W_ij`` of ``A^T`` and their finiteness, the
+    volume floor on ``det A^T``, the scalar's differential, ``Z`` and the
+    Reeb conditions, then ``X_f`` and ``Y_f`` with their conditions.  The
+    determinant, the two solves and ``df(Z)`` stay numpy calls, so the
+    outputs have ``Frame``'s bits.  The residuals are Python sums, which can
+    differ from numpy's in the last bits; a check can then come out
+    differently only where those bits reach its tolerance, a check that
+    rounding decides either way (a gradient of size 1e12 against
+    ``field_check`` 1e-8).  Every term of a contraction is written,
+    structural zeros included, so a non-finite ``Z`` or ``X`` fails its
+    check as under numpy.
+    """
+    d = S.chart.dim
+    upper = list(S.omega.upper.items())
+    lines, values, env = exprlang.value_code(
+        [e for _, e in upper] + list(S.eta.components)
+    )
+    e = values[len(upper):]
+    W = [["0.0"] * d for _ in range(d)]
+    body = ["try:", *(f"    {line}" for line in lines)]
+    body += ["except expr_error as err:", "    raise eval_error(x, err) from err"]
+    for ((i, j), _), v in zip(upper, values):
+        W[i][j], W[j][i] = v, f"n{j}_{i}"
+        body.append(f"n{j}_{i} = -{v}")
+    a = [f"a{i}_{j}" for i in range(d) for j in range(d)]
+    body += [f"a{i}_{j} = {e[i]} * {e[j]} - {W[i][j]}" for i in range(d) for j in range(d)]
+    body.append(f"if not ({' and '.join(f'{n} - {n} == 0.0' for n in a)}):")
+    body.append("    raise not_finite(x, A_NAME)")
+
+    def vector(names) -> str:
+        return f"({''.join(n + ', ' for n in names)})"
+
+    def dot(u, v) -> str:
+        return " + ".join(f"{p} * {q}" for p, q in zip(u, v))
+
+    def contraction(v, j: int) -> str:
+        """Entry ``j`` of ``i_V omega``, ``sum_i V_i W[i, j]``."""
+        return dot(v, [W[i][j] for i in range(d)])
+
+    rows = ", ".join(vector(a[i * d : (i + 1) * d]) for i in range(d))
+    body += [
+        f"A = array(({rows}))",
+        "det = float(lapack_det(A))",
+        "if abs(det) < volume_min:",
+        "    raise degenerate(x, det)",
+    ]
+    if kind != "reeb":
+        body.append("df = scalar.gradient(x)")
+    z = [f"z{i}" for i in range(d)]
+    reeb_ok = [f"abs({contraction(z, j)}) <= reeb_tol" for j in range(d)]
+    reeb_ok.append(f"abs({dot(e, z)} - 1.0) <= reeb_tol")
+    body += [
+        f"Z = lapack_solve1(A, array({vector(e)}))",
+        f"{vector(z)} = Z.tolist()",
+        f"if not ({' and '.join(reeb_ok)}):",
+        "    raise condition(REEB, x)",
+    ]
+    if kind == "reeb":
+        body.append("return Z")
+    else:
+        g, r, u = ([f"{c}{i}" for i in range(d)] for c in "gru")
+        body += [
+            "zf = float(df @ Z)",
+            "if not isfinite(zf):",
+            '    raise not_finite(x, f"df(Z) = {zf}")',
+            f"{vector(g)} = df.tolist()",
+            *(f"r{i} = g{i} - zf * {e[i]}" for i in range(d)),
+            f"X = lapack_solve1(A, array({vector(r)}))",
+            f"{vector(u)} = X.tolist()",
+            f"if not abs({dot(e, u)}) <= reeb_tol:",
+            "    raise condition(X_ETA, x)",
+            "if not ("
+            + " and ".join(f"abs({contraction(u, j)} - r{j}) <= field_tol" for j in range(d))
+            + "):",
+            "    raise condition(X_OMEGA, x)",
+        ]
+        if kind == "hamiltonian":
+            body.append("return X")
+        else:
+            y = [f"y{i}" for i in range(d)]
+            body += [
+                *(f"y{i} = z{i} + u{i}" for i in range(d)),
+                f"if not abs({dot(e, y)} - 1.0) <= reeb_tol:",
+                "    raise condition(Y_ETA, x)",
+                f"return array({vector(y)})",
+            ]
+    env.update(
+        expr_error=exprlang.ExprError, eval_error=StructureEvalError, not_finite=_not_finite,
+        degenerate=DegenerateStructureError, condition=_condition_error, isfinite=math.isfinite,
+        array=np.array, lapack_det=_lapack.det, lapack_solve1=_lapack.solve1,
+        volume_min=S.tol.volume_min_det, reeb_tol=S.tol.reeb_check, field_tol=S.tol.field_check,
+        A_NAME=_A_NAME, REEB=_REEB_CONDITIONS, X_ETA=_X_CONDITIONS[0], X_OMEGA=_X_CONDITIONS[1],
+        Y_ETA=_Y_CONDITION,
+    )
+    src = "def field(x, scalar):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(src, f"<one-point {kind}>", "exec"), env)
+    return env["field"]
+
+
 class StructureVectorField:
     """Point-evaluable derived vector field with exact Jacobians.
 
-    Called with one point (d,) it solves a ``Frame``; called with a stack
-    (N, d) it solves a ``FrameStack`` and returns (N, d).  ``jacobian``
-    differentiates the stack's solve implicitly; at one point it solves a
-    one-row stack.  ``on`` and ``jacobian_on`` read a frame the caller built,
-    so several fields share one solve.
+    Called with a stack (N, d) it solves a ``FrameStack`` and returns
+    (N, d).  Called with one point (d,) on a varying structure, the
+    ``reeb``, ``hamiltonian`` and ``evaluation`` kinds run the function
+    :func:`_one_point_function` generated once per structure and kind, with
+    ``Frame``'s bits and errors at about half its cost; the
+    ``gradient`` kind, and every kind on a constant structure, solve a
+    ``Frame``.  Which of the two a field's one-point calls take is decided
+    when it is built.  ``jacobian`` differentiates the stack's solve
+    implicitly; at one point it solves a one-row stack.  ``on`` and
+    ``jacobian_on`` read a frame the caller built, so several fields share
+    one solve.
     """
 
     def __init__(self, structure, kind: str, scalar=None):
@@ -686,6 +812,7 @@ class StructureVectorField:
         self.structure = structure
         self.kind = kind
         self.scalar = scalar
+        self._at_point = None if kind == "gradient" else structure._one_point(kind)
 
     @property
     def label(self) -> str:
@@ -694,6 +821,11 @@ class StructureVectorField:
         return f"{self.kind}({getattr(self.scalar, 'name', 'f')})"
 
     def __call__(self, x: Point) -> np.ndarray:
+        at_point = self._at_point
+        if at_point is not None:
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 1:
+                return at_point(x, self.scalar)
         return self.on(self.structure.frame(x))
 
     def on(self, frame: Frame) -> np.ndarray:
@@ -786,7 +918,7 @@ class CosymplecticStructure:
         degenerate structure raise before reading Z, C or the limits, which
         are NaN and 0 there.
         """
-        if not (self.omega.is_constant() and self.eta.is_constant()):
+        if not self._coefficients_constant:
             return None
         x0 = np.array([lo for lo, _ in self.domain_box])
         Omega, eta = self.omega.at(x0), self.eta.at(x0)
@@ -804,6 +936,27 @@ class CosymplecticStructure:
             _field_limits(Omega, eta, M, Z, C, self.tol),
         )
 
+    @cached_property
+    def _coefficients_constant(self) -> bool:
+        return self.omega.is_constant() and self.eta.is_constant()
+
+    @cached_property
+    def _one_point_fields(self) -> dict:
+        """Field kind -> its generated one-point function, filled by
+        ``_one_point``."""
+        return {}
+
+    def _one_point(self, kind: str):
+        """The one-point function of field ``kind`` (:func:`_one_point_function`),
+        generated on the first request; None on a constant structure, whose
+        frames read ``_constant_data``."""
+        if self._coefficients_constant:
+            return None
+        fns = self._one_point_fields
+        if kind not in fns:
+            fns[kind] = _one_point_function(self, kind)
+        return fns[kind]
+
     # -- derived quantities ------------------------------------------------
 
     def frame(self, x: Point) -> "Frame | FrameStack":
@@ -812,7 +965,7 @@ class CosymplecticStructure:
         return FrameStack(self, x) if x.ndim == 2 else Frame(self, x)
 
     def reeb(self, x: Point) -> np.ndarray:
-        return self.frame(x).reeb
+        return self.reeb_vf()(x)
 
     def hamiltonian_field(self, f, x: Point) -> np.ndarray:
         return StructureVectorField(self, "hamiltonian", f)(x)

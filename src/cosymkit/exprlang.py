@@ -30,6 +30,9 @@ zero base (``sqrt(q)`` at ``q = 0`` has value 0).
 Integer exponents of at least 2 multiply by repeated squaring, so ``q^2``
 is ``q*q`` in every mode.
 
+``value_code`` hands the scalar value code of several expressions, in one
+body, to a caller that generates a function of its own around it.
+
 ``value_stack`` and ``jet1_stack`` evaluate the rows of a point stack
 ``X`` of shape (N, d) at once: the same generated code in array mode, with
 columns ``X[:, i]`` for coordinates and ``np.*`` for functions.  The array
@@ -452,6 +455,21 @@ def _compile(e: Expr, dim: int | None, stack: bool = False):
         src = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(src, f"<compiled {to_source(e)}>", "exec"), em.env)
     return em.env["f"]
+
+
+def value_code(exprs) -> tuple[list[str], list[str], dict]:
+    """Straight-line scalar code for the values of ``exprs`` at a point
+    ``x``, for a caller to embed in a function it generates.
+
+    Returns the lines, the name holding each expression's value, and the
+    namespace the lines run in.  They raise the first domain error that
+    calling ``value`` on each expression in turn would: a subtree object
+    shared between expressions is evaluated once, at its first occurrence.
+    The lines bind only names that start with ``x``, ``t``, ``k`` or ``_``.
+    """
+    em = _Emitter(None)
+    names = [em.emit(e)[0] for e in exprs]
+    return [f"x{i} = float(x[{i}])" for i in sorted(em.coords)] + em.lines, names, em.env
 
 
 def _on_rows(fn, scalar, X: np.ndarray):

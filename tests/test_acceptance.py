@@ -22,7 +22,7 @@ from cosymkit.actionangle import (
     winding_ratio_test,
 )
 from cosymkit.cli import main as cli_main
-from cosymkit.cosym import twist
+from cosymkit.cosym import ToleranceConfig, twist
 from cosymkit.exprlang import Mul
 from cosymkit.fields import ScalarField, lie_bracket, sample_box
 from cosymkit.flow import drift_report, integrate
@@ -254,7 +254,8 @@ def _frequency_table(sc, fiber):
     """b read off the lattice of the torus through ``fiber``."""
     x0 = find_fiber_point(sc.system, fiber, sc.base_point())
     lattice = torus_lattice(sc.system, x0, angle_maps=sc.angle_maps)
-    return b_matrix(action_integrals(sc.system, lattice, sc.lam))
+    profile = action_integrals(sc.system, lattice, sc.lam)
+    return b_matrix(profile, ToleranceConfig().lattice_return)
 
 
 def test_criterion_7_frequency_systems():

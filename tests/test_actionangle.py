@@ -26,7 +26,12 @@ from cosymkit.actionangle import (
     trace_cycle,
     winding_ratio_test,
 )
-from cosymkit.cosym import StructureVectorField, make_canonical, make_poincare_cartan
+from cosymkit.cosym import (
+    StructureVectorField,
+    ToleranceConfig,
+    make_canonical,
+    make_poincare_cartan,
+)
 from cosymkit.fields import ChartSpec, OneFormField, ScalarField
 from cosymkit.flow import Trajectory, integrate
 from cosymkit.integrability import IntegralSystem
@@ -34,6 +39,7 @@ from cosymkit.scenarios import builtin
 
 TWO_PI = 2 * math.pi
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
+RETURN_TOL = ToleranceConfig().lattice_return
 BOX = [[0.0, TWO_PI], [-2.5, 2.5], [-2.5, 2.5]]
 
 
@@ -104,7 +110,8 @@ def test_refine_rejects_far_guess():
     sys = oscillator_system()
     with pytest.raises(CycleError):
         refine_lattice_vector(
-            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART
+            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART,
+            RETURN_TOL,
         )
 
 
@@ -114,7 +121,8 @@ def test_refine_refuses_the_zero_vector_naming_its_times():
     sys = oscillator_system()
     with pytest.raises(CycleError, match="collapsed to zero: times ") as err:
         refine_lattice_vector(
-            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART
+            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART,
+            RETURN_TOL,
         )
     times = [float(v) for v in str(err.value).split("times ")[1].strip("[]").split(",")]
     assert len(times) == 2
@@ -199,7 +207,7 @@ def test_refine_traces_the_cycle_once_per_newton_iteration(monkeypatch):
     monkeypatch.setattr(actionangle, "trace_cycle", counting_trace)
     monkeypatch.setattr(actionangle, "integrate", counting_integrate)
     v, resid, segments = refine_lattice_vector(
-        fields, (TWO_PI + 0.05, TWO_PI - 0.03), x0, CHART
+        fields, (TWO_PI + 0.05, TWO_PI - 0.03), x0, CHART, RETURN_TOL
     )
     assert v == pytest.approx([TWO_PI, TWO_PI], abs=1e-9)
     assert resid < 1e-9
@@ -255,7 +263,7 @@ def test_poincare_cartan_action_around_t_circle():
 
 def test_b_matrix_oscillator_identity():
     sys = oscillator_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
     assert table.b == pytest.approx(np.eye(2), abs=1e-9)
     assert table.eta_residual < 1e-12
     assert table.cond < 10
@@ -271,7 +279,7 @@ def test_b_matrix_rescaled_oscillator():
         AngleMap.from_spec({"plane": ["q", f"-p/{w0}"], "label": "phase"}, CHART),
         AngleMap.from_spec({"coordinate": "t", "label": "t"}, CHART),
     )
-    table = b_matrix(fiber_profile(sys, [0.5], angles))
+    table = b_matrix(fiber_profile(sys, [0.5], angles), RETURN_TOL)
     assert table.b[0, 0] == pytest.approx(1.0 / w0, abs=1e-9)
     assert table.b[1, 0] == pytest.approx(0.0, abs=1e-9)
     assert table.b[:, 1] == pytest.approx([0.0, 1.0], abs=1e-9)
@@ -279,7 +287,7 @@ def test_b_matrix_rescaled_oscillator():
 
 def test_frequencies_canonical_reeb_and_hamiltonian():
     sys = oscillator_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
     reeb = solve_frequencies(table, "reeb")
     assert reeb == pytest.approx([0.0, 1.0], abs=1e-9)
     ham = solve_frequencies(table, "hamiltonian", 1)
@@ -290,7 +298,7 @@ def test_frequencies_canonical_reeb_and_hamiltonian():
 
 def test_frequencies_poincare_cartan_reeb():
     sys = pc_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
     # aligned cycle basis gives b = [[1, 0], [-1, 1]]
     assert table.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
     reeb = solve_frequencies(table, "reeb")
@@ -304,7 +312,7 @@ def test_reconstructed_generators_have_period_two_pi():
     # the rows of b recombine the commuting fields into angle generators;
     # flowing such a generator for 2*pi must return the base point
     sys = oscillator_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
     fields = sys.commuting_fields()
     x0 = table.lattice.base_point
     for mu in range(2):
@@ -378,7 +386,7 @@ def test_time_section_return_periodic_orbit_is_small():
 def test_action_redundancy_rank():
     # r+1 actions but only r independent ones: rank of the derivative block
     sys = oscillator_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()))
+    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
     assert table.derivative_rank == sys.r == 1
 
 
@@ -393,7 +401,7 @@ def test_b_matrix_matches_action_differences(name):
     x0 = find_fiber_point(sys, fiber, sc.base_point())
     lattice = torus_lattice(sys, x0, angle_maps=sc.angle_maps)
     profile = action_integrals(sys, lattice, sc.lam)
-    table = b_matrix(profile)
+    table = b_matrix(profile, RETURN_TOL)
     delta = 1e-4
     fd = np.zeros_like(table.b)
     fd[:, sys.r] = profile.eta_pairings
@@ -429,7 +437,7 @@ def test_b_matrix_rejects_eta_mismatch():
         profile.primitive_residual,
     )
     with pytest.raises(CycleError):
-        b_matrix(bad)
+        b_matrix(bad, RETURN_TOL)
 
 
 def test_angle_alignment_rejects_wrong_angles():
@@ -494,7 +502,7 @@ def test_angle_seeded_lattice_runs_no_scan(monkeypatch, name):
     sys = sc.system
     lattice = torus_lattice(sys, _fiber_base(sc), angle_maps=sc.angle_maps)
     assert lattice.rank == sys.r + 1
-    table = b_matrix(action_integrals(sys, lattice, sc.lam))
+    table = b_matrix(action_integrals(sys, lattice, sc.lam), RETURN_TOL)
     if name == "ext-oscillator-anisotropic":
         assert lattice.basis == pytest.approx(sc.declared_lattice, abs=1e-9)
         assert np.diag(table.b) == pytest.approx(sc.oracles["b_diagonal"]["value"], abs=1e-9)

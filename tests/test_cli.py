@@ -277,6 +277,11 @@ def test_frequencies_hamiltonian_index_out_of_range_is_usage_error(
         ("ham:1", "ham:1", 0, None),
         ("ham:01", "ham:1", 0, None),
         ("ham:x", None, 64, "bad mode 'ham:x'"),
+        ("ham: 1", None, 64, "bad mode 'ham: 1'"),
+        ("ham:+1", None, 64, "bad mode 'ham:+1'"),
+        ("ham:1_0", None, 64, "bad mode 'ham:1_0'"),
+        ("ham:\u0661", None, 64, "bad mode 'ham:\u0661'"),
+        ("ham:-1", None, 64, "bad mode 'ham:-1' (K in 1..1)"),
         ("ham:9", None, 64, "bad mode 'ham:9' (K in 1..1)"),
         ("bogus", None, 64, "bad mode 'bogus' (reeb|eval|ham:K)"),
     ],

@@ -1,10 +1,12 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st, target
 
+from cosymkit import cosym
 from cosymkit.cosym import (
     CosymplecticStructure,
     DegenerateStructureError,
@@ -329,6 +331,180 @@ def test_one_point_residual_checks_reject_non_finite_entries(name, bad):
 
 def _only_entry_not_finite(v, j) -> bool:
     return [k for k, c in enumerate(v.tolist()) if not math.isfinite(c)] == [j]
+
+
+# --- generated one-point fields against Frame ----------------------------------
+#
+# On a varying structure a one-point call of a reeb, hamiltonian or evaluation
+# field runs a generated function; ``on(S.frame(x))`` runs Frame's code, the
+# reference.  Both must return the same bits or raise the same error.
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as err:  # every error is compared, whatever its type
+        return type(err), str(err)
+
+
+def _generated_and_frame(vf, x):
+    """The outcomes of ``vf`` at ``x`` through its generated function and
+    through a Frame."""
+    assert vf._at_point is not None
+    return _outcome(lambda: vf(x)), _outcome(lambda: vf.on(vf.structure.frame(x)))
+
+
+def _assert_same(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want), (got, want)
+    else:
+        assert got == want
+
+
+def _fields(S, scalars, kinds=("reeb", "hamiltonian", "evaluation")):
+    return [
+        StructureVectorField(S, kind, f)
+        for kind in kinds
+        for f in ([None] if kind == "reeb" else scalars)
+    ]
+
+
+@pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
+def test_generated_one_point_fields_match_frame(name):
+    scenario = builtin(name)
+    S, system = scenario.structure, scenario.system
+    rng = np.random.default_rng(23)
+    points = sample_box(S.domain_box, 2000, rng)
+    for vf in _fields(S, [system.hamiltonian, *system.integrals]):
+        for x in points:
+            _assert_same(*_generated_and_frame(vf, x))
+
+
+def _with_tol(S, **overrides):
+    return replace(S, tol=replace(S.tol, **overrides))
+
+
+def _float_dot(u, v) -> float:
+    """``u . v`` summed left to right on floats, as the generated code sums
+    it (``sum`` may compensate)."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _residual_ranges(frame, f):
+    """The largest residual of the Reeb conditions, and the smallest and
+    largest of ``|eta(X_f)|`` and ``|eta(Y_f) - 1|``, each over numpy's sums
+    and the generated code's."""
+    Z, Omega, eta = frame.reeb, frame.Omega, frame.eta
+    X = frame.hamiltonian(frame.differential(f))
+    Y = Z + X
+    e, z, u, y = (v.tolist() for v in (eta, Z, X, Y))
+    reeb = max(
+        float(np.abs(Z @ Omega).max()),
+        max(abs(_float_dot(z, column)) for column in Omega.T.tolist()),
+        abs(float(eta @ Z) - 1.0),
+        abs(_float_dot(e, z) - 1.0),
+    )
+    x_eta = (abs(float(eta @ X)), abs(_float_dot(e, u)))
+    y_eta = (abs(float(eta @ Y) - 1.0), abs(_float_dot(e, y) - 1.0))
+    return reeb, (min(x_eta), max(x_eta)), (min(y_eta), max(y_eta))
+
+
+@pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
+def test_generated_one_point_fields_raise_frame_condition_errors(name):
+    scenario = builtin(name)
+    S, x = scenario.structure, scenario.base_point()
+    H = scenario.system.integrals[0]
+    messages = set()
+
+    def check(S, kinds, points):
+        for vf in _fields(S, [H], kinds):
+            for p in points:
+                got, want = _generated_and_frame(vf, p)
+                _assert_same(got, want)
+                if isinstance(want, tuple):
+                    assert want[0] is FieldConditionError
+                    messages.add(want[1].split(" at [")[0])
+
+    # a negative tolerance fails every check that reads it
+    check(_with_tol(S, reeb_check=-1.0), ("reeb", "hamiltonian", "evaluation"), [x])
+    check(_with_tol(S, field_check=-1.0), ("hamiltonian", "evaluation"), [x])
+    assert messages == {"Reeb conditions violated", "i_X omega != df - Z(f) eta"}
+    # eta(X_f) = 0 fails first where reeb_check lies above the Reeb residuals
+    # and below |eta(X_f)|, and eta(Y_f) = 1 fails alone where it lies above
+    # both and below |eta(Y_f) - 1|, in numpy's sums and in floats
+    for p in sample_box(S.domain_box, 400, np.random.default_rng(25)):
+        reeb, x_eta, y_eta = _residual_ranges(S.frame(p), H)
+        if x_eta[0] > 1.25 * reeb:
+            check(_with_tol(S, reeb_check=(reeb + x_eta[0]) / 2), ("hamiltonian",), [p])
+        passing = max(reeb, x_eta[1])
+        if y_eta[0] > 1.25 * passing:
+            check(_with_tol(S, reeb_check=(passing + y_eta[0]) / 2), ("evaluation",), [p])
+    assert messages == {
+        "Reeb conditions violated",
+        "eta(X_f) != 0",
+        "i_X omega != df - Z(f) eta",
+        "eta(Y_f) != 1",
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
+def test_generated_one_point_fields_read_the_scalar_before_the_reeb_check(name):
+    scenario = builtin(name)
+    S = _with_tol(scenario.structure, reeb_check=-1.0)
+    q, p = S.chart.names[1], S.chart.names[-1]
+    x = scenario.base_point().copy()
+    # the scalar's own error comes first, unwrapped, though Z fails its check
+    root = ScalarField.from_source(f"sqrt({q})", S.chart, "root")
+    x[1] = -0.5
+    for vf in _fields(S, [root], ("hamiltonian", "evaluation")):
+        got, want = _generated_and_frame(vf, x)
+        _assert_same(got, want)
+        assert want[0] is EvalDomainError
+    # a non-finite differential fails df(Z) once Z passes
+    S = scenario.structure
+    huge = ScalarField.from_source(f"1e308*{q}*{q} + {p}*{p}", S.chart, "huge")
+    x[1] = 1.2
+    assert not np.isfinite(huge.gradient(x)).all()
+    for vf in _fields(S, [huge], ("hamiltonian", "evaluation")):
+        got, want = _generated_and_frame(vf, x)
+        _assert_same(got, want)
+        assert want[0] is StructureEvalError
+        assert "df(Z) = " in want[1] and "is not finite" in want[1]
+
+
+def test_one_point_functions_are_generated_once_per_structure_and_kind(monkeypatch):
+    made = []
+
+    def counting(S, kind):
+        made.append(kind)
+        return generate(S, kind)
+
+    generate = cosym._one_point_function
+    monkeypatch.setattr(cosym, "_one_point_function", counting)
+    scenario = builtin("pc-oscillator-2d-super")
+    S, x = replace(scenario.structure), scenario.base_point()
+    H, L = scenario.system.integrals[:2]
+    for _ in range(3):
+        for f in (H, L):
+            S.reeb(x), S.hamiltonian_field(f, x), S.evaluation_field(f, x)
+            S.gradient_field(f, x)
+            S.evaluation_vf(f)(x)
+    assert sorted(made) == ["evaluation", "hamiltonian", "reeb"]
+    assert StructureVectorField(S, "gradient", H)._at_point is None
+    # a constant structure keeps Frame's C df path and generates nothing
+    scenario = builtin("ext-oscillator-2d-super")
+    S, x = replace(scenario.structure), scenario.base_point()
+    assert S._constant_data is not None
+    H = scenario.system.integrals[0]
+    for vf in _fields(S, [H]):
+        assert vf._at_point is None
+        assert np.array_equal(vf(x), vf.on(S.frame(x)))
+    assert sorted(made) == ["evaluation", "hamiltonian", "reeb"]
 
 
 def test_make_poincare_cartan_primitive():

@@ -193,7 +193,8 @@ def test_oracle_values_reproduced(name):
                 angle_maps=sc.angle_maps if len(sc.angle_maps) == sys_.r + 1 else (),
                 declared_vectors=sc.declared_lattice,
             )
-            table = b_matrix(action_integrals(sys_, lattice, sc.lam))
+            profile = action_integrals(sys_, lattice, sc.lam)
+            table = b_matrix(profile, ToleranceConfig().lattice_return)
         return table
 
     for key, entry in oracles.items():

@@ -3,7 +3,9 @@
 The integrability checks, ``validate`` and ``check_primitive`` evaluate their
 points as stacks.  The references here are loops over the points that build
 one ``Frame`` per point and call the one-point field and Jacobian code; only
-the bracket functions' gradients are taken once per stack.
+the bracket functions' gradients are taken once per stack.  A one-point call
+of a Reeb, Hamiltonian or evaluation field on a varying structure runs its
+generated function, which tests/test_cosym.py holds to ``Frame``.
 """
 
 import math
