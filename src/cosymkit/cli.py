@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,8 +82,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
@@ -477,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--field", required=True, help="reeb | ham:NAME | eval")
     p.add_argument("--x0", type=_float_list, required=True, help="initial point")
-    p.add_argument("--tau", type=float, required=True, help="flow time")
+    p.add_argument("--tau", type=_finite_float, required=True, help="flow time")
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.set_defaults(func=_cmd_integrate)
 

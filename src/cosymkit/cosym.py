@@ -33,7 +33,9 @@ expressions (:func:`_one_point_function`): Frame's stages on Python floats
 around the same LAPACK calls, so the bits and errors are Frame's at about
 half its cost.  Frame's one-point code stays as the reference that
 tests hold the generated functions and ``FrameStack`` to, and for the
-gradient field and the bracket at a point.
+gradient field and the bracket at a point.  On a constant structure those
+fields build no Frame either (:func:`_constant_one_point`): they and Frame
+run one function over the structure's shared data, ``_Constant.field``.
 """
 
 from __future__ import annotations
@@ -197,13 +199,16 @@ class Frame:
     matrices are evaluated once.  On a constant structure every frame reads
     what its structure derived once (``_constant_data``): ``X_f = C df`` with
     no solve, and the defining conditions of ``X_f`` and ``Y_f`` are limits
-    on ``||df||_inf`` (``_field_limits``) in place of residuals at the point.
+    on ``||df||_inf`` (``_field_limits``) in place of residuals at the point,
+    all in ``_Constant.field``, which the constant one-point fields
+    (:func:`_constant_one_point`) call without a frame.
     ``gradient`` and ``bracket`` run over leading axes, for ``FrameStack`` to
-    inherit; the rest is one-point code.  On a constant structure every flow
-    stage runs it.  On a varying one no flow does: the flowed fields run
-    generated functions (:func:`_one_point_function`) with Frame's stages,
-    and this code is the reference they and ``FrameStack`` are tested
-    against, and the path of ``gradient``, ``poisson_bracket`` and ``on``.
+    inherit; the rest is one-point code.  No flow stage runs it: the flowed
+    fields of a varying structure run generated functions
+    (:func:`_one_point_function`) with Frame's stages, and those of a
+    constant one ``_Constant.field``.  This code is the reference the
+    generated functions and ``FrameStack`` are tested against, and the path
+    of ``gradient``, ``poisson_bracket`` and ``on``.
 
     The one-point code calls the LAPACK gufuncs that ``np.linalg.solve`` and
     ``np.linalg.det`` dispatch to (``_lapack.solve1``, ``_lapack.det``), so
@@ -217,7 +222,7 @@ class Frame:
     (``_small``), not numpy arrays.
     """
 
-    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_df_size")
+    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const")
 
     def __init__(self, structure: "CosymplecticStructure", x: Point):
         self.structure = structure
@@ -249,31 +254,23 @@ class Frame:
     def reeb(self) -> np.ndarray:
         if self._Z is None:
             if self._const is not None:
-                Z, ok = self._const.Z, self._const.reeb_ok
+                Z = self._const.field("reeb", self.x)
             else:
                 Z = self.solve(self.eta)
-                ok = _reeb_ok(Z, self.Omega, self.eta, self.structure.tol.reeb_check)
-            if not ok:
-                raise _condition_error(_REEB_CONDITIONS, self.x)
+                if not _reeb_ok(Z, self.Omega, self.eta, self.structure.tol.reeb_check):
+                    raise _condition_error(_REEB_CONDITIONS, self.x)
             self._Z = Z
         return self._Z
 
     def hamiltonian(self, df: np.ndarray) -> np.ndarray:
         """X_f from the gradient covector of f."""
+        if self._const is not None:
+            return self._const.field("hamiltonian", self.x, df)
         Z = self.reeb
         zf = df @ Z
         if not math.isfinite(zf):
             # Z is finite, so an inf or NaN in df shows here
             raise _not_finite(self.x, f"df(Z) = {zf}")
-        const = self._const
-        if const is not None:
-            # kept for evaluation(df), whose Y_f condition is a third limit on it
-            self._df_size = size = max(map(abs, df.tolist()))
-            if not size < const.limits[0]:
-                raise _condition_error(_X_CONDITIONS[0], self.x)
-            if not size < const.limits[1]:
-                raise _condition_error(_X_CONDITIONS[1], self.x)
-            return const.C @ df
         rhs = df - zf * self.eta
         X = self.solve(rhs)
         tol = self.structure.tol
@@ -284,12 +281,10 @@ class Frame:
         return X
 
     def evaluation(self, df: np.ndarray) -> np.ndarray:
-        Y = self.reeb + self.hamiltonian(df)
         if self._const is not None:
-            ok = self._df_size < self._const.limits[2]
-        else:
-            ok = abs(self.eta @ Y - 1.0) <= self.structure.tol.reeb_check
-        if not ok:
+            return self._const.field("evaluation", self.x, df)
+        Y = self.reeb + self.hamiltonian(df)
+        if not abs(self.eta @ Y - 1.0) <= self.structure.tol.reeb_check:
             raise _condition_error(_Y_CONDITION, self.x)
         return Y
 
@@ -366,6 +361,35 @@ class _Constant(NamedTuple):
     reeb_ok: bool
     C: np.ndarray
     limits: tuple  # on ||df||_inf: eta(X_f), i_X omega, eta(Y_f)
+
+    def field(self, kind: str, x, df=None) -> np.ndarray:
+        """The ``reeb``, ``hamiltonian`` or ``evaluation`` field at the point
+        ``x`` (d,), from the differential ``df`` of its scalar (unread by
+        ``reeb``): the Reeb check, ``df(Z)`` and its finiteness, the limits
+        on ``||df||_inf`` in the order of the conditions, then ``C df`` and
+        ``Z + C df``.  ``Frame`` and the constant one-point fields
+        (:func:`_constant_one_point`) both run it."""
+        if not self.reeb_ok:
+            raise _condition_error(_REEB_CONDITIONS, x)
+        Z = self.Z
+        if kind == "reeb":
+            return Z
+        zf = df.dot(Z)  # ndarray.dot: the BLAS call of @, without the ufunc
+        if not math.isfinite(zf):
+            # Z is finite, so an inf or NaN in df shows here
+            raise _not_finite(x, f"df(Z) = {zf}")
+        size = max(map(abs, df.tolist()))
+        limits = self.limits
+        if not size < limits[0]:
+            raise _condition_error(_X_CONDITIONS[0], x)
+        if not size < limits[1]:
+            raise _condition_error(_X_CONDITIONS[1], x)
+        X = self.C.dot(df)
+        if kind == "hamiltonian":
+            return X
+        if not size < limits[2]:
+            raise _condition_error(_Y_CONDITION, x)
+        return Z + X
 
 
 _U = 2.0**-53  # unit roundoff of a double
@@ -484,7 +508,7 @@ class FrameStack(Frame):
     :func:`map_blocks` makes that the first failing row in point order.
     """
 
-    __slots__ = ("_d",)
+    __slots__ = ("_d", "_df_size")
 
     def __init__(self, structure: "CosymplecticStructure", x):
         self.structure = structure
@@ -751,7 +775,7 @@ def _one_point_function(S: "CosymplecticStructure", kind: str):
     else:
         g, r, u = ([f"{c}{i}" for i in range(d)] for c in "gru")
         body += [
-            "zf = float(df @ Z)",
+            "zf = float(df.dot(Z))",
             "if not isfinite(zf):",
             '    raise not_finite(x, f"df(Z) = {zf}")',
             f"{vector(g)} = df.tolist()",
@@ -788,20 +812,40 @@ def _one_point_function(S: "CosymplecticStructure", kind: str):
     return env["field"]
 
 
+def _constant_one_point(S: "CosymplecticStructure", kind: str):
+    """``field(x, scalar)``: the ``reeb``, ``hamiltonian`` or ``evaluation``
+    field of the constant structure ``S`` at one point ``x`` (a float
+    array), with ``Frame``'s stages, bits and errors and no ``Frame``: the
+    volume floor, the scalar's differential, then ``_Constant.field``.
+    ``_constant_data`` is read at the call, so a structure that fails to
+    derive it raises there, as ``Frame`` does."""
+    floor = S.tol.volume_min_det
+
+    def field(x, scalar):
+        const = S._constant_data
+        if abs(const.det) < floor:
+            raise DegenerateStructureError(x, const.det)
+        if kind == "reeb":
+            return const.field(kind, x)
+        return const.field(kind, x, scalar.gradient(x))
+
+    return field
+
+
 class StructureVectorField:
     """Point-evaluable derived vector field with exact Jacobians.
 
     Called with a stack (N, d) it solves a ``FrameStack`` and returns
-    (N, d).  Called with one point (d,) on a varying structure, the
-    ``reeb``, ``hamiltonian`` and ``evaluation`` kinds run the function
-    :func:`_one_point_function` generated once per structure and kind, with
-    ``Frame``'s bits and errors at about half its cost; the
-    ``gradient`` kind, and every kind on a constant structure, solve a
-    ``Frame``.  Which of the two a field's one-point calls take is decided
-    when it is built.  ``jacobian`` differentiates the stack's solve
-    implicitly; at one point it solves a one-row stack.  ``on`` and
-    ``jacobian_on`` read a frame the caller built, so several fields share
-    one solve.
+    (N, d).  Called with one point (d,), the ``reeb``, ``hamiltonian`` and
+    ``evaluation`` kinds run the function built once per structure and kind,
+    with ``Frame``'s bits and errors and no ``Frame``: on a varying
+    structure :func:`_one_point_function`, generated, at about half
+    ``Frame``'s cost; on a constant one :func:`_constant_one_point`.  The
+    ``gradient`` kind solves a ``Frame``.  Which of the two a field's
+    one-point calls take is decided when it is built.  ``jacobian``
+    differentiates the stack's solve implicitly; at one point it solves a
+    one-row stack.  ``on`` and ``jacobian_on`` read a frame the caller
+    built, so several fields share one solve.
     """
 
     def __init__(self, structure, kind: str, scalar=None):
@@ -947,14 +991,13 @@ class CosymplecticStructure:
         return {}
 
     def _one_point(self, kind: str):
-        """The one-point function of field ``kind`` (:func:`_one_point_function`),
-        generated on the first request; None on a constant structure, whose
-        frames read ``_constant_data``."""
-        if self._coefficients_constant:
-            return None
+        """The one-point function of field ``kind``, built on the first
+        request: :func:`_constant_one_point` on a constant structure,
+        :func:`_one_point_function` on a varying one."""
         fns = self._one_point_fields
         if kind not in fns:
-            fns[kind] = _one_point_function(self, kind)
+            build = _constant_one_point if self._coefficients_constant else _one_point_function
+            fns[kind] = build(self, kind)
         return fns[kind]
 
     # -- derived quantities ------------------------------------------------

@@ -126,7 +126,7 @@ class Expr:
 
     ``value``, ``jet1`` and ``gradient`` run straight-line functions generated
     by ``_compile`` on first use and cached on the node, and so do their
-    stacked forms.  A higher derivative is the ``jet1`` of a
+    stacked forms; a plain number gets closures that return it.  A higher derivative is the ``jet1`` of a
     ``differentiate`` result.
     """
 
@@ -431,7 +431,9 @@ class _Emitter:
 def _compile(e: Expr, dim: int | None, stack: bool = False):
     """Generate, compile and return the value or jet1 function of ``e``; in
     array mode None when a constant is not finite (the flags could miss a
-    domain error then)."""
+    domain error then).  A plain number gets a closure, not generated code."""
+    if isinstance(e, Const):
+        return _constant_function(e.val, dim, stack)
     em = _Emitter(dim, stack)
     v, g = em.emit(e)
     if stack:
@@ -455,6 +457,20 @@ def _compile(e: Expr, dim: int | None, stack: bool = False):
         src = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(src, f"<compiled {to_source(e)}>", "exec"), em.env)
     return em.env["f"]
+
+
+def _constant_function(val, dim: int | None, stack: bool):
+    """What ``_compile`` returns for the number ``val``: its value with a zero
+    gradient at every point, or at every row of a stack."""
+    if not stack:
+        if dim is None:
+            return lambda x: val
+        return lambda x: (val, np.zeros(dim))
+    if not math.isfinite(val):
+        return None
+    if dim is None:
+        return lambda X: np.full(len(X), val, dtype=float)
+    return lambda X: (np.full(len(X), val, dtype=float), np.zeros((len(X), dim)))
 
 
 def value_code(exprs) -> tuple[list[str], list[str], dict]:

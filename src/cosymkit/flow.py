@@ -9,6 +9,12 @@ a one-form along the flow as one more eighth-order ODE component.  Dense
 output takes one step of the same method from the accepted state before the
 requested time.
 
+A step is one straight-line function per state dimension, generated from the
+tableau on the first flow of that dimension (:func:`_step`): the stage sums,
+the eighth-order update and the error sums run on Python floats in one fixed
+order, and only the field's own evaluations touch numpy.  A flow time or a
+tolerance that is not finite is refused before any field is evaluated.
+
 Internal states are never folded into periodic ranges: winding counts stay
 exact and angle unwrapping downstream is trivial.  Normalization happens only
 in exported views (CSV, ``normalized_states``).
@@ -16,6 +22,7 @@ in exported views (CSV, ``normalized_states``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,21 +141,63 @@ _E3 = _B - np.array([
 ])
 
 
-def _step(field, y, f, hs):
-    """One Dormand-Prince 8 step of signed size ``hs`` from ``y`` with
-    ``f = field(y)``.
+def _step_code(d: int) -> str:
+    """Source of the Dormand-Prince 8 step for states of dimension ``d``:
+    ``Y{i}_{j}`` is component j of stage state i and ``K{i}_{j}`` of the
+    field value there."""
+    dims = range(d)
 
-    Returns the stage record (2, 12, d), its stage states and the field
-    values there, and the eighth-order state at the end of the step.
-    """
-    record = np.empty((2, 12, len(y)))
-    Y, K = record
-    Y[0] = y
-    K[0] = f
+    def row(name: str, i: int) -> str:
+        return "".join(f"{name}{i}_{j}, " for j in dims)
+
+    def column(coefficients, j: int) -> str:
+        """``c_0 K0_j + c_1 K1_j + ...`` over the nonzero ``c_m``, left to
+        right, each coefficient written as its exact literal."""
+        return " + ".join(
+            f"{float(c)!r} * K{m}_{j}" for m, c in enumerate(coefficients) if c != 0.0
+        )
+
+    body = [f"({row('Y', 0)}) = y", f"({row('K', 0)}) = f"]
     for i, a in enumerate(_A, start=1):
-        yi = Y[i] = y + hs * (a @ K[:i])
-        K[i] = field(yi)
-    return record, y + hs * (_B @ K)
+        body += [f"Y{i}_{j} = Y0_{j} + hs * ({column(a, j)})" for j in dims]
+        body.append(f"({row('K', i)}) = asarray(field(array(({row('Y', i)}))), float).tolist()")
+    body += [f"u{j} = Y0_{j} + hs * ({column(_B, j)})" for j in dims]
+    for j in dims:
+        body += [
+            f"w = tol + tol * max(abs(u{j}), abs(Y0_{j}))",
+            f"e{j} = ({column(_E5, j)}) / w",
+            f"g{j} = ({column(_E3, j)}) / w",
+        ]
+    record = "".join(row("Y", i) for i in range(12)) + "".join(row("K", i) for i in range(12))
+    body += [
+        f"s5 = {' + '.join(f'e{j} * e{j}' for j in dims)}",
+        f"s3 = {' + '.join(f'g{j} * g{j}' for j in dims)}",
+        f"return ({record}), ({''.join(f'u{j}, ' for j in dims)}), s5, s3",
+    ]
+    return "def step(field, y, f, hs, tol):\n" + "".join(f"    {line}\n" for line in body)
+
+
+@functools.cache
+def _step(d: int):
+    """``step(field, y, f, hs, tol)``: one Dormand-Prince 8 step of signed
+    size ``hs`` from the state ``y`` (d floats) with ``f = field(y)``.
+
+    It returns the stage record (the twelve stage states, then the field
+    values there: 24 d floats, in ``Trajectory.stages``' order), the
+    eighth-order state at the end of the step (d floats) and the sums of
+    squares of the fifth- and third-order error estimates, each component
+    scaled by ``tol + tol * max(|y_new|, |y|)``.
+
+    The function is straight-line code on Python floats, generated from
+    ``_A``, ``_B``, ``_E5`` and ``_E3`` on the first request for ``d`` and
+    cached.  Every sum runs over the nonzero coefficients, left to right, so
+    its bits do not depend on a BLAS kernel; a non-finite stage value reaches
+    only the sums that use it.  Each stage calls ``field`` on a fresh float
+    array.
+    """
+    env = {"array": np.array, "asarray": np.asarray}
+    exec(compile(_step_code(d), f"<Dormand-Prince 8 step, d={d}>", "exec"), env)
+    return env["step"]
 
 
 @dataclass
@@ -158,8 +207,9 @@ class Trajectory:
     ``states`` are unwrapped (periodic coordinates keep accumulating);
     ``integral_values`` has one column per declared integral, evaluated at
     every accepted step.  ``stages[k]`` (2, 12, d) holds the stage states of
-    accepted step k and the field values there.  ``field`` is the flowed
-    field, which dense output steps with.
+    accepted step k and the field values there; ``integrate`` builds the
+    array once, from the float records its steps return.  ``field`` is the
+    flowed field, which dense output steps with.
     """
 
     chart: ChartSpec
@@ -188,7 +238,9 @@ class Trajectory:
         sign = 1.0 if t[-1] >= t[0] else -1.0
         i = int(np.searchsorted(sign * t, sign * tau, side="right")) - 1
         i = min(max(i, 0), len(t) - 2)
-        return _step(self.field, self.states[i], self.stages[i, 1, 0], tau - t[i])[1]
+        y, f = self.states[i].tolist(), self.stages[i, 1, 0].tolist()
+        # the error sums go unread; 1.0 only keeps their scale positive
+        return np.array(_step(len(y))(self.field, y, f, tau - t[i], 1.0)[1])
 
     def quadrature(self, alpha) -> float:
         """Integral of ``alpha(x) . V(x)`` over tau along the accepted steps.
@@ -261,10 +313,13 @@ def integrate(
     absolute and relative scale).  Negative ``tau_end`` integrates backward.
     Declared integrals are evaluated at every accepted step.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not math.isfinite(tau_end):
+        raise ValueError(f"tau_end must be finite, got {tau_end!r}")
     x0 = np.asarray(x0, dtype=float)
     names = tuple(getattr(f, "name", f"f{i}") for i, f in enumerate(integrals))
+    n = len(x0)
 
     f0 = np.asarray(field(x0), dtype=float)
     times = [0.0]
@@ -274,7 +329,7 @@ def integrate(
     if tau_end == 0.0:
         return Trajectory(
             chart, np.array(times), x0[None].copy(), names, np.array(ivals),
-            np.zeros((0, 2, 12, len(x0))), field,
+            np.zeros((0, 2, 12, n)), field,
         )
 
     sign = 1.0 if tau_end > 0 else -1.0
@@ -282,11 +337,10 @@ def integrate(
     h = min(_initial_step(field, x0, f0, sign, tol), span)
     h_min = 1e-14 * max(1.0, span)
 
+    step = _step(n)
     t = 0.0
-    y = x0.copy()
-    f_cur = f0
+    y, f_cur = x0.tolist(), f0.tolist()
     steps = 0
-    n = len(x0)
     while sign * (tau_end - t) > 1e-15 * span:
         if steps >= _MAX_STEPS:
             raise FlowError(f"exceeded {_MAX_STEPS} steps at tau={t}")
@@ -295,13 +349,7 @@ def integrate(
         if h < h_min and h < remaining:
             raise StepSizeUnderflowError(t, y)
         hs = sign * h
-        record, y_new = _step(field, y, f_cur, hs)
-        K = record[1]
-        sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        e5 = (_E5 @ K) / sc
-        e3 = (_E3 @ K) / sc
-        s5 = float(np.add.reduce(e5 * e5))
-        s3 = float(np.add.reduce(e3 * e3))
+        record, y_new, s5, s3 = step(field, y, f_cur, hs, tol)
         # the combined norm e5^2 / sqrt(e5^2 + 0.01 e3^2) shrinks like h^8,
         # the order that the step factor's exponent -1/8 assumes
         err_norm = 0.0 if s5 == 0.0 else h * s5 / math.sqrt(n * (s5 + 0.01 * s3))
@@ -309,14 +357,15 @@ def integrate(
         if err_norm <= 1.0:
             t = tau_end if abs(tau_end - (t + hs)) <= 1e-15 * span else t + hs
             y = y_new
-            f_cur = np.asarray(field(y), dtype=float)
+            x = np.array(y)
+            f_cur = np.asarray(field(x), dtype=float).tolist()
             times.append(t)
-            ivals.append([f.value(y) for f in integrals])
+            ivals.append([f.value(x) for f in integrals])
             stages.append(record)
         factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.8 * err_norm ** -0.125))
         h *= factor
     # every step starts at its first stage state
-    stages = np.array(stages)
+    stages = np.array(stages).reshape(-1, 2, 12, n)
     return Trajectory(
         chart,
         np.array(times),

@@ -169,6 +169,17 @@ def test_integrate_bad_field_spec(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--tau", "nan"), ("--tau", "inf"), ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_integrate_refuses_non_finite_tau_and_tol(capsys, option, value):
+    args = {"--tau": "1.0", "--tol": "1e-10", option: value}
+    argv = ["integrate", OSC, "--field", "eval", "--x0", "0,1,0"]
+    code = main(argv + [part for pair in args.items() for part in pair])
+    assert code == 64
+    assert f"argument {option}: must be finite" in capsys.readouterr().err
+
+
 def test_actions_fiber_value(capsys):
     code, payload, _ = run(capsys, "actions", OSC, "--fiber", "0.5")
     assert code == 0

@@ -381,6 +381,75 @@ def test_generated_one_point_fields_match_frame(name):
             _assert_same(*_generated_and_frame(vf, x))
 
 
+_CONSTANT = [
+    "ext-oscillator-1d", "ext-oscillator-2d-super", "ext-oscillator-anisotropic", "flat-torus-reeb",
+]
+
+
+@pytest.mark.parametrize("name", _CONSTANT)
+def test_constant_one_point_fields_match_frame(name):
+    # on a constant structure the one-point functions and Frame share
+    # _Constant.field; the values are also the products numpy's @ forms
+    scenario = builtin(name)
+    S, system = scenario.structure, scenario.system
+    const = S._constant_data
+    points = sample_box(S.domain_box, 2000, np.random.default_rng(23))
+    for vf in _fields(S, [system.hamiltonian, *system.integrals]):
+        for x in points:
+            got, want = _generated_and_frame(vf, x)
+            _assert_same(got, want)
+            if vf.kind == "reeb":
+                assert np.array_equal(got, const.Z)
+            else:
+                X = const.C @ vf.scalar.gradient(x)
+                assert np.array_equal(got, X if vf.kind == "hamiltonian" else const.Z + X)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's dot of inf with 0
+@pytest.mark.parametrize("name", _CONSTANT)
+def test_constant_one_point_fields_raise_frame_errors(name):
+    scenario = builtin(name)
+    S, x = scenario.structure, scenario.base_point().copy()
+    H = scenario.system.hamiltonian
+    a, b = [n for i, n in enumerate(S.chart.names) if S._constant_data.Z[i] == 0.0][:2]
+    l0, l1, l2 = S._constant_data.limits
+    assert l2 < l0 < l1
+    points = sample_box(S.domain_box, 50, np.random.default_rng(26))
+
+    def scaled(size):
+        return ScalarField.from_source(f"{size!r}*{a}", S.chart, "scaled")
+
+    def check(S, f, kinds, message, at=points):
+        for vf in _fields(S, [f], kinds):
+            for p in at:
+                got, want = _generated_and_frame(vf, p)
+                _assert_same(got, want)
+                assert isinstance(want, tuple), (vf.kind, p)
+                assert want[1].startswith(message), want
+
+    kinds = ("reeb", "hamiltonian", "evaluation")
+    floor = 2.0 * abs(S._constant_data.det)
+    check(_with_tol(S, volume_min_det=floor), H, kinds, "structure degenerate at")
+    check(_with_tol(S, reeb_check=-1.0), H, kinds, "Reeb conditions violated")
+    check(_with_tol(S, field_check=-1.0), H, kinds[1:], "i_X omega != df - Z(f) eta")
+    check(S, scaled(2 * l0), kinds[1:], "eta(X_f) != 0")
+    # between the Y_f and X_f limits only the evaluation field fails
+    between = scaled((l0 + l2) / 2)
+    check(S, between, ("evaluation",), "eta(Y_f) != 1")
+    for vf in _fields(S, [between], ("hamiltonian",)):
+        got, want = _generated_and_frame(vf, x)
+        assert isinstance(want, np.ndarray)
+        _assert_same(got, want)
+    # an infinite entry of df meets Z's zero there: df(Z) is NaN
+    huge = ScalarField.from_source(f"1e308*{a}*{a} + {b}*{b}", S.chart, "huge")
+    x[S.chart.index(a)] = 1.2
+    assert not np.isfinite(huge.gradient(x)).all()
+    check(S, huge, kinds[1:], "evaluation failed at", at=[x])
+    assert _outcome(lambda: S.hamiltonian_field(huge, x))[1].endswith(
+        "df(Z) = nan is not finite"
+    )
+
+
 def _with_tol(S, **overrides):
     return replace(S, tol=replace(S.tol, **overrides))
 
@@ -477,34 +546,50 @@ def test_generated_one_point_fields_read_the_scalar_before_the_reeb_check(name):
         assert "df(Z) = " in want[1] and "is not finite" in want[1]
 
 
-def test_one_point_functions_are_generated_once_per_structure_and_kind(monkeypatch):
+def _counting(monkeypatch, name: str) -> list:
+    """The kinds that ``cosym.<name>(S, kind)`` is called for from now on."""
     made = []
+    build = getattr(cosym, name)
 
     def counting(S, kind):
         made.append(kind)
-        return generate(S, kind)
+        return build(S, kind)
 
-    generate = cosym._one_point_function
-    monkeypatch.setattr(cosym, "_one_point_function", counting)
-    scenario = builtin("pc-oscillator-2d-super")
-    S, x = replace(scenario.structure), scenario.base_point()
-    H, L = scenario.system.integrals[:2]
+    monkeypatch.setattr(cosym, name, counting)
+    return made
+
+
+def _call_every_field(S, x, scalars):
     for _ in range(3):
-        for f in (H, L):
+        for f in scalars:
             S.reeb(x), S.hamiltonian_field(f, x), S.evaluation_field(f, x)
             S.gradient_field(f, x)
             S.evaluation_vf(f)(x)
-    assert sorted(made) == ["evaluation", "hamiltonian", "reeb"]
+
+
+def test_one_point_functions_are_generated_once_per_structure_and_kind(monkeypatch):
+    generated = _counting(monkeypatch, "_one_point_function")
+    built = _counting(monkeypatch, "_constant_one_point")
+    scenario = builtin("pc-oscillator-2d-super")
+    S, x = replace(scenario.structure), scenario.base_point()
+    H, L = scenario.system.integrals[:2]
+    _call_every_field(S, x, (H, L))
+    assert sorted(generated) == ["evaluation", "hamiltonian", "reeb"]
     assert StructureVectorField(S, "gradient", H)._at_point is None
-    # a constant structure keeps Frame's C df path and generates nothing
+    # a constant structure builds its one-point functions over _constant_data
+    # once per kind, none for gradient, and generates no code
     scenario = builtin("ext-oscillator-2d-super")
     S, x = replace(scenario.structure), scenario.base_point()
     assert S._constant_data is not None
-    H = scenario.system.integrals[0]
+    H, L = scenario.system.integrals[:2]
+    _call_every_field(S, x, (H, L))
+    assert sorted(built) == ["evaluation", "hamiltonian", "reeb"]
+    assert StructureVectorField(S, "gradient", H)._at_point is None
     for vf in _fields(S, [H]):
-        assert vf._at_point is None
+        assert vf._at_point is not None
         assert np.array_equal(vf(x), vf.on(S.frame(x)))
-    assert sorted(made) == ["evaluation", "hamiltonian", "reeb"]
+    assert sorted(generated) == ["evaluation", "hamiltonian", "reeb"]
+    assert sorted(built) == ["evaluation", "hamiltonian", "reeb"]
 
 
 def test_make_poincare_cartan_primitive():

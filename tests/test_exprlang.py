@@ -709,3 +709,27 @@ def test_trig_of_infinity_is_domain_error(fn, q):
         with pytest.raises(EvalDomainError) as err, np.errstate(invalid="ignore"):
             call(x)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("val", [2.5, -0.0, 1e300, math.inf, -math.inf, math.nan])
+def test_plain_numbers_evaluate_like_generated_code(val):
+    # a Const gets closures from _compile; their outputs are what the
+    # generated code returned: the number, float zeros, filled columns
+    c = Const(val)
+    X = np.array([[0.0, 1.0, 2.0], [3.0, -4.0, 5.0]])
+
+    def same(got, want) -> bool:
+        got, want = np.asarray(got), np.asarray(want)
+        return (
+            got.dtype == np.float64 and got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want))
+        )
+
+    assert c.value(X[0]) is val
+    value, gradient = c.jet1(X[0])
+    assert value is val and same(gradient, [0.0, 0.0, 0.0])
+    assert (c._stack_fn(None) is None) == (not math.isfinite(val))
+    assert same(c.value_stack(X), [val, val])
+    values, gradients = c.jet1_stack(X)
+    assert same(values, [val, val]) and same(gradients, np.zeros((2, 3)))

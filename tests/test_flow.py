@@ -178,3 +178,148 @@ def test_evaluation_flow_step_count():
         S.evaluation_vf(sc.system.hamiltonian), sc.base_point(), 20.0, 1e-10, S.chart
     )
     assert len(traj.times) - 1 <= 80
+
+
+# --- the generated step against references ------------------------------------
+
+
+def _nonzero_sum(coefficients, values):
+    """``sum c_m v_m`` over the nonzero ``c_m``, left to right."""
+    total = None
+    for c, v in zip(coefficients, values):
+        if c != 0.0:
+            term = float(c) * v
+            total = term if total is None else total + term
+    return total
+
+
+def _reference_step(field, y, f, hs, tol):
+    """The Dormand-Prince 8 step written out in plain Python, in the order
+    the generated step sums."""
+    Y, K = [list(y)], [list(f)]
+    for a in flow._A:
+        stage = [Y[0][j] + hs * _nonzero_sum(a, [k[j] for k in K]) for j in range(len(y))]
+        Y.append(stage)
+        K.append(np.asarray(field(np.array(stage)), dtype=float).tolist())
+    new = [Y[0][j] + hs * _nonzero_sum(flow._B, [k[j] for k in K]) for j in range(len(y))]
+    s5 = s3 = None
+    for j in range(len(y)):
+        w = tol + tol * max(abs(new[j]), abs(Y[0][j]))
+        e5 = _nonzero_sum(flow._E5, [k[j] for k in K]) / w
+        e3 = _nonzero_sum(flow._E3, [k[j] for k in K]) / w
+        s5 = e5 * e5 if s5 is None else s5 + e5 * e5
+        s3 = e3 * e3 if s3 is None else s3 + e3 * e3
+    record = tuple(v for row in Y + K for v in row)
+    return record, tuple(new), s5, s3
+
+
+def _numpy_step(field, y, f, hs):
+    """The stage record and the new state by numpy's tableau products,
+    ``y + hs * (a @ K[:i])``, whose sums run in a BLAS kernel's order."""
+    record = np.empty((2, 12, len(y)))
+    Y, K = record
+    Y[0], K[0] = y, f
+    for i, a in enumerate(flow._A, start=1):
+        Y[i] = y + hs * (a @ K[:i])
+        K[i] = field(Y[i])
+    return record, y + hs * (flow._B @ K)
+
+
+def _random_problem(d, rng):
+    """A smooth nonlinear field in dimension ``d``, its Lipschitz constant in
+    the max norm, a state, the field's value there and a signed step size."""
+    M = rng.standard_normal((d, d))
+    c = rng.standard_normal(d)
+
+    def field(x):
+        return np.sin(M @ x) + c * x[0]
+
+    y = rng.uniform(-3.0, 3.0, d)
+    lipschitz = float(np.abs(M).sum(axis=1).max() + np.abs(c).max())
+    return field, lipschitz, y, field(y), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.5))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_generated_step_matches_plain_python_reference(d):
+    rng = np.random.default_rng(100 + d)
+    step = flow._step(d)
+    for _ in range(40):
+        field, _, y, f, hs = _random_problem(d, rng)
+        tol = float(10.0 ** rng.uniform(-13, -6))
+        got = step(field, y.tolist(), f.tolist(), hs, tol)
+        want = _reference_step(field, y.tolist(), f.tolist(), hs, tol)
+        assert got == want
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_generated_step_agrees_with_numpy_products(d):
+    rng = np.random.default_rng(200 + d)
+    step = flow._step(d)
+    for _ in range(200):
+        field, lipschitz, y, f, hs = _random_problem(d, rng)
+        record, new, _, _ = step(field, y.tolist(), f.tolist(), hs, 1e-10)
+        want_record, want_new = _numpy_step(field, y, f, hs)
+        # the state's scale: |y| and the largest increment term, |hs| |a| |K|
+        K = np.abs(want_record[1])
+        terms = max((np.abs(a) @ K[: len(a)]).max() for a in (*flow._A, flow._B))
+        ulp = np.spacing(np.abs(y).max() + abs(hs) * terms)
+        assert np.abs(np.array(new) - want_new).max() <= 2 * ulp
+        # a stage state also inherits the earlier stages' differences through
+        # the field, so the stages get a looser bound (13 ulp seen at d = 5)
+        got = np.array(record).reshape(2, 12, d)
+        assert np.abs(got[0] - want_record[0]).max() <= 32 * ulp
+        assert np.abs(got[1] - want_record[1]).max() <= 32 * ulp * (1 + lipschitz)
+
+
+def test_step_is_generated_once_per_dimension(monkeypatch):
+    made = []
+    generate = flow._step_code
+
+    def counting(d):
+        made.append(d)
+        return generate(d)
+
+    monkeypatch.setattr(flow, "_step_code", counting)
+    flow._step.cache_clear()
+    S, H = oscillator()
+    for _ in range(2):
+        integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 1.0, 1e-10, CHART)
+        integrate(lambda x: -x, np.ones(5), 1.0, 1e-10, ChartSpec("tabce", (False,) * 5))
+    assert made == [3, 5]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("stage", [1, 4, 11])
+def test_non_finite_stage_value_rejects_every_step(stage, bad):
+    # the oscillator field, but ``bad`` at one stage of every attempted step;
+    # it carries a non-finite stage state on, so each attempt's error is not
+    # finite and the step shrinks to the floor at the initial point
+    calls = []
+
+    def field(x):
+        calls.append(None)
+        # calls 1 and 2 are the initial value and the first-step probe; every
+        # rejected attempt then makes 11 calls, stages 1 to 11
+        if len(calls) > 2 and (len(calls) - 3) % 11 == stage - 1:
+            return np.full(3, bad)
+        return np.array([1.0, x[2], -x[1]])
+
+    with pytest.raises(StepSizeUnderflowError) as info:
+        integrate(field, [0.0, 1.0, 0.0], 2.0, 1e-10, CHART)
+    assert str(info.value) == "step size underflow at tau=0.0, state=[0.0, 1.0, 0.0]"
+    assert (len(calls) - 2) % 11 == 0
+
+
+@pytest.mark.parametrize("tau_end, tol", [
+    (math.nan, 1e-10), (math.inf, 1e-10), (-math.inf, 1e-10), (1.0, math.nan), (1.0, math.inf),
+])
+def test_non_finite_flow_inputs_are_refused_before_any_evaluation(tau_end, tol):
+    calls = []
+
+    def field(x):
+        calls.append(x)
+        return np.array([1.0, x[2], -x[1]])
+
+    with pytest.raises(ValueError, match="must be (positive and )?finite"):
+        integrate(field, [0.0, 1.0, 0.0], tau_end, tol, CHART)
+    assert calls == []
