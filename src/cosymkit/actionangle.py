@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,7 +70,6 @@ __all__ = [
     "solve_frequencies",
     "evaluation_frequencies",
     "empirical_frequencies",
-    "winding_ratio_test",
 ]
 
 class ActionAngleError(Exception):
@@ -718,35 +716,3 @@ def empirical_frequencies(
         slopes.append(float(coef[0]))
         residuals.append(float(np.max(np.abs(series - fit))))
     return np.array(slopes), np.array(residuals)
-
-
-def winding_ratio_test(freqs) -> dict:
-    """Classify pairwise frequency ratios as commensurate or not.
-
-    A ratio counts as rational when some fraction with denominator up to 32
-    approximates it within 1e-4 (well above the measurement error of the
-    slope fits).
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    pairs = []
-    any_irrational = False
-    for i in range(len(freqs)):
-        for j in range(i + 1, len(freqs)):
-            lo, hi = sorted([abs(freqs[i]), abs(freqs[j])])
-            if hi == 0.0:
-                continue
-            ratio = lo / hi
-            frac = Fraction(ratio).limit_denominator(32)
-            err = abs(ratio - float(frac))
-            rational = err <= 1e-4
-            any_irrational = any_irrational or not rational
-            pairs.append(
-                {
-                    "pair": [i, j],
-                    "ratio": ratio,
-                    "closest_fraction": f"{frac.numerator}/{frac.denominator}",
-                    "error": err,
-                    "rational": rational,
-                }
-            )
-    return {"pairs": pairs, "irrational_winding": any_irrational}

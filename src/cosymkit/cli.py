@@ -98,9 +98,12 @@ def _positive_float(text: str) -> float:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"entries must be finite: {text!r}")
+    return values
 
 
 def _emit(report: dict, out_path: str | None) -> None:

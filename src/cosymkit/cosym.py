@@ -18,24 +18,21 @@ since ``Omega^T v`` is the contraction of ``v`` and the eta-term vanishes on
 the solution.  docs/CONVENTIONS.md carries the derivation and the worked
 canonical-coordinate example.
 
-``Frame`` holds that solve at one point; its subclass ``FrameStack`` holds
-it at every row of a point stack (N, d) and gives each row Frame's bits and
-Frame's errors.  ``CosymplecticStructure.frame`` picks one by input shape.
-When omega and eta have constant coefficients the solve is done once per
-structure: ``X_f = C df`` with one matrix C, and the defining conditions
-become identities of C checked once, with limits on ``||df||`` that cover
-the rounding at each point (docs/CONVENTIONS.md, "Constant structures").
+``Frame`` holds that solve at every row of a point stack (N, d), with one
+stacked solve; the stacked checks build one per block of points.  When omega
+and eta have constant coefficients the solve is done once per structure:
+``X_f = C df`` with one matrix C, and the defining conditions become
+identities of C checked once, with limits on ``||df||`` that cover the
+rounding at each point (docs/CONVENTIONS.md, "Constant structures").
 
-Flows evaluate a field at one point per stage.  On a varying structure the
-Reeb, Hamiltonian and evaluation fields do that with one straight-line
-function per structure and field kind, generated from omega's and eta's
-expressions (:func:`_one_point_function`): Frame's stages on Python floats
-around the same LAPACK calls, so the bits and errors are Frame's at about
-half its cost.  Frame's one-point code stays as the reference that
-tests hold the generated functions and ``FrameStack`` to, and for the
-gradient field and the bracket at a point.  On a constant structure those
-fields build no Frame either (:func:`_constant_one_point`): they and Frame
-run one function over the structure's shared data, ``_Constant.field``.
+Flows evaluate a field at one point per stage, and build no ``Frame``.  The
+Reeb, Hamiltonian and evaluation fields run one function per structure and
+field kind with a frame row's bits and errors: on a varying structure
+straight-line code generated from omega's and eta's expressions
+(:func:`_one_point_function`), on a constant one ``_Constant.field`` over
+the structure's shared data (:func:`_constant_one_point`).  The other
+one-point calls (the gradient field, the bracket, Jacobians) solve a one-row
+``Frame``.
 """
 
 from __future__ import annotations
@@ -69,7 +66,6 @@ __all__ = [
     "CosymplecticStructure",
     "StructureVectorField",
     "Frame",
-    "FrameStack",
     "BLOCK_ROWS",
     "map_blocks",
     "make_canonical",
@@ -143,8 +139,8 @@ class FieldConditionError(Exception):
     """A solved field violated its defining conditions beyond tolerance."""
 
 
-# Frame and FrameStack build their errors here, so a stacked row fails with
-# the message of the point.
+# Frame and the one-point fields build their errors here, so a stacked row
+# fails with the message of the point.
 
 def _condition_error(what: str, x, detail: str = "") -> FieldConditionError:
     return FieldConditionError(f"{what} at {np.asarray(x).tolist()}{detail}")
@@ -193,99 +189,110 @@ def _first_not_finite(X: np.ndarray, named) -> None:
 
 
 class Frame:
-    """Per-point solve context: Omega, eta and A^T at one point ``x`` (d,).
+    """The solve context at every row of a point stack ``x`` (N, d): Omega,
+    eta and A^T at each row, solved at once.
 
-    Reused by every derived quantity at the same point so the structure
-    matrices are evaluated once.  On a constant structure every frame reads
-    what its structure derived once (``_constant_data``): ``X_f = C df`` with
-    no solve, and the defining conditions of ``X_f`` and ``Y_f`` are limits
-    on ``||df||_inf`` (``_field_limits``) in place of residuals at the point,
-    all in ``_Constant.field``, which the constant one-point fields
-    (:func:`_constant_one_point`) call without a frame.
-    ``gradient`` and ``bracket`` run over leading axes, for ``FrameStack`` to
-    inherit; the rest is one-point code.  No flow stage runs it: the flowed
-    fields of a varying structure run generated functions
-    (:func:`_one_point_function`) with Frame's stages, and those of a
-    constant one ``_Constant.field``.  This code is the reference the
-    generated functions and ``FrameStack`` are tested against, and the path
-    of ``gradient``, ``poisson_bracket`` and ``on``.
+    Reused by every derived quantity at the same rows, so the structure
+    matrices are evaluated once.  Each quantity is computed over the leading
+    point axis: one ``np.linalg.solve`` over the stacked ``A^T`` and numpy's
+    row-wise products (``np.vecdot``, ``np.vecmat``).  On a constant
+    structure every frame reads what its structure derived once
+    (``_constant_data``): ``X_f = C df`` with no solve, and the defining
+    conditions of ``X_f`` and ``Y_f`` are limits on ``||df||_inf``
+    (``_field_limits``) in place of residuals at each row.
 
-    The one-point code calls the LAPACK gufuncs that ``np.linalg.solve`` and
-    ``np.linalg.det`` dispatch to (``_lapack.solve1``, ``_lapack.det``), so
-    it gets the public API's bits without its wrappers, which cost more than
-    a small kernel: on a 3x3 system 5.7 against 1.1 us per solve and 3.0
-    against 1.6 us per determinant (``timeit`` minimum, numpy 2.4.6, one
-    Xeon core).  The wrappers' type checks have nothing to do on float
-    arrays, and their singular-matrix ``errstate`` has nothing to catch:
-    ``volume_min_det``, which ``ToleranceConfig`` keeps positive, rejects
-    the point before any solve.  Its residual checks reduce Python floats
-    (``_small``), not numpy arrays.
+    A stage that fails at some rows raises the error of the first of them,
+    worded for its point and marked with its ``row``; :func:`map_blocks`
+    makes that the first failing row in point order.  No flow stage builds a
+    frame: the flowed fields run :func:`_one_point_function` or
+    :func:`_constant_one_point`, which the tests hold to a frame's rows.  A
+    one-point call that needs a frame solves a one-row frame
+    (:func:`_on_rows`).
     """
 
-    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const")
+    __slots__ = (
+        "structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_d", "_df_size",
+    )
 
-    def __init__(self, structure: "CosymplecticStructure", x: Point):
+    def __init__(self, structure: "CosymplecticStructure", x):
         self.structure = structure
-        self.x = np.asarray(x, dtype=float)
+        self.x = x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"a frame takes a point stack (N, d), got shape {x.shape}")
         self._const = const = structure._constant_data
         if const is not None:
             self.Omega, self.eta, self._A_T, self.det = const[:4]
         else:
             try:
-                self.Omega = structure.omega.at(self.x)
-                self.eta = structure.eta.at(self.x)
+                self.Omega = structure.omega.at_stack(x)
+                self.eta = structure.eta.at_stack(x)
             except exprlang.ExprError as err:
-                raise StructureEvalError(self.x, err) from err
-            self._A_T, self.det = _solve_matrix(self.x, self.Omega, self.eta)
-        if abs(self.det) < structure.tol.volume_min_det:
-            raise DegenerateStructureError(self.x, self.det)
-        self._Z = None
+                raise _row_error(x, err) from err
+            A_T = self.eta[:, :, None] * self.eta[:, None, :] - self.Omega
+            _first_not_finite(x, [(_A_NAME, A_T)])
+            self._A_T, self.det = A_T, np.linalg.det(A_T)
+        det = np.broadcast_to(self.det, x.shape[:1])
+        self._first(
+            np.abs(det) < structure.tol.volume_min_det,
+            lambda k: DegenerateStructureError(x[k], float(det[k])),
+        )
+        self._Z = self._d = None
 
     def _first(self, bad, error) -> None:
-        """Raise ``error(())`` if ``bad``; ``x[()]`` is the point."""
-        if bad:
-            raise error(())
+        """Raise ``error(k)`` for the first row ``k`` flagged in ``bad``."""
+        _first_row(np.broadcast_to(bad, self.x.shape[:1]), error)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A^T u = rhs."""
-        return _lapack.solve1(self._A_T, rhs)
+        """Solve A^T u = rhs at every row; ``rhs`` is (N, d)."""
+        return np.linalg.solve(self._A_T, rhs[..., None])[..., 0]
 
     @property
     def reeb(self) -> np.ndarray:
         if self._Z is None:
             if self._const is not None:
-                Z = self._const.field("reeb", self.x)
+                Z, ok = self._const.Z, self._const.reeb_ok
             else:
                 Z = self.solve(self.eta)
-                if not _reeb_ok(Z, self.Omega, self.eta, self.structure.tol.reeb_check):
-                    raise _condition_error(_REEB_CONDITIONS, self.x)
-            self._Z = Z
+                tol = self.structure.tol.reeb_check
+                ok = (np.abs(np.vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
+                    np.abs(np.vecdot(self.eta, Z) - 1.0) <= tol
+                )
+            self._first(
+                np.logical_not(ok),
+                lambda k: _condition_error(_REEB_CONDITIONS, self.x[k]),
+            )
+            self._Z = np.broadcast_to(Z, self.x.shape)
         return self._Z
 
     def hamiltonian(self, df: np.ndarray) -> np.ndarray:
-        """X_f from the gradient covector of f."""
-        if self._const is not None:
-            return self._const.field("hamiltonian", self.x, df)
+        """X_f at the rows from the gradient covectors (N, d) of f."""
         Z = self.reeb
-        zf = df @ Z
-        if not math.isfinite(zf):
-            # Z is finite, so an inf or NaN in df shows here
-            raise _not_finite(self.x, f"df(Z) = {zf}")
-        rhs = df - zf * self.eta
-        X = self.solve(rhs)
-        tol = self.structure.tol
-        if not (abs(self.eta @ X) <= tol.reeb_check):
-            raise _condition_error(_X_CONDITIONS[0], self.x)
-        if not _small(X @ self.Omega - rhs, tol.field_check):
-            raise _condition_error(_X_CONDITIONS[1], self.x)
-        return X
+        zf = np.vecdot(df, Z)
+        self._first(~np.isfinite(zf), lambda k: _not_finite(self.x[k], f"df(Z) = {zf[k]}"))
+        const = self._const
+        if const is not None:
+            # kept for evaluation(df), whose Y_f condition is a third limit on it
+            self._df_size = size = np.abs(df).max(axis=-1)
+            ok = [size < limit for limit in const.limits[:2]]
+        else:
+            rhs = df - zf[:, None] * self.eta
+            Xf = self.solve(rhs)
+            tol = self.structure.tol
+            ok = [
+                np.abs(np.vecdot(self.eta, Xf)) <= tol.reeb_check,
+                np.abs(np.vecmat(Xf, self.Omega) - rhs).max(axis=-1) <= tol.field_check,
+            ]
+        for ok_c, what in zip(ok, _X_CONDITIONS):
+            self._first(~ok_c, lambda k: _condition_error(what, self.x[k]))
+        return Xf if const is None else np.matvec(const.C, df)
 
     def evaluation(self, df: np.ndarray) -> np.ndarray:
-        if self._const is not None:
-            return self._const.field("evaluation", self.x, df)
         Y = self.reeb + self.hamiltonian(df)
-        if not abs(self.eta @ Y - 1.0) <= self.structure.tol.reeb_check:
-            raise _condition_error(_Y_CONDITION, self.x)
+        if self._const is not None:
+            ok = self._df_size < self._const.limits[2]
+        else:
+            ok = np.abs(np.vecdot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
+        self._first(~ok, lambda k: _condition_error(_Y_CONDITION, self.x[k]))
         return Y
 
     def gradient(self, df: np.ndarray) -> np.ndarray:
@@ -300,9 +307,9 @@ class Frame:
         self._first(~ok, lambda k: _condition_error("gradient conditions violated", self.x[k]))
         return G
 
-    def bracket(self, df: np.ndarray, dg: np.ndarray):
-        """Poisson bracket from gradient covectors, cross-checked both ways:
-        a float at one point, (N,) on a stack."""
+    def bracket(self, df: np.ndarray, dg: np.ndarray) -> np.ndarray:
+        """Poisson brackets (N,) from gradient covectors, cross-checked both
+        ways."""
         Xf = self.hamiltonian(df)
         Xg = self.hamiltonian(dg)
         via_fields = np.vecdot(np.vecmat(Xf, self.Omega), Xg)
@@ -321,18 +328,58 @@ class Frame:
         return via_fields
 
     def differential(self, f) -> np.ndarray:
-        """The gradient covector of ``f`` at the frame's point."""
-        return f.gradient(self.x)
+        """The gradient covectors (N, d) of ``f`` at the rows."""
+        return f.gradient_stack(self.x)
+
+    # -- exact Jacobians J[:, i, k] = d_k V_i (docs/CONVENTIONS.md, "Jacobians")
+
+    def _derivatives(self):
+        """``d Omega``, ``d eta``, ``d A^T`` and ``J(Z)`` at the rows, derived
+        once per frame; a constant structure has zero gradient tensors."""
+        if self._d is None:
+            try:
+                dW = self.structure.omega.gradient_stack(self.x)
+                de = self.structure.eta.gradient_stack(self.x)
+            except exprlang.ExprError as err:
+                raise _row_error(self.x, err) from err
+            e = np.broadcast_to(self.eta, self.x.shape)
+            dA = de[:, :, None, :] * e[:, None, :, None] + e[:, :, None, None] * de[:, None] - dW
+            self._d = dW, de, dA, self._implicit(dA, de, self.reeb, "J(Z)")
+        return self._d
+
+    def _implicit(self, dA, db, V, what: str) -> np.ndarray:
+        """``J(V)`` of the solution of ``A^T V = b``, ``db[:, :, k] = d_k b``:
+        ``d_k V = A^-T (d_k b - d_k A^T V)``, one solve over the d columns."""
+        dAV = (np.moveaxis(dA, 3, 1) @ V[:, None, :, None])[..., 0]  # [:, k, i]
+        J = np.linalg.solve(self._A_T, db - np.swapaxes(dAV, 1, 2))
+        _first_not_finite(self.x, [(what, J)])
+        return J
+
+    def _hamiltonian_jacobian(self, f):
+        """``X_f``, ``J(X_f)``, ``Z(f)`` and ``d(Z(f))`` at the rows."""
+        df = self.differential(f)
+        Xf = self.hamiltonian(df)
+        _, de, dA, JZ = self._derivatives()
+        Z = self.reeb
+        zf = np.vecdot(df, Z)
+        Hf = f.hessian_stack(self.x)
+        dzf = np.vecmat(Z, Hf) + np.vecmat(df, JZ)
+        e = np.broadcast_to(self.eta, self.x.shape)
+        db = Hf - e[:, :, None] * dzf[:, None, :] - zf[:, None, None] * de
+        return Xf, self._implicit(dA, db, Xf, "J(X_f)"), zf, dzf
 
 
-def _small(v: np.ndarray, tol: float) -> bool:
-    """Whether every entry of ``v`` is at most ``tol`` in size; a NaN is not."""
-    return all([abs(c) <= tol for c in v.tolist()])
+def _on_rows(compute, x):
+    """``compute`` at the rows of a point stack ``x`` (N, d); at one point
+    (d,), row 0 of ``compute`` on the one-row stack."""
+    x = np.asarray(x, dtype=float)
+    return compute(x) if x.ndim == 2 else compute(x[None])[0]
 
 
 def _reeb_ok(Z, Omega, eta, tol: float) -> bool:
-    """The Reeb conditions i_Z omega = 0 and eta(Z) = 1 at one point."""
-    return _small(Z @ Omega, tol) and bool(abs(eta @ Z - 1.0) <= tol)
+    """The Reeb conditions i_Z omega = 0 and eta(Z) = 1 at one point; a NaN
+    residual fails them."""
+    return all([abs(c) <= tol for c in (Z @ Omega).tolist()]) and bool(abs(eta @ Z - 1.0) <= tol)
 
 
 def _solve_matrix(x, Omega, eta):
@@ -367,8 +414,8 @@ class _Constant(NamedTuple):
         ``x`` (d,), from the differential ``df`` of its scalar (unread by
         ``reeb``): the Reeb check, ``df(Z)`` and its finiteness, the limits
         on ``||df||_inf`` in the order of the conditions, then ``C df`` and
-        ``Z + C df``.  ``Frame`` and the constant one-point fields
-        (:func:`_constant_one_point`) both run it."""
+        ``Z + C df``, as a ``Frame`` row computes them.  The constant
+        one-point fields (:func:`_constant_one_point`) run it."""
         if not self.reeb_ok:
             raise _condition_error(_REEB_CONDITIONS, x)
         Z = self.Z
@@ -496,140 +543,6 @@ def _field_limits(Omega, eta, M, Z, C, tol: ToleranceConfig) -> tuple:
     return tuple(limits)
 
 
-class FrameStack(Frame):
-    """The frames at every row of a point stack ``x`` (N, d), solved at once.
-
-    Each quantity is computed with Frame's operations over a leading point
-    axis: one ``np.linalg.solve`` over the stacked ``A^T`` (or products with
-    the shared ``C`` of a constant structure) and numpy's row-wise products,
-    so every row has the bits Frame has at that point; ``gradient`` and
-    ``bracket`` are Frame's own.  A stage that fails at some rows raises the
-    error Frame raises at the first of them, marked with its ``row``;
-    :func:`map_blocks` makes that the first failing row in point order.
-    """
-
-    __slots__ = ("_d", "_df_size")
-
-    def __init__(self, structure: "CosymplecticStructure", x):
-        self.structure = structure
-        self.x = x = np.asarray(x, dtype=float)
-        self._const = const = structure._constant_data
-        if const is not None:
-            self.Omega, self.eta, self._A_T, self.det = const[:4]
-        else:
-            try:
-                self.Omega = structure.omega.at_stack(x)
-                self.eta = structure.eta.at_stack(x)
-            except exprlang.ExprError as err:
-                raise _row_error(x, err) from err
-            A_T = self.eta[:, :, None] * self.eta[:, None, :] - self.Omega
-            _first_not_finite(x, [(_A_NAME, A_T)])
-            self._A_T, self.det = A_T, np.linalg.det(A_T)
-        det = np.broadcast_to(self.det, x.shape[:1])
-        self._first(
-            np.abs(det) < structure.tol.volume_min_det,
-            lambda k: DegenerateStructureError(x[k], float(det[k])),
-        )
-        self._Z = self._d = None
-
-    def _first(self, bad, error) -> None:
-        """Raise ``error(k)`` for the first row ``k`` flagged in ``bad``."""
-        _first_row(np.broadcast_to(bad, self.x.shape[:1]), error)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A^T u = rhs at every row; ``rhs`` is (N, d)."""
-        return np.linalg.solve(self._A_T, rhs[..., None])[..., 0]
-
-    @property
-    def reeb(self) -> np.ndarray:
-        if self._Z is None:
-            if self._const is not None:
-                Z, ok = self._const.Z, self._const.reeb_ok
-            else:
-                Z = self.solve(self.eta)
-                tol = self.structure.tol.reeb_check
-                ok = (np.abs(np.vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
-                    np.abs(np.vecdot(self.eta, Z) - 1.0) <= tol
-                )
-            self._first(
-                np.logical_not(ok),
-                lambda k: _condition_error(_REEB_CONDITIONS, self.x[k]),
-            )
-            self._Z = np.broadcast_to(Z, self.x.shape)
-        return self._Z
-
-    def hamiltonian(self, df: np.ndarray) -> np.ndarray:
-        Z = self.reeb
-        zf = np.vecdot(df, Z)
-        self._first(~np.isfinite(zf), lambda k: _not_finite(self.x[k], f"df(Z) = {zf[k]}"))
-        const = self._const
-        if const is not None:
-            # kept for evaluation(df), whose Y_f condition is a third limit on it
-            self._df_size = size = np.abs(df).max(axis=-1)
-            ok = [size < limit for limit in const.limits[:2]]
-        else:
-            rhs = df - zf[:, None] * self.eta
-            Xf = self.solve(rhs)
-            tol = self.structure.tol
-            ok = [
-                np.abs(np.vecdot(self.eta, Xf)) <= tol.reeb_check,
-                np.abs(np.vecmat(Xf, self.Omega) - rhs).max(axis=-1) <= tol.field_check,
-            ]
-        for ok_c, what in zip(ok, _X_CONDITIONS):
-            self._first(~ok_c, lambda k: _condition_error(what, self.x[k]))
-        return Xf if const is None else np.matvec(const.C, df)
-
-    def evaluation(self, df: np.ndarray) -> np.ndarray:
-        Y = self.reeb + self.hamiltonian(df)
-        if self._const is not None:
-            ok = self._df_size < self._const.limits[2]
-        else:
-            ok = np.abs(np.vecdot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
-        self._first(~ok, lambda k: _condition_error(_Y_CONDITION, self.x[k]))
-        return Y
-
-    def differential(self, f) -> np.ndarray:
-        """The gradient covectors (N, d) of ``f`` at the rows."""
-        return f.gradient_stack(self.x)
-
-    # -- exact Jacobians J[:, i, k] = d_k V_i (docs/CONVENTIONS.md, "Jacobians")
-
-    def _derivatives(self):
-        """``d Omega``, ``d eta``, ``d A^T`` and ``J(Z)`` at the rows, derived
-        once per stack; a constant structure has zero gradient tensors."""
-        if self._d is None:
-            try:
-                dW = self.structure.omega.gradient_stack(self.x)
-                de = self.structure.eta.gradient_stack(self.x)
-            except exprlang.ExprError as err:
-                raise _row_error(self.x, err) from err
-            e = np.broadcast_to(self.eta, self.x.shape)
-            dA = de[:, :, None, :] * e[:, None, :, None] + e[:, :, None, None] * de[:, None] - dW
-            self._d = dW, de, dA, self._implicit(dA, de, self.reeb, "J(Z)")
-        return self._d
-
-    def _implicit(self, dA, db, V, what: str) -> np.ndarray:
-        """``J(V)`` of the solution of ``A^T V = b``, ``db[:, :, k] = d_k b``:
-        ``d_k V = A^-T (d_k b - d_k A^T V)``, one solve over the d columns."""
-        dAV = (np.moveaxis(dA, 3, 1) @ V[:, None, :, None])[..., 0]  # [:, k, i]
-        J = np.linalg.solve(self._A_T, db - np.swapaxes(dAV, 1, 2))
-        _first_not_finite(self.x, [(what, J)])
-        return J
-
-    def _hamiltonian_jacobian(self, f):
-        """``X_f``, ``J(X_f)``, ``Z(f)`` and ``d(Z(f))`` at the rows."""
-        df = self.differential(f)
-        Xf = self.hamiltonian(df)
-        _, de, dA, JZ = self._derivatives()
-        Z = self.reeb
-        zf = np.vecdot(df, Z)
-        Hf = f.hessian_stack(self.x)
-        dzf = np.vecmat(Z, Hf) + np.vecmat(df, JZ)
-        e = np.broadcast_to(self.eta, self.x.shape)
-        db = Hf - e[:, :, None] * dzf[:, None, :] - zf[:, None, None] * de
-        return Xf, self._implicit(dA, db, Xf, "J(X_f)"), zf, dzf
-
-
 #: Rows per block of a stacked evaluation; bounds the stacks alive at once.
 BLOCK_ROWS = 512
 
@@ -711,19 +624,32 @@ def _one_point_function(S: "CosymplecticStructure", kind: str):
     field of the varying structure ``S`` at one point ``x`` (a float array),
     for ``scalar`` (ignored by ``reeb``), as straight-line code.
 
-    It runs ``Frame``'s stages in ``Frame``'s order on Python floats, with
-    ``Frame``'s errors: omega's and eta's components in one body, the
-    entries ``eta_i eta_j - W_ij`` of ``A^T`` and their finiteness, the
-    volume floor on ``det A^T``, the scalar's differential, ``Z`` and the
-    Reeb conditions, then ``X_f`` and ``Y_f`` with their conditions.  The
+    It runs a ``Frame`` row's stages in their order on Python floats, with
+    the row's errors: omega's and eta's components in one body, the entries
+    ``eta_i eta_j - W_ij`` of ``A^T`` and their finiteness, the volume floor
+    on ``det A^T``, the scalar's differential, ``Z`` and the Reeb
+    conditions, then ``X_f`` and ``Y_f`` with their conditions.  The
     determinant, the two solves and ``df(Z)`` stay numpy calls, so the
-    outputs have ``Frame``'s bits.  The residuals are Python sums, which can
+    outputs have the row's bits.  The residuals are Python sums, which can
     differ from numpy's in the last bits; a check can then come out
     differently only where those bits reach its tolerance, a check that
     rounding decides either way (a gradient of size 1e12 against
     ``field_check`` 1e-8).  Every term of a contraction is written,
     structural zeros included, so a non-finite ``Z`` or ``X`` fails its
     check as under numpy.
+
+    Flow stages call it, so it skips what costs more than a small kernel.
+    It calls the LAPACK gufuncs that ``np.linalg.det`` and
+    ``np.linalg.solve`` dispatch to (``_lapack.det``, ``_lapack.solve1``),
+    with the public API's bits without its wrappers: on a 3x3 system 1.1
+    against 5.7 us per solve and 1.6 against 3.0 us per determinant
+    (``timeit`` minimum, numpy 2.4.6, one Xeon core).  The wrappers' type
+    checks have nothing to do on float arrays, and their singular-matrix
+    ``errstate`` has nothing to catch: ``volume_min_det``, which
+    ``ToleranceConfig`` keeps positive, rejects the point before any solve.
+    At the base point an evaluation field costs 10-29 us this way, against
+    160-265 us through a one-row ``Frame`` (pc-oscillator-1d and
+    pc-oscillator-2d-super, ``timeit`` minimum, shared 2-vCPU machine).
     """
     d = S.chart.dim
     upper = list(S.omega.upper.items())
@@ -815,8 +741,8 @@ def _one_point_function(S: "CosymplecticStructure", kind: str):
 def _constant_one_point(S: "CosymplecticStructure", kind: str):
     """``field(x, scalar)``: the ``reeb``, ``hamiltonian`` or ``evaluation``
     field of the constant structure ``S`` at one point ``x`` (a float
-    array), with ``Frame``'s stages, bits and errors and no ``Frame``: the
-    volume floor, the scalar's differential, then ``_Constant.field``.
+    array), with a ``Frame`` row's stages, bits and errors and no ``Frame``:
+    the volume floor, the scalar's differential, then ``_Constant.field``.
     ``_constant_data`` is read at the call, so a structure that fails to
     derive it raises there, as ``Frame`` does."""
     floor = S.tol.volume_min_det
@@ -835,17 +761,15 @@ def _constant_one_point(S: "CosymplecticStructure", kind: str):
 class StructureVectorField:
     """Point-evaluable derived vector field with exact Jacobians.
 
-    Called with a stack (N, d) it solves a ``FrameStack`` and returns
-    (N, d).  Called with one point (d,), the ``reeb``, ``hamiltonian`` and
+    Called with a stack (N, d) it solves a ``Frame`` and returns (N, d).
+    Called with one point (d,), the ``reeb``, ``hamiltonian`` and
     ``evaluation`` kinds run the function built once per structure and kind,
-    with ``Frame``'s bits and errors and no ``Frame``: on a varying
-    structure :func:`_one_point_function`, generated, at about half
-    ``Frame``'s cost; on a constant one :func:`_constant_one_point`.  The
-    ``gradient`` kind solves a ``Frame``.  Which of the two a field's
-    one-point calls take is decided when it is built.  ``jacobian``
-    differentiates the stack's solve implicitly; at one point it solves a
-    one-row stack.  ``on`` and ``jacobian_on`` read a frame the caller
-    built, so several fields share one solve.
+    with a frame row's bits and errors and no ``Frame``: on a varying
+    structure :func:`_one_point_function`, generated; on a constant one
+    :func:`_constant_one_point`.  The ``gradient`` kind solves a one-row
+    ``Frame``.  ``jacobian`` differentiates the frame's solve implicitly, on
+    a one-row frame at one point.  ``on`` and ``jacobian_on`` read a frame
+    the caller built, so several fields share one solve.
     """
 
     def __init__(self, structure, kind: str, scalar=None):
@@ -870,10 +794,10 @@ class StructureVectorField:
             x = np.asarray(x, dtype=float)
             if x.ndim == 1:
                 return at_point(x, self.scalar)
-        return self.on(self.structure.frame(x))
+        return _on_rows(lambda X: self.on(Frame(self.structure, X)), x)
 
     def on(self, frame: Frame) -> np.ndarray:
-        """The field at the frame's point, or at its rows."""
+        """The field (N, d) at the frame's rows."""
         if self.kind == "reeb":
             return frame.reeb
         # hamiltonian, evaluation or gradient
@@ -881,11 +805,9 @@ class StructureVectorField:
 
     def jacobian(self, x: Point) -> np.ndarray:
         """``J[..., i, k] = d_k V_i`` at one point (d,) or the rows of (N, d)."""
-        x = np.asarray(x, dtype=float)
-        J = self.jacobian_on(FrameStack(self.structure, x.reshape(-1, x.shape[-1])))
-        return J if x.ndim == 2 else J[0]
+        return _on_rows(lambda X: self.jacobian_on(Frame(self.structure, X)), x)
 
-    def jacobian_on(self, frame: FrameStack) -> np.ndarray:
+    def jacobian_on(self, frame: Frame) -> np.ndarray:
         """The Jacobians (N, d, d) at the rows of ``frame``."""
         J = frame._derivatives()[3]
         if self.kind != "reeb":
@@ -913,9 +835,9 @@ class BracketField:
 
     def gradient_stack(self, X) -> np.ndarray:
         """Gradients (N, d) at the rows of ``X``."""
-        return self.gradient_on(FrameStack(self.structure, X))
+        return self.gradient_on(Frame(self.structure, X))
 
-    def gradient_on(self, frame: FrameStack) -> np.ndarray:
+    def gradient_on(self, frame: Frame) -> np.ndarray:
         """Gradients (N, d) at the rows of ``frame``."""
         Xf, JXf, _, _ = frame._hamiltonian_jacobian(self.f)
         Xg, JXg, _, _ = frame._hamiltonian_jacobian(self.g)
@@ -927,7 +849,7 @@ class BracketField:
         )
 
     def gradient(self, x: Point) -> np.ndarray:
-        return self.gradient_stack(np.asarray(x, dtype=float)[None])[0]
+        return _on_rows(self.gradient_stack, x)
 
 
 @dataclass(frozen=True)
@@ -1002,10 +924,9 @@ class CosymplecticStructure:
 
     # -- derived quantities ------------------------------------------------
 
-    def frame(self, x: Point) -> "Frame | FrameStack":
-        """The solve context at one point (d,), or at every row of (N, d)."""
-        x = np.asarray(x, dtype=float)
-        return FrameStack(self, x) if x.ndim == 2 else Frame(self, x)
+    def frame(self, X) -> Frame:
+        """The solve context at every row of the point stack ``X`` (N, d)."""
+        return Frame(self, X)
 
     def reeb(self, x: Point) -> np.ndarray:
         return self.reeb_vf()(x)
@@ -1021,8 +942,12 @@ class CosymplecticStructure:
 
     def poisson_bracket(self, f, g, x: Point) -> float:
         """{f, g} at one point, or (N,) at the rows of a stack."""
-        frame = self.frame(x)
-        return frame.bracket(frame.differential(f), frame.differential(g))
+
+        def at_rows(X):
+            frame = Frame(self, X)
+            return frame.bracket(frame.differential(f), frame.differential(g))
+
+        return _on_rows(at_rows, x)
 
     # -- vector-field factories ---------------------------------------------
 

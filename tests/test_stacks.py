@@ -1,11 +1,12 @@
 """Stacked evaluation against one-point evaluation.
 
 The integrability checks, ``validate`` and ``check_primitive`` evaluate their
-points as stacks.  The references here are loops over the points that build
-one ``Frame`` per point and call the one-point field and Jacobian code; only
-the bracket functions' gradients are taken once per stack.  A one-point call
-of a Reeb, Hamiltonian or evaluation field on a varying structure runs its
-generated function, which tests/test_cosym.py holds to ``Frame``.
+points as stacks, one ``Frame`` per block.  The references here are loops
+over the points that build one one-row ``Frame`` per point and call the
+one-point field and Jacobian code; only the bracket functions' gradients are
+taken once per stack.  A one-point call of a Reeb, Hamiltonian or evaluation
+field runs the function built for its structure, which tests/test_cosym.py
+holds to a ``Frame``'s rows.
 """
 
 import math
@@ -19,8 +20,10 @@ from cosymkit.cosym import (
     DegenerateStructureError,
     StructureEvalError,
 )
+from cosymkit.cli import main as cli_main
 from cosymkit.exprlang import EvalDomainError
 from cosymkit.fields import OneFormField, ScalarField, TwoFormField, lie_bracket, sample_box
+from cosymkit.flow import integrate
 from cosymkit.integrability import (
     IntegralSystem,
     bracket_closure_and_corank,
@@ -33,21 +36,26 @@ from cosymkit.integrability import (
     sample_fiber,
     svd_rank,
 )
-from cosymkit.scenarios import builtin, builtin_names
+from cosymkit.scenarios import builtin, builtin_file_path, builtin_names
 from linear_charts import canonical_in_linear_chart, chart_change
 
 # --- per-point references -----------------------------------------------------
 
 
+def _bracket(frame, df, dg):
+    """The bracket at a one-row frame's point from covectors (d,)."""
+    return frame.bracket(df[None], dg[None])[0]
+
+
 def _ref_first_integrals(sys, points):
     worst, witness = 0.0, None
     for k, x in enumerate(points):
-        frame = sys.structure.frame(x)
+        frame = sys.structure.frame([x])
         dH = sys.hamiltonian.gradient(x)
-        Z = frame.reeb
+        Z = frame.reeb[0]
         for f in sys.integrals:
             df = f.gradient(x)
-            resid = abs(float(df @ Z) + frame.bracket(df, dH))
+            resid = abs(float(df @ Z) + _bracket(frame, df, dH))
             if resid > worst:
                 worst = resid
                 witness = {"integral": f.name, "point_index": k, "point": list(map(float, x)), "residual": resid}
@@ -57,13 +65,13 @@ def _ref_first_integrals(sys, points):
 def _ref_commuting_prefix(sys, points):
     worst, witness = 0.0, None
     for k, x in enumerate(points):
-        frame = sys.structure.frame(x)
+        frame = sys.structure.frame([x])
         grads = [f.gradient(x) for f in sys.integrals]
         for i in range(sys.r):
             for j in range(sys.m):
                 if j == i:
                     continue
-                val = abs(frame.bracket(grads[i], grads[j]))
+                val = abs(_bracket(frame, grads[i], grads[j]))
                 if val > worst:
                     worst = val
                     witness = {
@@ -135,10 +143,10 @@ def _ref_bracket_of_integrals(sys, pairs, points):
     for i, j in pairs:
         grads = S.bracket_scalar(sys.integrals[i], sys.integrals[j]).gradient_stack(points)
         for k, x in enumerate(points):
-            frame = S.frame(x)
+            frame = S.frame([x])
             dg = grads[k]
             dH = sys.hamiltonian.gradient(x)
-            resid = abs(float(dg @ frame.reeb) + frame.bracket(dg, dH))
+            resid = abs(float(dg @ frame.reeb[0]) + _bracket(frame, dg, dH))
             if resid > worst:
                 worst = resid
                 witness = {
@@ -177,12 +185,12 @@ def _ref_closure_and_corank(sys, groups, casimirs=()):
     for group in groups:
         mats = []
         for x in group:
-            frame = sys.structure.frame(x)
+            frame = sys.structure.frame([x])
             grads = [f.gradient(x) for f in sys.integrals]
             a = np.zeros((sys.m, sys.m))
             for i in range(sys.m):
                 for j in range(i + 1, sys.m):
-                    a[i, j] = frame.bracket(grads[i], grads[j])
+                    a[i, j] = _bracket(frame, grads[i], grads[j])
                     a[j, i] = -a[i, j]
             mats.append(a)
             regular.append(svd_rank(np.array(grads), tol.rank_rel) == sys.m)
@@ -191,7 +199,7 @@ def _ref_closure_and_corank(sys, groups, casimirs=()):
             for g in casimirs:
                 dg = g.gradient(x)
                 for df in grads:
-                    casimir = max(casimir, abs(frame.bracket(dg, df)))
+                    casimir = max(casimir, abs(_bracket(frame, dg, df)))
         for a in mats[1:]:
             spread = max(spread, float(np.max(np.abs(a - mats[0]))))
     return coranks, regular, spread, casimir if casimirs else None
@@ -365,7 +373,7 @@ def test_degenerate_row_raises_frame_error():
     sys = IntegralSystem(S, H, (H,), r=1)
     x = np.array([1.0, 0.0, 0.7])
     pts = _stack_with(x)
-    want = _error_of(lambda: S.frame(x))
+    want = _error_of(lambda: S.frame([x]))
     assert isinstance(want, DegenerateStructureError)
     err = _error_of(lambda: check_first_integrals(sys, pts))
     assert type(err) is DegenerateStructureError and str(err) == str(want)
@@ -474,7 +482,7 @@ def test_non_finite_structure_row_raises_frame_error():
     H = ScalarField.from_source("(q^2 + p^2)/2", chart, "H")
     sys = IntegralSystem(S, H, (H,), r=1)
     for x in (np.array([0.0, 2.0, 0.0]), np.array([0.0, 2.0, 2.0])):
-        want = _error_of(lambda: S.frame(x))
+        want = _error_of(lambda: S.frame([x]))
         assert isinstance(want, StructureEvalError)
         err = _error_of(lambda: check_first_integrals(sys, _stack_with(x)))
         assert type(err) is StructureEvalError and str(err) == str(want)
@@ -525,30 +533,48 @@ def test_first_failing_point_raises_across_stages():
 # --- no per-point frames ------------------------------------------------------
 
 
+def _counting_frames(monkeypatch) -> list:
+    """The row counts of the frames built from now on."""
+    rows = []
+    init = cosym.Frame.__init__
+
+    def counting(self, structure, x):
+        init(self, structure, x)
+        rows.append(len(self.x))
+
+    monkeypatch.setattr(cosym.Frame, "__init__", counting)
+    return rows
+
+
 @pytest.mark.parametrize("name", ["ext-oscillator-2d-super", "pc-oscillator-1d"])
 def test_pointwise_checks_build_no_frames(monkeypatch, name):
-    calls, stacks = [], []
-
-    def counting(into, original):
-        def init(self, *args, **kwargs):
-            into.append(1)
-            original(self, *args, **kwargs)
-
-        return init
-
-    monkeypatch.setattr(cosym.Frame, "__init__", counting(calls, cosym.Frame.__init__))
-    monkeypatch.setattr(cosym.FrameStack, "__init__", counting(stacks, cosym.FrameStack.__init__))
+    rows = _counting_frames(monkeypatch)
     monkeypatch.setattr(cosym, "BLOCK_ROWS", 200)
     sys = builtin(name).system
     pts = sample_box(sys.structure.domain_box, 500, np.random.default_rng(67))
-    blocks = 3
-    # one FrameStack per block serves every field a check reads, the members
-    # of check_bracket_of_integrals' pairs included; a Lie check with no pairs
-    # builds none
-    want = {check: blocks for check in CHECKS}
-    want["symmetry_algebra"] *= len(sys.symmetry_fields()) > 1
+    # one Frame per block serves every field a check reads, the members of
+    # check_bracket_of_integrals' pairs included, and no check builds a
+    # frame per point; a Lie check with no pairs builds none
+    want = {check: [200, 200, 100] for check in CHECKS}
+    if len(sys.symmetry_fields()) < 2:
+        want["symmetry_algebra"] = []
     for check, (run, _) in CHECKS.items():
-        stacks.clear()
+        rows.clear()
         assert run(sys, pts).passed
-        assert len(stacks) == want[check], check
-    assert len(calls) == 0
+        assert rows == want[check], check
+
+
+@pytest.mark.parametrize("name", ["ext-oscillator-1d", "pc-oscillator-1d"])
+def test_flows_and_torus_commands_build_no_frames(monkeypatch, capsys, name):
+    # every flow stage runs the one-point function of its field; a frame per
+    # stage would cost about ten times as much
+    rows = _counting_frames(monkeypatch)
+    sc = builtin(name)
+    S, H, x0 = sc.structure, sc.system.hamiltonian, sc.base_point()
+    for field in (S.reeb_vf(), S.evaluation_vf(H), S.hamiltonian_vf(H)):
+        integrate(field, x0, 2.0, 1e-10, S.chart, sc.system.integrals)
+    path = str(builtin_file_path(name))
+    assert cli_main(["actions", path]) == 0
+    assert cli_main(["frequencies", path, "--mode", "eval", "--verify-empirical"]) == 0
+    capsys.readouterr()
+    assert rows == []
