@@ -274,7 +274,7 @@ _LATTICE_FLOW_TOL = 1e-11
 _LATTICE_NEWTON_ITER = 15
 
 
-def trace_cycle(fields, times, x0: Point, tol: float, chart: ChartSpec) -> list[tuple]:
+def trace_cycle(fields, times, x0: Point, tol: float) -> list[tuple]:
     """Trajectories of the composite flow, in the order they are traversed
     (last field first).
 
@@ -285,7 +285,7 @@ def trace_cycle(fields, times, x0: Point, tol: float, chart: ChartSpec) -> list[
     for vf, tau in reversed(list(zip(fields, times))):
         if abs(tau) <= 1e-14:
             continue
-        traj = integrate(vf, x, float(tau), tol, chart)
+        traj = integrate(vf, x, float(tau), tol)
         segments.append((vf, traj))
         x = traj.final_state
     return segments
@@ -312,7 +312,7 @@ def refine_lattice_vector(
     v = np.array(times0, dtype=float)
     best, best_v, best_segments = math.inf, v, []
     for _ in range(_LATTICE_NEWTON_ITER):
-        segments = trace_cycle(fields, v, x0, _LATTICE_FLOW_TOL, chart)
+        segments = trace_cycle(fields, v, x0, _LATTICE_FLOW_TOL)
         end = segments[-1][1].final_state if segments else x0
         F = chart.wrap_difference(end, x0)
         resid = float(np.linalg.norm(F))
@@ -348,10 +348,9 @@ def _lattice(fields, x0: Point, refined) -> PeriodLattice:
     )
 
 
-def _near_return_candidates(traj: Trajectory, x0, window, t_min):
-    """Accepted times past ``t_min`` where the distance to ``x0`` has a local
-    minimum below ``window``."""
-    chart = traj.chart
+def _near_return_candidates(traj: Trajectory, chart: ChartSpec, x0, window, t_min):
+    """Accepted times past ``t_min`` where the distance to ``x0`` (in
+    ``chart``) has a local minimum below ``window``."""
     taus = traj.times
     dists = np.array([chart.distance(s, x0) for s in traj.states])
     out = []
@@ -412,8 +411,8 @@ def detect_period_lattice(
         x_start = x0
         while start < horizon:
             tau = min(chunk, horizon - start)
-            traj = integrate(field, x_start, tau, scan_tol, chart)
-            for s in _near_return_candidates(traj, x0, window, t_min - start):
+            traj = integrate(field, x_start, tau, scan_tol)
+            for s in _near_return_candidates(traj, chart, x0, window, t_min - start):
                 try:
                     hit = refine_lattice_vector(
                         fields, seed_times(start + s), x0, chart, return_tol
@@ -499,7 +498,7 @@ def align_lattice_to_angles(
     ])
 
 
-def _angle_seeds(fields, x0: Point, angle_maps, chart: ChartSpec) -> np.ndarray:
+def _angle_seeds(fields, x0: Point, angle_maps) -> np.ndarray:
     """Seed basis ``2pi R^{-1}`` from the mean winding rates of the angles.
 
     Each field V_j is flowed once for 2pi from ``x0``;
@@ -511,7 +510,7 @@ def _angle_seeds(fields, x0: Point, angle_maps, chart: ChartSpec) -> np.ndarray:
     """
     # over a flow of 2pi the winding in turns is the mean rate
     R = np.stack([
-        cycle_windings([(vf, integrate(vf, x0, TWO_PI, _LATTICE_FLOW_TOL, chart))], angle_maps)
+        cycle_windings([(vf, integrate(vf, x0, TWO_PI, _LATTICE_FLOW_TOL))], angle_maps)
         for vf in fields
     ], axis=1)
     s = np.linalg.svd(R, compute_uv=False)
@@ -543,7 +542,7 @@ def torus_lattice(
     chart = sys.structure.chart
     seeds = declared_vectors
     if seeds is None:
-        seeds = _angle_seeds(fields, x0, angle_maps, chart)
+        seeds = _angle_seeds(fields, x0, angle_maps)
     lattice = _lattice(fields, x0, [
         refine_lattice_vector(fields, row, x0, chart, sys.structure.tol.lattice_return)
         for row in np.asarray(seeds, dtype=float)
@@ -636,16 +635,21 @@ def b_matrix(profile: ActionProfile, eta_tol: float) -> FrequencyTable:
     )
 
 
+def _conditioned_b(table: FrequencyTable) -> np.ndarray:
+    """The table's ``b``; an ill-conditioned one raises ActionAngleError."""
+    if table.cond > 1e8:
+        raise ActionAngleError(f"frequency matrix is ill-conditioned: cond={table.cond:.3e}")
+    return table.b
+
+
 def solve_frequencies(table: FrequencyTable, mode: str, k: int | None = None) -> np.ndarray:
     """Solve b^T w = e_mode for the flow frequencies in the cycle basis.
 
     ``mode`` is "reeb" (right-hand side selects the eta column) or
     "hamiltonian" with a 1-based prefix index ``k``.
     """
-    b = table.b
+    b = _conditioned_b(table)
     size = b.shape[0]
-    if table.cond > 1e8:
-        raise ActionAngleError(f"frequency matrix is ill-conditioned: cond={table.cond:.3e}")
     rhs = np.zeros(size)
     if mode == "reeb":
         rhs[size - 1] = 1.0
@@ -663,8 +667,9 @@ def evaluation_frequencies(table: FrequencyTable, sys: IntegralSystem) -> np.nda
 
     Writes dH as a constant combination of the prefix differentials
     df_1..df_r (fit at the lattice base point); Y_H = Z + sum c_nu X_{f_nu}
-    then gives w_eval = w_reeb + sum c_nu W^nu.  Fails when H is not
-    generated by the commuting prefix.
+    then gives w_eval = w_reeb + sum c_nu W^nu, the one solve
+    b^T w = (c_1..c_r, 1).  Fails when H is not generated by the commuting
+    prefix.
     """
     x = table.lattice.base_point
     Gs = np.array([f.gradient(x) for f in sys.integrals[: sys.r]]).T
@@ -681,11 +686,7 @@ def evaluation_frequencies(table: FrequencyTable, sys: IntegralSystem) -> np.nda
                 f"dH is not a constant combination of the prefix differentials "
                 f"(residual {resid:.3e})"
             )
-    omega = solve_frequencies(table, "reeb")
-    for nu, c in enumerate(coeffs, start=1):
-        if abs(c) > 1e-12:
-            omega = omega + c * solve_frequencies(table, "hamiltonian", nu)
-    return omega
+    return np.linalg.solve(_conditioned_b(table).T, np.append(coeffs, 1.0))
 
 
 # --- empirical frequencies and winding ----------------------------------------
@@ -704,8 +705,7 @@ def empirical_frequencies(
     unwrapped angle from its linear fit; a small residual certifies linear
     flow in these angles.
     """
-    chart = sys.structure.chart
-    traj = integrate(field, x0, tau_end, 1e-10, chart)
+    traj = integrate(field, x0, tau_end, 1e-10)
     A = np.vstack([traj.times, np.ones_like(traj.times)]).T
     slopes = []
     residuals = []

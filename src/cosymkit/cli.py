@@ -195,11 +195,11 @@ def _flow_section(scenario: Scenario) -> dict:
     S = scenario.structure
     x0 = scenario.base_point()
     field = S.evaluation_vf(sys_.hamiltonian)
-    traj = integrate(field, x0, _FLOW_TAU, _FLOW_TOL, S.chart, sys_.integrals)
-    drifts = drift_report(traj)
+    traj = integrate(field, x0, _FLOW_TAU, _FLOW_TOL)
+    drifts = drift_report(traj, sys_.integrals)
     worst = max(drifts.values()) if drifts else 0.0
-    fwd = integrate(field, x0, 0.25, _FLOW_TOL, S.chart)
-    back = integrate(field, fwd.final_state, -0.25, _FLOW_TOL, S.chart)
+    fwd = integrate(field, x0, 0.25, _FLOW_TOL)
+    back = integrate(field, fwd.final_state, -0.25, _FLOW_TOL)
     reversal = float(np.max(np.abs(back.final_state - x0)))
     ok = worst < 1e-7 and reversal < 10 * _FLOW_TOL
     return {
@@ -356,11 +356,10 @@ def _cmd_integrate(args) -> int:
         raise argparse.ArgumentTypeError(
             f"--x0 needs {scenario.chart.dim} coordinates, got {len(x0)}"
         )
-    traj = integrate(
-        field, x0, args.tau, args.tol, scenario.chart, scenario.system.integrals
-    )
+    traj = integrate(field, x0, args.tau, args.tol)
+    integrals = scenario.system.integrals
     if args.out:
-        traj.to_csv(args.out)
+        traj.to_csv(args.out, scenario.chart, integrals)
     report = {
         "scenario": scenario.name,
         "command": "integrate",
@@ -369,7 +368,7 @@ def _cmd_integrate(args) -> int:
         "tol": args.tol,
         "steps": len(traj.times) - 1,
         "final_state": [float(v) for v in scenario.chart.normalize(traj.final_state)],
-        "integral_drift": drift_report(traj),
+        "integral_drift": drift_report(traj, integrals),
         "csv": args.out,
     }
     _emit(report, None)

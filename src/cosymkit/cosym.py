@@ -267,7 +267,8 @@ class Frame:
     def hamiltonian(self, df: np.ndarray) -> np.ndarray:
         """X_f at the rows from the gradient covectors (N, d) of f."""
         Z = self.reeb
-        zf = np.vecdot(df, Z)
+        with np.errstate(invalid="ignore"):  # an inf in df times a 0 in Z
+            zf = np.vecdot(df, Z)
         self._first(~np.isfinite(zf), lambda k: _not_finite(self.x[k], f"df(Z) = {zf[k]}"))
         const = self._const
         if const is not None:
@@ -297,7 +298,8 @@ class Frame:
 
     def gradient(self, df: np.ndarray) -> np.ndarray:
         Z = self.reeb
-        zf = np.vecdot(df, Z)
+        with np.errstate(invalid="ignore"):  # hamiltonian(df) raises for it
+            zf = np.vecdot(df, Z)
         G = self.hamiltonian(df) + zf[..., None] * Z
         tol = self.structure.tol.field_check
         rhs = df - zf[..., None] * self.eta
@@ -421,11 +423,14 @@ class _Constant(NamedTuple):
         Z = self.Z
         if kind == "reeb":
             return Z
+        size = max(map(abs, df.tolist()))
+        if not size < math.inf:  # an inf in df; numpy warns of inf * 0 in the dot
+            with np.errstate(invalid="ignore"):
+                raise _not_finite(x, f"df(Z) = {df.dot(Z)}")
         zf = df.dot(Z)  # ndarray.dot: the BLAS call of @, without the ufunc
         if not math.isfinite(zf):
-            # Z is finite, so an inf or NaN in df shows here
+            # Z is finite, so a NaN in df (or an overflow) shows here
             raise _not_finite(x, f"df(Z) = {zf}")
-        size = max(map(abs, df.tolist()))
         limits = self.limits
         if not size < limits[0]:
             raise _condition_error(_X_CONDITIONS[0], x)

@@ -1,13 +1,14 @@
 """Numerical flows of Reeb, Hamiltonian and evaluation fields.
 
-An adaptive Dormand-Prince 8(5,3) pair drives every trajectory; the combined
-fifth- and third-order error estimate controls the local error per step
-against ``tol``.  Accepted steps keep the state and the values of all
-declared integrals, so conservation is measured rather than assumed.  They
-also keep their twelve stages, on which ``Trajectory.quadrature`` integrates
-a one-form along the flow as one more eighth-order ODE component.  Dense
-output takes one step of the same method from the accepted state before the
-requested time.
+A flow takes a field, a start, a flow time and a tolerance.  An adaptive
+Dormand-Prince 8(5,3) pair drives every trajectory; the combined fifth- and
+third-order error estimate controls the local error per step against
+``tol``.  Accepted steps keep the state and their twelve stages, on which
+``Trajectory.quadrature`` integrates a one-form along the flow as one more
+eighth-order ODE component.  Dense output takes one step of the same method
+from the accepted state before the requested time.  Conservation is measured
+rather than assumed: ``drift_report`` reads the integrals off the accepted
+states after the flow.
 
 A step is one straight-line function per state dimension, generated from the
 tableau on the first flow of that dimension (:func:`_step`): the stage sums,
@@ -18,7 +19,7 @@ evaluated, and a field that is not finite at the start before any step.
 
 Internal states are never folded into periodic ranges: winding counts stay
 exact and angle unwrapping downstream is trivial.  Normalization happens only
-in exported views (CSV, ``normalized_states``).
+in the CSV export, through the chart it is given.
 """
 
 from __future__ import annotations
@@ -205,19 +206,15 @@ def _step(d: int):
 class Trajectory:
     """Accepted integration steps of one flow.
 
-    ``states`` are unwrapped (periodic coordinates keep accumulating);
-    ``integral_values`` has one column per declared integral, evaluated at
-    every accepted step.  ``stages[k]`` (2, 12, d) holds the stage states of
-    accepted step k and the field values there; ``integrate`` builds the
-    array once, from the float records its steps return.  ``field`` is the
-    flowed field, which dense output steps with.
+    ``states`` are unwrapped (periodic coordinates keep accumulating).
+    ``stages[k]`` (2, 12, d) holds the stage states of accepted step k and
+    the field values there; ``integrate`` builds the array once, from the
+    float records its steps return.  ``field`` is the flowed field, which
+    dense output steps with.
     """
 
-    chart: ChartSpec
     times: np.ndarray
     states: np.ndarray
-    integral_names: tuple[str, ...]
-    integral_values: np.ndarray
     stages: np.ndarray
     field: object
 
@@ -255,29 +252,21 @@ class Trajectory:
         covectors = alpha(Y.reshape(-1, Y.shape[-1])).reshape(Y.shape)
         return float(np.diff(self.times) @ (np.sum(covectors * K, axis=-1) @ _B))
 
-    def normalized_states(self) -> np.ndarray:
-        return self.chart.normalize(self.states)
-
-    def to_csv(self, target) -> None:
-        """Write ``tau,<coords...>,<integrals...>`` rows, one per accepted step."""
-        close = False
+    def to_csv(self, target, chart: ChartSpec, integrals) -> None:
+        """Write ``tau,<coords...>,<integrals...>`` rows, one per accepted
+        step, with the states folded by ``chart.normalize`` and the integrals
+        read at the unwrapped states."""
+        columns = ["tau", *chart.names, *(f.name for f in integrals)]
+        rows = [",".join(columns)] + [
+            ",".join(repr(float(v)) for v in (t, *x, *(f.value(y) for f in integrals)))
+            for t, x, y in zip(self.times, chart.normalize(self.states), self.states)
+        ]
+        text = "".join(row + "\n" for row in rows)
         if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            handle = open(target, "w", encoding="utf-8")
-            close = True
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text)
         else:
-            handle = target
-        try:
-            header = ["tau", *self.chart.names, *self.integral_names]
-            handle.write(",".join(header) + "\n")
-            norm = self.normalized_states()
-            for k in range(len(self.times)):
-                row = [repr(float(self.times[k]))]
-                row += [repr(float(v)) for v in norm[k]]
-                row += [repr(float(v)) for v in self.integral_values[k]]
-                handle.write(",".join(row) + "\n")
-        finally:
-            if close:
-                handle.close()
+            target.write(text)
 
 
 def _initial_step(field, y0, f0, sign, tol):
@@ -300,20 +289,13 @@ def _initial_step(field, y0, f0, sign, tol):
 _MAX_STEPS = 2_000_000
 
 
-def integrate(
-    field,
-    x0: Point,
-    tau_end: float,
-    tol: float,
-    chart: ChartSpec,
-    integrals=(),
-) -> Trajectory:
+def integrate(field, x0: Point, tau_end: float, tol: float) -> Trajectory:
     """Integrate ``dx/dtau = field(x)`` from 0 to ``tau_end`` adaptively.
 
     ``tol`` bounds the estimated local error per accepted step (used both as
     absolute and relative scale).  Negative ``tau_end`` integrates backward.
-    Declared integrals are evaluated at every accepted step.  A field that
-    is not finite at ``x0`` raises ``FlowError``.
+    The flow evaluates nothing but ``field``.  A field that is not finite at
+    ``x0`` raises ``FlowError``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -322,21 +304,13 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-    names = tuple(getattr(f, "name", f"f{i}") for i, f in enumerate(integrals))
     n = len(x0)
 
     f0 = np.asarray(field(x0), dtype=float)
     if not np.isfinite(f0).all():
         raise FlowError(f"field is not finite at x0 = {x0.tolist()}: {f0.tolist()}")
-    times = [0.0]
-    ivals = [[f.value(x0) for f in integrals]]
-    stages = []
-
     if tau_end == 0.0:
-        return Trajectory(
-            chart, np.array(times), x0[None].copy(), names, np.array(ivals),
-            np.zeros((0, 2, 12, n)), field,
-        )
+        return Trajectory(np.zeros(1), x0[None].copy(), np.zeros((0, 2, 12, n)), field)
 
     sign = 1.0 if tau_end > 0 else -1.0
     span = abs(tau_end)
@@ -346,6 +320,8 @@ def integrate(
     step = _step(n)
     t = 0.0
     y, f_cur = x0.tolist(), f0.tolist()
+    times = [0.0]
+    stages = []
     steps = 0
     while sign * (tau_end - t) > 1e-15 * span:
         if steps >= _MAX_STEPS:
@@ -363,30 +339,20 @@ def integrate(
         if err_norm <= 1.0:
             t = tau_end if abs(tau_end - (t + hs)) <= 1e-15 * span else t + hs
             y = y_new
-            x = np.array(y)
-            f_cur = np.asarray(field(x), dtype=float).tolist()
+            f_cur = np.asarray(field(np.array(y)), dtype=float).tolist()
             times.append(t)
-            ivals.append([f.value(x) for f in integrals])
             stages.append(record)
         factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.8 * err_norm ** -0.125))
         h *= factor
     # every step starts at its first stage state
     stages = np.array(stages).reshape(-1, 2, 12, n)
     return Trajectory(
-        chart,
-        np.array(times),
-        np.concatenate((stages[:, 0, 0], [y])),
-        names,
-        np.array(ivals) if integrals else np.zeros((len(times), 0)),
-        stages,
-        field,
+        np.array(times), np.concatenate((stages[:, 0, 0], [y])), stages, field
     )
 
 
-def drift_report(traj: Trajectory) -> dict:
-    """Max |f_i(x(tau)) - f_i(x(0))| per integral recorded on the trajectory."""
-    values = traj.integral_values
-    if values.shape[1] == 0:
-        return {}
+def drift_report(traj: Trajectory, integrals) -> dict:
+    """Max |f_i(x(tau)) - f_i(x(0))| per integral over the accepted states."""
+    values = np.array([[f.value(x) for f in integrals] for x in traj.states])
     drifts = np.max(np.abs(values - values[0]), axis=0)
-    return {name: float(d) for name, d in zip(traj.integral_names, drifts)}
+    return {f.name: float(d) for f, d in zip(integrals, drifts)}

@@ -488,12 +488,11 @@ def sample_fiber(
     from [0.3, 4.0), at tolerance 1e-12.
     """
     fields_ = sys.symmetry_fields()
-    chart = sys.structure.chart
     out = [np.asarray(x0, dtype=float)]
     for _ in range(count - 1):
         x = out[0]
         for vf in fields_:
             tau = float(rng.uniform(0.3, 4.0))
-            x = integrate(vf, x, tau, 1e-12, chart).final_state
+            x = integrate(vf, x, tau, 1e-12).final_state
         out.append(x)
     return out

@@ -232,9 +232,7 @@ def test_criterion_6_action_oracle():
         profile = action_integrals(sys_, lattice, sc.lam)
         worst_value = max(worst_value, abs(profile.actions[0] - c))
         # base-point independence: restart from another point of the torus
-        x1 = trace_cycle(
-            sys_.commuting_fields(), (0.41, 2.03), x0, 1e-12, sc.chart
-        )[-1][1].final_state
+        x1 = trace_cycle(sys_.commuting_fields(), (0.41, 2.03), x0, 1e-12)[-1][1].final_state
         lattice1 = torus_lattice(sys_, x1, angle_maps=sc.angle_maps)
         profile1 = action_integrals(sys_, lattice1, sc.lam)
         worst_move = max(
@@ -364,7 +362,7 @@ def test_criterion_8_dense_winding():
     ratios = winding_ratio_test(slopes)
     # t advances at unit rate: the orbit crosses the section t = t(0) at 2*pi*k
     chart = sc.structure.chart
-    traj = integrate(sc.structure.evaluation_vf(sys_.hamiltonian), x0, 500.0, 1e-9, chart)
+    traj = integrate(sc.structure.evaluation_vf(sys_.hamiltonian), x0, 500.0, 1e-9)
     returns = TWO_PI * np.arange(1, int(500.0 // TWO_PI) + 1)
     dists = [chart.distance(traj.state_at(tau), x0) for tau in returns]
     dist, when = min(dists), returns[np.argmin(dists)]
@@ -386,11 +384,11 @@ def test_criterion_9_flow_quality():
         sys_ = sc.system
         field = sc.structure.evaluation_vf(sys_.hamiltonian)
         x0 = sc.base_point()
-        traj = integrate(field, x0, 100.0, tol, sc.chart, sys_.integrals)
-        drifts = drift_report(traj)
+        traj = integrate(field, x0, 100.0, tol)
+        drifts = drift_report(traj, sys_.integrals)
         worst_drift = max(worst_drift, max(drifts.values()))
-        fwd = integrate(field, x0, 0.25, tol, sc.chart)
-        back = integrate(field, fwd.final_state, -0.25, tol, sc.chart)
+        fwd = integrate(field, x0, 0.25, tol)
+        back = integrate(field, fwd.final_state, -0.25, tol)
         worst_reversal = max(
             worst_reversal, float(np.max(np.abs(back.final_state - x0)))
         )

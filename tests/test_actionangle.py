@@ -149,7 +149,7 @@ def test_action_base_point_independence():
     lat0 = torus_lattice(sys, x0, angle_maps=oscillator_angles())
     I0 = action_integrals(sys, lat0, lam).actions
     # move along the torus: flow both fields for incommensurate times
-    x1 = trace_cycle(sys.commuting_fields(), (0.37, 1.91), x0, 1e-12, CHART)[-1][1].final_state
+    x1 = trace_cycle(sys.commuting_fields(), (0.37, 1.91), x0, 1e-12)[-1][1].final_state
     lat1 = torus_lattice(sys, x1, angle_maps=oscillator_angles())
     I1 = action_integrals(sys, lat1, lam).actions
     assert np.max(np.abs(I1 - I0)) < 1e-5
@@ -228,7 +228,7 @@ def test_refine_jacobian_is_endpoint_field_values():
     times = np.array([0.7, 1.3])
 
     def endpoint(ts):
-        return trace_cycle(fields, ts, x0, 1e-12, sc.chart)[-1][1].final_state
+        return trace_cycle(fields, ts, x0, 1e-12)[-1][1].final_state
 
     end = endpoint(times)
     for j, vf in enumerate(fields):
@@ -246,7 +246,7 @@ def test_poincare_cartan_action_around_t_circle():
     c = 0.5
     x0 = np.array([0.0, 1.0, 0.0])
     fields = sys.commuting_fields()  # [X_H, Z'] with Z' the oscillator flow
-    segments = trace_cycle(fields, (0.0, TWO_PI), x0, 1e-11, CHART)
+    segments = trace_cycle(fields, (0.0, TWO_PI), x0, 1e-11)
     val = line_integral(segments, S.primitive) / TWO_PI
     assert val == pytest.approx(0.0, abs=1e-6)
 
@@ -295,6 +295,19 @@ def test_frequencies_canonical_reeb_and_hamiltonian():
     assert ev == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
+def test_evaluation_frequencies_scale_with_a_small_hamiltonian():
+    # H = c (q^2 + p^2)/2 with c = 1e-13 gives Y_H = Z + c X_f1, so
+    # w_eval = w_reeb + c w_1 = (c, 1): no coefficient is too small to count
+    sc = builtin("ext-oscillator-1d")
+    sys = sc.system
+    lattice = torus_lattice(sys, sc.base_point(), angle_maps=sc.angle_maps)
+    table = b_matrix(action_integrals(sys, lattice, sc.lam), RETURN_TOL)
+    H = ScalarField.from_source("1e-13*(q^2 + p^2)/2", sc.chart, "H")
+    ev = evaluation_frequencies(table, IntegralSystem(sc.structure, H, sys.integrals, sys.r))
+    assert abs(ev[0] - 1e-13) <= 1e-9 * 1e-13
+    assert ev[1] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_frequencies_poincare_cartan_reeb():
     sys = pc_system()
     table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
@@ -320,7 +333,7 @@ def test_reconstructed_generators_have_period_two_pi():
         def generator(x, c=coeffs):
             return c[0] * fields[0](x) + c[1] * fields[1](x)
 
-        end = integrate(generator, x0, TWO_PI, 1e-11, CHART).final_state
+        end = integrate(generator, x0, TWO_PI, 1e-11).final_state
         assert np.linalg.norm(CHART.wrap_difference(end, x0)) < 1e-4
 
 
@@ -344,7 +357,7 @@ def test_empirical_frequencies_unwrap_guard():
     S = sys.structure
     x0 = np.array([0.0, 1.0, 0.0])
     angles = oscillator_angles()
-    traj = integrate(S.evaluation_vf(sys.hamiltonian), x0, 60.0, 1e-10, S.chart)
+    traj = integrate(S.evaluation_vf(sys.hamiltonian), x0, 60.0, 1e-10)
     # the phase advances at unit rate: 3.0 rad between states is past the guard
     states = [traj.state_at(tau) for tau in np.arange(0.0, 60.0, 3.0)]
     with pytest.raises(AngleUnwrapError):
@@ -361,7 +374,7 @@ def test_time_section_return_periodic_orbit_is_small():
     sys = oscillator_system()
     S = sys.structure
     x0 = np.array([0.0, 1.0, 0.0])
-    traj = integrate(S.evaluation_vf(sys.hamiltonian), x0, 30.0, 1e-9, S.chart)
+    traj = integrate(S.evaluation_vf(sys.hamiltonian), x0, 30.0, 1e-9)
     # t advances at unit rate, so the section t = 0 is crossed at 2*pi*k
     returns = TWO_PI * np.arange(1, int(30.0 // TWO_PI) + 1)
     dists = [S.chart.distance(traj.state_at(tau), x0) for tau in returns]

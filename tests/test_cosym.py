@@ -179,7 +179,6 @@ def test_non_finite_structure_is_eval_error():
             assert np.array_equal(info.value.point, x)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_gradient_is_eval_error():
     # d/dq of 1e308*q*q is 1e308*q + 1e308*q = inf at q = 1.2, where the
     # value is finite, so df(Z) is NaN; every "resid > tol" check would let
@@ -408,7 +407,6 @@ def test_constant_one_point_fields_match_frame(name):
                 assert np.array_equal(got, X if vf.kind == "hamiltonian" else const.Z + X)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's dot of inf with 0
 @pytest.mark.parametrize("name", _CONSTANT)
 def test_constant_one_point_fields_raise_frame_errors(name):
     scenario = builtin(name)
@@ -524,7 +522,6 @@ def test_generated_one_point_fields_raise_frame_condition_errors(name):
     }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
 def test_generated_one_point_fields_read_the_scalar_before_the_reeb_check(name):
     scenario = builtin(name)

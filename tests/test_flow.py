@@ -24,11 +24,11 @@ def oscillator():
 
 def test_evaluation_flow_returns_after_period():
     S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], TWO_PI, 1e-10, CHART, [H])
+    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], TWO_PI, 1e-10)
     # q = cos(tau), p = -sin(tau), t advances by 2*pi (unwrapped)
     assert traj.final_state == pytest.approx([TWO_PI, 1.0, 0.0], abs=1e-8)
-    # normalized view folds t back into [0, 2*pi)
-    norm_final = traj.normalized_states()[-1]
+    # the chart folds t back into [0, 2*pi)
+    norm_final = CHART.normalize(traj.states)[-1]
     assert norm_final[0] == pytest.approx(0.0, abs=1e-8) or norm_final[0] == pytest.approx(
         TWO_PI, abs=1e-8
     )
@@ -36,42 +36,42 @@ def test_evaluation_flow_returns_after_period():
 
 def test_reeb_flow_is_exact_translation():
     S, _ = oscillator()
-    end = integrate(S.reeb_vf(), [0.0, 1.0, 0.0], 1.0, 1e-10, CHART).final_state
+    end = integrate(S.reeb_vf(), [0.0, 1.0, 0.0], 1.0, 1e-10).final_state
     assert end == pytest.approx([1.0, 1.0, 0.0], abs=1e-13)
 
 
 def test_hamiltonian_flow_keeps_time_constant():
     S, H = oscillator()
-    traj = integrate(S.hamiltonian_vf(H), [0.4, 1.0, 0.0], 5.0, 1e-10, CHART)
+    traj = integrate(S.hamiltonian_vf(H), [0.4, 1.0, 0.0], 5.0, 1e-10)
     assert np.max(np.abs(traj.states[:, 0] - 0.4)) < 1e-12
 
 
 def test_eta_pairing_time_rate_along_evaluation_flow():
     S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.3, 0.2], 7.0, 1e-10, CHART)
+    traj = integrate(S.evaluation_vf(H), [0.0, 1.3, 0.2], 7.0, 1e-10)
     assert traj.final_state[0] == pytest.approx(7.0, abs=1e-10)
 
 
 def test_drift_oscillator_long_run():
     S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 100.0, 1e-10, CHART, [H])
-    drift = drift_report(traj)
+    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 100.0, 1e-10)
+    drift = drift_report(traj, [H])
     assert drift["H"] < 1e-7
 
 
 def test_drift_non_integral_is_order_one():
     S, H = oscillator()
     q = ScalarField.from_source("q", CHART, "q")
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 10.0, 1e-10, CHART, [q])
-    drift = drift_report(traj)
+    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 10.0, 1e-10)
+    drift = drift_report(traj, [q])
     assert drift["q"] > 0.5  # reported, not failed
 
 
 def test_zero_length_trajectory():
     S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 0.0, 1e-10, CHART, [H])
+    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 0.0, 1e-10)
     assert len(traj.times) == 1
-    assert drift_report(traj) == {"H": 0.0}
+    assert drift_report(traj, [H]) == {"H": 0.0}
     assert traj.stages.shape == (0, 2, 12, 3)
     assert traj.quadrature(S.eta.at_stack) == 0.0
 
@@ -80,8 +80,8 @@ def test_time_reversal():
     S, H = oscillator()
     tol = 1e-10
     x0 = np.array([0.0, 1.1, -0.3])
-    fwd = integrate(S.evaluation_vf(H), x0, 0.25, tol, CHART)
-    back = integrate(S.evaluation_vf(H), fwd.final_state, -0.25, tol, CHART)
+    fwd = integrate(S.evaluation_vf(H), x0, 0.25, tol)
+    back = integrate(S.evaluation_vf(H), fwd.final_state, -0.25, tol)
     assert np.max(np.abs(back.final_state - x0)) < 10 * tol
 
 
@@ -91,10 +91,10 @@ def test_flow_commutativity():
     YH = S.evaluation_vf(H)
     XH = S.hamiltonian_vf(H)
     a, b = 0.8, 0.6
-    via_x = integrate(XH, x0, b, 1e-10, CHART).final_state
-    via_y = integrate(YH, x0, a, 1e-10, CHART).final_state
-    one = integrate(YH, via_x, a, 1e-10, CHART).final_state
-    two = integrate(XH, via_y, b, 1e-10, CHART).final_state
+    via_x = integrate(XH, x0, b, 1e-10).final_state
+    via_y = integrate(YH, x0, a, 1e-10).final_state
+    one = integrate(YH, via_x, a, 1e-10).final_state
+    two = integrate(XH, via_y, b, 1e-10).final_state
     assert np.max(np.abs(one - two)) < 1e-6
 
 
@@ -108,7 +108,7 @@ def test_eta_coordinate_advances_at_unit_rate(name, flow):
     S = sc.structure
     x0 = sc.base_point()
     field = S.evaluation_vf(sc.system.hamiltonian) if flow == "evaluation" else S.reeb_vf()
-    traj = integrate(field, x0, 50.0, 1e-10, S.chart)
+    traj = integrate(field, x0, 50.0, 1e-10)
     c = int(np.argmax(np.abs(S.eta.at(x0))))
     assert np.all(S.eta.at_stack(traj.states) == np.eye(len(x0))[c])
     drift = traj.states[:, c] - traj.states[0, c] - traj.times
@@ -119,15 +119,15 @@ def test_pc_reeb_flow_matches_oscillator():
     S = make_poincare_cartan(
         ScalarField.from_source("(q^2 + p^2)/2", CHART, "H"), box=BOX
     )
-    traj = integrate(S.reeb_vf(), [0.0, 1.0, 0.0], TWO_PI, 1e-10, CHART)
+    traj = integrate(S.reeb_vf(), [0.0, 1.0, 0.0], TWO_PI, 1e-10)
     assert traj.final_state == pytest.approx([TWO_PI, 1.0, 0.0], abs=1e-8)
 
 
 def test_csv_export_shape():
     S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 1.0, 1e-8, CHART, [H])
+    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 1.0, 1e-8)
     buf = io.StringIO()
-    traj.to_csv(buf)
+    traj.to_csv(buf, CHART, [H])
     text = buf.getvalue()
     lines = text.strip().split("\n")
     assert lines[0] == "tau,t,q,p,H"
@@ -142,12 +142,12 @@ def test_step_underflow_reported():
         return np.array([1.0, 1.0 / (1.0 - x[1]), 0.0])
 
     with pytest.raises(StepSizeUnderflowError):
-        integrate(stiff, [0.0, 0.0, 0.0], 2.0, 1e-10, CHART)
+        integrate(stiff, [0.0, 0.0, 0.0], 2.0, 1e-10)
 
 
 def test_dense_output_accuracy():
     S, H = oscillator()
-    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], TWO_PI, 1e-10, CHART)
+    traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], TWO_PI, 1e-10)
     for tau in np.linspace(0.3, 6.0, 17):
         x = traj.state_at(tau)
         assert x[1] == pytest.approx(math.cos(tau), abs=1e-9)
@@ -175,10 +175,45 @@ def test_evaluation_flow_step_count():
     # Dormand-Prince 5(4) took 505 accepted steps on this flow
     sc = builtin("pc-oscillator-1d")
     S = sc.structure
-    traj = integrate(
-        S.evaluation_vf(sc.system.hamiltonian), sc.base_point(), 20.0, 1e-10, S.chart
-    )
+    traj = integrate(S.evaluation_vf(sc.system.hamiltonian), sc.base_point(), 20.0, 1e-10)
     assert len(traj.times) - 1 <= 80
+
+
+@pytest.mark.parametrize("tau_end, tol, evaluations, accepted, rejected", [
+    (6.0, 1e-10, 1552, 120, 10),
+    (6.0, 1e-8, 963, 70, 11),
+    (0.0, 1e-10, 1, 0, 0),
+])
+def test_field_evaluations_per_step_attempt(
+    monkeypatch, tau_end, tol, evaluations, accepted, rejected
+):
+    # the initial value and the first-step probe, eleven stages per attempt
+    # (the first stage is the value at the step's start) and the value at
+    # each accepted state; a zero flow time reads only the initial value
+    calls, attempts = [], []
+    make_step = flow._step
+
+    def counting_step(d):
+        step = make_step(d)
+
+        def attempt(*args):
+            attempts.append(None)
+            return step(*args)
+
+        return attempt
+
+    def field(x):
+        # an oscillator whose spring stiffens 401-fold around t = 3, where
+        # steps are rejected
+        calls.append(None)
+        return np.array([1.0, x[2], -(1.0 + 400.0 * math.exp(-4.0 * (x[0] - 3.0) ** 2)) * x[1]])
+
+    monkeypatch.setattr(flow, "_step", counting_step)
+    steps = len(integrate(field, [0.0, 1.0, 0.0], tau_end, tol).times) - 1
+    assert (steps, len(attempts) - steps) == (accepted, rejected)
+    assert len(calls) == evaluations
+    if tau_end != 0.0:
+        assert len(calls) == 2 + 11 * len(attempts) + accepted
 
 
 # --- the generated step against references ------------------------------------
@@ -284,8 +319,8 @@ def test_step_is_generated_once_per_dimension(monkeypatch):
     flow._step.cache_clear()
     S, H = oscillator()
     for _ in range(2):
-        integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 1.0, 1e-10, CHART)
-        integrate(lambda x: -x, np.ones(5), 1.0, 1e-10, ChartSpec("tabce", (False,) * 5))
+        integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 1.0, 1e-10)
+        integrate(lambda x: -x, np.ones(5), 1.0, 1e-10)
     assert made == [3, 5]
 
 
@@ -306,7 +341,7 @@ def test_non_finite_stage_value_rejects_every_step(stage, bad):
         return np.array([1.0, x[2], -x[1]])
 
     with pytest.raises(StepSizeUnderflowError) as info:
-        integrate(field, [0.0, 1.0, 0.0], 2.0, 1e-10, CHART)
+        integrate(field, [0.0, 1.0, 0.0], 2.0, 1e-10)
     assert str(info.value) == "step size underflow at tau=0.0, state=[0.0, 1.0, 0.0]"
     assert (len(calls) - 2) % 11 == 0
 
@@ -322,7 +357,7 @@ def test_non_finite_flow_inputs_are_refused_before_any_evaluation(tau_end, tol):
         return np.array([1.0, x[2], -x[1]])
 
     with pytest.raises(ValueError, match="must be (positive and )?finite"):
-        integrate(field, [0.0, 1.0, 0.0], tau_end, tol, CHART)
+        integrate(field, [0.0, 1.0, 0.0], tau_end, tol)
     assert calls == []
 
 
@@ -338,7 +373,7 @@ def test_non_finite_start_is_refused_before_any_evaluation(monkeypatch, bad):
         return np.array([1.0, 0.0, 0.0])
 
     with pytest.raises(ValueError, match=re.escape(f"x0 must be finite, got [0.0, {bad}, 0.0]")):
-        integrate(field, [0.0, bad, 0.0], 1.0, 1e-10, CHART)
+        integrate(field, [0.0, bad, 0.0], 1.0, 1e-10)
     assert calls == []
 
 
@@ -352,6 +387,6 @@ def test_field_not_finite_at_the_start_is_a_flow_error(monkeypatch, bad):
         return np.array([1.0, bad, -x[1]])
 
     with pytest.raises(FlowError) as info:
-        integrate(field, [0.0, 1.0, 0.0], 1.0, 1e-10, CHART)
+        integrate(field, [0.0, 1.0, 0.0], 1.0, 1e-10)
     assert str(info.value) == f"field is not finite at x0 = [0.0, 1.0, 0.0]: [1.0, {bad}, -1.0]"
     assert len(calls) == 1

@@ -23,7 +23,7 @@ from cosymkit.cosym import (
 from cosymkit.cli import main as cli_main
 from cosymkit.exprlang import EvalDomainError
 from cosymkit.fields import OneFormField, ScalarField, TwoFormField, lie_bracket, sample_box
-from cosymkit.flow import integrate
+from cosymkit.flow import drift_report, integrate
 from cosymkit.integrability import (
     IntegralSystem,
     bracket_closure_and_corank,
@@ -572,7 +572,7 @@ def test_flows_and_torus_commands_build_no_frames(monkeypatch, capsys, name):
     sc = builtin(name)
     S, H, x0 = sc.structure, sc.system.hamiltonian, sc.base_point()
     for field in (S.reeb_vf(), S.evaluation_vf(H), S.hamiltonian_vf(H)):
-        integrate(field, x0, 2.0, 1e-10, S.chart, sc.system.integrals)
+        drift_report(integrate(field, x0, 2.0, 1e-10), sc.system.integrals)
     path = str(builtin_file_path(name))
     assert cli_main(["actions", path]) == 0
     assert cli_main(["frequencies", path, "--mode", "eval", "--verify-empirical"]) == 0
