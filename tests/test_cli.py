@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cosymkit.actionangle import SingularRatesError, torus_lattice
-from cosymkit import flow
+from cosymkit import exprlang, flow
 from cosymkit.cli import main
 from cosymkit.exprlang import parse, to_source
 from cosymkit.scenarios import (
@@ -379,6 +379,29 @@ def test_report_all_deterministic(capsys):
     assert code1 == code2 == 0
     assert text1 == text2
     assert payload1["pass"]
+
+
+@pytest.mark.parametrize("path", [SUPER, PC])
+def test_report_again_compiles_nothing(path, monkeypatch, capsys):
+    # every generated source is compiled once per process: a report run
+    # again, its scenario loaded again, reuses the code objects and prints
+    # the bytes that freshly compiled code prints
+    argv = ("report", path, "--all", "--seed", "5")
+    first = run(capsys, *argv)
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    monkeypatch.setattr(exprlang, "compile", counting, raising=False)
+    again = run(capsys, *argv)
+    assert compiled == []
+    exprlang.compiled.cache_clear()
+    fresh = run(capsys, *argv)
+    assert compiled
+    assert first[0] == again[0] == fresh[0] == 0
+    assert first[2] == again[2] == fresh[2]
 
 
 def test_report_all_builds_one_torus(monkeypatch, capsys):

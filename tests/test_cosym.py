@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st, target
 
-from cosymkit import cosym
+from cosymkit import cosym, exprlang
 from cosymkit.cosym import (
     CosymplecticStructure,
     DegenerateStructureError,
@@ -384,6 +384,24 @@ def test_generated_one_point_fields_match_frame(name):
             _assert_same(got, want)
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_one_point_functions_on_floats_equal_frame_rows(name):
+    # the function a flow stage calls maps d floats to d floats with a frame
+    # row's bits, for a bracket scalar (whose gradient it asks for) too
+    scenario = builtin(name)
+    S, names = scenario.structure, scenario.chart.names
+    f, H = scenario.system.integrals[0], scenario.system.hamiltonian
+    g = ScalarField.from_source(
+        " + ".join(f"0.3*{a}*{b}" for a, b in zip(names, names[1:])), S.chart, "g"
+    )
+    points = sample_box(S.domain_box, 20, np.random.default_rng(29))
+    for vf in _fields(S, [H, S.bracket_scalar(f, g)]):
+        for x, want in zip(points, vf.on(S.frame(points))):
+            got = vf._at_point(tuple(x.tolist()))
+            assert type(got) is tuple and {type(v) for v in got} == {float}, vf.label
+            assert np.array_equal(np.array(got), want), (vf.label, x)
+
+
 _CONSTANT = [
     "ext-oscillator-1d", "ext-oscillator-2d-super", "ext-oscillator-anisotropic", "flat-torus-reeb",
 ]
@@ -548,13 +566,14 @@ def test_generated_one_point_fields_read_the_scalar_before_the_reeb_check(name):
 
 
 def _counting(monkeypatch, name: str) -> list:
-    """The kinds that ``cosym.<name>(S, kind)`` is called for from now on."""
+    """The kinds that ``cosym.<name>(S, kind, ...)`` is called for from now
+    on."""
     made = []
     build = getattr(cosym, name)
 
-    def counting(S, kind):
+    def counting(S, kind, *scalar):
         made.append(kind)
-        return build(S, kind)
+        return build(S, kind, *scalar)
 
     monkeypatch.setattr(cosym, name, counting)
     return made
@@ -570,27 +589,28 @@ def _call_every_field(S, x, scalars):
 
 def test_one_point_functions_are_generated_once_per_structure_and_kind(monkeypatch):
     generated = _counting(monkeypatch, "_one_point_function")
-    built = _counting(monkeypatch, "_constant_one_point")
+    built = _counting(monkeypatch, "_constant_point_function")
     scenario = builtin("pc-oscillator-2d-super")
     S, x = replace(scenario.structure), scenario.base_point()
     H, L = scenario.system.integrals[:2]
     _call_every_field(S, x, (H, L))
     assert sorted(generated) == ["evaluation", "hamiltonian", "reeb"]
     assert StructureVectorField(S, "gradient", H)._at_point is None
-    # a constant structure builds its one-point functions over _constant_data
-    # once per kind, none for gradient, and generates no code
+    # a constant structure generates its one-point functions over
+    # _constant_data once per kind and scalar, none for gradient
     scenario = builtin("ext-oscillator-2d-super")
     S, x = replace(scenario.structure), scenario.base_point()
     assert S._constant_data is not None
     H, L = scenario.system.integrals[:2]
     _call_every_field(S, x, (H, L))
-    assert sorted(built) == ["evaluation", "hamiltonian", "reeb"]
+    per_scalar = ["evaluation"] * 2 + ["hamiltonian"] * 2 + ["reeb"]
+    assert sorted(built) == per_scalar
     assert StructureVectorField(S, "gradient", H)._at_point is None
     for vf in _fields(S, [H]):
         assert vf._at_point is not None
         assert np.array_equal(vf(x), vf.on(S.frame([x]))[0])
     assert sorted(generated) == ["evaluation", "hamiltonian", "reeb"]
-    assert sorted(built) == ["evaluation", "hamiltonian", "reeb"]
+    assert sorted(built) == per_scalar
 
 
 def test_make_poincare_cartan_primitive():
@@ -821,6 +841,24 @@ def test_constant_structure_reeb_failure_raises_at_every_point():
     assert np.array_equal(Frame(S, X).reeb, np.stack([Z, Z]))
 
 
+def test_constant_structure_data_errors_raise_at_each_call():
+    # omega's constant overflows: the structure derives no data, its fields
+    # are still built, and each one-point call raises what a frame raises
+    S = CosymplecticStructure(
+        CHART,
+        TwoFormField.from_upper_sources({"q,p": "1e308*10"}, CHART),
+        OneFormField.from_sources(["1", "0", "0"], CHART),
+        BOX,
+    )
+    H = oscillator_h()
+    want = _error_of(lambda: S.frame([[0.1, 0.2, 0.3]]))
+    assert type(want) is EvalDomainError
+    for vf in _fields(S, [H]):
+        for _ in range(2):
+            err = _error_of(lambda: vf([0.1, 0.2, 0.3]))
+            assert (type(err), str(err)) == (type(want), str(want)), vf.label
+
+
 def test_frame_takes_a_point_stack():
     S = canonical()
     for x in ([0.1, 0.2, 0.3], [[[0.1, 0.2, 0.3]]]):
@@ -869,6 +907,11 @@ def test_field_limits_raise_wherever_residual_checks_do(P, scales, exponents, ne
     x = np.array([0.5, 0.25, -1.0])
     size = np.abs(df).max()
     S = canonical_in_linear_chart(P)
+    # the linear scalar whose differential is df at every point
+    f = ScalarField(S.chart, exprlang.parse(
+        " + ".join(f"{c!r}*{name}" for c, name in zip(df.tolist(), S.chart.names)), S.chart
+    ))
+    assert np.array_equal(f.gradient(x), df)
     assume(abs(S._constant_data.det) >= S.tol.volume_min_det)
     _, (r1, r2, r3) = _residual_checks(S, df)
     # steer the search toward residuals close to their bounds; B_c(s) is
@@ -896,11 +939,11 @@ def test_field_limits_raise_wherever_residual_checks_do(P, scales, exponents, ne
                 (what for what, r, t in zip(_CONDITIONS[:n], residuals, tols) if not r <= t),
                 None,
             )
-            # the constant one-point fields' _Constant.field, then a frame row
+            # the constant one-point function generated for f, then a frame row
             errors = []
             kind = "hamiltonian" if n == 2 else "evaluation"
             for run in (
-                lambda: S._constant_data.field(kind, x, df),
+                lambda: S._one_point(kind, f)(x.tolist()),
                 lambda: getattr(Frame(S, x[None]), kind)(df[None]),
             ):
                 try:

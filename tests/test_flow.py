@@ -216,6 +216,20 @@ def test_field_evaluations_per_step_attempt(
         assert len(calls) == 2 + 11 * len(attempts) + accepted
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_structure_fields_flow_alike_through_either_entry_point(name):
+    # integrate runs a structure field's one-point function on floats, and a
+    # plain callable on float arrays: both give every bit of the flow alike
+    sc = builtin(name)
+    S, H, x0 = sc.structure, sc.system.hamiltonian, sc.base_point()
+    for vf in (S.reeb_vf(), S.evaluation_vf(H), S.hamiltonian_vf(H)):
+        got = integrate(vf, x0, 7.5, 1e-10)
+        want = integrate(lambda x: vf(x), x0, 7.5, 1e-10)
+        for part in ("times", "states", "stages"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (vf.label, part)
+        assert np.array_equal(got.state_at(3.3), want.state_at(3.3)), vf.label
+
+
 # --- the generated step against references ------------------------------------
 
 
