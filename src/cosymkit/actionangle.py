@@ -2,7 +2,8 @@
 
 On a compact regular fiber the commuting fields (X_{f_1}..X_{f_r}, Z) define
 a lattice of flow-time vectors returning the base point; its basis cycles
-carry the loop actions I_mu = (1/2pi) * integral of a primitive one-form.
+carry the loop actions I_mu = (1/2pi) * integral of the structure's primitive
+one-form lambda (-d lambda = omega).
 By the period-action relation (Arnold, Mathematical Methods of Classical
 Mechanics, sec. 50; Duistermaat, CPAM 33, 1980) the time that cycle mu
 spends in the flow of f_nu is 2pi dI_mu/df_nu, so the lattice basis itself
@@ -32,6 +33,9 @@ the windings and the loop actions are read off them: the actions and eta
 pairings sum the one-forms against the Dormand-Prince stages each trajectory
 kept, so they are eighth-order quadratures on the flow's own steps and
 evaluate no field.
+
+The primitive, the chart and the lattice return tolerance are read from the
+structure of the ``IntegralSystem`` a function is given.
 """
 
 from __future__ import annotations
@@ -292,22 +296,24 @@ def trace_cycle(fields, times, x0: Point, tol: float) -> list[tuple]:
 
 
 def refine_lattice_vector(
+    sys: IntegralSystem,
     fields,
     times0,
     x0: Point,
-    chart: ChartSpec,
-    return_tol: float,
 ) -> tuple[np.ndarray, float, list[tuple]]:
     """Newton-polish candidate return times.
 
     The flows commute, so d(endpoint)/d(tau_j) = V_j(endpoint): the Jacobian
     is the field values at the endpoint, and each iteration traces the cycle
     once, at ``_LATTICE_FLOW_TOL``, for at most ``_LATTICE_NEWTON_ITER``
-    iterations.  Returns the best iterate's times, its return distance and
-    its traced segments.  Raises CycleError when the best iterate does not
-    close within ``return_tol``, or when it collapses to the trivial vector
-    (every time within ``return_tol`` of 0), which closes without a cycle.
+    iterations.  Returns the best iterate's times, its return distance (in
+    the structure's chart) and its traced segments.  Raises CycleError when
+    the best iterate does not close within the structure's
+    ``tol.lattice_return``, or when it collapses to the trivial vector (every
+    time within that tolerance of 0), which closes without a cycle.
     """
+    chart = sys.structure.chart
+    return_tol = sys.structure.tol.lattice_return
     x0 = np.asarray(x0, dtype=float)
     v = np.array(times0, dtype=float)
     best, best_v, best_segments = math.inf, v, []
@@ -368,7 +374,6 @@ def detect_period_lattice(
     horizon: float = 250.0,
     window: float = 0.5,
     scan_tol: float = 1e-9,
-    return_tol: float | None = None,
     t_min: float = 0.3,
 ) -> PeriodLattice:
     """Detect a lattice basis on a two-dimensional invariant torus by a scan.
@@ -380,9 +385,7 @@ def detect_period_lattice(
     too-long periods).  ``torus_lattice`` never scans: tori of any rank are
     seeded from their angle maps or declared vectors.
     """
-    S = sys.structure
-    chart = S.chart
-    return_tol = return_tol if return_tol is not None else S.tol.lattice_return
+    chart = sys.structure.chart
     fields = list(fields) if fields is not None else sys.commuting_fields()
     if len(fields) != 2:
         raise ActionAngleError(
@@ -414,9 +417,7 @@ def detect_period_lattice(
             traj = integrate(field, x_start, tau, scan_tol)
             for s in _near_return_candidates(traj, chart, x0, window, t_min - start):
                 try:
-                    hit = refine_lattice_vector(
-                        fields, seed_times(start + s), x0, chart, return_tol
-                    )
+                    hit = refine_lattice_vector(sys, fields, seed_times(start + s), x0)
                 except CycleError:
                     continue
                 if np.max(np.abs(hit[0])) > t_min:
@@ -491,8 +492,7 @@ def align_lattice_to_angles(
     Winv = np.rint(np.linalg.inv(Wi)).astype(int)
     return _lattice(fields, lattice.base_point, [
         refine_lattice_vector(
-            fields, Winv[mu].astype(float) @ lattice.basis, lattice.base_point,
-            sys.structure.chart, sys.structure.tol.lattice_return,
+            sys, fields, Winv[mu].astype(float) @ lattice.basis, lattice.base_point
         )
         for mu in range(k)
     ])
@@ -539,12 +539,11 @@ def torus_lattice(
             f"a lattice of {len(fields)} commuting fields needs declared vectors or one"
             f" angle map per field; got {len(angle_maps)} angle maps"
         )
-    chart = sys.structure.chart
     seeds = declared_vectors
     if seeds is None:
         seeds = _angle_seeds(fields, x0, angle_maps)
     lattice = _lattice(fields, x0, [
-        refine_lattice_vector(fields, row, x0, chart, sys.structure.tol.lattice_return)
+        refine_lattice_vector(sys, fields, row, x0)
         for row in np.asarray(seeds, dtype=float)
     ])
     if angle_maps:
@@ -564,19 +563,18 @@ def line_integral(segments, form: OneFormField) -> float:
     return sum((traj.quadrature(form.at_stack) for _, traj in segments), 0.0)
 
 
-def action_integrals(
-    sys: IntegralSystem,
-    lattice: PeriodLattice,
-    lam: OneFormField,
-) -> ActionProfile:
-    """Loop actions (1/2pi) * integral of lambda over each lattice cycle.
+def action_integrals(sys: IntegralSystem, lattice: PeriodLattice) -> ActionProfile:
+    """Loop actions (1/2pi) * integral of lambda over each lattice cycle,
+    where lambda is the structure's primitive.
 
     Reads the cycles the lattice refinement traced; integrates no flow.
-    Verifies that -d(lambda) = omega on accepted states of the cycles and
-    that every cycle closes; also records the eta pairing of each cycle,
-    which is the constant column of the frequency matrix.
+    Verifies that every cycle closes and that -d(lambda) = omega on accepted
+    states of the cycles (``check_primitive``, which raises ValueError when
+    the structure carries no primitive); also records the eta pairing of each
+    cycle, which is the constant column of the frequency matrix.
     """
     S = sys.structure
+    lam = S.primitive
     chart = S.chart
     x0 = lattice.base_point
     actions = []
@@ -589,7 +587,7 @@ def action_integrals(
             if gap > 10 * S.tol.lattice_return:
                 raise CycleError(f"cycle {mu} failed to close: gap {gap:.3e}")
             check_states = _cycle_states(segments)[:: max(1, lattice.rank * 2)]
-            resid = S.check_primitive(check_states, lam)
+            resid = S.check_primitive(check_states)
             prim_worst = max(prim_worst, resid)
             if resid > S.tol.primitive_check:
                 raise CycleError(
@@ -608,19 +606,20 @@ def action_integrals(
 
 # --- frequency matrix and solves ----------------------------------------------
 
-def b_matrix(profile: ActionProfile, eta_tol: float) -> FrequencyTable:
+def b_matrix(sys: IntegralSystem, profile: ActionProfile) -> FrequencyTable:
     """Frequency matrix of a torus, read off its period lattice.
 
     ``b = basis / 2pi`` by the period-action relation.  The eta pairings that
     ``action_integrals`` measured along the cycles must reproduce the last
-    (Reeb-time) column; a larger gap than ``eta_tol`` means the fields are not
-    the commuting (X_f, Z) frame the relation needs, or a cycle was traced
-    badly, and raises CycleError.
+    (Reeb-time) column; a larger gap than the structure's
+    ``tol.lattice_return`` means the fields are not the commuting (X_f, Z)
+    frame the relation needs, or a cycle was traced badly, and raises
+    CycleError.
     """
     lattice = profile.lattice
     b = lattice.basis / TWO_PI
     eta_residual = float(np.max(np.abs(profile.eta_pairings - b[:, -1])))
-    if eta_residual > eta_tol:
+    if eta_residual > sys.structure.tol.lattice_return:
         raise CycleError(
             f"eta pairings {profile.eta_pairings.tolist()} do not match the "
             f"Reeb-time column {b[:, -1].tolist()}: residual {eta_residual:.3e}"
@@ -692,7 +691,6 @@ def evaluation_frequencies(table: FrequencyTable, sys: IntegralSystem) -> np.nda
 # --- empirical frequencies and winding ----------------------------------------
 
 def empirical_frequencies(
-    sys: IntegralSystem,
     field,
     x0: Point,
     angle_maps,

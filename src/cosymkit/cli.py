@@ -217,7 +217,7 @@ def _flow_section(scenario: Scenario) -> dict:
 def _torus_skip_reason(scenario: Scenario) -> str | None:
     if not scenario.fiber_compact:
         return "skipped: noncompact"
-    if scenario.lam is None:
+    if scenario.structure.primitive is None:
         return "skipped: no primitive declared"
     return None
 
@@ -244,7 +244,7 @@ def _torus_profile(scenario: Scenario, fiber) -> ActionProfile:
     sys_ = scenario.system
     x0 = find_fiber_point(sys_, fiber, scenario.base_point())
     lattice = torus_lattice(sys_, x0, scenario.angle_maps, scenario.declared_lattice)
-    return action_integrals(sys_, lattice, scenario.lam)
+    return action_integrals(sys_, lattice)
 
 
 def _actions_section(profile: ActionProfile) -> dict:
@@ -287,7 +287,7 @@ def _frequency_section(
 ) -> dict:
     """Frequencies of each ``_frequency_mode`` in ``modes``, optionally
     checked against the angles' slopes along the mode's flow."""
-    table = b_matrix(profile, scenario.structure.tol.lattice_return)
+    table = b_matrix(scenario.system, profile)
     out = {"pass": True, "table": table.to_dict(), "modes": {}}
     solved = [(label, field, solve(table)) for label, field, solve in modes]
     for label, _, value in solved:
@@ -297,9 +297,7 @@ def _frequency_section(
         x0 = table.lattice.base_point
         mismatch = 0.0
         for label, field, value in solved:
-            slopes, resid = empirical_frequencies(
-                scenario.system, field, x0, scenario.angle_maps, tau_end=40.0
-            )
+            slopes, resid = empirical_frequencies(field, x0, scenario.angle_maps, tau_end=40.0)
             gap = float(np.max(np.abs(slopes - np.asarray(value))))
             mismatch = max(mismatch, gap)
             out["modes"][label] = {

@@ -27,13 +27,16 @@ rounding at each point (docs/CONVENTIONS.md, "Constant structures").
 
 Flows evaluate a field at one point per stage, and build no ``Frame``.  The
 Reeb, Hamiltonian and evaluation fields run straight-line code from d floats
-to d floats, with a frame row's bits and errors: on a varying structure one
-function per structure and field kind, generated from omega's and eta's
-expressions (:func:`_one_point_function`); on a constant one, one function
-per structure, kind and scalar over the structure's shared data, with the
-scalar's jet inlined (:func:`_constant_point_function`).  The other
-one-point calls (the gradient field, the bracket, Jacobians) solve a one-row
-``Frame``.
+to d floats, with a frame row's errors: on a varying structure one function
+per structure and field kind, generated from omega's and eta's expressions
+(:func:`_one_point_function`); on a constant one, one function per
+structure, kind and scalar over the structure's shared data, with the
+scalar's jet inlined (:func:`_constant_point_function`).  They have a frame
+row's bits wherever the row's array code runs no ``np.exp``, ``np.log`` or
+``np.power``, as on every builtin: the one-point code calls ``math.exp``,
+``math.log`` and ``math.pow`` there, which can differ from numpy's in the
+last place (``exprlang``, "compilation").  The other one-point calls (the
+gradient field, the bracket, Jacobians) solve a one-row ``Frame``.
 """
 
 from __future__ import annotations
@@ -630,13 +633,14 @@ def _one_point_function(S: "CosymplecticStructure", kind: str):
     on ``det A^T``, the scalar's differential, ``Z`` and the Reeb
     conditions, then ``X_f`` and ``Y_f`` with their conditions.  The
     determinant, the two solves and ``df(Z)`` stay numpy calls, so the
-    outputs have the row's bits.  The residuals are Python sums, which can
-    differ from numpy's in the last bits; a check can then come out
-    differently only where those bits reach its tolerance, a check that
-    rounding decides either way (a gradient of size 1e12 against
-    ``field_check`` 1e-8).  Every term of a contraction is written,
-    structural zeros included, so a non-finite ``Z`` or ``X`` fails its
-    check as under numpy.
+    outputs have the row's bits wherever the row's array code runs no
+    ``np.exp``, ``np.log`` or ``np.power`` (the module docstring).  The
+    residuals are Python sums, which can differ from numpy's in the last
+    bits; a check can then come out differently only where those bits reach
+    its tolerance, a check that rounding decides either way (a gradient of
+    size 1e12 against ``field_check`` 1e-8).  Every term of a contraction is
+    written, structural zeros included, so a non-finite ``Z`` or ``X`` fails
+    its check as under numpy.
 
     Flow stages call it, so it skips what costs more than a small kernel.
     It calls the LAPACK gufuncs that ``np.linalg.det`` and
@@ -740,10 +744,12 @@ def _constant_point_function(S: "CosymplecticStructure", kind: str, scalar):
     the field there, over what the structure derived once
     (``_constant_data``).
 
-    It runs a ``Frame`` row's stages in their order, with the row's bits and
-    errors: the volume floor, the scalar's differential, the Reeb check,
-    ``df(Z)`` and its finiteness, the limits on ``||df||_inf`` in the order
-    of the conditions, then ``X_f = C df`` and ``Y_f = Z + C df``.  A
+    It runs a ``Frame`` row's stages in their order, with the row's errors,
+    and its bits where the scalar's array code runs no ``np.exp``,
+    ``np.log`` or ``np.power`` (the module docstring): the volume floor, the
+    scalar's differential, the Reeb check, ``df(Z)`` and its finiteness, the
+    limits on ``||df||_inf`` in the order of the conditions, then
+    ``X_f = C df`` and ``Y_f = Z + C df``.  A
     ``ScalarField``'s jet is inlined (``exprlang.jet_code``); any other
     scalar (a ``BracketField``) is asked for its ``gradient``.  ``df(Z)``
     and ``C df`` are sums over every column, left to right, the order
@@ -818,7 +824,8 @@ class StructureVectorField:
     Called with a stack (N, d) it solves a ``Frame`` and returns (N, d).
     Called with one point (d,), the ``reeb``, ``hamiltonian`` and
     ``evaluation`` kinds run their one-point function, from d floats to d
-    floats, with a frame row's bits and errors and no ``Frame``
+    floats, with a frame row's errors (and its bits where no ``np.exp``,
+    ``np.log`` or ``np.power`` runs; the module docstring) and no ``Frame``
     (``CosymplecticStructure._one_point``), and wrap its value in an array;
     flows call that function on floats directly.  The ``gradient`` kind
     solves a one-row ``Frame``.  ``jacobian`` differentiates the frame's
@@ -1062,11 +1069,12 @@ class CosymplecticStructure:
             samples, float(dw.max()), float(de.max()), float(det[k]), self.tol, pts[k]
         )
 
-    def check_primitive(self, points, lam: OneFormField | None = None) -> float:
-        """Max of |-d lambda - omega| over the given points; the first point
-        where it fails to evaluate or is not finite raises
-        ``StructureEvalError``."""
-        lam = lam if lam is not None else self.primitive
+    def check_primitive(self, points) -> float:
+        """Max of |-d lambda - omega| over the given points, for the
+        structure's ``primitive`` lambda; the first point where it fails to
+        evaluate or is not finite raises ``StructureEvalError``, and a
+        structure without a primitive raises ValueError."""
+        lam = self.primitive
         if lam is None:
             raise ValueError("structure carries no primitive one-form")
 

@@ -133,8 +133,8 @@ class Expr:
 
     ``value``, ``jet1`` and ``gradient`` run straight-line functions generated
     by ``_compile`` on first use and cached on the node, and so do their
-    stacked forms; a plain number gets closures that return it.  A higher derivative is the ``jet1`` of a
-    ``differentiate`` result.
+    stacked forms; a plain number is compiled like any other expression.  A
+    higher derivative is the ``jet1`` of a ``differentiate`` result.
     """
 
     _value_fn = None
@@ -438,9 +438,7 @@ class _Emitter:
 def _compile(e: Expr, dim: int | None, stack: bool = False):
     """Generate, compile and return the value or jet1 function of ``e``; in
     array mode None when a constant is not finite (the flags could miss a
-    domain error then).  A plain number gets a closure, not generated code."""
-    if isinstance(e, Const):
-        return _constant_function(e.val, dim, stack)
+    domain error then)."""
     em = _Emitter(dim, stack)
     v, g = em.emit(e)
     if stack:
@@ -472,20 +470,6 @@ def compiled(src: str, filename: str):
     request for it in this process.  Callers exec it into a namespace of
     their own, which holds every value the code reads by name."""
     return compile(src, filename, "exec")
-
-
-def _constant_function(val, dim: int | None, stack: bool):
-    """What ``_compile`` returns for the number ``val``: its value with a zero
-    gradient at every point, or at every row of a stack."""
-    if not stack:
-        if dim is None:
-            return lambda x: val
-        return lambda x: (val, np.zeros(dim))
-    if not math.isfinite(val):
-        return None
-    if dim is None:
-        return lambda X: np.full(len(X), val, dtype=float)
-    return lambda X: (np.full(len(X), val, dtype=float), np.zeros((len(X), dim)))
 
 
 def value_code(exprs) -> tuple[list[str], list[str], dict]:

@@ -12,8 +12,9 @@ Fields also evaluate on point stacks ``X`` of shape (N, d): the ``*_stack``
 methods of expression fields run their expressions' array code, and the
 stencils broadcast their one formula and step rule over a leading point axis,
 so a callable is called once per shift on the whole stack.  Each row gets the
-bits of the one-point call.  Gradient tensors put the derivative index last:
-``[..., k]`` is ``d_k``.
+bits of the one-point call wherever no ``np.exp``, ``np.log`` or
+``np.power`` runs, which can differ from ``math.*`` in the last place.
+Gradient tensors put the derivative index last: ``[..., k]`` is ``d_k``.
 
 Index conventions, fixed once for the whole package (see docs/CONVENTIONS.md):
 

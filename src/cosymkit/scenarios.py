@@ -57,7 +57,6 @@ class Scenario:
     name: str
     structure: CosymplecticStructure
     system: IntegralSystem
-    lam: OneFormField | None
     angle_maps: tuple[AngleMap, ...]
     casimirs: tuple[ScalarField, ...]
     declared_lattice: np.ndarray | None
@@ -140,12 +139,12 @@ def load_scenario_dict(data: dict) -> Scenario:
         tol = ToleranceConfig.from_dict(data.get("tolerances"))
         omega = TwoFormField.from_upper_sources(data["omega"], chart)
         eta = OneFormField.from_sources(data["eta"], chart)
-        lam = (
+        primitive = (
             OneFormField.from_sources(data["lambda"], chart)
             if "lambda" in data
             else None
         )
-        structure = CosymplecticStructure(chart, omega, eta, box, lam, tol)
+        structure = CosymplecticStructure(chart, omega, eta, box, primitive, tol)
         H = ScalarField.from_source(data["hamiltonian"], chart, "H")
         integrals = tuple(
             ScalarField.from_source(item["expr"], chart, item["name"])
@@ -183,7 +182,6 @@ def load_scenario_dict(data: dict) -> Scenario:
         name=data["name"],
         structure=structure,
         system=system,
-        lam=lam,
         angle_maps=angle_maps,
         casimirs=casimirs,
         declared_lattice=lattice,

@@ -22,7 +22,7 @@ from cosymkit.actionangle import (
     trace_cycle,
 )
 from cosymkit.cli import main as cli_main
-from cosymkit.cosym import ToleranceConfig, twist
+from cosymkit.cosym import twist
 from cosymkit.exprlang import Mul
 from cosymkit.fields import ScalarField, lie_bracket, sample_box
 from cosymkit.flow import drift_report, integrate
@@ -229,12 +229,12 @@ def test_criterion_6_action_oracle():
     for c in (0.25, 0.5, 1.0):
         x0 = np.array([0.0, math.sqrt(2 * c), 0.0])
         lattice = torus_lattice(sys_, x0, angle_maps=sc.angle_maps)
-        profile = action_integrals(sys_, lattice, sc.lam)
+        profile = action_integrals(sys_, lattice)
         worst_value = max(worst_value, abs(profile.actions[0] - c))
         # base-point independence: restart from another point of the torus
         x1 = trace_cycle(sys_.commuting_fields(), (0.41, 2.03), x0, 1e-12)[-1][1].final_state
         lattice1 = torus_lattice(sys_, x1, angle_maps=sc.angle_maps)
-        profile1 = action_integrals(sys_, lattice1, sc.lam)
+        profile1 = action_integrals(sys_, lattice1)
         worst_move = max(
             worst_move, float(np.max(np.abs(profile1.actions - profile.actions)))
         )
@@ -251,8 +251,8 @@ def _frequency_table(sc, fiber):
     """b read off the lattice of the torus through ``fiber``."""
     x0 = find_fiber_point(sc.system, fiber, sc.base_point())
     lattice = torus_lattice(sc.system, x0, angle_maps=sc.angle_maps)
-    profile = action_integrals(sc.system, lattice, sc.lam)
-    return b_matrix(profile, ToleranceConfig().lattice_return)
+    profile = action_integrals(sc.system, lattice)
+    return b_matrix(sc.system, profile)
 
 
 def test_criterion_7_frequency_systems():
@@ -267,14 +267,12 @@ def test_criterion_7_frequency_systems():
     table = _frequency_table(sc, [0.5])
     x0 = table.lattice.base_point
     reeb = solve_frequencies(table, "reeb")
-    emp, _ = empirical_frequencies(
-        sys_, sc.structure.reeb_vf(), x0, sc.angle_maps, 40.0
-    )
+    emp, _ = empirical_frequencies(sc.structure.reeb_vf(), x0, sc.angle_maps, 40.0)
     results.append(("canonical reeb", reeb, [0.0, 1.0], emp))
 
     ham = solve_frequencies(table, "hamiltonian", 1)
     emp_h, _ = empirical_frequencies(
-        sys_, sc.structure.hamiltonian_vf(sys_.integrals[0]), x0, sc.angle_maps, 40.0
+        sc.structure.hamiltonian_vf(sys_.integrals[0]), x0, sc.angle_maps, 40.0
     )
     results.append(("hamiltonian-flow", ham, [1.0, 0.0], emp_h))
 
@@ -282,8 +280,7 @@ def test_criterion_7_frequency_systems():
     table_pc = _frequency_table(pc, [0.5])
     reeb_pc = solve_frequencies(table_pc, "reeb")
     emp_pc, _ = empirical_frequencies(
-        pc.system, pc.structure.reeb_vf(), table_pc.lattice.base_point,
-        pc.angle_maps, 40.0,
+        pc.structure.reeb_vf(), table_pc.lattice.base_point, pc.angle_maps, 40.0
     )
     results.append(("twisted reeb", reeb_pc, [1.0, 1.0], emp_pc))
 
@@ -352,7 +349,6 @@ def test_criterion_8_dense_winding():
     x0 = sc.base_point()
     expected = np.array([1.0, math.sqrt(2.0), 1.0])
     slopes, resid = empirical_frequencies(
-        sys_,
         sc.structure.evaluation_vf(sys_.hamiltonian),
         x0,
         sc.angle_maps,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from cosymkit.actionangle import (
 )
 from cosymkit.cosym import (
     StructureVectorField,
-    ToleranceConfig,
     make_canonical,
     make_poincare_cartan,
 )
@@ -38,7 +38,6 @@ from cosymkit.scenarios import builtin
 
 TWO_PI = 2 * math.pi
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
-RETURN_TOL = ToleranceConfig().lattice_return
 BOX = [[0.0, TWO_PI], [-2.5, 2.5], [-2.5, 2.5]]
 
 
@@ -66,7 +65,7 @@ def fiber_profile(sys, fiber, angle_maps, seed=(0.0, 1.0, 0.0)):
     """Fiber point, aligned period lattice and loop actions of one torus."""
     x0 = find_fiber_point(sys, fiber, np.asarray(seed, dtype=float))
     lattice = torus_lattice(sys, x0, angle_maps=angle_maps)
-    return action_integrals(sys, lattice, sys.structure.primitive)
+    return action_integrals(sys, lattice)
 
 
 def lattices_equal(B1, B2, tol=1e-6):
@@ -109,8 +108,7 @@ def test_refine_rejects_far_guess():
     sys = oscillator_system()
     with pytest.raises(CycleError):
         refine_lattice_vector(
-            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART,
-            RETURN_TOL,
+            sys, sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0])
         )
 
 
@@ -120,8 +118,7 @@ def test_refine_refuses_the_zero_vector_naming_its_times():
     sys = oscillator_system()
     with pytest.raises(CycleError, match="collapsed to zero: times ") as err:
         refine_lattice_vector(
-            sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0]), CHART,
-            RETURN_TOL,
+            sys, sys.commuting_fields(), (1.0, 0.5), np.array([0.0, 1.0, 0.0])
         )
     times = [float(v) for v in str(err.value).split("times ")[1].strip("[]").split(",")]
     assert len(times) == 2
@@ -130,11 +127,10 @@ def test_refine_refuses_the_zero_vector_naming_its_times():
 
 def test_action_equals_fiber_value():
     sys = oscillator_system()
-    lam = sys.structure.primitive  # p dq
     for c in (0.25, 0.5, 1.0):
         x0 = np.array([0.0, math.sqrt(2 * c), 0.0])
         lattice = torus_lattice(sys, x0, angle_maps=oscillator_angles())
-        profile = action_integrals(sys, lattice, lam)
+        profile = action_integrals(sys, lattice)
         assert profile.actions[0] == pytest.approx(c, abs=1e-10)
         # the t-circle carries no p dq action
         assert profile.actions[1] == pytest.approx(0.0, abs=1e-10)
@@ -143,15 +139,14 @@ def test_action_equals_fiber_value():
 
 def test_action_base_point_independence():
     sys = oscillator_system()
-    lam = sys.structure.primitive
     c = 0.5
     x0 = np.array([0.0, 1.0, 0.0])
     lat0 = torus_lattice(sys, x0, angle_maps=oscillator_angles())
-    I0 = action_integrals(sys, lat0, lam).actions
+    I0 = action_integrals(sys, lat0).actions
     # move along the torus: flow both fields for incommensurate times
     x1 = trace_cycle(sys.commuting_fields(), (0.37, 1.91), x0, 1e-12)[-1][1].final_state
     lat1 = torus_lattice(sys, x1, angle_maps=oscillator_angles())
-    I1 = action_integrals(sys, lat1, lam).actions
+    I1 = action_integrals(sys, lat1).actions
     assert np.max(np.abs(I1 - I0)) < 1e-5
 
 
@@ -159,15 +154,37 @@ def test_action_retrace_stability(monkeypatch):
     # the actions come from the cycles the refinement traced, so the flow
     # tolerance is the lattice's
     sys = oscillator_system()
-    lam = sys.structure.primitive
     x0 = np.array([0.0, 1.0, 0.0])
     actions = []
     for tol in (1e-10, 5e-11):
         monkeypatch.setattr(actionangle, "_LATTICE_FLOW_TOL", tol)
         lattice = torus_lattice(sys, x0, angle_maps=oscillator_angles())
-        actions.append(action_integrals(sys, lattice, lam).actions)
+        actions.append(action_integrals(sys, lattice).actions)
     I_a, I_b = actions
     assert np.max(np.abs(I_a - I_b)) < 1e-6
+
+
+def _with_primitive(sys, sources):
+    """``sys`` on its structure with the primitive of components ``sources``."""
+    lam = OneFormField.from_sources(sources, sys.structure.chart)
+    return replace(sys, structure=replace(sys.structure, primitive=lam))
+
+
+@pytest.mark.parametrize("name", ["ext-oscillator-1d", "pc-oscillator-1d"])
+def test_loop_actions_do_not_depend_on_the_gauge(name):
+    # lambda + d(q p) is a primitive of omega too, and an exact form
+    # integrates to zero around every closed cycle; lambda + p^2 dq is not a
+    # primitive, and is refused before any action is read
+    sc = builtin(name)
+    sys = sc.system
+    lattice = torus_lattice(sys, _fiber_base(sc), angle_maps=sc.angle_maps)
+    lam_t, lam_q, lam_p = sc.raw["lambda"]
+    gauged = _with_primitive(sys, [lam_t, f"({lam_q}) + p", f"({lam_p}) + q"])
+    actions = action_integrals(sys, lattice).actions
+    assert np.max(np.abs(action_integrals(gauged, lattice).actions - actions)) <= 1e-12
+    wrong = _with_primitive(sys, [lam_t, f"({lam_q}) + p*p", lam_p])
+    with pytest.raises(CycleError, match="one-form is not a primitive of omega"):
+        action_integrals(wrong, lattice)
 
 
 def test_action_integrals_integrate_no_flow(monkeypatch):
@@ -183,7 +200,7 @@ def test_action_integrals_integrate_no_flow(monkeypatch):
     monkeypatch.setattr(actionangle, "integrate", recompute)
     monkeypatch.setattr(StructureVectorField, "__call__", recompute)
     monkeypatch.setattr(Trajectory, "state_at", recompute)
-    profile = action_integrals(sys, lattice, sys.structure.primitive)
+    profile = action_integrals(sys, lattice)
     assert profile.actions == pytest.approx([0.5, 0.0], abs=1e-10)
     assert profile.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-10)
 
@@ -206,7 +223,7 @@ def test_refine_traces_the_cycle_once_per_newton_iteration(monkeypatch):
     monkeypatch.setattr(actionangle, "trace_cycle", counting_trace)
     monkeypatch.setattr(actionangle, "integrate", counting_integrate)
     v, resid, segments = refine_lattice_vector(
-        fields, (TWO_PI + 0.05, TWO_PI - 0.03), x0, CHART, RETURN_TOL
+        sys, fields, (TWO_PI + 0.05, TWO_PI - 0.03), x0
     )
     assert v == pytest.approx([TWO_PI, TWO_PI], abs=1e-9)
     assert resid < 1e-9
@@ -262,7 +279,7 @@ def test_poincare_cartan_action_around_t_circle():
 
 def test_b_matrix_oscillator_identity():
     sys = oscillator_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
+    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
     assert table.b == pytest.approx(np.eye(2), abs=1e-9)
     assert table.eta_residual < 1e-12
     assert table.cond < 10
@@ -278,7 +295,7 @@ def test_b_matrix_rescaled_oscillator():
         AngleMap.from_spec({"plane": ["q", f"-p/{w0}"], "label": "phase"}, CHART),
         AngleMap.from_spec({"coordinate": "t", "label": "t"}, CHART),
     )
-    table = b_matrix(fiber_profile(sys, [0.5], angles), RETURN_TOL)
+    table = b_matrix(sys, fiber_profile(sys, [0.5], angles))
     assert table.b[0, 0] == pytest.approx(1.0 / w0, abs=1e-9)
     assert table.b[1, 0] == pytest.approx(0.0, abs=1e-9)
     assert table.b[:, 1] == pytest.approx([0.0, 1.0], abs=1e-9)
@@ -286,7 +303,7 @@ def test_b_matrix_rescaled_oscillator():
 
 def test_frequencies_canonical_reeb_and_hamiltonian():
     sys = oscillator_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
+    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
     reeb = solve_frequencies(table, "reeb")
     assert reeb == pytest.approx([0.0, 1.0], abs=1e-9)
     ham = solve_frequencies(table, "hamiltonian", 1)
@@ -301,7 +318,7 @@ def test_evaluation_frequencies_scale_with_a_small_hamiltonian():
     sc = builtin("ext-oscillator-1d")
     sys = sc.system
     lattice = torus_lattice(sys, sc.base_point(), angle_maps=sc.angle_maps)
-    table = b_matrix(action_integrals(sys, lattice, sc.lam), RETURN_TOL)
+    table = b_matrix(sys, action_integrals(sys, lattice))
     H = ScalarField.from_source("1e-13*(q^2 + p^2)/2", sc.chart, "H")
     ev = evaluation_frequencies(table, IntegralSystem(sc.structure, H, sys.integrals, sys.r))
     assert abs(ev[0] - 1e-13) <= 1e-9 * 1e-13
@@ -310,7 +327,7 @@ def test_evaluation_frequencies_scale_with_a_small_hamiltonian():
 
 def test_frequencies_poincare_cartan_reeb():
     sys = pc_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
+    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
     # aligned cycle basis gives b = [[1, 0], [-1, 1]]
     assert table.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
     reeb = solve_frequencies(table, "reeb")
@@ -324,7 +341,7 @@ def test_reconstructed_generators_have_period_two_pi():
     # the rows of b recombine the commuting fields into angle generators;
     # flowing such a generator for 2*pi must return the base point
     sys = oscillator_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
+    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
     fields = sys.commuting_fields()
     x0 = table.lattice.base_point
     for mu in range(2):
@@ -342,12 +359,10 @@ def test_empirical_frequencies_oscillator():
     S = sys.structure
     x0 = np.array([0.0, 1.0, 0.0])
     angles = oscillator_angles()
-    slopes, resid = empirical_frequencies(sys, S.reeb_vf(), x0, angles, 60.0)
+    slopes, resid = empirical_frequencies(S.reeb_vf(), x0, angles, 60.0)
     assert slopes == pytest.approx([0.0, 1.0], abs=1e-6)
     assert np.max(resid) < 1e-6
-    slopes, resid = empirical_frequencies(
-        sys, S.evaluation_vf(sys.hamiltonian), x0, angles, 60.0
-    )
+    slopes, resid = empirical_frequencies(S.evaluation_vf(sys.hamiltonian), x0, angles, 60.0)
     assert slopes == pytest.approx([1.0, 1.0], abs=1e-4)
     assert np.max(resid) < 1e-3
 
@@ -386,7 +401,7 @@ def test_time_section_return_periodic_orbit_is_small():
 def test_action_redundancy_rank():
     # r+1 actions but only r independent ones: rank of the derivative block
     sys = oscillator_system()
-    table = b_matrix(fiber_profile(sys, [0.5], oscillator_angles()), RETURN_TOL)
+    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
     assert table.derivative_rank == sys.r == 1
 
 
@@ -400,8 +415,8 @@ def test_b_matrix_matches_action_differences(name):
     fiber = sys.integral_values(sc.base_point())
     x0 = find_fiber_point(sys, fiber, sc.base_point())
     lattice = torus_lattice(sys, x0, angle_maps=sc.angle_maps)
-    profile = action_integrals(sys, lattice, sc.lam)
-    table = b_matrix(profile, RETURN_TOL)
+    profile = action_integrals(sys, lattice)
+    table = b_matrix(sys, profile)
     delta = 1e-4
     fd = np.zeros_like(table.b)
     fd[:, sys.r] = profile.eta_pairings
@@ -412,7 +427,7 @@ def test_b_matrix_matches_action_differences(name):
             target[nu] += sgn * delta
             x = find_fiber_point(sys, target, x0)
             lat = torus_lattice(sys, x, declared_vectors=lattice.basis)
-            neighbors.append(action_integrals(sys, lat, sc.lam))
+            neighbors.append(action_integrals(sys, lat))
         plus, minus = neighbors
         fd[:, nu] = (plus.actions - minus.actions) / (2 * delta)
         # the eta column stays constant across the neighboring fibers
@@ -437,7 +452,7 @@ def test_b_matrix_rejects_eta_mismatch():
         profile.primitive_residual,
     )
     with pytest.raises(CycleError):
-        b_matrix(bad, RETURN_TOL)
+        b_matrix(sys, bad)
 
 
 def test_angle_alignment_rejects_wrong_angles():
@@ -502,7 +517,7 @@ def test_angle_seeded_lattice_runs_no_scan(monkeypatch, name):
     sys = sc.system
     lattice = torus_lattice(sys, _fiber_base(sc), angle_maps=sc.angle_maps)
     assert lattice.rank == sys.r + 1
-    table = b_matrix(action_integrals(sys, lattice, sc.lam), RETURN_TOL)
+    table = b_matrix(sys, action_integrals(sys, lattice))
     if name == "ext-oscillator-anisotropic":
         assert lattice.basis == pytest.approx(sc.declared_lattice, abs=1e-9)
         assert np.diag(table.b) == pytest.approx(sc.oracles["b_diagonal"]["value"], abs=1e-9)

@@ -573,8 +573,8 @@ def test_compiled_matches_tree_walk_on_builtin_expressions():
         exprs = list(S.omega.upper.values()) + list(S.eta.components)
         exprs += [sc.system.hamiltonian.expr] + [f.expr for f in sc.system.integrals]
         exprs += [f.expr for f in sc.casimirs]
-        if sc.lam is not None:
-            exprs += list(sc.lam.components)
+        if S.primitive is not None:
+            exprs += list(S.primitive.components)
         for amap in sc.angle_maps:
             exprs += list(amap.plane or ())
         pts = sample_box(S.domain_box, 200, rng)
@@ -713,8 +713,8 @@ def test_trig_of_infinity_is_domain_error(fn, q):
 
 @pytest.mark.parametrize("val", [2.5, -0.0, 1e300, math.inf, -math.inf, math.nan])
 def test_plain_numbers_evaluate_like_generated_code(val):
-    # a Const gets closures from _compile; their outputs are what the
-    # generated code returned: the number, float zeros, filled columns
+    # a Const compiles like any other expression: the number itself, float
+    # zeros, filled columns, and no array code for a non-finite number
     c = Const(val)
     X = np.array([[0.0, 1.0, 2.0], [3.0, -4.0, 5.0]])
 

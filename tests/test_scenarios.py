@@ -193,8 +193,8 @@ def test_oracle_values_reproduced(name):
                 angle_maps=sc.angle_maps if len(sc.angle_maps) == sys_.r + 1 else (),
                 declared_vectors=sc.declared_lattice,
             )
-            profile = action_integrals(sys_, lattice, sc.lam)
-            table = b_matrix(profile, ToleranceConfig().lattice_return)
+            profile = action_integrals(sys_, lattice)
+            table = b_matrix(sys_, profile)
         return table
 
     for key, entry in oracles.items():
@@ -216,7 +216,6 @@ def test_oracle_values_reproduced(name):
             solved = evaluation_frequencies(freq_table(), sys_)
             assert solved == pytest.approx(value, abs=1e-9)
             slopes, _ = empirical_frequencies(
-                sys_,
                 sc.structure.evaluation_vf(sys_.hamiltonian),
                 freq_table().lattice.base_point,
                 sc.angle_maps,
@@ -231,8 +230,8 @@ def test_oracle_values_reproduced(name):
             hi = find_fiber_point(sys_, [0.6], sc.base_point())
             lat_lo = torus_lattice(sys_, lo, angle_maps=sc.angle_maps)
             lat_hi = torus_lattice(sys_, hi, angle_maps=sc.angle_maps)
-            I_lo = action_integrals(sys_, lat_lo, sc.lam).actions[0]
-            I_hi = action_integrals(sys_, lat_hi, sc.lam).actions[0]
+            I_lo = action_integrals(sys_, lat_lo).actions[0]
+            I_hi = action_integrals(sys_, lat_hi).actions[0]
             assert (I_hi - I_lo) / 0.2 == pytest.approx(value, abs=1e-4)
         elif key == "b_diagonal":
             assert np.diag(freq_table().b) == pytest.approx(value, abs=1e-9)

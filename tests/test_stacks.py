@@ -10,6 +10,7 @@ holds to a ``Frame``'s rows.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -445,13 +446,14 @@ def test_check_primitive_raises_at_first_non_finite_point():
     # the diagonal of d lambda is then inf - inf
     for source, at in (("1e600*q^3", 0), ("1e308*q*q*q", 3)):
         lam = OneFormField.from_sources(["0", source, "0"], chart)
-        err = _error_of(lambda: S.check_primitive(pts, lam))
+        err = _error_of(lambda: replace(S, primitive=lam).check_primitive(pts))
         assert type(err) is StructureEvalError
         assert str(err) == (
             f"evaluation failed at {pts[at].tolist()}: -d lambda - omega is not finite"
         )
         assert np.array_equal(err.point, pts[at])
-    assert S.check_primitive(pts, OneFormField.from_sources(["0", "0", "0"], chart)) == 1.0
+    zero = OneFormField.from_sources(["0", "0", "0"], chart)
+    assert replace(S, primitive=zero).check_primitive(pts) == 1.0
 
 
 def test_check_primitive_wraps_domain_error_at_first_failing_row():
@@ -459,7 +461,7 @@ def test_check_primitive_wraps_domain_error_at_first_failing_row():
     S, chart = sc.structure, sc.structure.chart
     lam = OneFormField.from_sources(["0", "log(q)", "0"], chart)
     pts = np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.5], [0.0, -1.0, 0.5], [0.0, -2.0, 0.5]])
-    err = _error_of(lambda: S.check_primitive(pts, lam))
+    err = _error_of(lambda: replace(S, primitive=lam).check_primitive(pts))
     assert type(err) is StructureEvalError
     assert isinstance(err.cause, EvalDomainError)
     assert err.row == 2
