@@ -216,9 +216,7 @@ class Frame:
     (:func:`_on_rows`).
     """
 
-    __slots__ = (
-        "structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_d", "_df_size",
-    )
+    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_d")
 
     def __init__(self, structure: "CosymplecticStructure", x):
         self.structure = structure
@@ -278,8 +276,7 @@ class Frame:
         self._first(~np.isfinite(zf), lambda k: _not_finite(self.x[k], f"df(Z) = {zf[k]}"))
         const = self._const
         if const is not None:
-            # kept for evaluation(df), whose Y_f condition is a third limit on it
-            self._df_size = size = np.abs(df).max(axis=-1)
+            size = np.abs(df).max(axis=-1)
             ok = [size < limit for limit in const.limits[:2]]
         else:
             rhs = df - zf[:, None] * self.eta
@@ -296,7 +293,7 @@ class Frame:
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
         if self._const is not None:
-            ok = self._df_size < self._const.limits[2]
+            ok = np.abs(df).max(axis=-1) < self._const.limits[2]
         else:
             ok = np.abs(np.vecdot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
         self._first(~ok, lambda k: _condition_error(_Y_CONDITION, self.x[k]))
@@ -1109,11 +1106,8 @@ def canonical_chart(n: int, t_periodic: bool = True) -> ChartSpec:
     return ChartSpec(names, periodic)
 
 
-def _default_box(chart: ChartSpec, spread: float = 2.0):
-    box = []
-    for per in chart.periodic:
-        box.append((0.0, 2 * math.pi) if per else (-spread, spread))
-    return tuple(box)
+def _default_box(chart: ChartSpec):
+    return tuple((0.0, 2 * math.pi) if per else (-2.0, 2.0) for per in chart.periodic)
 
 
 def _flat_structure(chart: ChartSpec, box, tol) -> CosymplecticStructure:

@@ -288,8 +288,10 @@ class _Emitter:
         self.count = 0
 
     def bind(self, obj) -> str:
-        if isinstance(obj, float) and not math.isfinite(obj):
-            self.finite = False
+        if isinstance(obj, float):
+            self.finite = self.finite and math.isfinite(obj)
+            if self.stack:  # so arithmetic on constants alone raises the flags too
+                obj = np.float64(obj)
         name = f"k{len(self.env)}"
         self.env[name] = obj
         return name

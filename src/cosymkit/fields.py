@@ -4,17 +4,21 @@ A single global chart covers each model; circle factors are emulated with a
 periodic flag per coordinate (period 2*pi).  Raw fields carry expression
 components and therefore exact derivatives; derived fields (anything produced
 by a linear solve) get theirs from the implicit derivative of that solve
-(``cosym.StructureVectorField.jacobian``).  The five-point stencils in
-:func:`fd_jacobian` and :func:`scalar_fd_gradient` serve plain point-evaluable
-callables only.
+(``cosym.StructureVectorField.jacobian``).  :func:`lie_bracket` takes exact
+Jacobians only.  The five-point stencils in :func:`fd_jacobian` and
+:func:`scalar_fd_gradient` differentiate plain point-evaluable callables; they
+are references for the exact derivatives, and no other function of the
+package calls them.
 
 Fields also evaluate on point stacks ``X`` of shape (N, d): the ``*_stack``
 methods of expression fields run their expressions' array code, and the
 stencils broadcast their one formula and step rule over a leading point axis,
-so a callable is called once per shift on the whole stack.  Each row gets the
-bits of the one-point call wherever no ``np.exp``, ``np.log`` or
-``np.power`` runs, which can differ from ``math.*`` in the last place.
-Gradient tensors put the derivative index last: ``[..., k]`` is ``d_k``.
+so a callable is called once per shift on the whole stack.  Scalar fields
+give each row the bits of the one-point call wherever no ``np.exp``,
+``np.log`` or ``np.power`` runs, which can differ from ``math.*`` in the last
+place.  Forms evaluate one way: their one-point methods return row 0 of the
+``*_stack`` form on a one-row stack.  Gradient tensors put the derivative
+index last: ``[..., k]`` is ``d_k``.
 
 Index conventions, fixed once for the whole package (see docs/CONVENTIONS.md):
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -174,17 +179,17 @@ class OneFormField:
         return cls(chart, tuple(parse(s, chart) for s in sources))
 
     def at(self, x: Point) -> np.ndarray:
-        return np.array([c.value(x) for c in self.components])
+        """Components (d,) at one point: row 0 of ``at_stack``."""
+        return self.at_stack(np.asarray(x, dtype=float)[None])[0]
 
     def at_stack(self, X) -> np.ndarray:
         """Components (N, d) at the rows of ``X``."""
         return np.stack([c.value_stack(X) for c in self.components], axis=-1)
 
     def exterior_derivative(self, x: Point) -> np.ndarray:
-        """Matrix ``(d theta)[i, j] = d_i theta_j - d_j theta_i`` (exact)."""
-        x = np.asarray(x, dtype=float)
-        grads = np.array([c.jet1(x)[1] for c in self.components])  # grads[j, i]
-        return grads.T - grads
+        """Matrix ``(d theta)[i, j] = d_i theta_j - d_j theta_i`` (exact) at
+        one point: row 0 of ``exterior_derivative_stack``."""
+        return self.exterior_derivative_stack(np.asarray(x, dtype=float)[None])[0]
 
     def gradient_stack(self, X) -> np.ndarray:
         """Component gradients (N, d, d) at the rows of ``X``,
@@ -192,7 +197,7 @@ class OneFormField:
         return np.stack([c.jet1_stack(X)[1] for c in self.components], axis=1)
 
     def exterior_derivative_stack(self, X) -> np.ndarray:
-        """``exterior_derivative`` at the rows of ``X``, shape (N, d, d)."""
+        """``(d theta)[n, i, j]`` at the rows of ``X``, shape (N, d, d)."""
         grads = self.gradient_stack(X)
         return np.swapaxes(grads, 1, 2) - grads
 
@@ -232,13 +237,8 @@ class TwoFormField:
         return cls(chart, upper)
 
     def at(self, x: Point) -> np.ndarray:
-        d = self.chart.dim
-        W = np.zeros((d, d))
-        for (i, j), e in self.upper.items():
-            v = e.value(x)
-            W[i, j] = v
-            W[j, i] = -v
-        return W
+        """Matrix (d, d) at one point: row 0 of ``at_stack``."""
+        return self.at_stack(np.asarray(x, dtype=float)[None])[0]
 
     def at_stack(self, X) -> np.ndarray:
         """Matrices (N, d, d) at the rows of ``X``."""
@@ -267,41 +267,19 @@ class TwoFormField:
         return self.gradient_stack(np.asarray(x, dtype=float)[None])[0, i, j]
 
     def exterior_derivative(self, x: Point) -> np.ndarray:
-        """Fully antisymmetric tensor ``(dW)[i,j,k]`` (exact derivatives)."""
-        x = np.asarray(x, dtype=float)
-        return self._d({key: e.jet1(x)[1] for key, e in self.upper.items()}, ())
+        """Fully antisymmetric tensor ``(dW)[i,j,k]`` (exact derivatives) at
+        one point: row 0 of ``exterior_derivative_stack``."""
+        return self.exterior_derivative_stack(np.asarray(x, dtype=float)[None])[0]
 
     def exterior_derivative_stack(self, X) -> np.ndarray:
-        """``exterior_derivative`` at the rows of ``X``, shape (N, d, d, d)."""
-        grads = {key: e.jet1_stack(X)[1] for key, e in self.upper.items()}
-        return self._d(grads, (len(X),))
-
-    def _d(self, grads: dict, lead: tuple) -> np.ndarray:
-        """``(dW)[..., i, j, k]`` from the component gradients ``grads[(i, j)]``
-        of shape ``lead + (d,)``."""
-        d = self.chart.dim
-        zero = np.zeros(lead + (d,))
-
-        def grad_of(i, j):
-            if i == j:
-                return zero
-            if i < j:
-                g = grads.get((i, j))
-                return g if g is not None else zero
-            g = grads.get((j, i))
-            return -g if g is not None else zero
-
-        T = np.zeros(lead + (d, d, d))
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    v = grad_of(j, k)[..., i] + grad_of(k, i)[..., j] + grad_of(i, j)[..., k]
-                    T[..., i, j, k] = v
-                    T[..., j, k, i] = v
-                    T[..., k, i, j] = v
-                    T[..., j, i, k] = -v
-                    T[..., i, k, j] = -v
-                    T[..., k, j, i] = -v
+        """``(dW)[n, i, j, k]`` at the rows of ``X``, shape (N, d, d, d):
+        the cyclic sum of ``gradient_stack`` for each ``i < j < k``."""
+        G = self.gradient_stack(X)
+        T = np.zeros_like(G)
+        for i, j, k in combinations(range(self.chart.dim), 3):
+            v = G[:, j, k, i] + G[:, k, i, j] + G[:, i, j, k]
+            T[:, i, j, k] = T[:, j, k, i] = T[:, k, i, j] = v
+            T[:, j, i, k] = T[:, i, k, j] = T[:, k, j, i] = -v
         return T
 
     def is_constant(self) -> bool:
@@ -346,7 +324,7 @@ _BASE_STEP = 1e-4
 def fd_jacobian(field, x: Point) -> np.ndarray:
     """Five-point central-difference Jacobian of a point-evaluable field.
 
-    Fourth-order accurate; for callables with no ``jacobian`` of their own.
+    Fourth-order accurate; a reference for exact Jacobians.
     ``J[..., i, j] = d_j F_i``, with the steps ``h_j = max(base, base |x_j|)``.
     """
     x = np.asarray(x, dtype=float)
@@ -372,14 +350,16 @@ def scalar_fd_gradient(func, x: Point) -> np.ndarray:
 def lie_bracket(X, Y, x: Point) -> np.ndarray:
     """Commutator ``[X, Y]`` at ``x``: ``J_Y X - J_X Y``.
 
-    Fields carrying a ``jacobian`` method (expression and structure fields)
-    use exact derivatives; plain callables fall back to the five-point
-    stencil.  The result is exactly antisymmetric under swapping X and Y
-    because both orders reuse the same two Jacobian evaluations.
+    Both fields must carry an exact ``jacobian`` method (expression and
+    structure fields do); a plain callable is refused with TypeError.  The
+    result is exactly antisymmetric under swapping X and Y because both
+    orders reuse the same two Jacobian evaluations.
     """
+    for F in (X, Y):
+        if not hasattr(F, "jacobian"):
+            raise TypeError(f"lie_bracket needs fields with an exact jacobian, got {F!r}")
     x = np.asarray(x, dtype=float)
-    JX = X.jacobian(x) if hasattr(X, "jacobian") else fd_jacobian(X, x)
-    JY = Y.jacobian(x) if hasattr(Y, "jacobian") else fd_jacobian(Y, x)
+    JX, JY = X.jacobian(x), Y.jacobian(x)
     return commutator(JX, np.asarray(X(x)), JY, np.asarray(Y(x)))
 
 

@@ -9,7 +9,8 @@ a commuting prefix of length r on a (2n+1)-dimensional structure:
   (Y_H, X_{f_1}..X_{f_r}) have rank r+1 on the regular set;
 * the symmetry fields commute pairwise;
 * the pairwise brackets a_ij = {f_i, f_j} are constant on fibers and the
-  antisymmetric matrix a has corank r, with m + r = dim - 1.
+  antisymmetric matrix a has corank r, with m + r = dim - 1;
+* every declared casimir commutes with every integral.
 
 Points failing the rank checks are reported and excluded rather than
 extrapolated across; every report carries its worst witness.
@@ -37,6 +38,7 @@ import numpy as np
 from .cosym import (
     CosymplecticStructure,
     StructureVectorField,
+    ToleranceConfig,
     _ROW_ERRORS,
     _at_row,
     map_blocks,
@@ -323,7 +325,12 @@ def check_fiber_tangency(sys: IntegralSystem, points) -> CheckReport:
 
 @dataclass
 class InducedBracket:
-    """Coranks and closure spread of the sampled bracket matrices a_ij, by fiber."""
+    """Coranks and closure spread of the sampled bracket matrices a_ij, by
+    fiber, judged under the structure's tolerances ``tol``.
+
+    ``passed`` is the conjunction of every flag ``to_dict`` prints; the
+    casimir flag is printed, and can fail, only when casimirs were declared.
+    """
 
     fibers: int
     coranks: list
@@ -332,17 +339,18 @@ class InducedBracket:
     ddim: int
     dind: int
     dim: int
+    tol: ToleranceConfig
     casimir_residual: float | None = None
-    closure_tol: float = 1e-7
 
     @property
     def closure_ok(self) -> bool:
-        return self.closure_spread < self.closure_tol
+        return self.closure_spread < self.tol.closure_fiber
 
     @property
     def completeness_ok(self) -> bool:
         return self.ddim + self.dind == self.dim - 1
 
+    @property
     def corank_ok(self) -> bool:
         return all(
             c == self.dind
@@ -350,23 +358,42 @@ class InducedBracket:
             if reg
         )
 
+    @property
     def parity_ok(self) -> bool:
         return all((self.ddim - c) % 2 == 0 for c in self.coranks)
 
+    @property
+    def casimir_ok(self) -> bool:
+        """Every declared casimir commutes with every integral (true with
+        none declared)."""
+        return self.casimir_residual is None or self.casimir_residual < self.tol.commuting
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.closure_ok
+            and self.corank_ok
+            and self.parity_ok
+            and self.completeness_ok
+            and self.casimir_ok
+        )
+
     def to_dict(self) -> dict:
         out = {
+            "pass": self.passed,
             "ddim": self.ddim,
             "dind": self.dind,
             "completeness": self.completeness_ok,
             "closure_spread": self.closure_spread,
             "closure_ok": self.closure_ok,
-            "corank_ok": self.corank_ok(),
-            "parity_ok": self.parity_ok(),
+            "corank_ok": self.corank_ok,
+            "parity_ok": self.parity_ok,
             "fibers": self.fibers,
             "regular_points": int(sum(self.regular_flags)),
         }
         if self.casimir_residual is not None:
             out["casimir_residual"] = self.casimir_residual
+            out["casimir_ok"] = self.casimir_ok
         return out
 
 
@@ -378,7 +405,7 @@ def bracket_closure_and_corank(
     ``fiber_samples`` is a list of groups of points; each group must lie on a
     single fiber (integral values within the fiber-match tolerance).  Groups
     need at least two points for the constancy test to mean anything.
-    Optional ``casimirs`` are scalar fields expected to commute with all
+    Optional ``casimirs`` are scalar fields that must commute with all
     integrals.  Each group is evaluated as one stack; the corank of a is the
     number of its singular values at most ``max(1e-10, 1e-8 s_0)``.
     """
@@ -429,8 +456,8 @@ def bracket_closure_and_corank(
         ddim=m,
         dind=sys.r,
         dim=S.chart.dim,
+        tol=S.tol,
         casimir_residual=casimir if casimirs else None,
-        closure_tol=S.tol.closure_fiber,
     )
 
 

@@ -77,9 +77,6 @@ class Scenario:
         box = np.asarray(self.structure.domain_box, dtype=float)
         return box[:, 0] + 0.61803398875 * (box[:, 1] - box[:, 0])
 
-    def to_dict(self) -> dict:
-        return self.raw
-
 
 # --- catalog ------------------------------------------------------------------
 

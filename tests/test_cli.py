@@ -15,6 +15,7 @@ from cosymkit.exprlang import parse, to_source
 from cosymkit.scenarios import (
     builtin_dict,
     builtin_file_path,
+    builtin_names,
     load_scenario_dict,
     scenario_json_text,
 )
@@ -91,6 +92,29 @@ def test_verify_bad_integral_fails_with_witness(tmp_path, capsys):
     assert "witness" in payload["report"]["checks"]["first_integrals"]
 
 
+def test_verify_fails_a_declared_casimir_that_does_not_commute(tmp_path, capsys):
+    # q1 declared a casimir of ext-oscillator-2d-super: {q1, H} = p1
+    data = {**builtin_dict("ext-oscillator-2d-super"), "casimirs": ["q1"]}
+    bad = tmp_path / "bad-casimir.json"
+    bad.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "verify", str(bad), "--points", "60")
+    checks = payload["report"]["checks"]
+    induced = checks.pop("induced_bracket")
+    assert code == 2 and payload["report"]["pass"] is False
+    assert induced["pass"] is False and induced["casimir_ok"] is False
+    assert induced["casimir_residual"] > 1.0
+    assert all(check["pass"] for check in checks.values())
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_every_verify_section_carries_a_verdict(name, capsys):
+    code, payload, _ = run(capsys, "verify", str(builtin_file_path(name)), "--points", "60")
+    checks = payload["report"]["checks"]
+    assert all(type(check["pass"]) is bool for check in checks.values())
+    assert payload["report"]["pass"] is all(check["pass"] for check in checks.values())
+    assert code == (0 if payload["report"]["pass"] else 2)
+
+
 def test_verify_overflow_is_check_failure(tmp_path, capsys):
     # math.exp overflows at every sample with q > 0.71: a typed EvalDomainError
     # naming the subexpression, exit code 2, not a bare OverflowError
@@ -103,6 +127,18 @@ def test_verify_overflow_is_check_failure(tmp_path, capsys):
     assert code == 2
     sub = to_source(parse("exp(1000*q)", ("t", "q", "p")))
     assert payload["error"] == f"overflow in '{sub}'"
+
+
+def test_verify_division_by_a_zero_number_is_check_failure(tmp_path, capsys):
+    # the stacked omega of a varying structure divides 1 by 0: the typed
+    # EvalDomainError of the point code, exit code 2, not a ZeroDivisionError
+    data = builtin_dict("pc-oscillator-1d")
+    data["omega"]["t,q"] = "-q + q*(1/0)"
+    path = tmp_path / "divzero.json"
+    path.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "verify", str(path), "--points", "10")
+    assert code == 2
+    assert payload["error"].endswith("division by zero in '1.0/0.0'")
 
 
 def test_non_finite_exponent_is_usage_error(tmp_path, capsys):

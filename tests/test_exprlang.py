@@ -673,6 +673,14 @@ def test_product_and_quotient_overflow_is_domain_error():
         parse("q^2", names).value(np.array([0.0, 1e200, 1.0]))
 
 
+def test_arithmetic_on_numbers_alone_raises_on_a_stack_as_at_a_point():
+    # a subtree of plain numbers that overflows or divides by zero raises the
+    # scalar code's EvalDomainError on a stack too, at row 0
+    X = np.array([[0.0, 1.0, 2.0], [3.0, -4.0, 5.0]])
+    for src in ("1e308*10", "q + 1e308*10", "q + 1/0", "p*(2/0)"):
+        _check_stack_against_scalar(parse(src, ("t", "q", "p")), X)
+
+
 def test_tiny_log_and_sqrt_arguments_have_finite_gradients():
     # the second derivatives -1/u^2, -1/(4 u^(3/2)) and -u^(-3/2)/4 overflow
     # here; value and gradient do not need them and stay finite.  The Hessian

@@ -121,40 +121,62 @@ def test_lie_bracket_hand_example():
     assert b == pytest.approx([0.0, 1.7, 0.6], abs=1e-12)
 
 
-def test_lie_bracket_fd_fallback_antisymmetric():
-    def X(x):
-        return np.array([0.0, x[2] ** 2, math.sin(x[1])])
+class _LinearField:
+    """The field x -> M x, with its exact Jacobian M."""
 
-    def Y(x):
-        return np.array([1.0, x[1] * x[2], -x[1]])
+    def __init__(self, M):
+        self.M = np.asarray(M, dtype=float)
 
+    def __call__(self, x):
+        return self.M @ x
+
+    def jacobian(self, x):
+        return self.M
+
+
+class _BracketField(_LinearField):
+    """[A, B] of linear fields A, B, evaluated by ``lie_bracket``: linear
+    again, with Jacobian M_B M_A - M_A M_B."""
+
+    def __init__(self, A, B):
+        super().__init__(B.M @ A.M - A.M @ B.M)
+        self.A, self.B = A, B
+
+    def __call__(self, x):
+        return lie_bracket(self.A, self.B, x)
+
+
+def test_lie_bracket_linear_fields_antisymmetric():
+    X = _LinearField([[0, 0, 0], [0, 0, 1], [0, -1, 0]])  # p d/dq - q d/dp
+    Y = _LinearField([[0, 0, 0], [0, 1, 0], [0, 0, -1]])  # q d/dq - p d/dp
     x = np.array([0.3, 0.9, 1.1])
     b1 = lie_bracket(X, Y, x)
     b2 = lie_bracket(Y, X, x)
     assert np.array_equal(b1, -b2)
-    # cross-check against exact jacobians
-    Xe = VectorFieldExpr.from_sources(["0", "p^2", "sin(q)"], CHART)
-    Ye = VectorFieldExpr.from_sources(["1", "q*p", "-q"], CHART)
-    assert lie_bracket(Xe, Ye, x) == pytest.approx(b1, abs=1e-9)
+    # by hand: [X, Y] = (M_Y M_X - M_X M_Y) x = 2p d/dq + 2q d/dp
+    assert b1 == pytest.approx([0.0, 2 * 1.1, 2 * 0.9], abs=1e-9)
+
+
+def test_lie_bracket_refuses_a_field_without_a_jacobian():
+    X = VectorFieldExpr.from_sources(["0", "p", "q"], CHART)
+
+    def plain(x):
+        return np.array([1.0, x[2], -x[1]])
+
+    x = np.array([0.3, 0.9, 1.1])
+    for A, B in ((X, plain), (plain, X)):
+        with pytest.raises(TypeError, match="exact jacobian"):
+            lie_bracket(A, B, x)
 
 
 def test_lie_bracket_jacobi():
     rng = np.random.default_rng(5)
-    X = VectorFieldExpr.from_sources(["p", "t*q", "q^2"], CHART)
-    Y = VectorFieldExpr.from_sources(["q", "p^2", "t"], CHART)
-    Z = VectorFieldExpr.from_sources(["1", "q*p", "t*p"], CHART)
-
-    def bracket_field(A, B):
-        def f(x):
-            return lie_bracket(A, B, x)
-
-        return f
-
+    X, Y, Z = (_LinearField(rng.uniform(-1.5, 1.5, size=(3, 3))) for _ in range(3))
     for x in rng.uniform(-1.5, 1.5, size=(5, 3)):
         total = (
-            lie_bracket(bracket_field(X, Y), Z, x)
-            + lie_bracket(bracket_field(Y, Z), X, x)
-            + lie_bracket(bracket_field(Z, X), Y, x)
+            lie_bracket(_BracketField(X, Y), Z, x)
+            + lie_bracket(_BracketField(Y, Z), X, x)
+            + lie_bracket(_BracketField(Z, X), Y, x)
         )
         assert np.max(np.abs(total)) < 1e-5
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cosymkit.cli import main
-from cosymkit.cosym import make_canonical
+from cosymkit.cosym import ToleranceConfig, make_canonical
 from cosymkit.fields import ChartSpec, ScalarField, sample_box
 from cosymkit.integrability import (
+    InducedBracket,
     IntegralSystem,
     bracket_closure_and_corank,
     check_bracket_of_integrals,
@@ -18,7 +19,13 @@ from cosymkit.integrability import (
     check_symmetry_algebra,
     sample_fiber,
 )
-from cosymkit.scenarios import builtin, builtin_file_path, builtin_names
+from cosymkit.scenarios import (
+    builtin,
+    builtin_dict,
+    builtin_file_path,
+    builtin_names,
+    load_scenario_dict,
+)
 
 CHART1 = ChartSpec(("t", "q", "p"), (True, False, False))
 BOX1 = [[0.0, 2 * math.pi], [-2.0, 2.0], [-2.0, 2.0]]
@@ -193,8 +200,8 @@ def test_closure_and_corank_2d_super():
     ]
     result = bracket_closure_and_corank(sys, _fiber_groups(sys, seeds, rng))
     assert result.closure_ok
-    assert result.corank_ok()
-    assert result.parity_ok()
+    assert result.corank_ok
+    assert result.parity_ok
     assert result.ddim == 3 and result.dind == 1
     assert result.completeness_ok
 
@@ -208,7 +215,7 @@ def test_closure_commutative_zero_matrix():
     rng = np.random.default_rng(13)
     groups = _fiber_groups(sys, [np.array([0.0, 1.0, 0.5, 0.2, 0.4])], rng)
     result = bracket_closure_and_corank(sys, groups)
-    assert result.corank_ok()  # a == 0 so corank = m = r
+    assert result.corank_ok  # a == 0 so corank = m = r
     assert result.closure_ok
 
 
@@ -231,6 +238,50 @@ def test_casimir_check():
     casimir = ScalarField.from_source("(q1^2 + q2^2 + p1^2 + p2^2)/2", CHART2, "G1")
     result = bracket_closure_and_corank(sys, groups, casimirs=(casimir,))
     assert result.casimir_residual < 1e-9
+
+
+#: The flags of ``InducedBracket.to_dict``; its "pass" is their conjunction.
+INDUCED_FLAGS = ("completeness", "closure_ok", "corank_ok", "parity_ok", "casimir_ok")
+
+
+def test_induced_bracket_passes_only_when_every_printed_flag_holds():
+    tol = ToleranceConfig()
+    good = dict(
+        fibers=1, coranks=[1, 1], regular_flags=[True, True], closure_spread=0.0,
+        ddim=3, dind=1, dim=5, tol=tol, casimir_residual=0.0,
+    )
+    cases = [
+        (None, {}),
+        ("closure_ok", {"closure_spread": tol.closure_fiber}),
+        ("closure_ok", {"closure_spread": math.nan}),
+        ("corank_ok", {"coranks": [1, 3]}),
+        ("parity_ok", {"coranks": [1, 2], "regular_flags": [True, False]}),
+        ("completeness", {"dim": 7}),
+        ("casimir_ok", {"casimir_residual": tol.commuting}),
+        ("casimir_ok", {"casimir_residual": math.nan}),
+    ]
+    for failing, change in cases:
+        result = InducedBracket(**{**good, **change})
+        out = result.to_dict()
+        assert {k for k in INDUCED_FLAGS if not out[k]} == ({failing} if failing else set())
+        assert out["pass"] is result.passed is (failing is None)
+
+
+def test_induced_bracket_fails_a_declared_casimir_that_does_not_commute():
+    # q1 declared a casimir of ext-oscillator-2d-super: {q1, H} = p1
+    good = builtin("ext-oscillator-2d-super")
+    bad = load_scenario_dict({**builtin_dict("ext-oscillator-2d-super"), "casimirs": ["q1"]})
+    groups = _fiber_groups(good.system, [good.base_point()], np.random.default_rng(19))
+    for sc, ok in ((good, True), (bad, False)):
+        result = bracket_closure_and_corank(sc.system, groups, casimirs=sc.casimirs)
+        out = result.to_dict()
+        assert (result.casimir_ok, result.passed, out["casimir_ok"], out["pass"]) == (ok,) * 4
+        assert result.closure_ok and result.corank_ok and result.parity_ok
+        assert out["pass"] is all(out[k] for k in INDUCED_FLAGS)
+    assert result.casimir_residual > 1.0
+    # with no casimirs declared the flag is neither printed nor failed
+    bare = bracket_closure_and_corank(bad.system, groups)
+    assert "casimir_ok" not in bare.to_dict() and bare.passed
 
 
 def test_fiber_group_mixing_rejected():

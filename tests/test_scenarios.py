@@ -63,9 +63,9 @@ def test_packaged_file_byte_equivalent(name):
 def test_catalog_survives_mutated_dicts(name):
     packaged = json.loads(scenarios.builtin_file_path(name).read_bytes())
     scenarios.builtin_dict(name)["chart"]["box"][1][0] = 99.0
-    builtin(name).to_dict()["chart"]["box"][1][0] = 99.0
+    builtin(name).raw["chart"]["box"][1][0] = 99.0
     assert scenarios.builtin_dict(name) == packaged
-    assert builtin(name).to_dict() == packaged
+    assert builtin(name).raw == packaged
 
 
 @pytest.mark.parametrize("name", ALL)

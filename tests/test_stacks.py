@@ -308,7 +308,7 @@ def test_stacked_closure_and_corank_equals_per_point(name):
     assert got.fibers == 2 and len(got.coranks) == 6
     assert (got.coranks, got.regular_flags) == (coranks, regular)
     assert (got.closure_spread, got.casimir_residual) == (spread, casimir)
-    assert got.closure_ok and got.corank_ok()
+    assert got.closure_ok and got.corank_ok
 
 
 @pytest.mark.parametrize("name", [*builtin_names(), "canonical-in-linear-chart"])
