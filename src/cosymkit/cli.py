@@ -1,14 +1,18 @@
 """Command-line front end: validate, verify, integrate, actions, frequencies.
 
-Every command loads a scenario JSON file, emits a JSON report on stdout (and
-optionally to ``--out``) and exits with a stable code:
+``main`` loads the scenario JSON file, runs the command on it and emits the
+command's JSON report on stdout (and a copy to ``--out``), with
+``"scenario"`` and ``"command"`` first.  ``integrate`` takes no copy: its
+``--out`` writes the trajectory CSV.  The exit code is stable:
 
     0   all requested checks passed
     2   a verification or computation failed
     3   a solved-vs-empirical cross-check mismatched
     64  usage error, malformed JSON or schema violation
 
-Sampling is seeded (``--seed``, default 0) so repeated runs are byte-identical.
+A command that fails prints ``{"error": ...}`` alone and writes no copy.  The commands
+that sample points (validate, verify, report) are seeded (``--seed``,
+default 0), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -217,17 +221,16 @@ def _torus_skip_reason(scenario: Scenario) -> str | None:
     return None
 
 
-def _refuse_torus(scenario: Scenario, command: str, out_path: str | None) -> bool:
-    """Emit why ``command`` has no torus to compute, before anything is
-    flowed; True when it did."""
+def _refuse_torus(scenario: Scenario) -> dict | None:
+    """The error body of a command with no torus to compute, decided before
+    anything is flowed; None when there is a torus."""
     reason = _torus_skip_reason(scenario)
     if reason is None:
-        return False
+        return None
     error = f"no torus to compute ({reason})"
     if scenario.fiber_compact:  # the reason is the missing primitive
         error += "; add a 'lambda' entry with -d(lambda) = omega"
-    _emit({"scenario": scenario.name, "command": command, "error": error}, out_path)
-    return True
+    return {"error": error}
 
 
 def _torus_profile(scenario: Scenario, fiber) -> ActionProfile:
@@ -313,36 +316,21 @@ def _default_fiber(scenario: Scenario) -> np.ndarray:
 
 
 # --- commands -------------------------------------------------------------------
+# Each takes the loaded scenario and the parsed arguments and returns the
+# report's body, the keys after "scenario" and "command", and the exit code.
 
-def _cmd_validate(args) -> int:
-    scenario = load_scenario_file(args.file)
+def _cmd_validate(scenario: Scenario, args):
     section = _validate_section(scenario, args.samples, args.seed)
-    report = {
-        "scenario": scenario.name,
-        "command": "validate",
-        "seed": args.seed,
-        "report": section,
-    }
-    _emit(report, args.out)
-    return 0 if section["pass"] else CHECK_FAILED
+    return {"seed": args.seed, "report": section}, 0 if section["pass"] else CHECK_FAILED
 
 
-def _cmd_verify(args) -> int:
-    scenario = load_scenario_file(args.file)
+def _cmd_verify(scenario: Scenario, args):
     section = _verify_section(scenario, args.points, args.seed)
-    report = {
-        "scenario": scenario.name,
-        "command": "verify",
-        "seed": args.seed,
-        "points": args.points,
-        "report": section,
-    }
-    _emit(report, args.out)
-    return 0 if section["pass"] else CHECK_FAILED
+    body = {"seed": args.seed, "points": args.points, "report": section}
+    return body, 0 if section["pass"] else CHECK_FAILED
 
 
-def _cmd_integrate(args) -> int:
-    scenario = load_scenario_file(args.file)
+def _cmd_integrate(scenario: Scenario, args):
     field = _field_from_spec(scenario, args.field)
     x0 = np.asarray(args.x0, dtype=float)
     if len(x0) != scenario.chart.dim:
@@ -351,21 +339,17 @@ def _cmd_integrate(args) -> int:
         )
     traj = integrate(field, x0, args.tau, args.tol)
     integrals = scenario.system.integrals
-    if args.out:
-        traj.to_csv(args.out, scenario.chart, integrals)
-    report = {
-        "scenario": scenario.name,
-        "command": "integrate",
+    if args.csv:
+        traj.to_csv(args.csv, scenario.chart, integrals)
+    return {
         "field": args.field,
         "tau": args.tau,
         "tol": args.tol,
         "steps": len(traj.times) - 1,
         "final_state": [float(v) for v in scenario.chart.normalize(traj.final_state)],
         "integral_drift": drift_report(traj, integrals),
-        "csv": args.out,
-    }
-    _emit(report, None)
-    return 0
+        "csv": args.csv,
+    }, 0
 
 
 def _fiber_arg(scenario: Scenario, args) -> np.ndarray:
@@ -380,46 +364,27 @@ def _fiber_arg(scenario: Scenario, args) -> np.ndarray:
     return fiber
 
 
-def _cmd_actions(args) -> int:
-    scenario = load_scenario_file(args.file)
+def _cmd_actions(scenario: Scenario, args):
     fiber = _fiber_arg(scenario, args)
-    if _refuse_torus(scenario, "actions", args.out):
-        return CHECK_FAILED
-    section = _actions_section(_torus_profile(scenario, fiber))
-    report = {
-        "scenario": scenario.name,
-        "command": "actions",
-        "report": section,
-    }
-    _emit(report, args.out)
-    return 0
+    if refusal := _refuse_torus(scenario):
+        return refusal, CHECK_FAILED
+    return {"report": _actions_section(_torus_profile(scenario, fiber))}, 0
 
 
-def _cmd_frequencies(args) -> int:
-    scenario = load_scenario_file(args.file)
+def _cmd_frequencies(scenario: Scenario, args):
     fiber = _fiber_arg(scenario, args)
     mode = _frequency_mode(scenario, args.mode)
-    if _refuse_torus(scenario, "frequencies", args.out):
-        return CHECK_FAILED
+    if refusal := _refuse_torus(scenario):
+        return refusal, CHECK_FAILED
     if args.verify_empirical and not scenario.angle_maps:
         raise ActionAngleError("empirical verification needs declared angle maps")
     section = _frequency_section(
         scenario, _torus_profile(scenario, fiber), [mode], args.verify_empirical
     )
-    report = {
-        "scenario": scenario.name,
-        "command": "frequencies",
-        "mode": args.mode,
-        "report": section,
-    }
-    _emit(report, args.out)
-    if not section["pass"]:
-        return MISMATCH
-    return 0
+    return {"mode": args.mode, "report": section}, 0 if section["pass"] else MISMATCH
 
 
-def _cmd_report(args) -> int:
-    scenario = load_scenario_file(args.file)
+def _cmd_report(scenario: Scenario, args):
     sections = {"validate": _validate_section(scenario, args.samples, args.seed)}
     sections["verify"] = _verify_section(scenario, args.points, args.seed)
     if args.all:
@@ -439,16 +404,12 @@ def _cmd_report(args) -> int:
         for name, section in sections.items()
         if not section.get("pass", True)
     ]
-    report = {
-        "scenario": scenario.name,
-        "command": "report",
+    return {
         "seed": args.seed,
         "pass": not failed,
         "failed_sections": failed,
         "sections": sections,
-    }
-    _emit(report, args.out)
-    return 0 if not failed else CHECK_FAILED
+    }, CHECK_FAILED if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,21 +424,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("file", help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--out", default=None, help="also write the JSON report here")
+
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
     p = sub.add_parser("validate", help="closedness and volume condition")
     common(p)
+    seeded(p)
     p.add_argument("--samples", type=_positive_int, default=100)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("verify", help="full integral-set verification chain")
     common(p)
+    seeded(p)
     p.add_argument("--points", type=_positive_int, default=120)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("integrate", help="flow a field and record drift")
-    common(p)
+    p.add_argument("file", help="scenario JSON file")
+    p.add_argument("--out", dest="csv", default=None, help="write the trajectory CSV here")
     p.add_argument("--field", required=True, help="reeb | ham:NAME | eval")
     p.add_argument("--x0", type=_float_list, required=True, help="initial point")
     p.add_argument("--tau", type=_finite_float, required=True, help="flow time")
@@ -498,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate report over all sections")
     common(p)
+    seeded(p)
     p.add_argument("--all", action="store_true", help="include flow/actions/frequencies")
     p.add_argument("--samples", type=_positive_int, default=60)
     p.add_argument("--points", type=_positive_int, default=60)
@@ -513,7 +480,11 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else USAGE_ERROR
     try:
-        return args.func(args)
+        scenario = load_scenario_file(args.file)
+        body, code = args.func(scenario, args)
+        report = {"scenario": scenario.name, "command": args.command, **body}
+        _emit(report, getattr(args, "out", None))  # integrate's --out is its CSV
+        return code
     except (ScenarioFormatError, argparse.ArgumentTypeError, OSError) as err:
         print(json.dumps({"error": str(err)}, indent=2))
         return USAGE_ERROR

@@ -278,21 +278,17 @@ class Trajectory:
         covectors = alpha(Y.reshape(-1, Y.shape[-1])).reshape(Y.shape)
         return float(np.diff(self.times) @ (np.sum(covectors * K, axis=-1) @ _B))
 
-    def to_csv(self, target, chart: ChartSpec, integrals) -> None:
-        """Write ``tau,<coords...>,<integrals...>`` rows, one per accepted
-        step, with the states folded by ``chart.normalize`` and the integrals
-        read at the unwrapped states."""
+    def to_csv(self, path, chart: ChartSpec, integrals) -> None:
+        """Write ``tau,<coords...>,<integrals...>`` rows to the file at
+        ``path``, one per accepted step, with the states folded by
+        ``chart.normalize`` and the integrals read at the unwrapped states."""
         columns = ["tau", *chart.names, *(f.name for f in integrals)]
         rows = [",".join(columns)] + [
             ",".join(repr(float(v)) for v in (t, *x, *(f.value(y) for f in integrals)))
             for t, x, y in zip(self.times, chart.normalize(self.states), self.states)
         ]
-        text = "".join(row + "\n" for row in rows)
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            target.write(text)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(row + "\n" for row in rows))
 
 
 def _initial_step(field, y0, f0, sign, tol):

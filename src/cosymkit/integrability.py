@@ -1,7 +1,8 @@
 """Numerical verification that a declared integral set is complete.
 
 The checks mirror the structural requirements on a system (H; f_1..f_m) with
-a commuting prefix of length r on a (2n+1)-dimensional structure:
+a commuting prefix of length r on a (2n+1)-dimensional structure, where
+m + r = dim - 1 (``IntegralSystem`` refuses any other count):
 
 * every f_i is a first integral of the evaluation flow: Z(f) + {f, H} = 0;
 * the prefix f_1..f_r commutes with all integrals;
@@ -9,7 +10,7 @@ a commuting prefix of length r on a (2n+1)-dimensional structure:
   (Y_H, X_{f_1}..X_{f_r}) have rank r+1 on the regular set;
 * the symmetry fields commute pairwise;
 * the pairwise brackets a_ij = {f_i, f_j} are constant on fibers and the
-  antisymmetric matrix a has corank r, with m + r = dim - 1;
+  antisymmetric matrix a has corank r;
 * every declared casimir commutes with every integral.
 
 Points failing the rank checks are reported and excluded rather than
@@ -64,27 +65,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegralSystem:
-    """A structure with Hamiltonian, ordered integrals and commuting prefix r.
-
-    ``enforce_completeness=False`` admits deliberately wrong integral counts
-    (used to exercise failure reporting).
-    """
+    """A structure with Hamiltonian, ordered integrals and commuting prefix r,
+    complete: m + r = dim - 1."""
 
     structure: CosymplecticStructure
     hamiltonian: ScalarField
     integrals: tuple[ScalarField, ...]
     r: int
-    enforce_completeness: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "integrals", tuple(self.integrals))
         m = len(self.integrals)
         if not 0 <= self.r <= m:
             raise ValueError(f"need 0 <= r <= m, got r={self.r}, m={m}")
-        if self.enforce_completeness and m + self.r != self.structure.chart.dim - 1:
+        if m + self.r != self.structure.chart.dim - 1:
             raise ValueError(
-                f"m + r = {m + self.r} but dim - 1 = {self.structure.chart.dim - 1};"
-                " pass enforce_completeness=False to allow"
+                f"incomplete integral set: m + r = {m + self.r}"
+                f" but dim - 1 = {self.structure.chart.dim - 1}"
             )
 
     @property
@@ -338,17 +335,12 @@ class InducedBracket:
     closure_spread: float
     ddim: int
     dind: int
-    dim: int
     tol: ToleranceConfig
     casimir_residual: float | None = None
 
     @property
     def closure_ok(self) -> bool:
         return self.closure_spread < self.tol.closure_fiber
-
-    @property
-    def completeness_ok(self) -> bool:
-        return self.ddim + self.dind == self.dim - 1
 
     @property
     def corank_ok(self) -> bool:
@@ -370,20 +362,13 @@ class InducedBracket:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.closure_ok
-            and self.corank_ok
-            and self.parity_ok
-            and self.completeness_ok
-            and self.casimir_ok
-        )
+        return self.closure_ok and self.corank_ok and self.parity_ok and self.casimir_ok
 
     def to_dict(self) -> dict:
         out = {
             "pass": self.passed,
             "ddim": self.ddim,
             "dind": self.dind,
-            "completeness": self.completeness_ok,
             "closure_spread": self.closure_spread,
             "closure_ok": self.closure_ok,
             "corank_ok": self.corank_ok,
@@ -455,7 +440,6 @@ def bracket_closure_and_corank(
         closure_spread=spread,
         ddim=m,
         dind=sys.r,
-        dim=S.chart.dim,
         tol=S.tol,
         casimir_residual=casimir if casimirs else None,
     )

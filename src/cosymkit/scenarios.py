@@ -62,7 +62,6 @@ class Scenario:
     declared_lattice: np.ndarray | None
     fiber_compact: bool
     oracles: dict
-    raw: dict
 
     @property
     def chart(self) -> ChartSpec:
@@ -184,7 +183,6 @@ def load_scenario_dict(data: dict) -> Scenario:
         declared_lattice=lattice,
         fiber_compact=fiber_compact,
         oracles=data.get("oracles", {}),
-        raw=data,
     )
 
 

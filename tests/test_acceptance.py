@@ -196,7 +196,6 @@ def test_criterion_4_induced_bracket_corank():
         result.closure_ok
         and result.corank_ok
         and result.parity_ok
-        and result.completeness_ok
         and regular >= 100
         and result.dind == 1
     )

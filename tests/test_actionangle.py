@@ -34,7 +34,7 @@ from cosymkit.cosym import (
 from cosymkit.fields import ChartSpec, OneFormField, ScalarField
 from cosymkit.flow import Trajectory, integrate
 from cosymkit.integrability import IntegralSystem
-from cosymkit.scenarios import builtin
+from cosymkit.scenarios import builtin, builtin_dict
 
 TWO_PI = 2 * math.pi
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
@@ -178,7 +178,7 @@ def test_loop_actions_do_not_depend_on_the_gauge(name):
     sc = builtin(name)
     sys = sc.system
     lattice = torus_lattice(sys, _fiber_base(sc), angle_maps=sc.angle_maps)
-    lam_t, lam_q, lam_p = sc.raw["lambda"]
+    lam_t, lam_q, lam_p = builtin_dict(name)["lambda"]
     gauged = _with_primitive(sys, [lam_t, f"({lam_q}) + p", f"({lam_p}) + q"])
     actions = action_integrals(sys, lattice).actions
     assert np.max(np.abs(action_integrals(gauged, lattice).actions - actions)) <= 1e-12

@@ -185,6 +185,18 @@ def test_integrate_round_trip(tmp_path, capsys):
     assert drift == pytest.approx(payload["integral_drift"]["H"], rel=1e-12, abs=1e-15)
 
 
+def test_integrate_out_is_the_csv_and_no_json_copy(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    argv = ["integrate", OSC, "--field", "eval", "--x0", "0,1,0", "--tau", "1.0"]
+    code, payload, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0 and payload["csv"] == str(out)
+    assert out.read_text().startswith("tau,t,q,p,H\n")
+    assert list(tmp_path.iterdir()) == [out]
+    assert main(["integrate", "--help"]) == 0
+    help_words = " ".join(capsys.readouterr().out.split())
+    assert "--out CSV write the trajectory CSV here" in help_words
+
+
 def test_integrate_rejects_degenerate_scenario_point(tmp_path, capsys):
     # a structure that degenerates on the q = 0 plane
     data = dict(builtin_dict("ext-oscillator-1d"))
@@ -466,6 +478,27 @@ def test_report_all_builds_one_torus(monkeypatch, capsys):
 def test_delta_option_removed(capsys):
     for command in ("actions", "frequencies", "report"):
         assert main([command, OSC, "--delta", "1e-4"]) == 64
+
+
+@pytest.mark.parametrize("command", ["actions", "frequencies", "integrate"])
+def test_seed_refused_where_nothing_is_sampled(command, capsys):
+    flow = ["--field", "eval", "--x0", "0,1,0", "--tau", "1.0"] if command == "integrate" else []
+    assert main([command, OSC, *flow, "--seed", "1"]) == 64
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_incomplete_integral_set_is_usage_error(tmp_path, capsys):
+    # two integrals with r = 1 on the five-dimensional chart: m + r = 3
+    data = builtin_dict("ext-oscillator-2d-super")
+    data["integrals"]["fields"] = data["integrals"]["fields"][:2]
+    f = tmp_path / "incomplete.json"
+    f.write_text(scenario_json_text(data))
+    code, payload, _ = run(capsys, "verify", str(f))
+    assert code == 64
+    assert payload == {
+        "error": "scenario construction failed: incomplete integral set:"
+        " m + r = 3 but dim - 1 = 4"
+    }
 
 
 def test_report_skips_torus_sections_when_noncompact(capsys):

@@ -1,4 +1,3 @@
-import io
 import math
 import re
 
@@ -123,12 +122,12 @@ def test_pc_reeb_flow_matches_oscillator():
     assert traj.final_state == pytest.approx([TWO_PI, 1.0, 0.0], abs=1e-8)
 
 
-def test_csv_export_shape():
+def test_csv_export_shape(tmp_path):
     S, H = oscillator()
     traj = integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 1.0, 1e-8)
-    buf = io.StringIO()
-    traj.to_csv(buf, CHART, [H])
-    text = buf.getvalue()
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path, CHART, [H])
+    text = path.read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "tau,t,q,p,H"
     assert len(lines) == len(traj.times) + 1

@@ -55,9 +55,8 @@ def pts(sys, n, seed=0):
 def test_system_dimension_contract():
     S = make_canonical(1, box=BOX1)
     H = ScalarField.from_source("(q^2 + p^2)/2", CHART1, "H")
-    with pytest.raises(ValueError):
-        IntegralSystem(S, H, (H, H), r=1)  # m + r = 3 != 2n = 2
-    IntegralSystem(S, H, (H, H), r=1, enforce_completeness=False)
+    with pytest.raises(ValueError, match=r"^incomplete integral set: m \+ r = 3 but dim - 1 = 2$"):
+        IntegralSystem(S, H, (H, H), r=1)
     with pytest.raises(ValueError):
         IntegralSystem(S, H, (H,), r=2)
 
@@ -99,11 +98,11 @@ def test_commuting_prefix_violation_witnessed():
     H = ScalarField.from_source("(q1^2 + q2^2 + p1^2 + p2^2)/2", CHART2, "H")
     L = ScalarField.from_source("q1*p2 - q2*p1", CHART2, "L")
     bad = ScalarField.from_source("q1", CHART2, "q1")
-    sys = IntegralSystem(S, H, (L, bad, H), r=2, enforce_completeness=False)
+    sys = IntegralSystem(S, H, (L, bad), r=2)
     report = check_commuting_prefix(sys, pts(sys, 10, seed=3))
     assert not report.passed
     assert report.witness is not None
-    assert set(report.witness["pair"]) <= {"L", "q1", "H"}
+    assert set(report.witness["pair"]) == {"L", "q1"}
 
 
 def test_commutative_chain_passes():
@@ -135,11 +134,14 @@ def test_independence_generic_and_singular():
 
 
 def test_independence_vacuous_for_no_integrals():
-    S = make_canonical(1, box=BOX1)
-    H = ScalarField.from_source("(q^2 + p^2)/2", CHART1, "H")
-    sys = IntegralSystem(S, H, (), r=0, enforce_completeness=False)
+    # the chart (t) with eta = dt: the only complete system with m = 0
+    S = make_canonical(0, box=[[0.0, 2 * math.pi]])
+    H = ScalarField.from_source("cos(t)", S.chart, "H")
+    sys = IntegralSystem(S, H, (), r=0)
     report = check_independence(sys, pts(sys, 5))
     assert report.passed
+    assert report.extra["regular_points"] == 5
+    assert report.extra["expected_ranks"] == [0, 1]
 
 
 def test_symmetry_algebra_oscillator():
@@ -203,7 +205,6 @@ def test_closure_and_corank_2d_super():
     assert result.corank_ok
     assert result.parity_ok
     assert result.ddim == 3 and result.dind == 1
-    assert result.completeness_ok
 
 
 def test_closure_commutative_zero_matrix():
@@ -219,18 +220,6 @@ def test_closure_commutative_zero_matrix():
     assert result.closure_ok
 
 
-def test_overcomplete_set_fails_completeness():
-    S = make_canonical(1, box=BOX1)
-    H = ScalarField.from_source("(q^2 + p^2)/2", CHART1, "H")
-    p_field = ScalarField.from_source("p", CHART1, "pf")
-    sys = IntegralSystem(S, H, (H, p_field), r=1, enforce_completeness=False)
-    rng = np.random.default_rng(17)
-    x0 = np.array([0.0, 1.0, 0.3])
-    groups = [[x0, x0 + 0.0]]
-    result = bracket_closure_and_corank(sys, groups)
-    assert not result.completeness_ok
-
-
 def test_casimir_check():
     sys = oscillator_2d_super()
     rng = np.random.default_rng(19)
@@ -241,14 +230,14 @@ def test_casimir_check():
 
 
 #: The flags of ``InducedBracket.to_dict``; its "pass" is their conjunction.
-INDUCED_FLAGS = ("completeness", "closure_ok", "corank_ok", "parity_ok", "casimir_ok")
+INDUCED_FLAGS = ("closure_ok", "corank_ok", "parity_ok", "casimir_ok")
 
 
 def test_induced_bracket_passes_only_when_every_printed_flag_holds():
     tol = ToleranceConfig()
     good = dict(
         fibers=1, coranks=[1, 1], regular_flags=[True, True], closure_spread=0.0,
-        ddim=3, dind=1, dim=5, tol=tol, casimir_residual=0.0,
+        ddim=3, dind=1, tol=tol, casimir_residual=0.0,
     )
     cases = [
         (None, {}),
@@ -256,7 +245,6 @@ def test_induced_bracket_passes_only_when_every_printed_flag_holds():
         ("closure_ok", {"closure_spread": math.nan}),
         ("corank_ok", {"coranks": [1, 3]}),
         ("parity_ok", {"coranks": [1, 2], "regular_flags": [True, False]}),
-        ("completeness", {"dim": 7}),
         ("casimir_ok", {"casimir_residual": tol.commuting}),
         ("casimir_ok", {"casimir_residual": math.nan}),
     ]
@@ -344,12 +332,14 @@ def test_bracket_of_commuting_pair_trivial():
 
 
 def test_bracket_check_refuses_non_integrals():
-    S = make_canonical(1, box=BOX1)
-    H = ScalarField.from_source("(q^2 + p^2)/2", CHART1, "H")
-    q = ScalarField.from_source("q", CHART1, "q")
-    sys = IntegralSystem(S, H, (H, q), r=1, enforce_completeness=False)
-    with pytest.raises(ValueError, match="precondition"):
-        check_bracket_of_integrals(sys, [(0, 1)], pts(sys, 5, seed=31))
+    # a complete set (m + r = 4) with q1 as a member: {q1, H} = p1
+    S = make_canonical(2, box=BOX2)
+    H = ScalarField.from_source("(q1^2 + q2^2 + p1^2 + p2^2)/2", CHART2, "H")
+    L = ScalarField.from_source("q1*p2 - q2*p1", CHART2, "L")
+    q1 = ScalarField.from_source("q1", CHART2, "q1")
+    sys = IntegralSystem(S, H, (H, L, q1), r=1)
+    with pytest.raises(ValueError, match="precondition unmet: q1 is not"):
+        check_bracket_of_integrals(sys, [(1, 2)], pts(sys, 5, seed=31))
 
 
 def test_sample_fiber_stays_on_fiber():
