@@ -30,10 +30,9 @@ from .fields import (
 from .flow import Trajectory, drift_report, integrate
 from .integrability import IntegralSystem
 from .actionangle import (
-    ActionProfile,
     AngleMap,
-    FrequencyTable,
     PeriodLattice,
+    Torus,
     action_integrals,
     b_matrix,
     detect_period_lattice,
@@ -72,8 +71,7 @@ __all__ = [
     "drift_report",
     "AngleMap",
     "PeriodLattice",
-    "ActionProfile",
-    "FrequencyTable",
+    "Torus",
     "torus_lattice",
     "detect_period_lattice",
     "action_integrals",

@@ -32,7 +32,8 @@ callable on its own.  The lattice keeps the traced cycles of its basis, and
 the windings and the loop actions are read off them: the actions and eta
 pairings sum the one-forms against the Dormand-Prince stages each trajectory
 kept, so they are eighth-order quadratures on the flow's own steps and
-evaluate no field.
+evaluate no field.  In the same pass ``action_integrals`` reads b off the
+basis, checks its eta column against the pairings and returns one ``Torus``.
 
 The primitive, the chart and the lattice return tolerance are read from the
 structure of the ``IntegralSystem`` a function is given.
@@ -60,8 +61,7 @@ __all__ = [
     "AngleUnwrapError",
     "AngleMap",
     "PeriodLattice",
-    "ActionProfile",
-    "FrequencyTable",
+    "Torus",
     "find_fiber_point",
     "trace_cycle",
     "refine_lattice_vector",
@@ -192,39 +192,24 @@ class PeriodLattice:
 
 
 @dataclass(frozen=True)
-class ActionProfile:
-    lattice: PeriodLattice
-    actions: np.ndarray
-    eta_pairings: np.ndarray
-    fiber_values: np.ndarray
-    primitive_residual: float
+class Torus:
+    """One invariant torus: its period lattice and fiber, and the loop actions
+    and frequency matrix ``action_integrals`` reads off the lattice.
 
-    def to_dict(self) -> dict:
-        return {
-            "actions": [float(v) for v in self.actions],
-            "eta_pairings": [float(v) for v in self.eta_pairings],
-            "fiber": [float(v) for v in self.fiber_values],
-            "primitive_residual": float(self.primitive_residual),
-            "lattice": self.lattice.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """The matrix b with derivative columns and the constant eta column.
-
-    The actions are redundant: the derivative sub-block b[:, :r] has rank r
-    even though there are r+1 of them.  ``derivative_rank`` reports it.
-    ``eta_residual`` compares the line-integral eta pairings of the cycles
-    with the Reeb-time column they must equal.
+    ``b`` has r derivative columns and the constant eta column.  The r+1
+    actions are redundant: the derivative block b[:, :r] has rank r, which
+    ``derivative_rank`` reports.  ``eta_residual`` compares the cycles'
+    line-integral ``eta_pairings`` with the Reeb-time column they must equal.
     """
 
-    b: np.ndarray
+    lattice: PeriodLattice
     fiber: np.ndarray
     actions: np.ndarray
+    eta_pairings: np.ndarray
+    primitive_residual: float
+    b: np.ndarray
     eta_residual: float
     cond: float
-    lattice: PeriodLattice
 
     @property
     def derivative_rank(self) -> int:
@@ -234,7 +219,16 @@ class FrequencyTable:
         s = np.linalg.svd(block, compute_uv=False)
         return int(np.sum(s > max(1e-8, float(s[0]) * 1e-8)))
 
-    def to_dict(self) -> dict:
+    def actions_dict(self) -> dict:
+        return {
+            "fiber": [float(v) for v in self.fiber],
+            "actions": [float(v) for v in self.actions],
+            "eta_pairings": [float(v) for v in self.eta_pairings],
+            "primitive_residual": float(self.primitive_residual),
+            "lattice": self.lattice.to_dict(),
+        }
+
+    def table_dict(self) -> dict:
         return {
             "b": [[float(v) for v in row] for row in self.b],
             "fiber": [float(v) for v in self.fiber],
@@ -563,15 +557,16 @@ def line_integral(segments, form: OneFormField) -> float:
     return sum((traj.quadrature(form.at_stack) for _, traj in segments), 0.0)
 
 
-def action_integrals(sys: IntegralSystem, lattice: PeriodLattice) -> ActionProfile:
-    """Loop actions (1/2pi) * integral of lambda over each lattice cycle,
-    where lambda is the structure's primitive.
+def action_integrals(sys: IntegralSystem, lattice: PeriodLattice) -> Torus:
+    """The torus of ``lattice``: loop actions (1/2pi) * integral of lambda
+    over each lattice cycle, where lambda is the structure's primitive, and
+    the frequency matrix ``b_matrix`` reads off the same lattice.
 
     Reads the cycles the lattice refinement traced; integrates no flow.
     Verifies that every cycle closes and that -d(lambda) = omega on accepted
     states of the cycles (``check_primitive``, which raises ValueError when
     the structure carries no primitive); also records the eta pairing of each
-    cycle, which is the constant column of the frequency matrix.
+    cycle, which ``b_matrix`` checks against the constant column of b.
     """
     S = sys.structure
     lam = S.primitive
@@ -595,59 +590,58 @@ def action_integrals(sys: IntegralSystem, lattice: PeriodLattice) -> ActionProfi
                 )
         actions.append(line_integral(segments, lam) / TWO_PI)
         pairings.append(line_integral(segments, S.eta) / TWO_PI)
-    return ActionProfile(
-        lattice,
-        np.array(actions),
-        np.array(pairings),
-        sys.integral_values(x0),
-        prim_worst,
+    pairings = np.array(pairings)
+    b, eta_residual = b_matrix(sys, lattice, pairings)
+    return Torus(
+        lattice=lattice,
+        fiber=sys.integral_values(x0),
+        actions=np.array(actions),
+        eta_pairings=pairings,
+        primitive_residual=prim_worst,
+        b=b,
+        eta_residual=eta_residual,
+        cond=float(np.linalg.cond(b)),
     )
 
 
 # --- frequency matrix and solves ----------------------------------------------
 
-def b_matrix(sys: IntegralSystem, profile: ActionProfile) -> FrequencyTable:
-    """Frequency matrix of a torus, read off its period lattice.
+def b_matrix(
+    sys: IntegralSystem, lattice: PeriodLattice, eta_pairings: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Frequency matrix of a torus, read off its period lattice, and the
+    residual of its eta column.
 
-    ``b = basis / 2pi`` by the period-action relation.  The eta pairings that
-    ``action_integrals`` measured along the cycles must reproduce the last
-    (Reeb-time) column; a larger gap than the structure's
-    ``tol.lattice_return`` means the fields are not the commuting (X_f, Z)
-    frame the relation needs, or a cycle was traced badly, and raises
-    CycleError.
+    ``b = basis / 2pi`` by the period-action relation.  The eta pairings
+    measured along the cycles must reproduce the last (Reeb-time) column; a
+    larger gap than the structure's ``tol.lattice_return`` means the fields
+    are not the commuting (X_f, Z) frame the relation needs, or a cycle was
+    traced badly, and raises CycleError.
     """
-    lattice = profile.lattice
     b = lattice.basis / TWO_PI
-    eta_residual = float(np.max(np.abs(profile.eta_pairings - b[:, -1])))
+    eta_residual = float(np.max(np.abs(eta_pairings - b[:, -1])))
     if eta_residual > sys.structure.tol.lattice_return:
         raise CycleError(
-            f"eta pairings {profile.eta_pairings.tolist()} do not match the "
+            f"eta pairings {eta_pairings.tolist()} do not match the "
             f"Reeb-time column {b[:, -1].tolist()}: residual {eta_residual:.3e}"
         )
-    return FrequencyTable(
-        b=b,
-        fiber=profile.fiber_values,
-        actions=profile.actions,
-        eta_residual=eta_residual,
-        cond=float(np.linalg.cond(b)),
-        lattice=lattice,
-    )
+    return b, eta_residual
 
 
-def _conditioned_b(table: FrequencyTable) -> np.ndarray:
-    """The table's ``b``; an ill-conditioned one raises ActionAngleError."""
-    if table.cond > 1e8:
-        raise ActionAngleError(f"frequency matrix is ill-conditioned: cond={table.cond:.3e}")
-    return table.b
+def _conditioned_b(torus: Torus) -> np.ndarray:
+    """The torus's ``b``; an ill-conditioned one raises ActionAngleError."""
+    if torus.cond > 1e8:
+        raise ActionAngleError(f"frequency matrix is ill-conditioned: cond={torus.cond:.3e}")
+    return torus.b
 
 
-def solve_frequencies(table: FrequencyTable, mode: str, k: int | None = None) -> np.ndarray:
+def solve_frequencies(torus: Torus, mode: str, k: int | None = None) -> np.ndarray:
     """Solve b^T w = e_mode for the flow frequencies in the cycle basis.
 
     ``mode`` is "reeb" (right-hand side selects the eta column) or
     "hamiltonian" with a 1-based prefix index ``k``.
     """
-    b = _conditioned_b(table)
+    b = _conditioned_b(torus)
     size = b.shape[0]
     rhs = np.zeros(size)
     if mode == "reeb":
@@ -661,7 +655,7 @@ def solve_frequencies(table: FrequencyTable, mode: str, k: int | None = None) ->
     return np.linalg.solve(b.T, rhs)
 
 
-def evaluation_frequencies(table: FrequencyTable, sys: IntegralSystem) -> np.ndarray:
+def evaluation_frequencies(torus: Torus, sys: IntegralSystem) -> np.ndarray:
     """Frequencies of the evaluation flow Y_H in the cycle basis.
 
     Writes dH as a constant combination of the prefix differentials
@@ -670,7 +664,7 @@ def evaluation_frequencies(table: FrequencyTable, sys: IntegralSystem) -> np.nda
     b^T w = (c_1..c_r, 1).  Fails when H is not generated by the commuting
     prefix.
     """
-    x = table.lattice.base_point
+    x = torus.lattice.base_point
     Gs = np.array([f.gradient(x) for f in sys.integrals[: sys.r]]).T
     hs = sys.hamiltonian.gradient(x)
     if sys.r == 0:
@@ -685,7 +679,7 @@ def evaluation_frequencies(table: FrequencyTable, sys: IntegralSystem) -> np.nda
                 f"dH is not a constant combination of the prefix differentials "
                 f"(residual {resid:.3e})"
             )
-    return np.linalg.solve(_conditioned_b(table).T, np.append(coeffs, 1.0))
+    return np.linalg.solve(_conditioned_b(torus).T, np.append(coeffs, 1.0))
 
 
 # --- empirical frequencies and winding ----------------------------------------

@@ -10,9 +10,10 @@ command's JSON report on stdout (and a copy to ``--out``), with
     3   a solved-vs-empirical cross-check mismatched
     64  usage error, malformed JSON or schema violation
 
-A command that fails prints ``{"error": ...}`` alone and writes no copy.  The commands
-that sample points (validate, verify, report) are seeded (``--seed``,
-default 0), so repeated runs are byte-identical.
+A command that fails, or whose ``--out`` cannot be written, prints
+``{"error": ...}`` alone and writes no copy.  The commands that sample points
+(validate, verify, report) are seeded (``--seed``, default 0), so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import numpy as np
 from . import __version__
 from .actionangle import (
     ActionAngleError,
-    ActionProfile,
+    Torus,
     action_integrals,
-    b_matrix,
     empirical_frequencies,
     evaluation_frequencies,
     find_fiber_point,
@@ -112,10 +112,11 @@ def _float_list(text: str) -> list[float]:
 
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, indent=2)
-    print(text)
+    # the copy first: an unwritable path raises before anything is printed
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    print(text)
 
 
 def _field_from_spec(scenario: Scenario, spec: str):
@@ -233,8 +234,8 @@ def _refuse_torus(scenario: Scenario) -> dict | None:
     return {"error": error}
 
 
-def _torus_profile(scenario: Scenario, fiber) -> ActionProfile:
-    """The one torus computation per fiber: point, lattice, loop actions.
+def _torus(scenario: Scenario, fiber) -> Torus:
+    """The one torus computation per fiber: point, lattice, loop actions, b.
 
     Both the actions and the frequencies sections read from it; callers have
     checked ``_torus_skip_reason``.
@@ -245,23 +246,22 @@ def _torus_profile(scenario: Scenario, fiber) -> ActionProfile:
     return action_integrals(sys_, lattice)
 
 
-def _actions_section(profile: ActionProfile) -> dict:
-    body = profile.to_dict()
-    return {"pass": True, "fiber": body.pop("fiber"), **body}
+def _actions_section(torus: Torus) -> dict:
+    return {"pass": True, **torus.actions_dict()}
 
 
 def _frequency_mode(scenario: Scenario, mode: str):
     """``(label, flow field, solve)`` of a ``reeb | eval | ham:K`` mode;
-    ``solve`` maps a frequency table to the mode's frequencies.  A bad mode
+    ``solve`` maps a torus to the mode's frequencies.  A bad mode
     raises ArgumentTypeError, and nothing is flowed."""
     S, sys_ = scenario.structure, scenario.system
     if mode == "reeb":
-        return "reeb", S.reeb_vf(), lambda table: solve_frequencies(table, "reeb")
+        return "reeb", S.reeb_vf(), lambda torus: solve_frequencies(torus, "reeb")
     if mode == "eval":
         return (
             "eval",
             S.evaluation_vf(sys_.hamiltonian),
-            lambda table: evaluation_frequencies(table, sys_),
+            lambda torus: evaluation_frequencies(torus, sys_),
         )
     if not mode.startswith("ham:"):
         raise argparse.ArgumentTypeError(f"bad mode '{mode}' (reeb|eval|ham:K)")
@@ -276,23 +276,22 @@ def _frequency_mode(scenario: Scenario, mode: str):
     return (
         f"ham:{k}",
         S.hamiltonian_vf(sys_.integrals[k - 1]),
-        lambda table: solve_frequencies(table, "hamiltonian", k),
+        lambda torus: solve_frequencies(torus, "hamiltonian", k),
     )
 
 
 def _frequency_section(
-    scenario: Scenario, profile: ActionProfile, modes, verify_empirical: bool = False
+    scenario: Scenario, torus: Torus, modes, verify_empirical: bool = False
 ) -> dict:
     """Frequencies of each ``_frequency_mode`` in ``modes``, optionally
     checked against the angles' slopes along the mode's flow."""
-    table = b_matrix(scenario.system, profile)
-    out = {"pass": True, "table": table.to_dict(), "modes": {}}
-    solved = [(label, field, solve(table)) for label, field, solve in modes]
+    out = {"pass": True, "table": torus.table_dict(), "modes": {}}
+    solved = [(label, field, solve(torus)) for label, field, solve in modes]
     for label, _, value in solved:
         out["modes"][label] = [float(v) for v in value]
     if verify_empirical:
         tol_match = scenario.structure.tol.frequency_match
-        x0 = table.lattice.base_point
+        x0 = torus.lattice.base_point
         mismatch = 0.0
         for label, field, value in solved:
             slopes, resid = empirical_frequencies(field, x0, scenario.angle_maps, tau_end=40.0)
@@ -368,7 +367,7 @@ def _cmd_actions(scenario: Scenario, args):
     fiber = _fiber_arg(scenario, args)
     if refusal := _refuse_torus(scenario):
         return refusal, CHECK_FAILED
-    return {"report": _actions_section(_torus_profile(scenario, fiber))}, 0
+    return {"report": _actions_section(_torus(scenario, fiber))}, 0
 
 
 def _cmd_frequencies(scenario: Scenario, args):
@@ -379,7 +378,7 @@ def _cmd_frequencies(scenario: Scenario, args):
     if args.verify_empirical and not scenario.angle_maps:
         raise ActionAngleError("empirical verification needs declared angle maps")
     section = _frequency_section(
-        scenario, _torus_profile(scenario, fiber), [mode], args.verify_empirical
+        scenario, _torus(scenario, fiber), [mode], args.verify_empirical
     )
     return {"mode": args.mode, "report": section}, 0 if section["pass"] else MISMATCH
 
@@ -394,10 +393,10 @@ def _cmd_report(scenario: Scenario, args):
             sections["actions"] = {"status": f"skipped: {reason}"}
             sections["frequencies"] = {"status": f"skipped: {reason}"}
         else:
-            profile = _torus_profile(scenario, _default_fiber(scenario))
-            sections["actions"] = _actions_section(profile)
+            torus = _torus(scenario, _default_fiber(scenario))
+            sections["actions"] = _actions_section(torus)
             sections["frequencies"] = _frequency_section(
-                scenario, profile, [_frequency_mode(scenario, m) for m in ("reeb", "eval")]
+                scenario, torus, [_frequency_mode(scenario, m) for m in ("reeb", "eval")]
             )
     failed = [
         name

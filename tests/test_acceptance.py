@@ -13,7 +13,6 @@ import pytest
 
 from cosymkit.actionangle import (
     action_integrals,
-    b_matrix,
     empirical_frequencies,
     evaluation_frequencies,
     find_fiber_point,
@@ -228,14 +227,14 @@ def test_criterion_6_action_oracle():
     for c in (0.25, 0.5, 1.0):
         x0 = np.array([0.0, math.sqrt(2 * c), 0.0])
         lattice = torus_lattice(sys_, x0, angle_maps=sc.angle_maps)
-        profile = action_integrals(sys_, lattice)
-        worst_value = max(worst_value, abs(profile.actions[0] - c))
+        torus = action_integrals(sys_, lattice)
+        worst_value = max(worst_value, abs(torus.actions[0] - c))
         # base-point independence: restart from another point of the torus
         x1 = trace_cycle(sys_.commuting_fields(), (0.41, 2.03), x0, 1e-12)[-1][1].final_state
         lattice1 = torus_lattice(sys_, x1, angle_maps=sc.angle_maps)
-        profile1 = action_integrals(sys_, lattice1)
+        torus1 = action_integrals(sys_, lattice1)
         worst_move = max(
-            worst_move, float(np.max(np.abs(profile1.actions - profile.actions)))
+            worst_move, float(np.max(np.abs(torus1.actions - torus.actions)))
         )
     ok = worst_value < 1e-10 and worst_move < 1e-10
     _report(
@@ -246,12 +245,11 @@ def test_criterion_6_action_oracle():
     )
 
 
-def _frequency_table(sc, fiber):
-    """b read off the lattice of the torus through ``fiber``."""
+def _torus(sc, fiber):
+    """The torus through ``fiber``, with b read off its lattice."""
     x0 = find_fiber_point(sc.system, fiber, sc.base_point())
     lattice = torus_lattice(sc.system, x0, angle_maps=sc.angle_maps)
-    profile = action_integrals(sc.system, lattice)
-    return b_matrix(sc.system, profile)
+    return action_integrals(sc.system, lattice)
 
 
 def test_criterion_7_frequency_systems():
@@ -263,23 +261,23 @@ def test_criterion_7_frequency_systems():
 
     sc = builtin("ext-oscillator-1d")
     sys_ = sc.system
-    table = _frequency_table(sc, [0.5])
-    x0 = table.lattice.base_point
-    reeb = solve_frequencies(table, "reeb")
+    torus = _torus(sc, [0.5])
+    x0 = torus.lattice.base_point
+    reeb = solve_frequencies(torus, "reeb")
     emp, _ = empirical_frequencies(sc.structure.reeb_vf(), x0, sc.angle_maps, 40.0)
     results.append(("canonical reeb", reeb, [0.0, 1.0], emp))
 
-    ham = solve_frequencies(table, "hamiltonian", 1)
+    ham = solve_frequencies(torus, "hamiltonian", 1)
     emp_h, _ = empirical_frequencies(
         sc.structure.hamiltonian_vf(sys_.integrals[0]), x0, sc.angle_maps, 40.0
     )
     results.append(("hamiltonian-flow", ham, [1.0, 0.0], emp_h))
 
     pc = builtin("pc-oscillator-1d")
-    table_pc = _frequency_table(pc, [0.5])
-    reeb_pc = solve_frequencies(table_pc, "reeb")
+    torus_pc = _torus(pc, [0.5])
+    reeb_pc = solve_frequencies(torus_pc, "reeb")
     emp_pc, _ = empirical_frequencies(
-        pc.structure.reeb_vf(), table_pc.lattice.base_point, pc.angle_maps, 40.0
+        pc.structure.reeb_vf(), torus_pc.lattice.base_point, pc.angle_maps, 40.0
     )
     results.append(("twisted reeb", reeb_pc, [1.0, 1.0], emp_pc))
 

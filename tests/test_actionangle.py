@@ -7,7 +7,6 @@ import pytest
 from cosymkit import actionangle
 from cosymkit.actionangle import (
     ActionAngleError,
-    ActionProfile,
     AngleMap,
     AngleUnwrapError,
     CycleError,
@@ -61,8 +60,8 @@ def pc_system():
     return IntegralSystem(S, zero, (H,), r=1)
 
 
-def fiber_profile(sys, fiber, angle_maps, seed=(0.0, 1.0, 0.0)):
-    """Fiber point, aligned period lattice and loop actions of one torus."""
+def fiber_torus(sys, fiber, angle_maps, seed=(0.0, 1.0, 0.0)):
+    """Fiber point, aligned period lattice, loop actions and b of one torus."""
     x0 = find_fiber_point(sys, fiber, np.asarray(seed, dtype=float))
     lattice = torus_lattice(sys, x0, angle_maps=angle_maps)
     return action_integrals(sys, lattice)
@@ -130,11 +129,11 @@ def test_action_equals_fiber_value():
     for c in (0.25, 0.5, 1.0):
         x0 = np.array([0.0, math.sqrt(2 * c), 0.0])
         lattice = torus_lattice(sys, x0, angle_maps=oscillator_angles())
-        profile = action_integrals(sys, lattice)
-        assert profile.actions[0] == pytest.approx(c, abs=1e-10)
+        torus = action_integrals(sys, lattice)
+        assert torus.actions[0] == pytest.approx(c, abs=1e-10)
         # the t-circle carries no p dq action
-        assert profile.actions[1] == pytest.approx(0.0, abs=1e-10)
-        assert profile.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-10)
+        assert torus.actions[1] == pytest.approx(0.0, abs=1e-10)
+        assert torus.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-10)
 
 
 def test_action_base_point_independence():
@@ -200,9 +199,9 @@ def test_action_integrals_integrate_no_flow(monkeypatch):
     monkeypatch.setattr(actionangle, "integrate", recompute)
     monkeypatch.setattr(StructureVectorField, "__call__", recompute)
     monkeypatch.setattr(Trajectory, "state_at", recompute)
-    profile = action_integrals(sys, lattice)
-    assert profile.actions == pytest.approx([0.5, 0.0], abs=1e-10)
-    assert profile.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-10)
+    torus = action_integrals(sys, lattice)
+    assert torus.actions == pytest.approx([0.5, 0.0], abs=1e-10)
+    assert torus.eta_pairings == pytest.approx([0.0, 1.0], abs=1e-10)
 
 
 def test_refine_traces_the_cycle_once_per_newton_iteration(monkeypatch):
@@ -279,10 +278,10 @@ def test_poincare_cartan_action_around_t_circle():
 
 def test_b_matrix_oscillator_identity():
     sys = oscillator_system()
-    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
-    assert table.b == pytest.approx(np.eye(2), abs=1e-9)
-    assert table.eta_residual < 1e-12
-    assert table.cond < 10
+    torus = fiber_torus(sys, [0.5], oscillator_angles())
+    assert torus.b == pytest.approx(np.eye(2), abs=1e-9)
+    assert torus.eta_residual < 1e-12
+    assert torus.cond < 10
 
 
 def test_b_matrix_rescaled_oscillator():
@@ -295,20 +294,20 @@ def test_b_matrix_rescaled_oscillator():
         AngleMap.from_spec({"plane": ["q", f"-p/{w0}"], "label": "phase"}, CHART),
         AngleMap.from_spec({"coordinate": "t", "label": "t"}, CHART),
     )
-    table = b_matrix(sys, fiber_profile(sys, [0.5], angles))
-    assert table.b[0, 0] == pytest.approx(1.0 / w0, abs=1e-9)
-    assert table.b[1, 0] == pytest.approx(0.0, abs=1e-9)
-    assert table.b[:, 1] == pytest.approx([0.0, 1.0], abs=1e-9)
+    torus = fiber_torus(sys, [0.5], angles)
+    assert torus.b[0, 0] == pytest.approx(1.0 / w0, abs=1e-9)
+    assert torus.b[1, 0] == pytest.approx(0.0, abs=1e-9)
+    assert torus.b[:, 1] == pytest.approx([0.0, 1.0], abs=1e-9)
 
 
 def test_frequencies_canonical_reeb_and_hamiltonian():
     sys = oscillator_system()
-    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
-    reeb = solve_frequencies(table, "reeb")
+    torus = fiber_torus(sys, [0.5], oscillator_angles())
+    reeb = solve_frequencies(torus, "reeb")
     assert reeb == pytest.approx([0.0, 1.0], abs=1e-9)
-    ham = solve_frequencies(table, "hamiltonian", 1)
+    ham = solve_frequencies(torus, "hamiltonian", 1)
     assert ham == pytest.approx([1.0, 0.0], abs=1e-9)
-    ev = evaluation_frequencies(table, sys)
+    ev = evaluation_frequencies(torus, sys)
     assert ev == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
@@ -318,22 +317,22 @@ def test_evaluation_frequencies_scale_with_a_small_hamiltonian():
     sc = builtin("ext-oscillator-1d")
     sys = sc.system
     lattice = torus_lattice(sys, sc.base_point(), angle_maps=sc.angle_maps)
-    table = b_matrix(sys, action_integrals(sys, lattice))
+    torus = action_integrals(sys, lattice)
     H = ScalarField.from_source("1e-13*(q^2 + p^2)/2", sc.chart, "H")
-    ev = evaluation_frequencies(table, IntegralSystem(sc.structure, H, sys.integrals, sys.r))
+    ev = evaluation_frequencies(torus, IntegralSystem(sc.structure, H, sys.integrals, sys.r))
     assert abs(ev[0] - 1e-13) <= 1e-9 * 1e-13
     assert ev[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_frequencies_poincare_cartan_reeb():
     sys = pc_system()
-    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
+    torus = fiber_torus(sys, [0.5], oscillator_angles())
     # aligned cycle basis gives b = [[1, 0], [-1, 1]]
-    assert table.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
-    reeb = solve_frequencies(table, "reeb")
+    assert torus.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
+    reeb = solve_frequencies(torus, "reeb")
     assert reeb == pytest.approx([1.0, 1.0], abs=1e-9)
     # H == 0 for this system, so the evaluation flow is the Reeb flow
-    ev = evaluation_frequencies(table, sys)
+    ev = evaluation_frequencies(torus, sys)
     assert ev == pytest.approx(reeb, abs=1e-10)
 
 
@@ -341,11 +340,11 @@ def test_reconstructed_generators_have_period_two_pi():
     # the rows of b recombine the commuting fields into angle generators;
     # flowing such a generator for 2*pi must return the base point
     sys = oscillator_system()
-    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
+    torus = fiber_torus(sys, [0.5], oscillator_angles())
     fields = sys.commuting_fields()
-    x0 = table.lattice.base_point
+    x0 = torus.lattice.base_point
     for mu in range(2):
-        coeffs = table.b[mu]
+        coeffs = torus.b[mu]
 
         def generator(x, c=coeffs):
             return c[0] * fields[0](x) + c[1] * fields[1](x)
@@ -401,8 +400,8 @@ def test_time_section_return_periodic_orbit_is_small():
 def test_action_redundancy_rank():
     # r+1 actions but only r independent ones: rank of the derivative block
     sys = oscillator_system()
-    table = b_matrix(sys, fiber_profile(sys, [0.5], oscillator_angles()))
-    assert table.derivative_rank == sys.r == 1
+    torus = fiber_torus(sys, [0.5], oscillator_angles())
+    assert torus.derivative_rank == sys.r == 1
 
 
 @pytest.mark.parametrize("name", ["ext-oscillator-1d", "pc-oscillator-1d"])
@@ -415,11 +414,10 @@ def test_b_matrix_matches_action_differences(name):
     fiber = sys.integral_values(sc.base_point())
     x0 = find_fiber_point(sys, fiber, sc.base_point())
     lattice = torus_lattice(sys, x0, angle_maps=sc.angle_maps)
-    profile = action_integrals(sys, lattice)
-    table = b_matrix(sys, profile)
+    torus = action_integrals(sys, lattice)
     delta = 1e-4
-    fd = np.zeros_like(table.b)
-    fd[:, sys.r] = profile.eta_pairings
+    fd = np.zeros_like(torus.b)
+    fd[:, sys.r] = torus.eta_pairings
     for nu in range(sys.r):
         neighbors = []
         for sgn in (+1.0, -1.0):
@@ -432,27 +430,44 @@ def test_b_matrix_matches_action_differences(name):
         fd[:, nu] = (plus.actions - minus.actions) / (2 * delta)
         # the eta column stays constant across the neighboring fibers
         for near in neighbors:
-            assert near.eta_pairings == pytest.approx(profile.eta_pairings, abs=1e-6)
-    assert np.max(np.abs(fd - table.b)) <= 1e-6
+            assert near.eta_pairings == pytest.approx(torus.eta_pairings, abs=1e-6)
+    assert np.max(np.abs(fd - torus.b)) <= 1e-6
     if name == "pc-oscillator-1d":
         # non-symmetric b: the differences fix its orientation
-        assert np.max(np.abs(fd - table.b.T)) > 0.5
-    assert table.derivative_rank == sys.r
-    assert table.eta_residual <= 1e-12
+        assert np.max(np.abs(fd - torus.b.T)) > 0.5
+    assert torus.derivative_rank == sys.r
+    assert torus.eta_residual <= 1e-12
 
 
 def test_b_matrix_rejects_eta_mismatch():
     sys = oscillator_system()
-    profile = fiber_profile(sys, [0.5], oscillator_angles())
-    bad = ActionProfile(
-        profile.lattice,
-        profile.actions,
-        profile.eta_pairings + np.array([0.0, 1e-3]),
-        profile.fiber_values,
-        profile.primitive_residual,
-    )
-    with pytest.raises(CycleError):
-        b_matrix(sys, bad)
+    torus = fiber_torus(sys, [0.5], oscillator_angles())
+    with pytest.raises(CycleError, match="do not match the Reeb-time column"):
+        b_matrix(sys, torus.lattice, torus.eta_pairings + np.array([0.0, 1e-3]))
+
+
+@pytest.mark.parametrize("mode, k, message", [
+    ("radial", None, "unknown mode 'radial'"),
+    ("hamiltonian", None, r"prefix index 1\.\.1"),
+    ("hamiltonian", 0, r"prefix index 1\.\.1"),
+    ("hamiltonian", 2, r"prefix index 1\.\.1"),
+])
+def test_solve_frequencies_refuses_bad_modes(mode, k, message):
+    torus = fiber_torus(oscillator_system(), [0.5], oscillator_angles())
+    with pytest.raises(ValueError, match=message):
+        solve_frequencies(torus, mode, k)
+
+
+def test_ill_conditioned_torus_is_refused_by_every_solve():
+    sys = oscillator_system()
+    torus = replace(fiber_torus(sys, [0.5], oscillator_angles()), cond=1e9)
+    for solve in (
+        lambda: solve_frequencies(torus, "reeb"),
+        lambda: solve_frequencies(torus, "hamiltonian", 1),
+        lambda: evaluation_frequencies(torus, sys),
+    ):
+        with pytest.raises(ActionAngleError, match="ill-conditioned: cond=1.000e"):
+            solve()
 
 
 def test_angle_alignment_rejects_wrong_angles():
@@ -517,12 +532,12 @@ def test_angle_seeded_lattice_runs_no_scan(monkeypatch, name):
     sys = sc.system
     lattice = torus_lattice(sys, _fiber_base(sc), angle_maps=sc.angle_maps)
     assert lattice.rank == sys.r + 1
-    table = b_matrix(sys, action_integrals(sys, lattice))
+    torus = action_integrals(sys, lattice)
     if name == "ext-oscillator-anisotropic":
         assert lattice.basis == pytest.approx(sc.declared_lattice, abs=1e-9)
-        assert np.diag(table.b) == pytest.approx(sc.oracles["b_diagonal"]["value"], abs=1e-9)
+        assert np.diag(torus.b) == pytest.approx(sc.oracles["b_diagonal"]["value"], abs=1e-9)
     else:
-        assert table.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
+        assert torus.b == pytest.approx(np.array([[1.0, 0.0], [-1.0, 1.0]]), abs=1e-9)
 
 
 def test_angle_map_needs_coordinate_or_plane():

@@ -453,26 +453,66 @@ def test_report_again_compiles_nothing(path, monkeypatch, capsys):
 
 
 def test_report_all_builds_one_torus(monkeypatch, capsys):
-    # actions and frequencies share one fiber point, lattice and action pass
+    # actions and frequencies share one fiber point, lattice, action pass and
+    # b; b_matrix is bound only in actionangle, where action_integrals calls it
     import cosymkit.actionangle as actionangle
     import cosymkit.cli as cli
 
-    calls = {"find_fiber_point": 0, "torus_lattice": 0, "action_integrals": 0}
+    assert not hasattr(cli, "b_matrix")
+    calls = {"find_fiber_point": 0, "torus_lattice": 0, "action_integrals": 0, "b_matrix": 0}
     for name in calls:
-        original = getattr(cli, name)
+        original = getattr(actionangle, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counting)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, counting)
         monkeypatch.setattr(actionangle, name, counting)
     code, payload, _ = run(capsys, "report", OSC, "--all")
     assert code == 0
     assert payload["sections"]["frequencies"]["modes"]["reeb"] == pytest.approx(
         [0.0, 1.0], abs=1e-9
     )
-    assert calls == {"find_fiber_point": 1, "torus_lattice": 1, "action_integrals": 1}
+    assert calls == {
+        "find_fiber_point": 1, "torus_lattice": 1, "action_integrals": 1, "b_matrix": 1
+    }
+
+
+@pytest.mark.parametrize("path", [OSC, PC])
+def test_report_torus_sections_equal_the_standalone_commands(path, capsys):
+    # one Torus feeds both sections: report --all prints what actions and
+    # frequencies --mode reeb print on the default fiber, in the same key order
+    _, report, _ = run(capsys, "report", path, "--all")
+    _, actions, _ = run(capsys, "actions", path)
+    _, frequencies, _ = run(capsys, "frequencies", path, "--mode", "reeb")
+    section = report["sections"]["actions"]
+    assert section == actions["report"]
+    assert list(section) == [
+        "pass", "fiber", "actions", "eta_pairings", "primitive_residual", "lattice"
+    ]
+    table = report["sections"]["frequencies"]["table"]
+    assert table == frequencies["report"]["table"]
+    assert list(table) == ["b", "fiber", "actions", "eta_residual", "cond", "derivative_rank"]
+    assert report["sections"]["frequencies"]["modes"]["reeb"] == (
+        frequencies["report"]["modes"]["reeb"]
+    )
+
+
+@pytest.mark.parametrize("command", ["actions", "frequencies"])
+def test_eta_mismatch_refused_by_both_torus_commands(command, monkeypatch, capsys):
+    # a line integral off by 1e-3 moves the eta pairings off b's Reeb-time
+    # column by more than the lattice return tolerance
+    import cosymkit.actionangle as actionangle
+
+    original = actionangle.line_integral
+    monkeypatch.setattr(
+        actionangle, "line_integral", lambda segments, form: original(segments, form) + 1e-3
+    )
+    code, payload, _ = run(capsys, command, OSC)
+    assert code == 2
+    assert "do not match the Reeb-time column" in payload["error"]
 
 
 def test_delta_option_removed(capsys):
@@ -638,6 +678,15 @@ def test_out_file_written(tmp_path, capsys):
     code, payload, _ = run(capsys, "validate", OSC, "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["report"]["pass"]
+
+
+def test_unwritable_out_prints_one_error_document(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["validate", OSC, "--out", str(out)]) == 64
+    payload = json.loads(capsys.readouterr().out)  # one document, or it raises
+    assert list(payload) == ["error"]
+    assert "No such file or directory" in payload["error"]
+    assert not out.parent.exists()
 
 
 def test_cli_import_does_not_load_scipy():

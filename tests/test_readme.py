@@ -49,9 +49,9 @@ def test_drift_is_read_off_the_flow(tour):
 
 def test_torus_actions_and_frequencies(tour):
     namespace, values = tour
-    assert namespace["profile"].actions == pytest.approx([0.5, 0.0], abs=1e-9)
-    assert namespace["table"].b == pytest.approx(np.eye(2), abs=1e-9)
-    assert values['solve_frequencies(table, "reeb")'] == pytest.approx([0.0, 1.0], abs=1e-9)
-    assert values['solve_frequencies(table, "hamiltonian", 1)'] == pytest.approx(
+    assert namespace["torus"].actions == pytest.approx([0.5, 0.0], abs=1e-9)
+    assert namespace["torus"].b == pytest.approx(np.eye(2), abs=1e-9)
+    assert values['solve_frequencies(torus, "reeb")'] == pytest.approx([0.0, 1.0], abs=1e-9)
+    assert values['solve_frequencies(torus, "hamiltonian", 1)'] == pytest.approx(
         [1.0, 0.0], abs=1e-9
     )

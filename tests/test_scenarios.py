@@ -173,7 +173,6 @@ def test_oracle_values_reproduced(name):
     """Every oracle value in the catalog comes back out of the toolkit."""
     from cosymkit.actionangle import (
         action_integrals,
-        b_matrix,
         empirical_frequencies,
         evaluation_frequencies,
         find_fiber_point,
@@ -185,11 +184,11 @@ def test_oracle_values_reproduced(name):
     sc = builtin(name)
     sys_ = sc.system
     oracles = sc.oracles
-    table = None
+    torus = None
 
-    def freq_table():
-        nonlocal table
-        if table is None:
+    def oracle_torus():
+        nonlocal torus
+        if torus is None:
             fiber = sys_.integral_values(sc.base_point())
             x0 = find_fiber_point(sys_, fiber, sc.base_point())
             lattice = torus_lattice(
@@ -197,9 +196,8 @@ def test_oracle_values_reproduced(name):
                 angle_maps=sc.angle_maps if len(sc.angle_maps) == sys_.r + 1 else (),
                 declared_vectors=sc.declared_lattice,
             )
-            profile = action_integrals(sys_, lattice)
-            table = b_matrix(sys_, profile)
-        return table
+            torus = action_integrals(sys_, lattice)
+        return torus
 
     for key, entry in oracles.items():
         if not isinstance(entry, dict) or entry.get("value") is None:
@@ -214,20 +212,20 @@ def test_oracle_values_reproduced(name):
             for x in sample_box(sc.structure.domain_box, 10, rng):
                 assert sc.structure.reeb(x) == pytest.approx(value, abs=1e-10)
         elif key == "reeb_frequencies":
-            solved = solve_frequencies(freq_table(), "reeb")
+            solved = solve_frequencies(oracle_torus(), "reeb")
             assert solved == pytest.approx(value, abs=1e-9)
         elif key == "evaluation_frequencies":
-            solved = evaluation_frequencies(freq_table(), sys_)
+            solved = evaluation_frequencies(oracle_torus(), sys_)
             assert solved == pytest.approx(value, abs=1e-9)
             slopes, _ = empirical_frequencies(
                 sc.structure.evaluation_vf(sys_.hamiltonian),
-                freq_table().lattice.base_point,
+                oracle_torus().lattice.base_point,
                 sc.angle_maps,
                 60.0,
             )
             assert slopes == pytest.approx(value, abs=1e-3)
         elif key == "hamiltonian_frequencies":
-            solved = solve_frequencies(freq_table(), "hamiltonian", entry["k"])
+            solved = solve_frequencies(oracle_torus(), "hamiltonian", entry["k"])
             assert solved == pytest.approx(value, abs=1e-9)
         elif key == "action_slope":
             lo = find_fiber_point(sys_, [0.4], sc.base_point())
@@ -238,7 +236,7 @@ def test_oracle_values_reproduced(name):
             I_hi = action_integrals(sys_, lat_hi).actions[0]
             assert (I_hi - I_lo) / 0.2 == pytest.approx(value, abs=1e-4)
         elif key == "b_diagonal":
-            assert np.diag(freq_table().b) == pytest.approx(value, abs=1e-9)
+            assert np.diag(oracle_torus().b) == pytest.approx(value, abs=1e-9)
         elif key == "ddim_dind":
             rng = np.random.default_rng(5)
             groups = [sample_fiber(sys_, sc.base_point(), 3, rng)]
