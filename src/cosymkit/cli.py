@@ -39,6 +39,7 @@ from .actionangle import (
 from .cosym import (
     DegenerateStructureError,
     FieldConditionError,
+    FrameBlocks,
     StructureEvalError,
 )
 from .exprlang import ExprError
@@ -147,13 +148,15 @@ def _verify_section(scenario: Scenario, points_n: int, seed: int) -> dict:
     sys_ = scenario.system
     rng = np.random.default_rng(seed)
     points = sample_box(scenario.structure.domain_box, points_n, rng)
-    bracket_points = points[: max(4, points_n // 8)]
+    # every check of the run reads the same block frames and what they derive
+    blocks = FrameBlocks(scenario.structure, points)
+    bracket_blocks = FrameBlocks(scenario.structure, points[: max(4, points_n // 8)])
     sections = {
-        "first_integrals": check_first_integrals(sys_, points).to_dict(),
-        "commuting_prefix": check_commuting_prefix(sys_, points).to_dict(),
-        "independence": check_independence(sys_, points).to_dict(),
-        "symmetry_algebra": check_symmetry_algebra(sys_, bracket_points).to_dict(),
-        "fiber_tangency": check_fiber_tangency(sys_, points).to_dict(),
+        "first_integrals": check_first_integrals(sys_, blocks).to_dict(),
+        "commuting_prefix": check_commuting_prefix(sys_, blocks).to_dict(),
+        "independence": check_independence(sys_, blocks).to_dict(),
+        "symmetry_algebra": check_symmetry_algebra(sys_, bracket_blocks).to_dict(),
+        "fiber_tangency": check_fiber_tangency(sys_, blocks).to_dict(),
     }
     # closure and corank on flow-generated fiber groups
     base = scenario.base_point()
@@ -182,7 +185,7 @@ def _verify_section(scenario: Scenario, points_n: int, seed: int) -> dict:
     if noncommuting:
         try:
             sections["bracket_of_integrals"] = check_bracket_of_integrals(
-                sys_, noncommuting, bracket_points
+                sys_, noncommuting, bracket_blocks
             ).to_dict()
         except _RUNTIME_ERRORS as err:
             sections["bracket_of_integrals"] = {"pass": False, "error": str(err)}

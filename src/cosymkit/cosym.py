@@ -19,7 +19,9 @@ the solution.  docs/CONVENTIONS.md carries the derivation and the worked
 canonical-coordinate example.
 
 ``Frame`` holds that solve at every row of a point stack (N, d), with one
-stacked solve; the stacked checks build one per block of points.  When omega
+stacked solve; the stacked checks read one per block of points
+(``FrameBlocks``), built once and shared by every check given the same
+blocks.  When omega
 and eta have constant coefficients the solve is done once per structure:
 ``X_f = C df`` with one matrix C, and the defining conditions become
 identities of C checked once, with limits on ``||df||`` that cover the
@@ -72,6 +74,7 @@ __all__ = [
     "Frame",
     "BLOCK_ROWS",
     "map_blocks",
+    "FrameBlocks",
     "make_canonical",
     "make_poincare_cartan",
     "twist",
@@ -214,9 +217,19 @@ class Frame:
     :func:`_constant_point_function`, which the tests hold to a frame's rows.
     A one-point call that needs a frame solves a one-row frame
     (:func:`_on_rows`).
+
+    A frame derives each quantity once.  Per scalar it keeps the differential
+    that ``differential`` returned, the ``X_f`` that ``hamiltonian`` solved
+    from exactly that array (both read-only, so neither can change under the
+    memo) and the Jacobians of ``X_f``, keyed by the scalar object and
+    holding a reference to it.  ``evaluation``, ``gradient``, ``bracket`` and
+    the fields' ``on`` and ``jacobian_on`` read them; a covector the frame
+    did not return is solved each time.  A stage that raises keeps nothing.
     """
 
-    __slots__ = ("structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_d")
+    __slots__ = (
+        "structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_d", "_memo"
+    )
 
     def __init__(self, structure: "CosymplecticStructure", x):
         self.structure = structure
@@ -241,6 +254,7 @@ class Frame:
             lambda k: DegenerateStructureError(x[k], float(det[k])),
         )
         self._Z = self._d = None
+        self._memo = {}  # id(scalar) -> _ScalarMemo
 
     def _first(self, bad, error) -> None:
         """Raise ``error(k)`` for the first row ``k`` flagged in ``bad``."""
@@ -270,6 +284,15 @@ class Frame:
 
     def hamiltonian(self, df: np.ndarray) -> np.ndarray:
         """X_f at the rows from the gradient covectors (N, d) of f."""
+        memo = self._memo_holding(df)
+        if memo is None:
+            return self._solve_hamiltonian(df)
+        if memo.X is None:
+            memo.X = self._solve_hamiltonian(df)
+            memo.X.flags.writeable = False
+        return memo.X
+
+    def _solve_hamiltonian(self, df: np.ndarray) -> np.ndarray:
         Z = self.reeb
         with np.errstate(invalid="ignore"):  # an inf in df times a 0 in Z
             zf = np.vecdot(df, Z)
@@ -333,8 +356,21 @@ class Frame:
         return via_fields
 
     def differential(self, f) -> np.ndarray:
-        """The gradient covectors (N, d) of ``f`` at the rows."""
-        return f.gradient_stack(self.x)
+        """The gradient covectors (N, d) of ``f`` at the rows, read-only and
+        computed once per frame."""
+        return self._memo_for(f).df
+
+    def _memo_for(self, f) -> "_ScalarMemo":
+        memo = self._memo.get(id(f))
+        if memo is None:
+            df = f.gradient_stack(self.x)
+            df.flags.writeable = False
+            memo = self._memo[id(f)] = _ScalarMemo(f, df)
+        return memo
+
+    def _memo_holding(self, df: np.ndarray) -> "_ScalarMemo | None":
+        """The memo of the scalar whose differential is the array ``df``."""
+        return next((m for m in self._memo.values() if m.df is df), None)
 
     # -- exact Jacobians J[:, i, k] = d_k V_i (docs/CONVENTIONS.md, "Jacobians")
 
@@ -361,8 +397,14 @@ class Frame:
         return J
 
     def _hamiltonian_jacobian(self, f):
-        """``X_f``, ``J(X_f)``, ``Z(f)`` and ``d(Z(f))`` at the rows."""
-        df = self.differential(f)
+        """``X_f``, ``J(X_f)``, ``Z(f)`` and ``d(Z(f))`` at the rows, computed
+        once per frame and scalar."""
+        memo = self._memo_for(f)
+        if memo.jacobian is None:
+            memo.jacobian = self._solve_jacobian(f, memo.df)
+        return memo.jacobian
+
+    def _solve_jacobian(self, f, df):
         Xf = self.hamiltonian(df)
         _, de, dA, JZ = self._derivatives()
         Z = self.reeb
@@ -372,6 +414,18 @@ class Frame:
         e = np.broadcast_to(self.eta, self.x.shape)
         db = Hf - e[:, :, None] * dzf[:, None, :] - zf[:, None, None] * de
         return Xf, self._implicit(dA, db, Xf, "J(X_f)"), zf, dzf
+
+
+class _ScalarMemo:
+    """What one frame derived for one scalar: its differential, then X_f and
+    the Jacobian tuple of ``_hamiltonian_jacobian`` once they are asked for.
+    It holds the scalar, so the scalar's ``id`` keys it for the frame's
+    life."""
+
+    __slots__ = ("scalar", "df", "X", "jacobian")
+
+    def __init__(self, scalar, df):
+        self.scalar, self.df, self.X, self.jacobian = scalar, df, None, None
 
 
 def _column_sum(C, df) -> np.ndarray:
@@ -555,23 +609,66 @@ def map_blocks(compute, X):
     one are computed again until none of them fails.
     """
     X = np.asarray(X, dtype=float)
+    return _over_blocks(len(X), lambda i, k: compute(X[i : i + k]))
+
+
+class FrameBlocks:
+    """A point stack ``x`` (N, d) of one structure in blocks of at most
+    ``BLOCK_ROWS`` rows, with each block's ``Frame`` built on first use and
+    kept, so that every computation mapped over the blocks shares the frames
+    and what they derived.
+
+    ``map`` is :func:`map_blocks` over the block frames: ``compute`` takes a
+    frame, and a failing block raises the error of its first failing row.
+    The rows before that row are computed again on new frames of their own;
+    the block's frame keeps only what it derived without error.
+    """
+
+    def __init__(self, structure: "CosymplecticStructure", x):
+        self.structure = structure
+        self.x = np.asarray(x, dtype=float).reshape(-1, structure.chart.dim)
+        self._frames = {}
+
+    def _frame(self, i: int) -> Frame:
+        frame = self._frames.get(i)
+        if frame is None:
+            frame = self._frames[i] = Frame(self.structure, self.x[i : i + BLOCK_ROWS])
+        return frame
+
+    def map(self, compute):
+        def run(i, k):
+            if k == len(self.x[i : i + BLOCK_ROWS]):
+                return compute(self._frame(i))
+            return compute(Frame(self.structure, self.x[i : i + k]))
+
+        return _over_blocks(len(self.x), run)
+
+
+def _over_blocks(n: int, run):
+    """``run(i, k)``, a computation on the first ``k`` rows of the block that
+    starts at row ``i`` of a stack of ``n`` rows, run on all rows of every
+    block of ``BLOCK_ROWS`` and concatenated; a failing block raises the error of its first failing row
+    (:func:`_first_failure`)."""
     parts = [
-        _first_failure(compute, X[i : i + BLOCK_ROWS])
-        for i in range(0, max(len(X), 1), BLOCK_ROWS)
+        _first_failure(lambda k, i=i: run(i, k), min(BLOCK_ROWS, n - i))
+        for i in range(0, max(n, 1), BLOCK_ROWS)
     ]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
 
 
-def _first_failure(compute, X):
+def _first_failure(run, n: int):
+    """``run(n)``, a computation on all ``n`` rows of a block.  If it fails,
+    the error of the first failing row: ``run(k)`` computes on the first
+    ``k`` rows, again and again before the row that failed."""
     try:
-        return compute(X)
+        return run(n)
     except _ROW_ERRORS as err:
         first = err
     while getattr(first, "row", None):
         try:
-            compute(X[: first.row])
+            run(first.row)
         except _ROW_ERRORS as err:
             first = err
         else:

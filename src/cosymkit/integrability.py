@@ -18,9 +18,12 @@ extrapolated across; every report carries its worst witness.
 
 Every check evaluates its points as stacks (N, d), in blocks of
 ``cosym.BLOCK_ROWS``, and the induced bracket one stack per fiber group: one
-``Frame`` per block, read by every field in the order a loop over the points
-needs them, the integrals' array code for gradients, exact Jacobians of the
-structure fields for Lie brackets, and reductions over the residual arrays.
+``Frame`` per block (``cosym.FrameBlocks``), read by every field in the order
+a loop over the points needs them, exact Jacobians of the structure fields
+for Lie brackets, and reductions over the residual arrays.  A check takes
+either a point stack or the ``FrameBlocks`` of one; ``cosym verify`` hands
+the same block frames to every check of the run, so each block's
+differentials, fields and Jacobians are derived once for all of them.
 Every row gets the bits a one-row ``Frame`` at that point computes.  A
 residual array is laid out in the order of the loop over points (and
 integrals, pairs or fields) it replaces, and the witness is its first maximum
@@ -38,11 +41,12 @@ import numpy as np
 
 from .cosym import (
     CosymplecticStructure,
+    FrameBlocks,
     StructureVectorField,
     ToleranceConfig,
     _ROW_ERRORS,
+    _U,
     _at_row,
-    map_blocks,
 )
 from .fields import Point, ScalarField, commutator
 from .flow import integrate
@@ -134,8 +138,14 @@ def svd_rank(matrix: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(s > rel_tol * float(s[0])))
 
 
-def _stack(sys: IntegralSystem, points) -> np.ndarray:
-    return np.asarray(points, dtype=float).reshape(-1, sys.structure.chart.dim)
+def _blocks(sys: IntegralSystem, points) -> FrameBlocks:
+    """The block frames of ``points``: a point stack is wrapped, block frames
+    of the system's structure are shared as they are."""
+    if not isinstance(points, FrameBlocks):
+        return FrameBlocks(sys.structure, points)
+    if points.structure is not sys.structure:
+        raise ValueError("the block frames belong to another structure")
+    return points
 
 
 def _columns(cols: list, n: int) -> np.ndarray:
@@ -160,17 +170,57 @@ def _worst(resid: np.ndarray) -> tuple[float, tuple | None]:
 
 
 def _ranks(M: np.ndarray, rel_tol: float) -> np.ndarray:
-    """``svd_rank(M[k], rel_tol)`` for every matrix of the stack ``M``."""
+    """``svd_rank(M[j], rel_tol)`` for every matrix of the stack ``M``
+    (n, k, d); a matrix the Gram determinant shows to have full rank ``k``
+    skips the SVD.
+
+    With ``G = M M^T`` and the singular values ``s_1 >= .. >= s_k`` of ``M``,
+    ``det G = s_1^2 .. s_k^2 <= s_k^2 s_1^(2k-2)`` and ``tr G >= s_1^2``, so
+    ``s_k^2 / s_1^2 >= det G / (tr G)^k``.  A matrix with
+    ``det G > c (tr G)^k`` is taken to have rank ``k``, with
+    ``c = max(4 rel_tol^2, 64 k p)`` and ``p = k^2 2^k d (k + d) u``; the
+    others, and every matrix when ``c >= 1``, go to the SVD.  For ``k = 1``
+    and ``|rel_tol| < 1/2`` the test reads "the matrix is nonzero", which is
+    exact.
+
+    Bound (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3
+    and 9), for ``c < 1``, so ``k p < 1/64``.  Each matrix is scaled by a
+    power of two so that its largest entry lies in [1/2, 1): then
+    ``s_1^2 >= 1/4``.  The scaling is exact, but for entries it takes below
+    the normal range, which it rounds by at most ``2^-1075``, far below the
+    margins here.  ``fl(M M^T) = G + E`` with
+    ``||E||_2 <= k d gamma_d``.  The LU factorization with partial pivoting
+    behind ``det`` is exact for ``fl(G) + F``, ``||F||_2 <= k^2 2^(k-1) d
+    gamma_k (1 + gamma_d)`` (growth factor at most ``2^(k-1)``), and its
+    determinant, ``exp`` of a sum of ``k`` logarithms, errs relatively by
+    less than ``2^-30``.  So ``det`` returns ``det(G + P)(1 + theta)`` with
+    ``||P||_2 <= p`` and ``|theta| < 2^-30``, and the trace is at least
+    ``(1 - p) tr G``.  As ``|det(G + P)| <= (s_k^2 + p)(s_1^2 + p)^(k-1)``,
+    a matrix that passes has ``s_k^2 / s_1^2 > 0.92 c - 4 p > 0.85 c``: its
+    singular values are apart by ``s_k / s_1 > 1.84 |rel_tol|`` and
+    ``> 7 sqrt(p)``.  The SVD's singular values err by a modest multiple of
+    ``u s_1``, so it finds all ``k`` of them above ``rel_tol s_1`` too.
+    """
     ranks = np.zeros(len(M), dtype=int)
     finite = np.isfinite(M).all(axis=(1, 2))
     # the SVD of a non-finite matrix may fail; it fails as that point's would
-    for k in np.flatnonzero(~finite):
+    for j in np.flatnonzero(~finite):
         try:
-            ranks[k] = svd_rank(M[k], rel_tol)
+            ranks[j] = svd_rank(M[j], rel_tol)
         except np.linalg.LinAlgError as err:
-            raise _at_row(err, int(k))
-    s = np.linalg.svd(M[finite], compute_uv=False)
-    ranks[finite] = np.sum(s > rel_tol * s[:, :1], axis=1)
+            raise _at_row(err, int(j))
+    rest = np.flatnonzero(finite)
+    _, k, d = M.shape
+    c = max(4.0 * rel_tol**2, 64 * k * k**2 * 2.0**k * d * (k + d) * _U)
+    if c < 1.0:
+        A = M[rest]
+        A = np.ldexp(A, -np.frexp(np.abs(A).max(axis=(1, 2)))[1][:, None, None])
+        G = A @ np.swapaxes(A, 1, 2)
+        full = np.linalg.det(G) > c * np.trace(G, axis1=1, axis2=2) ** k
+        ranks[rest[full]] = k
+        rest = rest[~full]
+    s = np.linalg.svd(M[rest], compute_uv=False)
+    ranks[rest] = np.sum(s > rel_tol * s[:, :1], axis=1)
     return ranks
 
 
@@ -187,20 +237,19 @@ def check_first_integrals(sys: IntegralSystem, points) -> CheckReport:
     """Residuals |Z(f_i) + {f_i, H}| at each point."""
     tol = sys.structure.tol.first_integral
 
-    def rows(X):
-        frame = sys.structure.frame(X)
+    def rows(frame):
         dH = frame.differential(sys.hamiltonian)
         Z = frame.reeb
         cols = []
         for f in sys.integrals:
             df = frame.differential(f)
             cols.append(np.abs(np.vecdot(df, Z) + frame.bracket(df, dH)))
-        return _columns(cols, len(X))
+        return _columns(cols, len(frame.x))
 
-    X = _stack(sys, points)
+    blocks = _blocks(sys, points)
     return _report(
-        "first_integrals", tol, map_blocks(rows, X),
-        lambda k, i: {"integral": sys.integrals[i].name, **_point(X, k)},
+        "first_integrals", tol, blocks.map(rows),
+        lambda k, i: {"integral": sys.integrals[i].name, **_point(blocks.x, k)},
     )
 
 
@@ -209,17 +258,16 @@ def check_commuting_prefix(sys: IntegralSystem, points) -> CheckReport:
     tol = sys.structure.tol.commuting
     pairs = [(i, j) for i in range(sys.r) for j in range(sys.m) if j != i]
 
-    def rows(X):
-        frame = sys.structure.frame(X)
+    def rows(frame):
         grads = [frame.differential(f) for f in sys.integrals]
         return _columns(
-            [np.abs(frame.bracket(grads[i], grads[j])) for i, j in pairs], len(X)
+            [np.abs(frame.bracket(grads[i], grads[j])) for i, j in pairs], len(frame.x)
         )
 
-    X = _stack(sys, points)
+    blocks = _blocks(sys, points)
     return _report(
-        "commuting_prefix", tol, map_blocks(rows, X),
-        lambda k, p: {"pair": [sys.integrals[i].name for i in pairs[p]], **_point(X, k)},
+        "commuting_prefix", tol, blocks.map(rows),
+        lambda k, p: {"pair": [sys.integrals[i].name for i in pairs[p]], **_point(blocks.x, k)},
     )
 
 
@@ -231,19 +279,23 @@ def check_independence(sys: IntegralSystem, points) -> CheckReport:
     At every regular point the symmetry fields (Y_H, X_{f_1}..X_{f_r}) must
     have rank r+1; a drop there is a defect and fails the check.  With m = 0
     and no defects the check passes vacuously.  The symmetry fields are
-    evaluated at the regular points only.
+    evaluated at the regular points only, on the block's frame when every
+    point of the block is regular.  The differentials are the frame's, so
+    a point where the structure itself fails raises, regular or not.
     """
     tol = sys.structure.tol.rank_rel
+    fields_ = sys.symmetry_fields()
 
-    def rows(X):
+    def rows(frame):
+        X = frame.x
         regular = np.ones(len(X), dtype=bool)
         if sys.m:
-            G = np.stack([f.gradient_stack(X) for f in sys.integrals], axis=1)
+            G = np.stack([frame.differential(f) for f in sys.integrals], axis=1)
             regular = _ranks(G, tol) == sys.m
         at = np.flatnonzero(regular)
         try:
-            frame = sys.structure.frame(X[at])
-            V = np.stack([vf.on(frame) for vf in sys.symmetry_fields()], axis=1)
+            on = frame if len(at) == len(X) else sys.structure.frame(X[at])
+            V = np.stack([vf.on(on) for vf in fields_], axis=1)
         except _ROW_ERRORS as err:
             if getattr(err, "row", None) is not None:
                 err.row = int(at[err.row])
@@ -252,8 +304,9 @@ def check_independence(sys: IntegralSystem, points) -> CheckReport:
         rank[at] = _ranks(V, tol)
         return regular, rank
 
-    X = _stack(sys, points)
-    regular, rank = map_blocks(rows, X)
+    blocks = _blocks(sys, points)
+    X = blocks.x
+    regular, rank = blocks.map(rows)
     excluded = [_point(X, int(k)) for k in np.flatnonzero(~regular)]
     defects = [
         {**_point(X, int(k)), "rank": int(rank[k])}
@@ -279,20 +332,20 @@ def check_symmetry_algebra(sys: IntegralSystem, points) -> CheckReport:
     fields_ = sys.symmetry_fields()
     pairs = [(i, j) for i in range(len(fields_)) for j in range(i + 1, len(fields_))]
 
-    def rows(X):
-        frame = sys.structure.frame(X)
+    def rows(frame):
         J, V = {}, {}
         for i, j in pairs:  # J_i, J_j, V_i, V_j: the order lie_bracket needs them in
             J.update({k: fields_[k].jacobian_on(frame) for k in (i, j) if k not in J})
             V.update({k: fields_[k].on(frame) for k in (i, j) if k not in V})
         return _columns(
-            [np.max(np.abs(commutator(J[i], V[i], J[j], V[j])), axis=1) for i, j in pairs], len(X)
+            [np.max(np.abs(commutator(J[i], V[i], J[j], V[j])), axis=1) for i, j in pairs],
+            len(frame.x),
         )
 
-    X = _stack(sys, points)
+    blocks = _blocks(sys, points)
     return _report(
-        "symmetry_algebra", tol, map_blocks(rows, X) if pairs else np.zeros((len(X), 0)),
-        lambda k, p: {"pair": [fields_[i].label for i in pairs[p]], **_point(X, k)},
+        "symmetry_algebra", tol, blocks.map(rows) if pairs else np.zeros((len(blocks.x), 0)),
+        lambda k, p: {"pair": [fields_[i].label for i in pairs[p]], **_point(blocks.x, k)},
     )
 
 
@@ -301,17 +354,16 @@ def check_fiber_tangency(sys: IntegralSystem, points) -> CheckReport:
     tol = sys.structure.tol.first_integral
     fields_ = sys.symmetry_fields()
 
-    def rows(X):
-        frame = sys.structure.frame(X)
+    def rows(frame):
         vals = [vf.on(frame) for vf in fields_]
         cols = []
         for f in sys.integrals:
-            df = f.gradient_stack(X)
+            df = frame.differential(f)
             cols += [np.abs(np.vecdot(df, v)) for v in vals]
-        return _columns(cols, len(X))
+        return _columns(cols, len(frame.x))
 
     return _report(
-        "fiber_tangency", tol, map_blocks(rows, _stack(sys, points)),
+        "fiber_tangency", tol, _blocks(sys, points).map(rows),
         lambda k, c: {
             "integral": sys.integrals[c // len(fields_)].name,
             "field": fields_[c % len(fields_)].label,
@@ -395,39 +447,38 @@ def bracket_closure_and_corank(
     number of its singular values at most ``max(1e-10, 1e-8 s_0)``.
     """
     S = sys.structure
-    groups = [_stack(sys, g) for g in fiber_samples]
-    if any(len(g) < 2 for g in groups):
+    groups = [_blocks(sys, g) for g in fiber_samples]
+    if any(len(g.x) < 2 for g in groups):
         raise ValueError("each fiber group needs at least two points")
     m = sys.m
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
 
-    def rows(X):
-        frame = S.frame(X)
+    def rows(frame):
         grads = [frame.differential(f) for f in sys.integrals]
-        a = np.zeros((len(X), m, m))
+        a = np.zeros((len(frame.x), m, m))
         for i, j in pairs:
             a[:, i, j] = frame.bracket(grads[i], grads[j])
             a[:, j, i] = -a[:, i, j]
-        regular = np.ones(len(X), dtype=bool)
+        regular = np.ones(len(frame.x), dtype=bool)
         if m:
             regular = _ranks(np.stack(grads, axis=1), S.tol.rank_rel) == m
         cols = []
         for g in casimirs:
             dg = frame.differential(g)
             cols += [np.abs(frame.bracket(dg, df)) for df in grads]
-        return a, regular, _columns(cols, len(X))
+        return a, regular, _columns(cols, len(frame.x))
 
     coranks, flags = [], []
     spread = casimir = 0.0
-    for X in groups:
-        fvals = [sys.integral_values(x) for x in X]
+    for blocks in groups:
+        fvals = [sys.integral_values(x) for x in blocks.x]
         for fv in fvals[1:]:
             if np.max(np.abs(fv - fvals[0])) > S.tol.fiber_match:
                 raise ValueError(
                     "fiber group mixes distinct fibers: "
                     f"{fvals[0].tolist()} vs {fv.tolist()}"
                 )
-        a, regular, resid = map_blocks(rows, X)
+        a, regular, resid = blocks.map(rows)
         s = np.linalg.svd(a, compute_uv=False)
         coranks += np.sum(s <= np.maximum(1e-10, 1e-8 * s[:, :1]), axis=1).tolist()
         flags += regular.tolist()
@@ -458,20 +509,19 @@ def check_bracket_of_integrals(sys: IntegralSystem, pairs, points) -> CheckRepor
     members = tuple(sys.integrals[i] for i in sorted({i for pair in pairs for i in pair}))
     brackets = [S.bracket_scalar(sys.integrals[i], sys.integrals[j]) for i, j in pairs]
 
-    def rows(X):
-        frame = S.frame(X)
+    def rows(frame):
         dH, Z = frame.differential(sys.hamiltonian), frame.reeb
 
         def residual(df):
             return np.abs(np.vecdot(df, Z) + frame.bracket(df, dH))
 
+        n = len(frame.x)
         return (
-            _columns([residual(frame.differential(f)) for f in members], len(X)),
-            _columns([residual(g.gradient_on(frame)) for g in brackets], len(X)),
+            _columns([residual(frame.differential(f)) for f in members], n),
+            _columns([residual(g.gradient_on(frame)) for g in brackets], n),
         )
 
-    X = _stack(sys, points)
-    member_resid, resid = map_blocks(rows, X)
+    member_resid, resid = _blocks(sys, points).map(rows)
     worst, at = _worst(member_resid)
     if not worst < S.tol.first_integral:
         raise ValueError(

@@ -321,8 +321,9 @@ def test_one_point_residual_checks_reject_non_finite_entries(name, bad):
         W[i_X, j] = bad
         assert _only_entry_not_finite(X @ W, j)
         frame.Omega = W[None]
+        # a copy: the frame keeps the X_f it solved from its own differential
         with pytest.raises(FieldConditionError, match=re.escape("i_X omega != df - Z(f) eta")):
-            frame.hamiltonian(df)
+            frame.hamiltonian(df.copy())
 
 
 def _only_entry_not_finite(v, j) -> bool:

@@ -21,7 +21,7 @@ from cosymkit.cosym import (
     DegenerateStructureError,
     StructureEvalError,
 )
-from cosymkit.cli import main as cli_main
+from cosymkit.cli import _verify_section, main as cli_main
 from cosymkit.exprlang import EvalDomainError
 from cosymkit.fields import OneFormField, ScalarField, TwoFormField, lie_bracket, sample_box
 from cosymkit.flow import drift_report, integrate
@@ -36,6 +36,7 @@ from cosymkit.integrability import (
     check_symmetry_algebra,
     sample_fiber,
     svd_rank,
+    _ranks,
 )
 from cosymkit.scenarios import builtin, builtin_file_path, builtin_names
 from linear_charts import canonical_in_linear_chart, chart_change
@@ -89,6 +90,7 @@ def _ref_independence(sys, points):
     tol = sys.structure.tol.rank_rel
     excluded, defects, regular = [], [], 0
     for k, x in enumerate(points):
+        sys.structure.frame([x])  # the differentials are the frame's
         if sys.m:
             G = np.array([f.gradient(x) for f in sys.integrals])
             if svd_rank(G, tol) != sys.m:
@@ -371,15 +373,19 @@ def test_degenerate_row_raises_frame_error():
     )
     H = ScalarField.from_source("(q^2 + p^2)/2", chart, "H")
     sys = IntegralSystem(S, H, (H,), r=1)
-    x = np.array([1.0, 0.0, 0.7])
-    pts = _stack_with(x)
-    want = _error_of(lambda: S.frame([x]))
-    assert isinstance(want, DegenerateStructureError)
-    err = _error_of(lambda: check_first_integrals(sys, pts))
-    assert type(err) is DegenerateStructureError and str(err) == str(want)
-    assert np.array_equal(err.point, x)
-    # the Jacobians of the Lie check fail at the point, as the loop's do
-    _assert_raises_like_loops(sys, pts)
+    # at the second point dH = 0 too: the independence check takes the
+    # differentials from the frame, so the point raises instead of being
+    # excluded as singular
+    for x in (np.array([1.0, 0.0, 0.7]), np.array([1.0, 0.0, 0.0])):
+        pts = _stack_with(x)
+        want = _error_of(lambda: S.frame([x]))
+        assert isinstance(want, DegenerateStructureError)
+        for check in (check_first_integrals, check_independence):
+            err = _error_of(lambda: check(sys, pts))
+            assert type(err) is DegenerateStructureError and str(err) == str(want)
+            assert np.array_equal(err.point, x)
+        # the Jacobians of the Lie check fail at the point, as the loop's do
+        _assert_raises_like_loops(sys, pts)
 
 
 def test_closure_and_corank_degenerate_point_raises_frame_error():
@@ -563,6 +569,120 @@ def test_pointwise_checks_build_no_frames(monkeypatch, name):
         rows.clear()
         assert run(sys, pts).passed
         assert rows == want[check], check
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_verify_builds_each_block_frame_once(monkeypatch, capsys, name):
+    rows = _counting_frames(monkeypatch)
+    monkeypatch.setattr(cosym, "BLOCK_ROWS", 200)
+    assert cli_main(["verify", str(builtin_file_path(name)), "--points", "500"]) == 0
+    capsys.readouterr()
+    # the blocks of the points, once for all five point checks; the 62
+    # bracket points, for the Lie check and the brackets of integrals; a
+    # one-row frame per fiber seed tried; a frame per fiber group of 3
+    assert rows == [200, 200, 100, 62, 1, 1, 3, 3, 3]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_verify_sharing_changes_no_number(monkeypatch, name):
+    monkeypatch.setattr(cosym, "BLOCK_ROWS", 200)
+    sc = builtin(name)
+    sys = sc.system
+    points = sample_box(sc.structure.domain_box, 500, np.random.default_rng(5))
+    bracket_points = points[:62]
+    alone = {
+        "first_integrals": check_first_integrals(sys, points),
+        "commuting_prefix": check_commuting_prefix(sys, points),
+        "independence": check_independence(sys, points),
+        "symmetry_algebra": check_symmetry_algebra(sys, bracket_points),
+        "fiber_tangency": check_fiber_tangency(sys, points),
+    }
+    pairs = [(i, j) for i, j in _all_pairs(sys) if i >= sys.r or j >= sys.r]
+    if pairs:
+        alone["bracket_of_integrals"] = check_bracket_of_integrals(sys, pairs, bracket_points)
+    checks = _verify_section(sc, 500, 5)["checks"]
+    assert set(checks) == {*alone, "induced_bracket"}
+    for check, report in alone.items():
+        assert checks[check] == report.to_dict(), check
+    with pytest.raises(ValueError, match="another structure"):
+        check_first_integrals(sys, cosym.FrameBlocks(replace(sc.structure), points))
+
+
+@pytest.mark.parametrize("name", ["pc-oscillator-2d-super", "ext-oscillator-anisotropic"])
+def test_symmetry_algebra_derives_each_field_once_per_block(monkeypatch, name):
+    # J_i, J_j, V_i, V_j read one differential and one X_f per scalar and
+    # block: the values come from what the Jacobians derived
+    monkeypatch.setattr(cosym, "BLOCK_ROWS", 200)
+    sys = builtin(name).system
+    pts = sample_box(sys.structure.domain_box, 500, np.random.default_rng(67))
+    grads, solves = [], []
+    gradient_stack, solve = ScalarField.gradient_stack, cosym.Frame._solve_hamiltonian
+
+    def counting_gradient(self, X):
+        grads.append(self)
+        return gradient_stack(self, X)
+
+    def counting_solve(self, df):
+        solves.append(df)
+        return solve(self, df)
+
+    monkeypatch.setattr(ScalarField, "gradient_stack", counting_gradient)
+    monkeypatch.setattr(cosym.Frame, "_solve_hamiltonian", counting_solve)
+    assert check_symmetry_algebra(sys, pts).passed
+    scalars = [sys.hamiltonian, *sys.integrals[: sys.r]]
+    assert len(set(map(id, scalars))) == len(scalars) == len(sys.symmetry_fields())
+    assert sorted(map(id, grads)) == sorted(3 * list(map(id, scalars)))
+    assert len(solves) == 3 * len(scalars)
+
+
+def _singular_values(rng, n, k, d, ratios):
+    """``n`` matrices (k, d) with singular values ``1 > .. > ratio``, random
+    singular vectors and a random scale between 1e-100 and 1e100."""
+    s = np.sort(rng.uniform(ratios[:, None], 1.0, (n, k)), axis=1)[:, ::-1]
+    s[:, 0], s[:, -1] = 1.0, ratios
+    U = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, d, k)))[0]
+    scale = 10.0 ** rng.uniform(-100, 100, n)
+    return (U * s[:, None, :]) @ np.swapaxes(V, 1, 2) * scale[:, None, None]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6, 1e-3])
+@pytest.mark.parametrize("k, d", [(1, 3), (2, 3), (2, 5), (3, 3), (3, 5)])
+def test_gram_ranks_equal_svd_ranks(monkeypatch, k, d, rel_tol):
+    rng = np.random.default_rng(1000 * k + d)
+    ratios = np.concatenate([
+        10.0 ** rng.uniform(-16, 0, 1500),  # log-uniform over [1e-16, 1]
+        rel_tol * 10.0 ** rng.uniform(-0.01, 0.01, 500),  # straddling rel_tol
+    ])
+    M = _singular_values(rng, len(ratios), k, d, ratios)
+    # exactly rank-deficient integer matrices, a zero row, zero matrices
+    deficient = rng.integers(-3, 4, (200, k, d)).astype(float)
+    deficient[:100, -1] = 2.0 * deficient[:100, 0]
+    deficient[100:, k // 2] = 0.0
+    M = np.concatenate([M, deficient, np.zeros((20, k, d))])
+    M = M[rng.permutation(len(M))]
+    want = [svd_rank(m, rel_tol) for m in M]
+    svd_rows = []
+    svd = np.linalg.svd
+
+    def counting(a, **kwargs):
+        svd_rows.append(len(a))
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert _ranks(M, rel_tol).tolist() == want
+    # a matrix whose singular values are within a factor 5 skips it
+    assert sum(svd_rows) <= len(M) - np.sum(ratios > 0.2)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for bad in (math.nan, math.inf):
+        M[3, 0, -1] = bad
+        try:
+            want = svd_rank(M[3], rel_tol)
+        except np.linalg.LinAlgError as err:
+            got = _error_of(lambda: _ranks(M, rel_tol))
+            assert (type(got), str(got), got.row) == (type(err), str(err), 3)
+        else:
+            assert _ranks(M, rel_tol)[3] == want
 
 
 @pytest.mark.parametrize("name", ["ext-oscillator-1d", "pc-oscillator-1d"])
