@@ -162,14 +162,20 @@ def _verify_section(scenario: Scenario, points_n: int, seed: int) -> dict:
     base = scenario.base_point()
     seeds = [base]
     extra = sample_box(scenario.structure.domain_box, 4, rng)
-    for cand in extra:
-        if len(seeds) >= 3:
-            break
-        try:
-            if check_independence(sys_, [cand]).extra["regular_points"] == 1:
-                seeds.append(cand)
-        except _RUNTIME_ERRORS:
-            continue
+    try:
+        singular = check_independence(sys_, extra).extra["excluded_points"]
+        skip = {p["point_index"] for p in singular}
+        seeds += [cand for k, cand in enumerate(extra) if k not in skip][:2]
+    except _RUNTIME_ERRORS:
+        # some candidate raised: try them one at a time, skipping those that raise
+        for cand in extra:
+            if len(seeds) >= 3:
+                break
+            try:
+                if check_independence(sys_, [cand]).extra["regular_points"] == 1:
+                    seeds.append(cand)
+            except _RUNTIME_ERRORS:
+                continue
     try:
         groups = [sample_fiber(sys_, s, 3, rng) for s in seeds]
         induced = bracket_closure_and_corank(sys_, groups, casimirs=scenario.casimirs)

@@ -18,31 +18,37 @@ since ``Omega^T v`` is the contraction of ``v`` and the eta-term vanishes on
 the solution.  docs/CONVENTIONS.md carries the derivation and the worked
 canonical-coordinate example.
 
-``Frame`` holds that solve at every row of a point stack (N, d), with one
-stacked solve; the stacked checks read one per block of points
+Every solve with A^T, and its determinant, come from one LU factorization
+with partial pivoting, generated as code in one operation order
+(:func:`_lu_code`; docs/CONVENTIONS.md, "The solve matrix"): straight-line
+float code at one point, and the same lines over one array per matrix entry
+for a stack.  ``Frame`` holds that factorization at every row of a point
+stack (N, d); the stacked checks read one frame per block of points
 (``FrameBlocks``), built once and shared by every check given the same
-blocks.  When omega
-and eta have constant coefficients the solve is done once per structure:
-``X_f = C df`` with one matrix C, and the defining conditions become
-identities of C checked once, with limits on ``||df||`` that cover the
-rounding at each point (docs/CONVENTIONS.md, "Constant structures").
+blocks.  When omega and eta have constant coefficients the factorization
+and the solves are done once per structure: ``X_f = C df`` with one matrix
+C, and the defining conditions become identities of C checked once, with
+limits on ``||df||`` that cover the rounding at each point
+(docs/CONVENTIONS.md, "Constant structures").
 
 Flows evaluate a field at one point per stage, and build no ``Frame``.  The
 Reeb, Hamiltonian and evaluation fields run straight-line code from d floats
-to d floats, with a frame row's errors: on a varying structure one function
-per structure and field kind, generated from omega's and eta's expressions
-(:func:`_one_point_function`); on a constant one, one function per
-structure, kind and scalar over the structure's shared data, with the
-scalar's jet inlined (:func:`_constant_point_function`).  They have a frame
-row's bits wherever the row's array code runs no ``np.exp``, ``np.log`` or
-``np.power``, as on every builtin: the one-point code calls ``math.exp``,
-``math.log`` and ``math.pow`` there, which can differ from numpy's in the
-last place (``exprlang``, "compilation").  The other one-point calls (the
-gradient field, the bracket, Jacobians) solve a one-row ``Frame``.
+to d floats, one function per structure, field kind and scalar, with the
+scalar's jet inlined and a frame row's errors: on a varying structure
+generated from omega's and eta's expressions, with the LU code and the
+residual sums of a frame row on floats (:func:`_one_point_function`); on a
+constant one over the structure's shared data
+(:func:`_constant_point_function`).  They have a frame row's bits wherever
+the row's array code runs no ``np.exp``, ``np.log`` or ``np.power``, as on
+every builtin: the one-point code calls ``math.exp``, ``math.log`` and
+``math.pow`` there, which can differ from numpy's in the last place
+(``exprlang``, "compilation").  The other one-point calls (the gradient
+field, the bracket, Jacobians) solve a one-row ``Frame``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from fractions import Fraction
@@ -50,7 +56,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg as _lapack
 
 from . import exprlang
 from .exprlang import Const, Neg
@@ -112,8 +117,10 @@ class ToleranceConfig:
 
     def __post_init__(self):
         # A NaN threshold fails every check and an inf one passes every check.
-        # Negative ones stay, to force a check to fail, except the floor: it
-        # is what keeps a singular A away from every solve.
+        # Negative ones stay, to force a check to fail, except the floor: a
+        # point is solved only where |det A| >= volume_min_det, and a positive
+        # floor keeps every pivot of the factors nonzero there, so no
+        # substitution divides by zero (_lu_code).
         for f in dc_fields(self):
             value = getattr(self, f.name)
             if f.name == "volume_min_det" and not value > 0.0:
@@ -197,18 +204,21 @@ def _first_not_finite(X: np.ndarray, named) -> None:
 
 class Frame:
     """The solve context at every row of a point stack ``x`` (N, d): Omega,
-    eta and A^T at each row, solved at once.
+    eta and the factors of A^T at each row.
 
     Reused by every derived quantity at the same rows, so the structure
-    matrices are evaluated once.  Each quantity is computed over the leading
-    point axis: one ``np.linalg.solve`` over the stacked ``A^T`` and numpy's
-    row-wise products (``np.vecdot``, ``np.vecmat``).  On a constant
-    structure every frame reads what its structure derived once
-    (``_constant_data``): ``X_f = C df`` with no solve, summed left to right
-    over the columns of ``C`` (:func:`_column_sum`) as the one-point
-    functions sum it, and the defining conditions of ``X_f`` and ``Y_f`` are
-    limits on ``||df||_inf`` (``_field_limits``) in place of residuals at
-    each row.
+    matrices are evaluated and factored once.  Each quantity is computed
+    over the leading point axis.  On a varying structure the frame factors
+    the stacked ``A^T`` once (:func:`_lu`) and reads ``det``, every
+    ``solve`` and the ``d`` columns of each Jacobian (``_implicit``) off
+    those factors; the Reeb, ``X_f`` and ``Y_f`` residuals are summed left
+    to right with every term written (:func:`_vecmat`), as the one-point
+    functions sum them, so each row has their bits and their verdicts.  On
+    a constant structure every frame reads what its structure derived once
+    (``_constant_data``): the factors, which only the Jacobians use,
+    ``X_f = C df`` with no solve, summed as :func:`_vecmat` sums, and the
+    defining conditions of ``X_f`` and ``Y_f`` as limits on ``||df||_inf``
+    (``_field_limits``) in place of residuals at each row.
 
     A stage that fails at some rows raises the error of the first of them,
     worded for its point and marked with its ``row``; :func:`map_blocks`
@@ -228,7 +238,7 @@ class Frame:
     """
 
     __slots__ = (
-        "structure", "x", "Omega", "eta", "_A_T", "det", "_Z", "_const", "_d", "_memo"
+        "structure", "x", "Omega", "eta", "_lu", "det", "_Z", "_const", "_d", "_memo"
     )
 
     def __init__(self, structure: "CosymplecticStructure", x):
@@ -238,7 +248,7 @@ class Frame:
             raise ValueError(f"a frame takes a point stack (N, d), got shape {x.shape}")
         self._const = const = structure._constant_data
         if const is not None:
-            self.Omega, self.eta, self._A_T, self.det = const[:4]
+            self.Omega, self.eta, self._lu, self.det = const[:4]
         else:
             try:
                 self.Omega = structure.omega.at_stack(x)
@@ -247,10 +257,10 @@ class Frame:
                 raise _row_error(x, err) from err
             A_T = self.eta[:, :, None] * self.eta[:, None, :] - self.Omega
             _first_not_finite(x, [(_A_NAME, A_T)])
-            self._A_T, self.det = A_T, np.linalg.det(A_T)
+            self.det, self._lu = _lu(x.shape[1])[0](A_T)
         det = np.broadcast_to(self.det, x.shape[:1])
         self._first(
-            np.abs(det) < structure.tol.volume_min_det,
+            ~(np.abs(det) >= structure.tol.volume_min_det),
             lambda k: DegenerateStructureError(x[k], float(det[k])),
         )
         self._Z = self._d = None
@@ -262,7 +272,12 @@ class Frame:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A^T u = rhs at every row; ``rhs`` is (N, d)."""
-        return np.linalg.solve(self._A_T, rhs[..., None])[..., 0]
+        return self._solve(rhs[..., None])[..., 0]
+
+    def _solve(self, B: np.ndarray) -> np.ndarray:
+        """Solve A^T U = B at every row for the columns of ``B`` (N, d, m),
+        on the frame's factors of A^T."""
+        return _lu(self.x.shape[1])[1](self._lu, B)
 
     @property
     def reeb(self) -> np.ndarray:
@@ -272,8 +287,8 @@ class Frame:
             else:
                 Z = self.solve(self.eta)
                 tol = self.structure.tol.reeb_check
-                ok = (np.abs(np.vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
-                    np.abs(np.vecdot(self.eta, Z) - 1.0) <= tol
+                ok = (np.abs(_vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
+                    np.abs(_row_dot(self.eta, Z) - 1.0) <= tol
                 )
             self._first(
                 np.logical_not(ok),
@@ -294,8 +309,8 @@ class Frame:
 
     def _solve_hamiltonian(self, df: np.ndarray) -> np.ndarray:
         Z = self.reeb
-        with np.errstate(invalid="ignore"):  # an inf in df times a 0 in Z
-            zf = np.vecdot(df, Z)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf in df times a 0 in Z
+            zf = _row_dot(df, Z)
         self._first(~np.isfinite(zf), lambda k: _not_finite(self.x[k], f"df(Z) = {zf[k]}"))
         const = self._const
         if const is not None:
@@ -306,19 +321,19 @@ class Frame:
             Xf = self.solve(rhs)
             tol = self.structure.tol
             ok = [
-                np.abs(np.vecdot(self.eta, Xf)) <= tol.reeb_check,
-                np.abs(np.vecmat(Xf, self.Omega) - rhs).max(axis=-1) <= tol.field_check,
+                np.abs(_row_dot(self.eta, Xf)) <= tol.reeb_check,
+                np.abs(_vecmat(Xf, self.Omega) - rhs).max(axis=-1) <= tol.field_check,
             ]
         for ok_c, what in zip(ok, _X_CONDITIONS):
             self._first(~ok_c, lambda k: _condition_error(what, self.x[k]))
-        return Xf if const is None else _column_sum(const.C, df)
+        return Xf if const is None else _vecmat(df, const.C.T)
 
     def evaluation(self, df: np.ndarray) -> np.ndarray:
         Y = self.reeb + self.hamiltonian(df)
         if self._const is not None:
             ok = np.abs(df).max(axis=-1) < self._const.limits[2]
         else:
-            ok = np.abs(np.vecdot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
+            ok = np.abs(_row_dot(self.eta, Y) - 1.0) <= self.structure.tol.reeb_check
         self._first(~ok, lambda k: _condition_error(_Y_CONDITION, self.x[k]))
         return Y
 
@@ -392,7 +407,7 @@ class Frame:
         """``J(V)`` of the solution of ``A^T V = b``, ``db[:, :, k] = d_k b``:
         ``d_k V = A^-T (d_k b - d_k A^T V)``, one solve over the d columns."""
         dAV = (np.moveaxis(dA, 3, 1) @ V[:, None, :, None])[..., 0]  # [:, k, i]
-        J = np.linalg.solve(self._A_T, db - np.swapaxes(dAV, 1, 2))
+        J = self._solve(db - np.swapaxes(dAV, 1, 2))
         _first_not_finite(self.x, [(what, J)])
         return J
 
@@ -428,15 +443,22 @@ class _ScalarMemo:
         self.scalar, self.df, self.X, self.jacobian = scalar, df, None, None
 
 
-def _column_sum(C, df) -> np.ndarray:
-    """``C df`` at the rows of ``df`` (N, d): ``C[:, 0] df_0 + C[:, 1] df_1
-    + ...`` left to right over every column, each row with the bits of the
-    constant one-point functions' sums (numpy's ``matvec`` sums in an order
-    of its own, which differs where ``C`` is inexact)."""
-    X = df[:, :1] * C[:, 0]
-    for j in range(1, C.shape[1]):
-        X = X + df[:, j : j + 1] * C[:, j]
-    return X
+def _vecmat(v, M) -> np.ndarray:
+    """``v M`` at the rows of ``v`` (N, d), for a matrix ``M`` (d, k) or a
+    stack of them (N, d, k): ``v_0 M[0] + v_1 M[1] + ...``, left to right
+    over every row of ``M``, zeros included.  Each row has the bits of the
+    one-point functions' sums (numpy's ``vecmat`` and ``matvec`` sum in an
+    order of their own, which differs where the terms round)."""
+    out = v[:, :1] * M[..., 0, :]
+    for i in range(1, v.shape[1]):
+        out = out + v[:, i : i + 1] * M[..., i, :]
+    return out
+
+
+def _row_dot(u, v) -> np.ndarray:
+    """``u . v`` at the rows of ``u`` and ``v`` (N, d), summed as
+    :func:`_vecmat` sums."""
+    return _vecmat(u, v[..., None])[:, 0]
 
 
 def _on_rows(compute, x):
@@ -452,16 +474,128 @@ def _reeb_ok(Z, Omega, eta, tol: float) -> bool:
     return all([abs(c) <= tol for c in (Z @ Omega).tolist()]) and bool(abs(eta @ Z - 1.0) <= tol)
 
 
+def _lu_code(d: int, stack: bool = False):
+    """Gaussian elimination with partial pivoting of ``A^T`` (d x d), as
+    code: ``(factor, solve)``.
+
+    ``factor`` is the lines that overwrite the entries ``a{i}_{j}`` of
+    ``A^T`` with its factors and set ``det``; ``solve(b, u)`` gives the
+    lines that then set the names ``u`` to the solution of ``A^T u = b``
+    for the names ``b``.  Column ``k`` takes as pivot the first of the
+    entries ``a{i}_{k}``, ``i >= k``, of largest absolute value (LAPACK's
+    ``idamax``; a NaN is never chosen over an earlier entry), swaps that row
+    into row ``k`` from column ``k`` on and records the swap in ``p{k}``.
+    The multipliers ``a{i}_{k} / a{k}_{k}`` overwrite column ``k`` below the
+    pivot, and every later entry becomes ``a{i}_{j} - a{i}_{k} * a{k}_{j}``.
+    A zero pivot leaves its column unscaled, as LAPACK's ``getrf`` does:
+    every candidate is then zero, so the entries are divided by 1.0.
+    ``det`` is the sign of the swaps times the pivots, multiplied left to
+    right.  ``solve`` runs the swaps and the multipliers on ``b`` column by
+    column, then substitutes backwards, each row's terms summed left to
+    right.  Only a nonzero pivot is divided by: a caller solves only where
+    ``|det| >= volume_min_det``, which ``ToleranceConfig`` keeps positive,
+    and where it solves no pivot is zero.
+
+    With ``stack`` every name holds one value per row of a point stack, the
+    branches become ``where`` and the arithmetic lines are the same, so each
+    row has the bits of the one-point code (numpy's elementwise ``+``,
+    ``-``, ``*``, ``/`` and ``abs`` round as Python's float operations do).
+    """
+    dims = range(d)
+
+    def pick(k: int, i: int, row) -> list[str]:
+        """Swap the names ``row(k)`` with ``row(i)`` where ``p{k} == i``."""
+        a, b = row(k), row(i)
+        if stack:
+            swaps = [f"{x}, {y} = where(c, {y}, {x}), where(c, {x}, {y})" for x, y in zip(a, b)]
+            return [f"c = p{k} == {i}", *swaps]
+        test = f"{'if' if i == k + 1 else 'elif'} p{k} == {i}:"
+        return [test, f"    {', '.join(a + b)} = {', '.join(b + a)}"]
+
+    factor = ["s = 1.0"]
+    for k in dims[:-1]:
+        below = range(k + 1, d)
+        factor += [f"m = abs(a{k}_{k})", f"p{k} = {k}"]
+        for i in below:
+            if stack:
+                factor += [f"w = abs(a{i}_{k})", "c = w > m", f"p{k} = where(c, {i}, p{k})"]
+                factor += ["m = where(c, w, m)"] if i < d - 1 else []
+            else:
+                factor += [f"w = abs(a{i}_{k})", f"if w > m: m, p{k} = w, {i}"]
+        for i in below:
+            factor += pick(k, i, lambda r: [f"a{r}_{j}" for j in range(k, d)])
+            if not stack:
+                factor.append("    s = -s")
+        if stack:
+            factor.append(f"s = where(p{k} == {k}, s, -s)")
+            factor.append(f"v = where(a{k}_{k} == 0.0, 1.0, a{k}_{k})")
+        else:
+            factor.append(f"v = a{k}_{k} or 1.0")
+        factor += [f"a{i}_{k} = a{i}_{k} / v" for i in below]
+        factor += [f"a{i}_{j} = a{i}_{j} - a{i}_{k} * a{k}_{j}" for i in below for j in below]
+    factor.append("det = s * " + " * ".join(f"a{i}_{i}" for i in dims))
+
+    def solve(b, u) -> list[str]:
+        lines = [f"{_vector(u)} = {_vector(b)}"]
+        for k in dims[:-1]:
+            for i in range(k + 1, d):
+                lines += pick(k, i, lambda r: [u[r]])
+            lines += [f"{u[i]} = {u[i]} - a{i}_{k} * {u[k]}" for i in range(k + 1, d)]
+        for i in reversed(dims):
+            terms = "".join(f" - a{i}_{j} * {u[j]}" for j in range(i + 1, d))
+            lines.append(f"{u[i]} = ({u[i]}{terms}) / a{i}_{i}")
+        return lines
+
+    return factor, solve
+
+
+@functools.cache
+def _lu(d: int):
+    """``(factor, solve)`` for stacks, compiled from ``_lu_code(d, stack=True)``
+    on the first request for ``d``.
+
+    ``factor(A)`` takes ``A^T`` (N, d, d) and returns the determinants (N,)
+    and the factors; ``solve(F, B)`` solves ``A^T U = B`` at every row for
+    right-hand sides ``B`` (N, d, m) and returns ``U`` (N, d, m).  Factors of
+    one matrix (N = 1) serve right-hand sides of any N.  Overflow and NaN
+    propagate silently, as in the one-point code.
+    """
+    factor, solve = _lu_code(d, stack=True)
+    dims = range(d)
+    names = _vector([f"a{i}_{j}" for i in dims for j in dims] + [f"p{k}" for k in dims[:-1]])
+    u = [f"u{i}" for i in dims]
+
+    def function(signature: str, lines) -> str:
+        quiet = "    with errstate(over='ignore', invalid='ignore'):\n"
+        return f"def {signature}:\n" + quiet + "".join(f"        {line}\n" for line in lines)
+
+    src = function("factor(A)", [
+        *(f"a{i}_{j} = A[:, {i}, {j}, None]" for i in dims for j in dims),
+        *factor,
+        f"return det[:, 0], {names}",
+    ])
+    src += function("solve(F, B)", [
+        f"{names} = F",
+        *solve([f"B[:, {i}]" for i in dims], u),
+        f"return stack({_vector(u)}, axis=1)",
+    ])
+    env = {"where": np.where, "stack": np.stack, "errstate": np.errstate}
+    exec(exprlang.compiled(src, f"<LU of A^T, d={d}>"), env)
+    return env["factor"], env["solve"]
+
+
 def _solve_matrix(x, Omega, eta):
-    """A^T = Omega^T + eta eta^T at ``x`` and its determinant.
+    """A^T = Omega^T + eta eta^T at ``x``, its determinant and its factors
+    (:func:`_lu`).
 
     A non-finite entry is an evaluation failure, raised before the
-    determinant or any solve could carry it on as NaN.
+    factorization could carry it on as NaN.
     """
     A_T = eta[:, None] * eta - Omega
     if not all(map(math.isfinite, A_T.ravel().tolist())):
         raise _not_finite(x, _A_NAME)
-    return A_T, float(_lapack.det(A_T))
+    det, lu = _lu(len(eta))[0](A_T[None])
+    return A_T, float(det[0]), lu
 
 
 _A_NAME = "A = Omega + eta eta^T"
@@ -472,7 +606,7 @@ class _Constant(NamedTuple):
 
     Omega: np.ndarray
     eta: np.ndarray
-    A_T: np.ndarray
+    lu: tuple  # the factors of A^T (:func:`_lu`)
     det: float
     Z: np.ndarray
     reeb_ok: bool
@@ -504,9 +638,9 @@ def _field_limits(Omega, eta, M, Z, C, tol: ToleranceConfig) -> tuple:
     For each condition ``B_c(s) = e_c + K_c s`` bounds the residual that the
     per-point check computes in floating point -- the one varying structures
     run -- at every finite df with ``||df||_inf <= s``, whichever X it checks:
-    the solve's ``fl(M fl(df - fl(df.Z) eta))`` or ``fl(C df)``, the
-    left-to-right sum over the columns of ``C`` that constant structures
-    compute (:func:`_column_sum`).  A point
+    the inverse applied to the right-hand side, ``fl(M fl(df - fl(df.Z)
+    eta))``, or ``fl(C df)``, the left-to-right sum over the columns of ``C``
+    that constant structures compute (:func:`_vecmat`).  A point
     passes when ``s < (tol_c - e_c) / K_c``, so it passes only where the
     per-point check would; a tolerance at or below ``e_c`` fails every point.
 
@@ -715,44 +849,60 @@ def _dot(u, v) -> str:
     return " + ".join(f"{p} * {q}" for p, q in zip(u, v))
 
 
-def _one_point_function(S: "CosymplecticStructure", kind: str):
-    """``make(scalar)``: the ``reeb``, ``hamiltonian`` or ``evaluation``
-    field of the varying structure ``S`` for ``scalar`` (ignored by
-    ``reeb``), as a straight-line function ``field(x)`` from the d floats of
-    a point to the d floats of the field there.
+def _one_point_code(kind: str, scalar, d: int, values=()):
+    """``exprlang.point_code`` for a one-point function: the lines computing
+    the values of the expressions ``values`` at ``x``, their names, the lines
+    setting ``g0..g{d-1}`` to the differential of ``scalar`` (none for the
+    ``reeb`` kind), and the namespace, which holds ``scalar``.  A
+    ``ScalarField``'s jet is inlined; any other scalar (a ``BracketField``)
+    is asked for its ``gradient``."""
+    jet = scalar.expr if kind != "reeb" and isinstance(scalar, ScalarField) else None
+    lines, names, jet_lines, gradient, env = exprlang.point_code(values, jet, d)
+    g = [f"g{i}" for i in range(d)]
+    if kind == "reeb":
+        jet_lines = []
+    elif jet is None:
+        jet_lines = [f"{_vector(g)} = scalar.gradient(x).tolist()"]
+    else:
+        jet_lines += [f"{n} = {v}" for n, v in zip(g, gradient)]
+    env["scalar"] = scalar
+    return lines, names, jet_lines, env
+
+
+def _one_point_function(S: "CosymplecticStructure", kind: str, scalar):
+    """``field(x)``: the ``reeb``, ``hamiltonian`` or ``evaluation`` field of
+    the varying structure ``S`` for ``scalar`` (ignored by ``reeb``), as a
+    straight-line function from the d floats of a point to the d floats of
+    the field there, generated from omega's, eta's and the scalar's
+    expressions.
 
     It runs a ``Frame`` row's stages in their order on Python floats, with
-    the row's errors: omega's and eta's components in one body, the entries
-    ``eta_i eta_j - W_ij`` of ``A^T`` and their finiteness, the volume floor
-    on ``det A^T``, the scalar's differential, ``Z`` and the Reeb
-    conditions, then ``X_f`` and ``Y_f`` with their conditions.  The
-    determinant, the two solves and ``df(Z)`` stay numpy calls, so the
-    outputs have the row's bits wherever the row's array code runs no
-    ``np.exp``, ``np.log`` or ``np.power`` (the module docstring).  The
-    residuals are Python sums, which can differ from numpy's in the last
-    bits; a check can then come out differently only where those bits reach
-    its tolerance, a check that rounding decides either way (a gradient of
-    size 1e12 against ``field_check`` 1e-8).  Every term of a contraction is
-    written, structural zeros included, so a non-finite ``Z`` or ``X`` fails
-    its check as under numpy.
+    the row's errors: omega's and eta's components, the entries
+    ``eta_i eta_j - W_ij`` of ``A^T`` and their finiteness, the factors of
+    ``A^T`` (:func:`_lu_code`) and the volume floor on their ``det``, the
+    scalar's differential (:func:`_one_point_code`), ``Z`` and the Reeb
+    conditions, then ``df(Z)`` and its finiteness, ``X_f`` and ``Y_f`` with
+    their conditions.  The factorization and both solves are the frame's
+    code on floats, and every sum -- ``df(Z)``, the contractions and pairings
+    of the residuals -- runs left to right over every term, structural zeros
+    included, as ``Frame`` sums it (:func:`_vecmat`).  So a residual check
+    decides as the frame row's does, even where rounding decides it, and
+    the outputs have the row's bits wherever the row's array code runs no
+    ``np.exp``, ``np.log`` or ``np.power`` (the module docstring).  A
+    non-finite ``Z`` or ``X`` fails its check as under numpy.
 
-    Flow stages call it, so it skips what costs more than a small kernel.
-    It calls the LAPACK gufuncs that ``np.linalg.det`` and
-    ``np.linalg.solve`` dispatch to (``_lapack.det``, ``_lapack.solve1``),
-    with the public API's bits without its wrappers: on a 3x3 system 1.1
-    against 5.7 us per solve and 1.6 against 3.0 us per determinant
-    (``timeit`` minimum, numpy 2.4.6, one Xeon core).  The wrappers' type
-    checks have nothing to do on float arrays, and their singular-matrix
-    ``errstate`` has nothing to catch: ``volume_min_det``, which
-    ``ToleranceConfig`` keeps positive, rejects the point before any solve.
-    At the base point an evaluation field costs 10-29 us this way, against
-    160-265 us through a one-row ``Frame`` (pc-oscillator-1d and
-    pc-oscillator-2d-super, ``timeit`` minimum, shared 2-vCPU machine).
+    Flow stages call it, and for an expression scalar it calls no numpy
+    function.  At the base point an evaluation field costs 2.3-2.6 us on
+    pc-oscillator-1d and 6.6-6.7 us on pc-oscillator-2d-super, against
+    8.6-9.0 and 11.4-13.1 us where it called LAPACK's factorization three
+    times through numpy's private gufuncs, and 280 and 530 us through a
+    one-row ``Frame``, whose array code pays numpy's per-call overhead on
+    every entry (``timeit`` minimum, shared 2-vCPU machine).
     """
     d = S.chart.dim
     upper = list(S.omega.upper.items())
-    lines, values, env = exprlang.value_code(
-        [e for _, e in upper] + list(S.eta.components)
+    lines, values, gradient, env = _one_point_code(
+        kind, scalar, d, [e for _, e in upper] + list(S.eta.components)
     )
     e = values[len(upper):]
     W = [["0.0"] * d for _ in range(d)]
@@ -770,36 +920,23 @@ def _one_point_function(S: "CosymplecticStructure", kind: str):
         """Entry ``j`` of ``i_V omega``, ``sum_i V_i W[i, j]``."""
         return _dot(v, [W[i][j] for i in range(d)])
 
-    rows = ", ".join(_vector(a[i * d : (i + 1) * d]) for i in range(d))
-    body += [
-        f"A = array(({rows}))",
-        "det = float(lapack_det(A))",
-        "if abs(det) < volume_min:",
-        "    raise degenerate(x, det)",
-    ]
-    if kind != "reeb":
-        body.append("df = scalar.gradient(x)")
+    factor, solve = _lu_code(d)
+    body += factor + ["if not abs(det) >= volume_min:", "    raise degenerate(x, det)"]
+    body += gradient
     z = [f"z{i}" for i in range(d)]
     reeb_ok = [f"abs({contraction(z, j)}) <= reeb_tol" for j in range(d)]
     reeb_ok.append(f"abs({_dot(e, z)} - 1.0) <= reeb_tol")
-    body += [
-        f"Z = lapack_solve1(A, array({_vector(e)}))",
-        f"{_vector(z)} = Z.tolist()",
-        f"if not ({' and '.join(reeb_ok)}):",
-        "    raise condition(REEB, x)",
-    ]
+    body += solve(e, z) + [f"if not ({' and '.join(reeb_ok)}):", "    raise condition(REEB, x)"]
     if kind == "reeb":
         body.append(f"return {_vector(z)}")
     else:
         g, r, u = ([f"{c}{i}" for i in range(d)] for c in "gru")
         body += [
-            "zf = float(df.dot(Z))",
+            f"zf = {_dot(g, z)}",
             "if not isfinite(zf):",
             '    raise not_finite(x, f"df(Z) = {zf}")',
-            f"{_vector(g)} = df.tolist()",
             *(f"r{i} = g{i} - zf * {e[i]}" for i in range(d)),
-            f"X = lapack_solve1(A, array({_vector(r)}))",
-            f"{_vector(u)} = X.tolist()",
+            *solve(r, u),
             f"if not abs({_dot(e, u)}) <= reeb_tol:",
             "    raise condition(X_ETA, x)",
             "if not ("
@@ -820,15 +957,13 @@ def _one_point_function(S: "CosymplecticStructure", kind: str):
     env.update(
         expr_error=exprlang.ExprError, eval_error=StructureEvalError, not_finite=_not_finite,
         degenerate=DegenerateStructureError, condition=_condition_error, isfinite=math.isfinite,
-        array=np.array, lapack_det=_lapack.det, lapack_solve1=_lapack.solve1,
         volume_min=S.tol.volume_min_det, reeb_tol=S.tol.reeb_check, field_tol=S.tol.field_check,
         A_NAME=_A_NAME, REEB=_REEB_CONDITIONS, X_ETA=_X_CONDITIONS[0], X_OMEGA=_X_CONDITIONS[1],
         Y_ETA=_Y_CONDITION,
     )
-    src = "def make(scalar):\n    def field(x):\n"
-    src += "".join(f"        {line}\n" for line in body) + "    return field\n"
+    src = "def field(x):\n" + "".join(f"    {line}\n" for line in body)
     exec(exprlang.compiled(src, f"<one-point {kind}>"), env)
-    return env["make"]
+    return env["field"]
 
 
 def _constant_point_function(S: "CosymplecticStructure", kind: str, scalar):
@@ -843,11 +978,10 @@ def _constant_point_function(S: "CosymplecticStructure", kind: str, scalar):
     ``np.log`` or ``np.power`` (the module docstring): the volume floor, the
     scalar's differential, the Reeb check, ``df(Z)`` and its finiteness, the
     limits on ``||df||_inf`` in the order of the conditions, then
-    ``X_f = C df`` and ``Y_f = Z + C df``.  A
-    ``ScalarField``'s jet is inlined (``exprlang.jet_code``); any other
-    scalar (a ``BracketField``) is asked for its ``gradient``.  ``df(Z)``
-    and ``C df`` are sums over every column, left to right, the order
-    ``Frame`` sums ``C df`` in (:func:`_column_sum`).  ``df(Z)`` is not
+    ``X_f = C df`` and ``Y_f = Z + C df``.  The scalar's differential is
+    :func:`_one_point_code`'s.  ``df(Z)`` and ``C df`` are sums over every
+    column, left to right, the order ``Frame`` sums them in
+    (:func:`_vecmat`).  ``df(Z)`` is not
     finite exactly where an entry of ``df`` is not, or where it overflows,
     so its one check also covers a non-finite ``df``.
 
@@ -862,16 +996,9 @@ def _constant_point_function(S: "CosymplecticStructure", kind: str, scalar):
     except Exception:
         return lambda x: S._constant_data
     d = S.chart.dim
-    z = [f"z{i}" for i in range(d)]
-    env = {}
-    body = ["if abs(det) < volume_min:", "    raise degenerate(x, det)"]
-    if kind != "reeb":
-        g = [f"g{i}" for i in range(d)]
-        if isinstance(scalar, ScalarField):
-            lines, grad, env = exprlang.jet_code(scalar.expr, d)
-            body += lines + [f"g{i} = {v}" for i, v in enumerate(grad)]
-        else:
-            body.append(f"{_vector(g)} = scalar.gradient(x).tolist()")
+    z, g = [f"z{i}" for i in range(d)], [f"g{i}" for i in range(d)]
+    lines, _, gradient, env = _one_point_code(kind, scalar, d)
+    body = ["if not abs(det) >= volume_min:", "    raise degenerate(x, det)", *lines, *gradient]
     body += ["if not reeb_ok:", "    raise condition(REEB, x)"]
     if kind == "reeb":
         body.append(f"return {_vector(z)}")
@@ -897,7 +1024,7 @@ def _constant_point_function(S: "CosymplecticStructure", kind: str, scalar):
                 f"return {_vector(f'z{i} + u{i}' for i in range(d))}",
             ]
     env.update(
-        scalar=scalar, degenerate=DegenerateStructureError, condition=_condition_error,
+        degenerate=DegenerateStructureError, condition=_condition_error,
         not_finite=_not_finite, isfinite=math.isfinite, det=const.det,
         volume_min=S.tol.volume_min_det, reeb_ok=const.reeb_ok,
         REEB=_REEB_CONDITIONS, X_ETA=_X_CONDITIONS[0], X_OMEGA=_X_CONDITIONS[1],
@@ -1044,17 +1171,17 @@ class CosymplecticStructure:
             return None
         x0 = np.array([lo for lo, _ in self.domain_box])
         Omega, eta = self.omega.at(x0), self.eta.at(x0)
-        A_T, det = _solve_matrix(x0, Omega, eta)
+        A_T, det, lu = _solve_matrix(x0, Omega, eta)
         d = len(eta)
-        if abs(det) < self.tol.volume_min_det:
+        if not abs(det) >= self.tol.volume_min_det:
             nan = np.full((d, d), math.nan)
-            return _Constant(Omega, eta, A_T, det, nan[0], False, nan, (0.0, 0.0, 0.0))
+            return _Constant(Omega, eta, lu, det, nan[0], False, nan, (0.0, 0.0, 0.0))
         M = np.linalg.inv(A_T)
         Z = M @ eta
         C = M @ (np.eye(d) - np.outer(eta, Z))
         Z.flags.writeable = C.flags.writeable = False
         return _Constant(
-            Omega, eta, A_T, det, Z, _reeb_ok(Z, Omega, eta, self.tol.reeb_check), C,
+            Omega, eta, lu, det, Z, _reeb_ok(Z, Omega, eta, self.tol.reeb_check), C,
             _field_limits(Omega, eta, M, Z, C, self.tol),
         )
 
@@ -1064,26 +1191,26 @@ class CosymplecticStructure:
 
     @cached_property
     def _one_point_fields(self) -> dict:
-        """The generated one-point functions, filled by ``_one_point``: field
-        kind -> :func:`_one_point_function` on a varying structure; (kind,
-        id of the scalar) -> (:func:`_constant_point_function`, the scalar)
-        on a constant one, where keeping the scalar keeps its id unique."""
+        """The generated one-point functions, filled by ``_one_point``: (kind,
+        id of the scalar) -> (the function, the scalar), where keeping the
+        scalar keeps its id unique."""
         return {}
 
     def _one_point(self, kind: str, scalar):
         """The function from d floats to the d floats of field ``kind`` for
-        ``scalar`` at one point, built on the first request: once per kind
-        on a varying structure, once per kind and scalar on a constant
+        ``scalar`` at one point, built on the first request for the kind and
+        scalar (the ``reeb`` kind reads none): :func:`_one_point_function` on
+        a varying structure, :func:`_constant_point_function` on a constant
         one."""
+        if kind == "reeb":
+            scalar = None
         fns = self._one_point_fields
-        if not self._coefficients_constant:
-            make = fns.get(kind)
-            if make is None:
-                make = fns[kind] = _one_point_function(self, kind)
-            return make(scalar)
         key = kind, id(scalar)
         if key not in fns:
-            fns[key] = _constant_point_function(self, kind, scalar), scalar
+            build = (
+                _constant_point_function if self._coefficients_constant else _one_point_function
+            )
+            fns[key] = build(self, kind, scalar), scalar
         return fns[key][0]
 
     # -- derived quantities ------------------------------------------------

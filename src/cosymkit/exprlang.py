@@ -30,9 +30,9 @@ zero base (``sqrt(q)`` at ``q = 0`` has value 0).
 Integer exponents of at least 2 multiply by repeated squaring, so ``q^2``
 is ``q*q`` in every mode.
 
-``value_code`` hands the scalar value code of several expressions, in one
-body, and ``jet_code`` the gradient code of one expression, to a
-caller that generates a function of its own around it.
+``point_code`` hands the scalar value code of several expressions and the
+gradient code of one more, from one emitter, to a caller that generates a
+function of its own around them.
 
 Every generated source is compiled once per process (:func:`compiled`) and
 run in a fresh namespace of its own.  Constants and nodes are bound by name,
@@ -456,7 +456,7 @@ def _compile(e: Expr, dim: int | None, stack: bool = False):
             body.append("return v, G")
         src = "def f(X):\n" + "".join(f"    {line}\n" for line in body)
     else:
-        body = _point_lines(em)
+        body = _point_lines(em, em.lines)
         if dim is None:
             body.append(f"return {v}")
         else:
@@ -474,39 +474,36 @@ def compiled(src: str, filename: str):
     return compile(src, filename, "exec")
 
 
-def value_code(exprs) -> tuple[list[str], list[str], dict]:
-    """Straight-line scalar code for the values of ``exprs`` at a point
-    ``x``, for a caller to embed in a function it generates.
+def point_code(values, jet: Expr | None = None, dim: int = 0):
+    """Straight-line scalar code at a point ``x`` of dimension ``dim``, for a
+    caller to embed in a function it generates: the values of the
+    expressions ``values``, then the gradient of ``jet``.
 
-    Returns the lines, the name holding each expression's value, and the
-    namespace the lines run in.  They raise the first domain error that
-    calling ``value`` on each expression in turn would: a subtree object
-    shared between expressions is evaluated once, at its first occurrence.
-    The lines bind only names that start with ``x``, ``t``, ``k`` or ``_``.
+    Returns ``(value_lines, names, jet_lines, gradient, env)``: the lines
+    that read every coordinate either part uses off ``x`` and compute the
+    values, the name holding each value, the lines that compute the
+    gradient, the names (or float literals) of its ``dim`` components (none
+    without ``jet``), and the namespace both run in.  One emitter writes
+    both parts, so their names cannot clash, and a caller may run code of
+    its own between them.  The value lines raise the first domain error that
+    calling ``value`` on each expression in turn would (a subtree object
+    shared between the expressions is evaluated once, at its first
+    occurrence); the jet lines raise ``jet1``'s first.  Both bind only names
+    that start with ``x``, ``t``, ``k`` or ``_``.
     """
     em = _Emitter(None)
-    names = [em.emit(e)[0] for e in exprs]
-    return _point_lines(em), names, em.env
+    names = [em.emit(e)[0] for e in values]
+    value_lines, em.lines = em.lines, []
+    gradient = []
+    if jet is not None:
+        em.dim, em.refs = dim, {}  # a value-only subtree carries no gradient
+        gradient = em.emit(jet)[1]
+    return _point_lines(em, value_lines), names, em.lines, gradient, em.env
 
 
-def jet_code(e: Expr, dim: int) -> tuple[list[str], list[str], dict]:
-    """Straight-line scalar code for the gradient of ``e`` at a point ``x``
-    of dimension ``dim``: ``jet1``'s code, for a caller to embed in a
-    function it generates.
-
-    Returns the lines, the names (or float literals) of the ``dim`` gradient
-    components, and the namespace the lines run in.  They raise ``jet1``'s
-    first domain error and bind only names that start with ``x``, ``t``,
-    ``k`` or ``_``.
-    """
-    em = _Emitter(dim)
-    gradient = em.emit(e)[1]
-    return _point_lines(em), gradient, em.env
-
-
-def _point_lines(em: _Emitter) -> list[str]:
-    """The emitted lines after reading the coordinates they use off ``x``."""
-    return [f"x{i} = float(x[{i}])" for i in sorted(em.coords)] + em.lines
+def _point_lines(em: _Emitter, lines: list[str]) -> list[str]:
+    """``lines`` after reading every coordinate ``em`` used off ``x``."""
+    return [f"x{i} = float(x[{i}])" for i in sorted(em.coords)] + lines
 
 
 def _on_rows(fn, scalar, X: np.ndarray):

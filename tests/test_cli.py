@@ -705,3 +705,39 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert child.stdout.strip() == "[]"
+
+
+def test_verify_tries_its_fiber_seed_candidates_as_one_stack(capsys, monkeypatch):
+    # the four candidates of the induced-bracket fibers go through one
+    # independence check; only where that call raises are they tried one at
+    # a time, and a candidate that raises then is skipped
+    from cosymkit import cli
+    from cosymkit.cosym import StructureEvalError
+
+    check, calls, raising = cli.check_independence, [], []
+
+    def counting(sys_, points):
+        X = np.asarray(getattr(points, "x", points))
+        calls.append(len(X))
+        if any(np.array_equal(X, bad) for bad in raising):
+            raise StructureEvalError(X[0], ValueError("raised on purpose"))
+        return check(sys_, points)
+
+    monkeypatch.setattr(cli, "check_independence", counting)
+    code, payload, want = run(capsys, "verify", SUPER, "--seed", "4")
+    assert code == 0 and payload["report"]["checks"]["induced_bracket"]["pass"]
+    assert calls == [120, 4]
+    candidates = cli.sample_box(
+        load_scenario_dict(builtin_dict("ext-oscillator-2d-super")).structure.domain_box,
+        124,
+        np.random.default_rng(4),
+    )[120:]
+    raising.append(candidates)
+    calls.clear()
+    assert run(capsys, "verify", SUPER, "--seed", "4")[2] == want
+    assert calls == [120, 4, 1, 1]
+    raising.append(candidates[:1])
+    calls.clear()
+    code, payload, _ = run(capsys, "verify", SUPER, "--seed", "4")
+    assert code == 0 and payload["report"]["checks"]["induced_bracket"]["fibers"] == 3
+    assert calls == [120, 4, 1, 1, 1]

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -250,27 +251,80 @@ def test_frame_solve_backward_error_on_varying_structure():
             assert np.linalg.norm(A_k @ u - r) <= bound
 
 
-def test_one_point_kernels_give_the_public_api_bits():
-    # the generated one-point fields and _constant_data call the LAPACK
-    # gufuncs behind np.linalg.solve and np.linalg.det without their
-    # wrappers; a numpy whose private kernels differ from what the public API
-    # runs fails here.  With Omega = -A and eta = 0, _solve_matrix forms
-    # A^T = 0 - (-A) = A exactly.
+def _one_point_lu(d):
+    """``lu(A, b) -> (det, u, pivots)``: the one-point factorization of
+    ``A^T`` from its d*d entries (row-major) and, unless ``b`` is None, the
+    solution of ``A^T u = b``, compiled from the lines the one-point fields
+    embed."""
+    factor, solve = cosym._lu_code(d)
+    entries = ", ".join(f"a{i}_{j}" for i in range(d) for j in range(d))
+    b, u = ([f"{c}{i}" for i in range(d)] for c in "bu")
+    pivots = f"[{''.join(f'p{k}, ' for k in range(d - 1))}]"
+    body = [f"({entries},) = A", *factor, "if b is None:", f"    return det, None, {pivots}"]
+    body += [f"({', '.join(b)},) = b", *solve(b, u), f"return det, [{', '.join(u)}], {pivots}"]
+    env = {}
+    exec("def lu(A, b):\n" + "".join(f"    {line}\n" for line in body), env)
+    return env["lu"]
+
+
+def test_lu_one_point_and_stacked_forms_agree():
+    # the one-point fields and Frame factor A^T with code from one generator:
+    # both forms give the same bits, and the solutions are backward stable.
+    # With Omega = -A and eta = 0, _solve_matrix forms A^T = 0 - (-A) = A.
     rng = np.random.default_rng(20)
     for d in (2, 3, 5, 7):
-        signs, systems = set(), 0
-        while systems < 800:
-            A = rng.normal(size=(d, d))
-            if np.linalg.cond(A) > 1e4:
-                continue
-            systems += 1
-            A_T, det = _solve_matrix(None, -A, np.zeros(d))
-            assert np.array_equal(A_T, A)
-            assert det == np.linalg.det(A)
-            rhs = rng.normal(size=d)
-            assert np.array_equal(cosym._lapack.solve1(A_T, rhs), np.linalg.solve(A, rhs))
-            signs.add(math.copysign(1.0, det))
-        assert signs == {-1.0, 1.0}, d
+        lu = _one_point_lu(d)
+        factor, solve = cosym._lu(d)
+        A = rng.normal(size=(2000, d, d))
+        A = A[np.linalg.cond(A) <= 1e4][:800]
+        assert len(A) == 800
+        B = rng.normal(size=(800, d))
+        det, F = factor(A)
+        U = solve(F, B[:, :, None])[:, :, 0]
+        assert np.array_equal(U, solve(F, np.stack([B, -B], axis=2))[:, :, 0])
+        for A_k, b, det_k, u in zip(A, B, det, U):
+            one = lu(A_k.ravel().tolist(), b.tolist())
+            assert one[0] == det_k and one[1] == u.tolist()
+            bound = 1e-14 * np.linalg.norm(A_k, 2) * np.linalg.norm(u)
+            assert np.linalg.norm(A_k @ u - b) <= bound
+        assert _solve_matrix(None, -A[0], np.zeros(d))[1] == det[0]
+        assert set(np.sign(det).tolist()) == {-1.0, 1.0}, d
+        # ties go to the first candidate row, as LAPACK's idamax picks it
+        T = rng.normal(size=(2, d, d))
+        T[0, :, 0] = [(-1.0) ** i for i in range(d)]
+        T[1, :, 0] = [0.5] + [2.0 * (-1.0) ** i for i in range(1, d)]
+        assert factor(T)[1][d * d][:, 0].tolist() == [0, 1]
+        assert [lu(A_k.ravel().tolist(), None)[2][0] for A_k in T] == [0, 1]
+
+
+def test_lu_zero_pivot_gives_a_zero_determinant_without_warnings():
+    # a zero column leaves its pivot zero: getrf skips the scaling, det is 0,
+    # and the volume floor refuses the point before any substitution divides
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 5, 7):
+        A = rng.normal(size=(3, d, d))
+        for k, A_k in enumerate(A):
+            A_k[:, k % d] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cosym._lu(d)[0](A)[0].tolist() == [0.0] * 3
+        lu = _one_point_lu(d)
+        assert [lu(A_k.ravel().tolist(), None)[0] for A_k in A] == [0.0] * 3
+    # omega = q dq^dp with eta = dt: A^T has zero columns on the plane q = 0
+    omega = TwoFormField.from_upper_sources({"q,p": "q"}, CHART)
+    S = CosymplecticStructure(CHART, omega, OneFormField.from_sources(["1", "0", "0"], CHART), BOX)
+    f = oscillator_h()
+    x = np.array([0.3, 0.0, 1.0])
+    assert Frame(S, np.array([[0.3, 0.5, 1.0]])).det[0] != 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vf in _fields(S, [f]):
+            got, want = _generated_and_frame(vf, x)
+            _assert_same(got, want)
+            assert want == (
+                DegenerateStructureError,
+                f"structure degenerate at {x.tolist()}: |det A| = 0.000e+00",
+            )
 
 
 @pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
@@ -559,6 +613,26 @@ def test_generated_one_point_fields_raise_frame_condition_errors(name):
     }
 
 
+@pytest.mark.parametrize("seed", [24, 2, 15])
+def test_rounding_decided_residual_checks_decide_alike(seed):
+    # with f = 1e12*(q + 2p) the i_X omega residual is rounding of about
+    # 1e-4 against field_check 1e-8, so the sum's order decides it.  Frame
+    # sums the residuals as the one-point code does, left to right with every
+    # term written, so both paths give one verdict.  These seeds hold points
+    # where numpy's vecmat order decides otherwise than the left-to-right sum:
+    # point 32 of seed 24, 0 and 12 of seed 2, 18 and 26 of seed 15
+    S = builtin("pc-oscillator-1d").structure
+    f = ScalarField.from_source("1e12*(q + 2*p)", S.chart, "f")
+    points = sample_box(S.domain_box, 50, np.random.default_rng(seed))
+    verdicts = set()
+    for vf in _fields(S, [f], ("hamiltonian", "evaluation")):
+        for x in points:
+            got, want = _generated_and_frame(vf, x)
+            _assert_same(got, want)
+            verdicts.add(isinstance(want, tuple) and want[1].split(" at [")[0])
+    assert "i_X omega != df - Z(f) eta" in verdicts
+
+
 @pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
 def test_generated_one_point_fields_read_the_scalar_before_the_reeb_check(name):
     scenario = builtin(name)
@@ -607,29 +681,55 @@ def _call_every_field(S, x, scalars):
 
 
 def test_one_point_functions_are_generated_once_per_structure_and_kind(monkeypatch):
+    # both structure kinds generate one function per kind and scalar (one
+    # reeb function, which reads no scalar) and none for gradient: a varying
+    # structure from omega's, eta's and the scalar's expressions, a constant
+    # one over _constant_data
     generated = _counting(monkeypatch, "_one_point_function")
     built = _counting(monkeypatch, "_constant_point_function")
+    per_scalar = ["evaluation"] * 2 + ["hamiltonian"] * 2 + ["reeb"]
     scenario = builtin("pc-oscillator-2d-super")
     S, x = replace(scenario.structure), scenario.base_point()
     H, L = scenario.system.integrals[:2]
     _call_every_field(S, x, (H, L))
-    assert sorted(generated) == ["evaluation", "hamiltonian", "reeb"]
+    assert StructureVectorField(S, "reeb", H)._at_point is S._one_point("reeb", None)
+    assert sorted(generated) == per_scalar
     assert StructureVectorField(S, "gradient", H)._at_point is None
-    # a constant structure generates its one-point functions over
-    # _constant_data once per kind and scalar, none for gradient
     scenario = builtin("ext-oscillator-2d-super")
     S, x = replace(scenario.structure), scenario.base_point()
     assert S._constant_data is not None
     H, L = scenario.system.integrals[:2]
     _call_every_field(S, x, (H, L))
-    per_scalar = ["evaluation"] * 2 + ["hamiltonian"] * 2 + ["reeb"]
     assert sorted(built) == per_scalar
     assert StructureVectorField(S, "gradient", H)._at_point is None
     for vf in _fields(S, [H]):
         assert vf._at_point is not None
         assert np.array_equal(vf(x), vf.on(S.frame([x]))[0])
-    assert sorted(generated) == ["evaluation", "hamiltonian", "reeb"]
+    assert sorted(generated) == per_scalar
     assert sorted(built) == per_scalar
+
+
+@pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])
+def test_varying_one_point_functions_call_no_numpy(name):
+    # for an expression scalar a flow stage runs on floats alone: no global
+    # name the generated code reads is a numpy callable
+    scenario = builtin(name)
+    S, H = replace(scenario.structure), scenario.system.hamiltonian
+    q, p = S.chart.names[1], S.chart.names[-1]
+    g = ScalarField.from_source(f"exp({q}/3)*({q}*{q}+{p}*{p})/2 + sqrt(2 + cos(t))", S.chart)
+    for vf in _fields(S, [H, g]):
+        field = vf._at_point
+        read = {n: field.__globals__[n] for n in field.__code__.co_names if n in field.__globals__}
+        numpy = [n for n, v in read.items() if callable(v) and _from_numpy(v)]
+        assert not numpy, (vf.label, numpy)
+        assert "scalar" not in read, vf.label
+    # a bracket scalar has no expression: its gradient is asked for
+    bracket = S.bracket_scalar(H, g)
+    assert "scalar" in StructureVectorField(S, "hamiltonian", bracket)._at_point.__code__.co_names
+
+
+def _from_numpy(v) -> bool:
+    return isinstance(v, np.ufunc) or (getattr(v, "__module__", None) or "").startswith("numpy")
 
 
 def test_make_poincare_cartan_primitive():

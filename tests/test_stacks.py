@@ -578,9 +578,9 @@ def test_verify_builds_each_block_frame_once(monkeypatch, capsys, name):
     assert cli_main(["verify", str(builtin_file_path(name)), "--points", "500"]) == 0
     capsys.readouterr()
     # the blocks of the points, once for all five point checks; the 62
-    # bracket points, for the Lie check and the brackets of integrals; a
-    # one-row frame per fiber seed tried; a frame per fiber group of 3
-    assert rows == [200, 200, 100, 62, 1, 1, 3, 3, 3]
+    # bracket points, for the Lie check and the brackets of integrals; one
+    # frame for the four fiber seed candidates; a frame per fiber group of 3
+    assert rows == [200, 200, 100, 62, 4, 3, 3, 3]
 
 
 @pytest.mark.parametrize("name", builtin_names())
