@@ -23,7 +23,6 @@ from .fields import (
     Point,
     ScalarField,
     TwoFormField,
-    VectorFieldExpr,
     lie_bracket,
     sample_box,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ScalarField",
     "OneFormField",
     "TwoFormField",
-    "VectorFieldExpr",
     "Expr",
     "parse",
     "ParseError",

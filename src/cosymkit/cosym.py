@@ -1225,12 +1225,6 @@ class CosymplecticStructure:
     def hamiltonian_field(self, f, x: Point) -> np.ndarray:
         return StructureVectorField(self, "hamiltonian", f)(x)
 
-    def evaluation_field(self, f, x: Point) -> np.ndarray:
-        return StructureVectorField(self, "evaluation", f)(x)
-
-    def gradient_field(self, f, x: Point) -> np.ndarray:
-        return StructureVectorField(self, "gradient", f)(x)
-
     def poisson_bracket(self, f, g, x: Point) -> float:
         """{f, g} at one point, or (N,) at the rows of a stack."""
 

@@ -47,7 +47,6 @@ __all__ = [
     "ScalarField",
     "OneFormField",
     "TwoFormField",
-    "VectorFieldExpr",
     "sample_box",
     "fd_jacobian",
     "scalar_fd_gradient",
@@ -284,31 +283,6 @@ class TwoFormField:
 
     def is_constant(self) -> bool:
         return all(exprlang.is_constant(e) for e in self.upper.values())
-
-
-@dataclass(frozen=True)
-class VectorFieldExpr:
-    """Vector field with expression components and exact Jacobian."""
-
-    chart: ChartSpec
-    components: tuple[Expr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != self.chart.dim:
-            raise ValueError("component count must equal chart dimension")
-
-    @classmethod
-    def from_sources(cls, sources, chart: ChartSpec) -> "VectorFieldExpr":
-        return cls(chart, tuple(parse(s, chart) for s in sources))
-
-    def __call__(self, x: Point) -> np.ndarray:
-        return np.array([c.value(x) for c in self.components])
-
-    def jacobian(self, x: Point) -> np.ndarray:
-        """J[i, j] = d_j X_i, exact."""
-        x = np.asarray(x, dtype=float)
-        return np.array([c.jet1(x)[1] for c in self.components])
 
 
 # --- finite differences for plain callables ---------------------------------

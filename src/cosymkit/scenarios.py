@@ -4,16 +4,24 @@ The packaged JSON files under ``data/scenarios`` are the catalog: each file
 is one builtin, named by its stem, and is loaded through the same schema
 validation and construction path as any external scenario file.  Oracle
 entries carry a derivation note so each expected number is traceable.
+
+The schema, ``data/schema/scenario.json``, is the single source of the file
+format.  It is read by a check of exactly the draft-07 keywords it uses
+(``_schema_errors``), which refuses a schema with any other keyword when it
+is first loaded and words a rejection as jsonschema's ``best_match`` does.
+jsonschema is the reference the tests compare this check with; numpy is the
+only runtime dependency.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import re
 from dataclasses import dataclass
 from functools import cache
 from importlib.resources import files as _pkg_files
 
-import jsonschema
 import numpy as np
 
 from .actionangle import AngleMap
@@ -114,21 +122,83 @@ def schema_dict() -> dict:
         return json.load(handle)
 
 
+# --- schema check -------------------------------------------------------------
+
+_TYPES = {  # draft-07: a bool is neither a number nor an integer, 1.0 is an integer
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, float) and v.is_integer()
+    or isinstance(v, int) and not isinstance(v, bool),
+}
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "minItems",
+             "maxItems", "minLength", "pattern", "minimum", "$schema", "title", "description"}
+
+
 @cache
-def _schema_validator():
-    """The scenario schema's validator, built and checked on first use."""
+def _checked_schema() -> dict:
+    """The scenario schema, read once per process.  It may use only the
+    keywords :func:`_schema_errors` interprets, and annotations."""
     schema = schema_dict()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    pending = [schema]
+    while pending:
+        node = pending.pop()
+        for key, arg in node.items():
+            if key not in _KEYWORDS or (key == "type" and arg not in list(_TYPES)):
+                raise ValueError(f"scenario schema: unsupported keyword {key!r} (value {arg!r})")
+        pending += node.get("properties", {}).values()
+        nested = node.get("items"), node.get("additionalProperties")
+        pending += [sub for sub in nested if isinstance(sub, dict)]
+    return schema
+
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield ``(path, message)`` for each error of ``value`` against ``schema``
+    that jsonschema (draft-07) reports, in its order and its words."""
+    for key, arg in schema.items():
+        if key == "type" and not _TYPES[arg](value):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], (*path, name))
+        elif key == "additionalProperties" and isinstance(value, dict):
+            extras = [name for name in value if name not in schema.get("properties", {})]
+            if isinstance(arg, dict):
+                for name in extras:
+                    yield from _schema_errors(arg, value[name], (*path, name))
+            elif not arg and extras:
+                names = ", ".join(repr(name) for name in sorted(extras, key=str))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "required" and isinstance(value, dict):
+            missing = [name for name in arg if name not in value]
+            yield from ((path, f"{name!r} is a required property") for name in missing)
+        elif key == "items" and isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from _schema_errors(arg, item, (*path, index))
+        elif key == "minItems" and isinstance(value, list) and len(value) < arg:
+            yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(value, list) and len(value) > arg:
+            yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif key == "minLength" and isinstance(value, str) and len(value) < arg:
+            yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "pattern" and isinstance(value, str) and not re.search(arg, value):
+            yield path, f"{value!r} does not match {arg!r}"
+        elif key == "minimum" and _TYPES["number"](value) and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
 
 
 def load_scenario_dict(data: dict) -> Scenario:
     """Validate a scenario dictionary against the schema and construct it.  A
     compact fiber declares r+1 angle maps, or a period_lattice and none."""
-    err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
-    if err is not None:
-        raise ScenarioFormatError(f"scenario failed schema validation: {err.message}") from err
+    errors = list(_schema_errors(_checked_schema(), data))
+    if errors:
+        # as jsonschema's best_match: the shallowest, then the last path, then the first
+        _, message = max(errors, key=lambda error: (-len(error[0]), error[0]))
+        raise ScenarioFormatError(f"scenario failed schema validation: {message}")
     try:
         chart = ChartSpec(tuple(data["chart"]["names"]), tuple(data["chart"]["periodic"]))
         box = tuple((lo, hi) for lo, hi in data["chart"]["box"])

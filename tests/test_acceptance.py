@@ -135,7 +135,7 @@ def test_criterion_2_twisted_structure_reproduction():
     rng = np.random.default_rng(2)
     worst_reeb = 0.0
     for x in sample_box(S.domain_box, 50, rng):
-        diff = St.reeb(x) - S.evaluation_field(H, x)
+        diff = St.reeb(x) - S.evaluation_vf(H)(x)
         worst_reeb = max(worst_reeb, float(np.max(np.abs(diff))))
     ok = worst_reeb < 1e-9
 

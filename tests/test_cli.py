@@ -690,16 +690,25 @@ def test_unwritable_out_prints_one_error_document(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    # a fresh interpreter: scipy.linalg alone would add a few tenths of a
-    # second to every start-up of the command line
+    # a fresh interpreter in which importing scipy or jsonschema raises:
+    # scipy.linalg alone would add a few tenths of a second to every start-up
+    # of the command line, and numpy is the only runtime dependency
     import cosymkit
 
     src = str(Path(cosymkit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
-        "import sys, cosymkit.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import contextlib, io, sys\n"
+        "sys.modules['jsonschema'] = sys.modules['scipy'] = None\n"
+        "from cosymkit import cli, scenarios\n"
+        "for name in scenarios.builtin_names():\n"
+        "    path = str(scenarios.builtin_file_path(name))\n"
+        "    scenarios.load_scenario_file(path)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['validate', path]) == 0, name\n"
+        "print(sorted(m for m, module in sys.modules.items()\n"
+        "             if module is not None and (m == 'scipy' or m.startswith('scipy.'))))"
     )
     child = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -38,7 +38,7 @@ def test_structure_fields_at_the_base_point(tour):
     assert values["S.hamiltonian_field(H, x)"] == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
     assert values["S.poisson_bracket(H, H, x)"] == 0.0
     S, H, x = namespace["S"], namespace["H"], namespace["x"]
-    assert values["St.reeb(x)"] == pytest.approx(S.evaluation_field(H, x), abs=1e-12)
+    assert values["St.reeb(x)"] == pytest.approx(S.evaluation_vf(H)(x), abs=1e-12)
 
 
 def test_drift_is_read_off_the_flow(tour):

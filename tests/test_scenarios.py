@@ -5,6 +5,7 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosymkit import scenarios
 from cosymkit.cosym import ToleranceConfig
@@ -114,16 +115,14 @@ def test_tolerances_must_be_finite(name, value):
 
 def test_schema_is_checked_once_per_process(monkeypatch):
     schema = scenarios.schema_dict()
-    cls = jsonschema.validators.validator_for(schema)
     calls = []
-    check = cls.check_schema
 
-    def counting(schema, *args, **kwargs):
+    def counting():
         calls.append(1)
-        return check(schema, *args, **kwargs)
+        return schema
 
-    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
-    scenarios._schema_validator.cache_clear()
+    monkeypatch.setattr(scenarios, "schema_dict", counting)
+    scenarios._checked_schema.cache_clear()
     data = scenarios.builtin_dict("ext-oscillator-1d")
     scenarios.load_scenario_dict(data)
     scenarios.load_scenario_dict(data)
@@ -135,7 +134,149 @@ def test_schema_is_checked_once_per_process(monkeypatch):
     with pytest.raises(ScenarioFormatError) as got:
         scenarios.load_scenario_dict(bad)
     assert str(got.value) == f"scenario failed schema validation: {want.value.message}"
-    scenarios._schema_validator.cache_clear()
+    scenarios._checked_schema.cache_clear()
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("enum", [0, 1, 2]),
+    ("type", ["integer", "null"]),
+])
+def test_schema_keyword_the_check_does_not_read_is_refused(monkeypatch, keyword, value):
+    # the schema file is checked on its first load, before any document is read
+    schema = scenarios.schema_dict()
+    schema["properties"]["integrals"]["properties"]["r"][keyword] = value
+    monkeypatch.setattr(scenarios, "schema_dict", lambda: schema)
+    scenarios._checked_schema.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=f"unsupported keyword '{keyword}'"):
+            scenarios.load_scenario_dict(scenarios.builtin_dict("ext-oscillator-1d"))
+    finally:
+        scenarios._checked_schema.cache_clear()
+
+
+# --- the schema check against jsonschema --------------------------------------
+#
+# jsonschema, a test dependency only, is the reference: the run-time check
+# must accept and reject the same documents, and give jsonschema's message
+# wherever jsonschema finds one error.  Where it finds several, the message is
+# one of those at the shallowest depth.
+
+_SCHEMA = scenarios.schema_dict()
+jsonschema.Draft7Validator.check_schema(_SCHEMA)
+_REFERENCE = jsonschema.Draft7Validator(_SCHEMA)
+_PREFIX = "scenario failed schema validation: "
+
+
+def _schema_message(data):
+    """``load_scenario_dict``'s schema verdict: None where the document passes
+    the schema, else the message.  Construction fails at its first step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "ChartSpec", None)
+        with pytest.raises(ScenarioFormatError) as err:
+            scenarios.load_scenario_dict(data)
+    text = str(err.value)
+    if text.startswith("scenario construction failed"):
+        return None
+    assert text.startswith(_PREFIX)
+    return text[len(_PREFIX):]
+
+
+def _assert_agrees_with_jsonschema(data):
+    errors = list(_REFERENCE.iter_errors(data))
+    got = _schema_message(data)
+    assert (got is None) == (not errors), (got, [e.message for e in errors])
+    if len(errors) == 1:
+        assert got == errors[0].message
+    elif errors:
+        depth = min(len(e.path) for e in errors)
+        assert got in {e.message for e in errors if len(e.path) == depth}
+
+
+def _mutated(name, path, value):
+    data = scenarios.builtin_dict(name)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+_R = ("integrals", "r")
+_DOCUMENTS = [
+    *(scenarios.builtin_dict(name) for name in ALL),
+    # the dicts the tests above build
+    {**scenarios.builtin_dict("ext-oscillator-1d"), "surprise": 1},
+    {**scenarios.builtin_dict("ext-oscillator-1d"), "hamiltonian": "(q^2 +"},
+    _mutated("ext-oscillator-1d", ("chart", "box", 1, 0), 99.0),
+    _mutated("pc-oscillator-1d", ("tolerances",), {"volume_min_det": math.nan}),
+    _mutated("ext-oscillator-1d", ("tolerances",), {"field_check": -math.inf}),
+    # bools are not numbers, 1.0 is an integer, Python integers do not overflow
+    _mutated("ext-oscillator-1d", _R, True),
+    _mutated("ext-oscillator-1d", _R, 1.0),
+    _mutated("ext-oscillator-1d", _R, 1.5),
+    _mutated("ext-oscillator-1d", _R, -1.5),
+    _mutated("ext-oscillator-1d", _R, 10**400),
+    _mutated("ext-oscillator-1d", _R, -10**400),
+    _mutated("ext-oscillator-1d", _R, math.nan),
+    _mutated("ext-oscillator-1d", ("chart", "box", 0, 1), False),
+    _mutated("ext-oscillator-1d", ("chart", "box", 0, 1), math.nan),
+    _mutated("ext-oscillator-1d", ("chart", "box", 0), [0.0, 1.0, 2.0]),
+    _mutated("ext-oscillator-1d", ("chart", "names"), ["t", "q"]),
+    _mutated("ext-oscillator-1d", ("chart", "names", 1), "1q"),
+    _mutated("ext-oscillator-1d", ("name",), ""),
+    _mutated("ext-oscillator-1d", ("omega",), {"q,p": 1}),
+    _mutated("ext-oscillator-1d", ("tolerances",), {"a": "x", "b": None}),
+    _mutated("ext-oscillator-1d", ("integrals", "fields", 0), {"expr": 0, "other": 1}),
+    [scenarios.builtin_dict("ext-oscillator-1d")],
+    None,
+    {},
+]
+
+
+@pytest.mark.parametrize("data", _DOCUMENTS, ids=range(len(_DOCUMENTS)))
+def test_schema_check_agrees_with_jsonschema(data):
+    _assert_agrees_with_jsonschema(data)
+
+
+_KEYS = st.sampled_from([
+    *_SCHEMA["properties"],
+    *_SCHEMA["properties"]["chart"]["properties"],
+    *_SCHEMA["properties"]["integrals"]["properties"],
+    "expr", "coordinate", "plane", "label", "volume_min_det", "surprise", "",
+])
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | (
+    st.sampled_from([1.0, -1.0, 10**400, math.nan, "", "q", "t", "1x"])
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3) | st.dictionaries(_KEYS, _SCALARS, max_size=2)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, (*path, key))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(name=st.sampled_from(ALL), draw=st.data())
+def test_schema_check_agrees_with_jsonschema_on_mutations(name, draw):
+    # each of 1-3 edits replaces, deletes or adds a value at a random path
+    data = [scenarios.builtin_dict(name)]  # a holder, so the root can be replaced
+    for _ in range(draw.draw(st.integers(1, 3))):
+        path = (0, *draw.draw(st.sampled_from(list(_paths(data[0])))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        node, op = parent[path[-1]], draw.draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "replace" or (op == "delete" and len(path) == 1):
+            parent[path[-1]] = draw.draw(_VALUES)
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(node, dict):
+            node[draw.draw(_KEYS)] = draw.draw(_VALUES)
+        elif isinstance(node, list):
+            node.insert(draw.draw(st.integers(0, len(node))), draw.draw(_VALUES))
+    _assert_agrees_with_jsonschema(data[0])
 
 
 def test_flat_torus_reeb_vector():

@@ -20,6 +20,7 @@ from cosymkit.cosym import (
     CosymplecticStructure,
     DegenerateStructureError,
     StructureEvalError,
+    StructureVectorField,
 )
 from cosymkit.cli import _verify_section, main as cli_main
 from cosymkit.exprlang import EvalDomainError
@@ -327,8 +328,8 @@ def test_structure_fields_on_a_stack_equal_per_point(name):
     for call in (
         S.reeb,
         lambda x: S.hamiltonian_field(f, x),
-        lambda x: S.evaluation_field(f, x),
-        lambda x: S.gradient_field(f, x),
+        lambda x: S.evaluation_vf(f)(x),
+        lambda x: StructureVectorField(S, "gradient", f)(x),
         lambda x: S.poisson_bracket(f, g, x),
     ):
         assert np.array_equal(call(pts), np.array([call(x) for x in pts]))
