@@ -22,7 +22,9 @@ Every solve with A^T, and its determinant, come from one LU factorization
 with partial pivoting, generated as code in one operation order
 (:func:`_lu_code`; docs/CONVENTIONS.md, "The solve matrix"): straight-line
 float code at one point, and the same lines over one array per matrix entry
-for a stack.  ``Frame`` holds that factorization at every row of a point
+for a stack (:func:`_factor`), which ``Frame``, ``validate`` and the
+constant data share, so the volume floor is decided on one determinant
+everywhere.  ``Frame`` holds that factorization at every row of a point
 stack (N, d); the stacked checks read one frame per block of points
 (``FrameBlocks``), built once and shared by every check given the same
 blocks.  When omega and eta have constant coefficients the factorization
@@ -92,7 +94,7 @@ class ToleranceConfig:
     """Central numeric thresholds; scenarios may override individual fields."""
 
     closedness: float = 1e-8          # max |d omega|, |d eta| for validity
-    volume_min_det: float = 1e-10     # hard floor for |det A|
+    volume_min_det: float = 1e-10     # |det A| >= floor passes everywhere
     reeb_check: float = 1e-9          # defining conditions of Z
     field_check: float = 1e-8         # defining conditions of X_f / grad f
     bracket_agreement: float = 1e-9   # two bracket formulas must agree
@@ -209,7 +211,7 @@ class Frame:
     Reused by every derived quantity at the same rows, so the structure
     matrices are evaluated and factored once.  Each quantity is computed
     over the leading point axis.  On a varying structure the frame factors
-    the stacked ``A^T`` once (:func:`_lu`) and reads ``det``, every
+    the stacked ``A^T`` once (:func:`_factor`) and reads ``det``, every
     ``solve`` and the ``d`` columns of each Jacobian (``_implicit``) off
     those factors; the Reeb, ``X_f`` and ``Y_f`` residuals are summed left
     to right with every term written (:func:`_vecmat`), as the one-point
@@ -255,9 +257,7 @@ class Frame:
                 self.eta = structure.eta.at_stack(x)
             except exprlang.ExprError as err:
                 raise _row_error(x, err) from err
-            A_T = self.eta[:, :, None] * self.eta[:, None, :] - self.Omega
-            _first_not_finite(x, [(_A_NAME, A_T)])
-            self.det, self._lu = _lu(x.shape[1])[0](A_T)
+            self.det, self._lu = _factor(x, self.Omega, self.eta)
         det = np.broadcast_to(self.det, x.shape[:1])
         self._first(
             ~(np.abs(det) >= structure.tol.volume_min_det),
@@ -286,10 +286,7 @@ class Frame:
                 Z, ok = self._const.Z, self._const.reeb_ok
             else:
                 Z = self.solve(self.eta)
-                tol = self.structure.tol.reeb_check
-                ok = (np.abs(_vecmat(Z, self.Omega)).max(axis=-1) <= tol) & (
-                    np.abs(_row_dot(self.eta, Z) - 1.0) <= tol
-                )
+                ok = _reeb_rows_ok(Z, self.Omega, self.eta, self.structure.tol.reeb_check)
             self._first(
                 np.logical_not(ok),
                 lambda k: _condition_error(_REEB_CONDITIONS, self.x[k]),
@@ -468,10 +465,13 @@ def _on_rows(compute, x):
     return compute(x) if x.ndim == 2 else compute(x[None])[0]
 
 
-def _reeb_ok(Z, Omega, eta, tol: float) -> bool:
-    """The Reeb conditions i_Z omega = 0 and eta(Z) = 1 at one point; a NaN
-    residual fails them."""
-    return all([abs(c) <= tol for c in (Z @ Omega).tolist()]) and bool(abs(eta @ Z - 1.0) <= tol)
+def _reeb_rows_ok(Z, Omega, eta, tol: float) -> np.ndarray:
+    """The Reeb conditions i_Z omega = 0 and eta(Z) = 1 at the rows of ``Z``
+    and ``eta`` (N, d), for Omega (N, d, d) or (d, d), summed as
+    :func:`_vecmat` sums; a NaN residual fails them."""
+    return (np.abs(_vecmat(Z, Omega)).max(axis=-1) <= tol) & (
+        np.abs(_row_dot(eta, Z) - 1.0) <= tol
+    )
 
 
 def _lu_code(d: int, stack: bool = False):
@@ -584,18 +584,17 @@ def _lu(d: int):
     return env["factor"], env["solve"]
 
 
-def _solve_matrix(x, Omega, eta):
-    """A^T = Omega^T + eta eta^T at ``x``, its determinant and its factors
-    (:func:`_lu`).
+def _factor(x, Omega, eta):
+    """The determinants (N,) and the factors (:func:`_lu`) of
+    ``A^T = eta eta^T - Omega`` at the rows of a point stack ``x`` (N, d),
+    for Omega (N, d, d) and eta (N, d) there.
 
-    A non-finite entry is an evaluation failure, raised before the
-    factorization could carry it on as NaN.
+    A row whose A is not finite raises ``StructureEvalError``, the first such
+    row, before the factorization could carry it on as NaN.
     """
-    A_T = eta[:, None] * eta - Omega
-    if not all(map(math.isfinite, A_T.ravel().tolist())):
-        raise _not_finite(x, _A_NAME)
-    det, lu = _lu(len(eta))[0](A_T[None])
-    return A_T, float(det[0]), lu
+    A_T = eta[:, :, None] * eta[:, None, :] - Omega
+    _first_not_finite(x, [(_A_NAME, A_T)])
+    return _lu(x.shape[1])[0](A_T)
 
 
 _A_NAME = "A = Omega + eta eta^T"
@@ -629,8 +628,8 @@ def _field_limits(Omega, eta, M, Z, C, tol: ToleranceConfig) -> tuple:
     ``i_X omega = df - Z(f) eta`` (``tol.field_check``) and
     ``eta(Y_f) = 1`` (``tol.reeb_check``).
 
-    With the exact matrix ``C* = M - (M eta) Z^T`` (``M`` the inverse of
-    ``A^T``; ``C`` is ``C*`` rounded) the conditions are the identities
+    With the exact matrix ``C* = M - (M eta) Z^T`` (``M`` the stored inverse
+    of ``A^T``; ``C`` is ``C*`` rounded) the conditions are the identities
     ``eta^T C* = 0`` and ``Omega^T C* = I - eta Z^T``, and ``eta.Z = 1``.
     Their residuals, and ``C - C*``, are computed exactly, in rational
     arithmetic on the stored doubles.
@@ -824,7 +823,7 @@ class ValidationReport:
         return (
             self.max_d_omega < self.tol.closedness
             and self.max_d_eta < self.tol.closedness
-            and self.min_abs_det > self.tol.volume_min_det
+            and self.min_abs_det >= self.tol.volume_min_det
         )
 
     def to_dict(self) -> dict:
@@ -892,12 +891,7 @@ def _one_point_function(S: "CosymplecticStructure", kind: str, scalar):
     non-finite ``Z`` or ``X`` fails its check as under numpy.
 
     Flow stages call it, and for an expression scalar it calls no numpy
-    function.  At the base point an evaluation field costs 2.3-2.6 us on
-    pc-oscillator-1d and 6.6-6.7 us on pc-oscillator-2d-super, against
-    8.6-9.0 and 11.4-13.1 us where it called LAPACK's factorization three
-    times through numpy's private gufuncs, and 280 and 530 us through a
-    one-row ``Frame``, whose array code pays numpy's per-call overhead on
-    every entry (``timeit`` minimum, shared 2-vCPU machine).
+    function.
     """
     d = S.chart.dim
     upper = list(S.omega.upper.items())
@@ -1160,29 +1154,30 @@ class CosymplecticStructure:
         """What every frame of a constant structure shares, derived once;
         None when omega or eta varies.
 
-        ``Z = M eta`` and ``C = M (I - eta Z^T)``, with ``M`` the inverse of
-        ``A^T``, so ``X_f = C df`` and ``Y_f = Z + C df``; ``limits`` bound
-        ``||df||_inf`` for the defining conditions of X_f and Y_f
-        (:func:`_field_limits`).  Z and C are read-only.  Frames of a
-        degenerate structure raise before reading Z, C or the limits, which
-        are NaN and 0 there.
+        On a frame's factors of ``A^T`` (:func:`_factor`): ``Z`` and its Reeb
+        verdict as a varying frame's ``reeb`` solves and checks them, and
+        ``C = M (I - eta Z^T)`` with ``M`` solved from the identity, so
+        ``X_f = C df`` and ``Y_f = Z + C df``; ``limits`` bound ``||df||_inf``
+        for the defining conditions of X_f and Y_f (:func:`_field_limits`).
+        Z and C are read-only.  Frames of a degenerate structure raise before
+        reading Z, C or the limits, which are NaN and 0 there.
         """
         if not self._coefficients_constant:
             return None
-        x0 = np.array([lo for lo, _ in self.domain_box])
-        Omega, eta = self.omega.at(x0), self.eta.at(x0)
-        A_T, det, lu = _solve_matrix(x0, Omega, eta)
-        d = len(eta)
+        x0 = np.array([[lo for lo, _ in self.domain_box]])
+        Omega, eta = self.omega.at(x0[0]), self.eta.at(x0[0])
+        det, lu = _factor(x0, Omega[None], eta[None])
+        det, d = float(det[0]), len(eta)
         if not abs(det) >= self.tol.volume_min_det:
             nan = np.full((d, d), math.nan)
             return _Constant(Omega, eta, lu, det, nan[0], False, nan, (0.0, 0.0, 0.0))
-        M = np.linalg.inv(A_T)
-        Z = M @ eta
+        Z = _lu(d)[1](lu, eta[None, :, None])[0, :, 0]
+        M = _lu(d)[1](lu, np.eye(d)[None])[0]
         C = M @ (np.eye(d) - np.outer(eta, Z))
         Z.flags.writeable = C.flags.writeable = False
+        reeb_ok = bool(_reeb_rows_ok(Z[None], Omega, eta[None], self.tol.reeb_check)[0])
         return _Constant(
-            Omega, eta, lu, det, Z, _reeb_ok(Z, Omega, eta, self.tol.reeb_check), C,
-            _field_limits(Omega, eta, M, Z, C, self.tol),
+            Omega, eta, lu, det, Z, reeb_ok, C, _field_limits(Omega, eta, M, Z, C, self.tol)
         )
 
     @cached_property
@@ -1259,7 +1254,8 @@ class CosymplecticStructure:
         Draws ``samples`` uniform points from the domain box with a seeded
         generator, so reports are reproducible.  A sample where ``A``,
         ``d omega`` or ``d eta`` is not finite raises ``StructureEvalError``,
-        the first such sample in draw order.
+        the first such sample in draw order.  The determinants are a frame's
+        (:func:`_factor`), so a sample passes the floor where a frame does.
         """
         if samples <= 0:
             raise ValueError("samples must be positive")
@@ -1274,9 +1270,9 @@ class CosymplecticStructure:
                 ev = self.eta.at_stack(X)
             except exprlang.ExprError as err:
                 raise _row_error(X, err) from err
-            A = W + ev[:, :, None] * ev[:, None, :]
-            _first_not_finite(X, [(_A_NAME, A), ("d omega", dw), ("d eta", de)])
-            return _abs_max_per_row(dw), _abs_max_per_row(de), np.abs(np.linalg.det(A))
+            det = _factor(X, W, ev)[0]
+            _first_not_finite(X, [("d omega", dw), ("d eta", de)])
+            return _abs_max_per_row(dw), _abs_max_per_row(de), np.abs(det)
 
         dw, de, det = map_blocks(rows, pts)
         k = int(np.argmin(det))

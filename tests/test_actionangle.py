@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from cosymkit.cosym import (
 from cosymkit.fields import ChartSpec, OneFormField, ScalarField
 from cosymkit.flow import Trajectory, integrate
 from cosymkit.integrability import IntegralSystem
-from cosymkit.scenarios import builtin, builtin_dict
+from cosymkit.scenarios import builtin, builtin_dict, builtin_names, load_scenario_file
 
 TWO_PI = 2 * math.pi
 CHART = ChartSpec(("t", "q", "p"), (True, False, False))
@@ -596,3 +597,69 @@ def test_non_unimodular_windings_are_typed():
         )
     assert "not unimodular" in str(info.value)
     assert info.value.windings == pytest.approx(np.diag([2.0, 1.0, 1.0]), abs=1e-6)
+
+
+# --- the pendulum: an anharmonic torus ----------------------------------------
+
+PENDULUM = Path(__file__).parent / "data" / "pendulum.json"
+
+
+def _complete_elliptic(k2):
+    """K(k) and E(k) for k^2 = ``k2`` < 1 by the arithmetic-geometric mean:
+    ``K = pi / (2 a_inf)`` and ``E = K (1 - sum_n 2^(n-1) c_n^2)`` with
+    ``a_0 = 1``, ``b_0 = sqrt(1 - k^2)``, ``c_0 = k``.  The iteration count
+    is fixed: 8 steps reach the last ulp for k^2 <= 0.9, and a loop waiting
+    for ``c == 0`` can cycle on it."""
+    a, b, c = 1.0, math.sqrt(1.0 - k2), math.sqrt(k2)
+    total = 0.5 * c * c
+    for n in range(1, 9):
+        a, b, c = (a + b) / 2, math.sqrt(a * b), (a - b) / 2
+        total += 2.0 ** (n - 1) * c * c
+    K = math.pi / (2 * a)
+    return K, K * (1.0 - total)
+
+
+def _pendulum_action_and_b(E):
+    """The libration action I(E) and b[0][0] = dI/dE = 2 K(k) / pi of
+    ``H = p^2/2 - cos(q)``, with k^2 = (1 + E)/2."""
+    k2 = (1.0 + E) / 2
+    K, Ek = _complete_elliptic(k2)
+    return 8 / math.pi * (Ek - (1.0 - k2) * K), 2 * K / math.pi
+
+
+def test_complete_elliptic_integrals_by_the_agm():
+    # k = 0: K = E = pi/2; Legendre's relation at k^2 = 1/2,
+    # 2 E K - K^2 = pi/2; E = 0, k^2 = 1/2: the action is 8/pi (E - K/2)
+    assert _complete_elliptic(0.0) == (math.pi / 2, math.pi / 2)
+    K, Ek = _complete_elliptic(0.5)
+    assert 2 * Ek * K - K * K == pytest.approx(math.pi / 2, abs=1e-15)
+    assert K == pytest.approx(1.8540746773013719, abs=1e-15)
+    # small oscillations: I ~ E + 1 and b ~ 1 near the bottom of the well
+    assert _pendulum_action_and_b(-1.0 + 1e-8) == pytest.approx((1e-8, 1.0), rel=1e-7)
+
+
+@pytest.mark.parametrize("E", [-0.5, 0.0, 0.6])
+def test_pendulum_actions_and_b_match_the_closed_forms(E):
+    # the action of the phase cycle and its derivative b[0][0] = T / (2 pi),
+    # which varies with the fiber: on every builtin b is the same on all
+    sc = load_scenario_file(PENDULUM)
+    assert sc.name not in builtin_names()
+    sys = sc.system
+    torus = fiber_torus(sys, [E], sc.angle_maps, seed=sc.base_point())
+    action, b00 = _pendulum_action_and_b(E)
+    assert abs(torus.actions[0] - action) <= 1e-10
+    assert abs(torus.b[0, 0] - b00) <= 1e-9
+    assert torus.derivative_rank == sys.r
+
+
+def test_pendulum_torus_continues_across_fibers():
+    # the lattice at each fiber starts from the one before, with no angle
+    # seeds, across six fibers from E = -0.5 to 0.6
+    sc = load_scenario_file(PENDULUM)
+    sys = sc.system
+    old = fiber_torus(sys, [-0.5], sc.angle_maps, seed=sc.base_point())
+    x = old.lattice.base_point
+    for E in np.linspace(-0.5, 0.6, 6)[1:]:
+        x = find_fiber_point(sys, [E], x)
+        old = action_integrals(sys, torus_lattice(sys, x, (), old.lattice.basis))
+        assert abs(old.actions[0] - _pendulum_action_and_b(E)[0]) <= 1e-10, E

@@ -19,8 +19,8 @@ from cosymkit.cosym import (
     make_canonical,
     make_poincare_cartan,
     twist,
-    _reeb_ok,
-    _solve_matrix,
+    _factor,
+    _reeb_rows_ok,
 )
 from cosymkit.exprlang import Const, EvalDomainError
 from cosymkit.fields import (
@@ -69,6 +69,39 @@ def test_validate_rejects_non_closed_eta():
     report = S.validate(samples=50)
     assert not report.passed
     assert report.max_d_eta == pytest.approx(1.0)
+
+
+def _floor_verdicts(S, floor, x):
+    """(validate passed, a frame at ``x`` built) with ``volume_min_det``
+    set to ``floor``."""
+    S = replace(S, tol=replace(S.tol, volume_min_det=floor))
+    try:
+        S.frame(x[None])
+    except DegenerateStructureError:
+        built = False
+    else:
+        built = True
+    return S.validate(seed=3).passed, built
+
+
+def test_validate_and_frames_refuse_the_same_points_at_the_floor():
+    # |det A| >= volume_min_det passes in validate as in every solve, on the
+    # determinant of the one factorization of A^T a frame solves with
+    x = np.array([0.3, 0.5, -1.0])
+    for k in (1, 7, 16):
+        s = 2.0**-k  # omega = s dq^dp, eta = dt: det A = s^2 exactly
+        omega = TwoFormField.from_upper_sources({"q,p": repr(s)}, CHART)
+        eta = OneFormField.from_sources(["1", "0", "0"], CHART)
+        S = CosymplecticStructure(CHART, omega, eta, BOX)
+        assert S.validate(seed=3).min_abs_det == s * s == np.ravel(S.frame(x[None]).det)[0]
+        assert _floor_verdicts(S, s * s, x) == (True, True)
+        assert _floor_verdicts(S, np.nextafter(s * s, math.inf), x) == (False, False)
+    S = builtin("pc-oscillator-1d").structure
+    report = S.validate(seed=3)
+    worst = report.worst_point
+    assert abs(S.frame(worst[None]).det[0]) == report.min_abs_det
+    assert _floor_verdicts(S, report.min_abs_det, worst) == (True, True)
+    assert _floor_verdicts(S, np.nextafter(report.min_abs_det, math.inf), worst) == (False, False)
 
 
 def test_reeb_canonical():
@@ -273,7 +306,7 @@ def _one_point_lu(d):
 def test_lu_one_point_and_stacked_forms_agree():
     # the one-point fields and Frame factor A^T with code from one generator:
     # both forms give the same bits, and the solutions are backward stable.
-    # With Omega = -A and eta = 0, _solve_matrix forms A^T = 0 - (-A) = A.
+    # With Omega = -A and eta = 0, _factor forms A^T = 0 - (-A) = A.
     rng = np.random.default_rng(20)
     for d in (2, 3, 5, 7):
         lu = _one_point_lu(d)
@@ -290,7 +323,7 @@ def test_lu_one_point_and_stacked_forms_agree():
             assert one[0] == det_k and one[1] == u.tolist()
             bound = 1e-14 * np.linalg.norm(A_k, 2) * np.linalg.norm(u)
             assert np.linalg.norm(A_k @ u - b) <= bound
-        assert _solve_matrix(None, -A[0], np.zeros(d))[1] == det[0]
+        assert _factor(np.zeros((1, d)), -A[:1], np.zeros((1, d)))[0][0] == det[0]
         assert set(np.sign(det).tolist()) == {-1.0, 1.0}, d
         # ties go to the first candidate row, as LAPACK's idamax picks it
         T = rng.normal(size=(2, d, d))
@@ -353,7 +386,7 @@ def test_one_point_residual_checks_reject_non_finite_entries(name, bad):
     # one non-finite entry of Omega at (i, j) makes entry j of i_V omega
     # non-finite when V_i != 0, and only that entry; the check must fail
     # whichever entry it is (a plain max() over a list skips a NaN that
-    # follows the first entry), in _reeb_ok and in a one-row frame
+    # follows the first entry), in _reeb_rows_ok and in a one-row frame
     scenario = builtin(name)
     S, x = scenario.structure, scenario.base_point()
     names = S.chart.names
@@ -364,12 +397,12 @@ def test_one_point_residual_checks_reject_non_finite_entries(name, bad):
     df = frame.differential(f)
     X = frame.hamiltonian(df)[0]
     i_Z, i_X = int(np.argmax(np.abs(Z))), int(np.argmax(np.abs(X)))
-    assert _reeb_ok(Z, Omega, eta, tol)
+    assert _reeb_rows_ok(Z[None], Omega, eta[None], tol)[0]
     for j in range(len(x)):
         W = Omega.copy()
         W[i_Z, j] = bad
         assert _only_entry_not_finite(Z @ W, j)
-        assert not _reeb_ok(Z, W, eta, tol), j
+        assert not _reeb_rows_ok(Z[None], W, eta[None], tol)[0], j
         fresh = S.frame(x[None])
         fresh.Omega = W[None]
         with pytest.raises(FieldConditionError, match="Reeb conditions violated"):
@@ -990,14 +1023,19 @@ def test_frame_takes_a_point_stack():
 
 
 def _residual_checks(S, df):
-    """Reference: the residual checks at one point, with Z and X from the
-    inverse of A^T; (Reeb verdict, residuals of eta(X_f), i_X omega and
-    eta(Y_f))."""
+    """Reference: the residual checks at one point, with X the inverse of A^T
+    applied to the right-hand side; (Reeb verdict, residuals of eta(X_f),
+    i_X omega and eta(Y_f)).  The inverse M, Z and the Reeb verdict come from
+    the LU factors of A^T, as the structure derives the M, Z and C that its
+    limits are proved for."""
     x0 = np.zeros(S.chart.dim)
     W, e, tol = S.omega.at(x0), S.eta.at(x0), S.tol
-    M = np.linalg.inv(e[:, None] * e - W)
-    Z = M @ e
-    reeb_ok = np.abs(Z @ W).max() <= tol.reeb_check and abs(e @ Z - 1.0) <= tol.reeb_check
+    d = len(e)
+    factor, solve = cosym._lu(d)
+    F = factor((e[:, None] * e - W)[None])[1]
+    M = solve(F, np.eye(d)[None])[0]
+    Z = solve(F, e[None, :, None])[0, :, 0]
+    reeb_ok = bool(_reeb_rows_ok(Z[None], W, e[None], tol.reeb_check)[0])
     rhs = df - (df @ Z) * e
     X = M @ rhs
     return reeb_ok, (abs(e @ X), np.abs(X @ W - rhs).max(), abs(e @ (Z + X) - 1.0))
