@@ -36,16 +36,17 @@ limits on ``||df||`` that cover the rounding at each point
 Flows evaluate a field at one point per stage, and build no ``Frame``.  The
 Reeb, Hamiltonian and evaluation fields run straight-line code from d floats
 to d floats, one function per structure, field kind and scalar, with the
-scalar's jet inlined and a frame row's errors: on a varying structure
-generated from omega's and eta's expressions, with the LU code and the
-residual sums of a frame row on floats (:func:`_one_point_function`); on a
-constant one over the structure's shared data
-(:func:`_constant_point_function`).  They have a frame row's bits wherever
-the row's array code runs no ``np.exp``, ``np.log`` or ``np.power``, as on
-every builtin: the one-point code calls ``math.exp``, ``math.log`` and
-``math.pow`` there, which can differ from numpy's in the last place
-(``exprlang``, "compilation").  The other one-point calls (the gradient
-field, the bracket, Jacobians) solve a one-row ``Frame``.
+scalar's jet inlined and a frame row's stages and errors, all written by one
+generator (:func:`_point_function`).  Only ``Z``, ``X_f`` and how their
+conditions are decided differ between the kinds of structure: a varying one
+solves them with the LU code and checks the residual sums of a frame row on
+floats, generated from omega's and eta's expressions; a constant one reads
+the structure's shared data and its limits on ``||df||``.  They have a frame row's bits
+wherever the row's array code runs no ``np.exp``, ``np.log`` or
+``np.power``, as on every builtin: the one-point code calls ``math.exp``,
+``math.log`` and ``math.pow`` there, which can differ from numpy's in the
+last place (``exprlang``, "compilation").  The other one-point calls (the
+gradient field, the bracket, Jacobians) solve a one-row ``Frame``.
 """
 
 from __future__ import annotations
@@ -225,8 +226,8 @@ class Frame:
     A stage that fails at some rows raises the error of the first of them,
     worded for its point and marked with its ``row``; :func:`map_blocks`
     makes that the first failing row in point order.  No flow stage builds a
-    frame: the flowed fields run :func:`_one_point_function` or
-    :func:`_constant_point_function`, which the tests hold to a frame's rows.
+    frame: the flowed fields run the one-point functions of
+    :func:`_point_function`, which the tests hold to a frame's rows.
     A one-point call that needs a frame solves a one-row frame
     (:func:`_on_rows`).
 
@@ -868,83 +869,119 @@ def _one_point_code(kind: str, scalar, d: int, values=()):
     return lines, names, jet_lines, env
 
 
-def _one_point_function(S: "CosymplecticStructure", kind: str, scalar):
+def _point_function(S: "CosymplecticStructure", kind: str, scalar):
     """``field(x)``: the ``reeb``, ``hamiltonian`` or ``evaluation`` field of
-    the varying structure ``S`` for ``scalar`` (ignored by ``reeb``), as a
+    the structure ``S`` for ``scalar`` (ignored by ``reeb``), as a
     straight-line function from the d floats of a point to the d floats of
-    the field there, generated from omega's, eta's and the scalar's
-    expressions.
+    the field there.
 
     It runs a ``Frame`` row's stages in their order on Python floats, with
-    the row's errors: omega's and eta's components, the entries
-    ``eta_i eta_j - W_ij`` of ``A^T`` and their finiteness, the factors of
-    ``A^T`` (:func:`_lu_code`) and the volume floor on their ``det``, the
-    scalar's differential (:func:`_one_point_code`), ``Z`` and the Reeb
-    conditions, then ``df(Z)`` and its finiteness, ``X_f`` and ``Y_f`` with
-    their conditions.  The factorization and both solves are the frame's
-    code on floats, and every sum -- ``df(Z)``, the contractions and pairings
-    of the residuals -- runs left to right over every term, structural zeros
-    included, as ``Frame`` sums it (:func:`_vecmat`).  So a residual check
-    decides as the frame row's does, even where rounding decides it, and
-    the outputs have the row's bits wherever the row's array code runs no
-    ``np.exp``, ``np.log`` or ``np.power`` (the module docstring).  A
-    non-finite ``Z`` or ``X`` fails its check as under numpy.
+    the row's errors: the volume floor on ``det``, the scalar's differential
+    (:func:`_one_point_code`), ``Z`` and the Reeb conditions, then ``df(Z)``
+    and its finiteness, ``X_f`` and its two conditions, and
+    ``Y_f = Z + X_f`` and its condition.  Only how ``Z`` and ``X_f`` are
+    obtained and how their conditions and ``Y_f``'s are decided depend on
+    the kind of structure:
+
+    * varying: omega's and eta's components (at least one varies, so the
+      ``try`` around their lines is never empty), the entries
+      ``eta_i eta_j - W_ij`` of ``A^T`` and their finiteness and the factors
+      of ``A^T`` (:func:`_lu_code`) come first, generated from the
+      expressions; ``Z`` and ``X_f`` are the frame's solves on floats, and
+      every condition is decided on its residual;
+    * constant: ``Z``, its Reeb verdict, ``C``, the determinant and the
+      limits on ``||df||_inf`` are what the structure derived once
+      (``_constant_data``), bound by name, so the code depends only on the
+      dimension, the kind and the scalar's expression, and a scenario loaded
+      again compiles nothing.  The limits of ``X_f``'s two conditions are
+      checked before ``X_f = C df`` is formed.  A structure that fails
+      to derive ``_constant_data`` gets a function that derives it at each
+      call, so it raises there, as a ``Frame`` does.
+
+    Every sum -- ``df(Z)``, ``C df``, the contractions and pairings of the
+    residuals -- runs left to right over every term, structural zeros
+    included, as ``Frame`` sums it (:func:`_vecmat`).  So a check decides as
+    the frame row's does, even where rounding decides it, and the outputs
+    have the row's bits wherever the row's array code runs no ``np.exp``,
+    ``np.log`` or ``np.power`` (the module docstring).  A non-finite ``Z``
+    or ``X`` fails its check as under numpy.  ``df(Z)`` is not finite
+    exactly where an entry of ``df`` is not, or where it overflows, so its
+    one check also covers a non-finite ``df``.
 
     Flow stages call it, and for an expression scalar it calls no numpy
     function.
     """
     d = S.chart.dim
-    upper = list(S.omega.upper.items())
-    lines, values, gradient, env = _one_point_code(
-        kind, scalar, d, [e for _, e in upper] + list(S.eta.components)
-    )
-    e = values[len(upper):]
-    W = [["0.0"] * d for _ in range(d)]
-    body = ["try:", *(f"    {line}" for line in lines)]
-    body += ["except expr_error as err:", "    raise eval_error(x, err) from err"]
-    for ((i, j), _), v in zip(upper, values):
-        W[i][j], W[j][i] = v, f"n{j}_{i}"
-        body.append(f"n{j}_{i} = -{v}")
-    a = [f"a{i}_{j}" for i in range(d) for j in range(d)]
-    body += [f"a{i}_{j} = {e[i]} * {e[j]} - {W[i][j]}" for i in range(d) for j in range(d)]
-    body.append(f"if not ({' and '.join(f'{n} - {n} == 0.0' for n in a)}):")
-    body.append("    raise not_finite(x, A_NAME)")
+    z, g, r, u, y = ([f"{c}{i}" for i in range(d)] for c in "zgruy")
+    if S._coefficients_constant:
+        try:
+            const = S._constant_data
+        except Exception:
+            return lambda x: S._constant_data
+        lines, _, gradient, env = _one_point_code(kind, scalar, d)
+        head, gradient, z_lines, z_ok = [], lines + gradient, [], "reeb_ok"
+        x_lines = [f"size = max({_vector(f'abs({n})' for n in g)})"]
+        x_ok, y_ok = ("size < limit0", "size < limit1"), "size < limit2"
+        x_after = [f"u{i} = {_dot([f'c{i}_{j}' for j in range(d)], g)}" for i in range(d)]
+        env.update(det=const.det, reeb_ok=const.reeb_ok)
+        env.update(zip(z, const.Z.tolist()))
+        env.update(zip(("limit0", "limit1", "limit2"), const.limits))
+        for i, row in enumerate(const.C.tolist()):
+            env.update((f"c{i}_{j}", c) for j, c in enumerate(row))
+    else:
+        upper = list(S.omega.upper.items())
+        lines, values, gradient, env = _one_point_code(
+            kind, scalar, d, [e for _, e in upper] + list(S.eta.components)
+        )
+        e = values[len(upper):]
+        W = [["0.0"] * d for _ in range(d)]
+        head = ["try:", *(f"    {line}" for line in lines)]
+        head += ["except expr_error as err:", "    raise eval_error(x, err) from err"]
+        for ((i, j), _), v in zip(upper, values):
+            W[i][j], W[j][i] = v, f"n{j}_{i}"
+            head.append(f"n{j}_{i} = -{v}")
+        a = [f"a{i}_{j}" for i in range(d) for j in range(d)]
+        head += [f"a{i}_{j} = {e[i]} * {e[j]} - {W[i][j]}" for i in range(d) for j in range(d)]
+        head.append(f"if not ({' and '.join(f'{n} - {n} == 0.0' for n in a)}):")
+        head.append("    raise not_finite(x, A_NAME)")
+        factor, solve = _lu_code(d)
+        head += factor
 
-    def contraction(v, j: int) -> str:
-        """Entry ``j`` of ``i_V omega``, ``sum_i V_i W[i, j]``."""
-        return _dot(v, [W[i][j] for i in range(d)])
+        def contraction(v, j: int) -> str:
+            """Entry ``j`` of ``i_V omega``, ``sum_i V_i W[i, j]``."""
+            return _dot(v, [W[i][j] for i in range(d)])
 
-    factor, solve = _lu_code(d)
-    body += factor + ["if not abs(det) >= volume_min:", "    raise degenerate(x, det)"]
-    body += gradient
-    z = [f"z{i}" for i in range(d)]
-    reeb_ok = [f"abs({contraction(z, j)}) <= reeb_tol" for j in range(d)]
-    reeb_ok.append(f"abs({_dot(e, z)} - 1.0) <= reeb_tol")
-    body += solve(e, z) + [f"if not ({' and '.join(reeb_ok)}):", "    raise condition(REEB, x)"]
+        reeb_ok = [f"abs({contraction(z, j)}) <= reeb_tol" for j in range(d)]
+        reeb_ok.append(f"abs({_dot(e, z)} - 1.0) <= reeb_tol")
+        z_lines, z_ok = solve(e, z), f"({' and '.join(reeb_ok)})"
+        x_lines = [*(f"r{i} = g{i} - zf * {e[i]}" for i in range(d)), *solve(r, u)]
+        x_ok = (
+            f"abs({_dot(e, u)}) <= reeb_tol",
+            f"({' and '.join(f'abs({contraction(u, j)} - r{j}) <= field_tol' for j in range(d))})",
+        )
+        x_after, y_ok = [], f"abs({_dot(e, y)} - 1.0) <= reeb_tol"
+    body = [*head, "if not abs(det) >= volume_min:", "    raise degenerate(x, det)", *gradient]
+    body += [*z_lines, f"if not {z_ok}:", "    raise condition(REEB, x)"]
     if kind == "reeb":
         body.append(f"return {_vector(z)}")
     else:
-        g, r, u = ([f"{c}{i}" for i in range(d)] for c in "gru")
         body += [
             f"zf = {_dot(g, z)}",
             "if not isfinite(zf):",
             '    raise not_finite(x, f"df(Z) = {zf}")',
-            *(f"r{i} = g{i} - zf * {e[i]}" for i in range(d)),
-            *solve(r, u),
-            f"if not abs({_dot(e, u)}) <= reeb_tol:",
+            *x_lines,
+            f"if not {x_ok[0]}:",
             "    raise condition(X_ETA, x)",
-            "if not ("
-            + " and ".join(f"abs({contraction(u, j)} - r{j}) <= field_tol" for j in range(d))
-            + "):",
+            f"if not {x_ok[1]}:",
             "    raise condition(X_OMEGA, x)",
+            *x_after,
         ]
         if kind == "hamiltonian":
             body.append(f"return {_vector(u)}")
         else:
-            y = [f"y{i}" for i in range(d)]
             body += [
                 *(f"y{i} = z{i} + u{i}" for i in range(d)),
-                f"if not abs({_dot(e, y)} - 1.0) <= reeb_tol:",
+                f"if not {y_ok}:",
                 "    raise condition(Y_ETA, x)",
                 f"return {_vector(y)}",
             ]
@@ -960,79 +997,6 @@ def _one_point_function(S: "CosymplecticStructure", kind: str, scalar):
     return env["field"]
 
 
-def _constant_point_function(S: "CosymplecticStructure", kind: str, scalar):
-    """``field(x)``: the ``reeb``, ``hamiltonian`` or ``evaluation`` field of
-    the constant structure ``S`` for ``scalar`` (ignored by ``reeb``), as a
-    straight-line function from the d floats of a point to the d floats of
-    the field there, over what the structure derived once
-    (``_constant_data``).
-
-    It runs a ``Frame`` row's stages in their order, with the row's errors,
-    and its bits where the scalar's array code runs no ``np.exp``,
-    ``np.log`` or ``np.power`` (the module docstring): the volume floor, the
-    scalar's differential, the Reeb check, ``df(Z)`` and its finiteness, the
-    limits on ``||df||_inf`` in the order of the conditions, then
-    ``X_f = C df`` and ``Y_f = Z + C df``.  The scalar's differential is
-    :func:`_one_point_code`'s.  ``df(Z)`` and ``C df`` are sums over every
-    column, left to right, the order ``Frame`` sums them in
-    (:func:`_vecmat`).  ``df(Z)`` is not
-    finite exactly where an entry of ``df`` is not, or where it overflows,
-    so its one check also covers a non-finite ``df``.
-
-    ``C``, ``Z``, the limits and the determinant are bound by name, so the
-    code depends only on the dimension, the kind and the scalar's
-    expression, and a scenario loaded again compiles nothing.  A structure
-    that fails to derive ``_constant_data`` gets a function that derives it
-    at each call, so it raises there, as a ``Frame`` does.
-    """
-    try:
-        const = S._constant_data
-    except Exception:
-        return lambda x: S._constant_data
-    d = S.chart.dim
-    z, g = [f"z{i}" for i in range(d)], [f"g{i}" for i in range(d)]
-    lines, _, gradient, env = _one_point_code(kind, scalar, d)
-    body = ["if not abs(det) >= volume_min:", "    raise degenerate(x, det)", *lines, *gradient]
-    body += ["if not reeb_ok:", "    raise condition(REEB, x)"]
-    if kind == "reeb":
-        body.append(f"return {_vector(z)}")
-    else:
-        body += [
-            f"zf = {_dot(g, z)}",
-            "if not isfinite(zf):",
-            '    raise not_finite(x, f"df(Z) = {zf}")',
-            f"size = max({_vector(f'abs({n})' for n in g)})",
-            "if not size < limit0:",
-            "    raise condition(X_ETA, x)",
-            "if not size < limit1:",
-            "    raise condition(X_OMEGA, x)",
-            *(f"u{i} = {_dot([f'c{i}_{j}' for j in range(d)], g)}" for i in range(d)),
-        ]
-        u = [f"u{i}" for i in range(d)]
-        if kind == "hamiltonian":
-            body.append(f"return {_vector(u)}")
-        else:
-            body += [
-                "if not size < limit2:",
-                "    raise condition(Y_ETA, x)",
-                f"return {_vector(f'z{i} + u{i}' for i in range(d))}",
-            ]
-    env.update(
-        degenerate=DegenerateStructureError, condition=_condition_error,
-        not_finite=_not_finite, isfinite=math.isfinite, det=const.det,
-        volume_min=S.tol.volume_min_det, reeb_ok=const.reeb_ok,
-        REEB=_REEB_CONDITIONS, X_ETA=_X_CONDITIONS[0], X_OMEGA=_X_CONDITIONS[1],
-        Y_ETA=_Y_CONDITION,
-    )
-    env.update(zip(z, const.Z.tolist()))
-    env.update(zip(("limit0", "limit1", "limit2"), const.limits))
-    for i, row in enumerate(const.C.tolist()):
-        env.update((f"c{i}_{j}", c) for j, c in enumerate(row))
-    src = "def field(x):\n" + "".join(f"    {line}\n" for line in body)
-    exec(exprlang.compiled(src, f"<constant one-point {kind}>"), env)
-    return env["field"]
-
-
 class StructureVectorField:
     """Point-evaluable derived vector field with exact Jacobians.
 
@@ -1041,7 +1005,9 @@ class StructureVectorField:
     ``evaluation`` kinds run their one-point function, from d floats to d
     floats, with a frame row's errors (and its bits where no ``np.exp``,
     ``np.log`` or ``np.power`` runs; the module docstring) and no ``Frame``
-    (``CosymplecticStructure._one_point``), and wrap its value in an array;
+    (:func:`_point_function`, one generator for varying and constant
+    structures, through ``CosymplecticStructure._one_point``), and wrap its
+    value in an array;
     flows call that function on floats directly.  The ``gradient`` kind
     solves a one-row ``Frame``.  ``jacobian`` differentiates the frame's
     solve implicitly, on a one-row frame at one point.  ``on`` and
@@ -1193,19 +1159,14 @@ class CosymplecticStructure:
 
     def _one_point(self, kind: str, scalar):
         """The function from d floats to the d floats of field ``kind`` for
-        ``scalar`` at one point, built on the first request for the kind and
-        scalar (the ``reeb`` kind reads none): :func:`_one_point_function` on
-        a varying structure, :func:`_constant_point_function` on a constant
-        one."""
+        ``scalar`` at one point (:func:`_point_function`), built on the first
+        request for the kind and scalar (the ``reeb`` kind reads none)."""
         if kind == "reeb":
             scalar = None
         fns = self._one_point_fields
         key = kind, id(scalar)
         if key not in fns:
-            build = (
-                _constant_point_function if self._coefficients_constant else _one_point_function
-            )
-            fns[key] = build(self, kind, scalar), scalar
+            fns[key] = _point_function(self, kind, scalar), scalar
         return fns[key][0]
 
     # -- derived quantities ------------------------------------------------

@@ -218,6 +218,15 @@ def test_integrate_bad_field_spec(capsys):
     assert code == 64
 
 
+def test_integrate_hamiltonian_field_of_a_named_integral(capsys):
+    argv = ["integrate", SUPER, "--x0", "0,1,0,0,1", "--tau", "1"]
+    code, payload, _ = run(capsys, *argv, "--field", "ham:L")
+    assert code == 0 and payload["field"] == "ham:L"
+    code, payload, _ = run(capsys, *argv, "--field", "ham:nope")
+    assert code == 64
+    assert payload == {"error": "no integral named 'nope'"}
+
+
 @pytest.mark.parametrize("option, value", [
     ("--tau", "nan"), ("--tau", "inf"), ("--tol", "nan"), ("--tol", "inf"),
 ])

@@ -694,18 +694,22 @@ def test_generated_one_point_fields_read_the_scalar_before_the_reeb_check(name):
         assert "df(Z) = " in want[1] and "is not finite" in want[1]
 
 
-def _counting(monkeypatch, name: str) -> list:
-    """The kinds that ``cosym.<name>(S, kind, ...)`` is called for from now
-    on."""
+def _counting(monkeypatch) -> list:
+    """The (structure, kind) pairs that ``cosym._point_function`` is called
+    for from now on."""
     made = []
-    build = getattr(cosym, name)
+    build = cosym._point_function
 
-    def counting(S, kind, *scalar):
-        made.append(kind)
-        return build(S, kind, *scalar)
+    def counting(S, kind, scalar):
+        made.append((S, kind))
+        return build(S, kind, scalar)
 
-    monkeypatch.setattr(cosym, name, counting)
+    monkeypatch.setattr(cosym, "_point_function", counting)
     return made
+
+
+def _kinds_for(made, S) -> list:
+    return sorted(kind for T, kind in made if T is S)
 
 
 def _call_every_field(S, x, scalars):
@@ -721,28 +725,28 @@ def test_one_point_functions_are_generated_once_per_structure_and_kind(monkeypat
     # reeb function, which reads no scalar) and none for gradient: a varying
     # structure from omega's, eta's and the scalar's expressions, a constant
     # one over _constant_data
-    generated = _counting(monkeypatch, "_one_point_function")
-    built = _counting(monkeypatch, "_constant_point_function")
+    made = _counting(monkeypatch)
     per_scalar = ["evaluation"] * 2 + ["hamiltonian"] * 2 + ["reeb"]
     scenario = builtin("pc-oscillator-2d-super")
     S, x = replace(scenario.structure), scenario.base_point()
     H, L = scenario.system.integrals[:2]
     _call_every_field(S, x, (H, L))
     assert StructureVectorField(S, "reeb", H)._at_point is S._one_point("reeb", None)
-    assert sorted(generated) == per_scalar
+    varying = S
+    assert _kinds_for(made, varying) == per_scalar
     assert StructureVectorField(S, "gradient", H)._at_point is None
     scenario = builtin("ext-oscillator-2d-super")
     S, x = replace(scenario.structure), scenario.base_point()
     assert S._constant_data is not None
     H, L = scenario.system.integrals[:2]
     _call_every_field(S, x, (H, L))
-    assert sorted(built) == per_scalar
+    assert _kinds_for(made, S) == per_scalar
     assert StructureVectorField(S, "gradient", H)._at_point is None
     for vf in _fields(S, [H]):
         assert vf._at_point is not None
         assert np.array_equal(vf(x), vf.on(S.frame([x]))[0])
-    assert sorted(generated) == per_scalar
-    assert sorted(built) == per_scalar
+    assert _kinds_for(made, varying) == per_scalar
+    assert _kinds_for(made, S) == per_scalar
 
 
 @pytest.mark.parametrize("name", ["pc-oscillator-1d", "pc-oscillator-2d-super"])

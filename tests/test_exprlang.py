@@ -56,6 +56,13 @@ def test_empty_source_rejected():
         parse("   ", NAMES)
 
 
+def test_unexpected_character_offset_and_trailing_whitespace():
+    with pytest.raises(ParseError, match="unexpected character '\\$'") as err:
+        parse("q $ p", ["q", "p"])
+    assert err.value.offset == 2
+    assert parse("q + p   ", ["q", "p"]).value([2.0, 3.0]) == 5.0
+
+
 def _hessian(e, x) -> np.ndarray:
     """Hessian at ``x``: the gradients of the symbolic first derivatives."""
     return np.array([differentiate(e, i).jet1(x)[1] for i in range(len(x))])

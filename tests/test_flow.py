@@ -403,3 +403,10 @@ def test_field_not_finite_at_the_start_is_a_flow_error(monkeypatch, bad):
         integrate(field, [0.0, 1.0, 0.0], 1.0, 1e-10)
     assert str(info.value) == f"field is not finite at x0 = [0.0, 1.0, 0.0]: [1.0, {bad}, -1.0]"
     assert len(calls) == 1
+
+
+def test_step_budget_bounds_a_flow(monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_STEPS", 5)
+    S, H = oscillator()
+    with pytest.raises(FlowError, match="exceeded 5 steps"):
+        integrate(S.evaluation_vf(H), [0.0, 1.0, 0.0], 100.0, 1e-10)

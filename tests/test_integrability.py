@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cosymkit.cli import main
-from cosymkit.cosym import ToleranceConfig, make_canonical
+from cosymkit.cosym import FieldConditionError, ToleranceConfig, make_canonical
 from cosymkit.fields import ChartSpec, ScalarField, sample_box
 from cosymkit.integrability import (
     InducedBracket,
@@ -131,6 +132,19 @@ def test_independence_generic_and_singular():
     report = check_independence(sys, [good, origin, aligned])
     assert report.passed  # singular points excluded, not defects
     assert len(report.extra["excluded_points"]) == 2
+
+
+def test_independence_names_the_failing_point_among_all_points():
+    # row 0 is singular (dI = 0) and excluded; the symmetry fields fail at
+    # row 1, where ||dH||_inf = 1e6 is above the constant structure's limit
+    # on eta(X_H) = 0, so the error's row counts the excluded point too
+    S = make_canonical(1, box=BOX1)
+    I = ScalarField.from_source("(q^2 + p^2)/2", CHART1, "I")
+    H = ScalarField.from_source("1e6*(q^2 + p^2)/2", CHART1, "H")
+    sys = IntegralSystem(S, H, (I,), r=1)
+    with pytest.raises(FieldConditionError, match=re.escape("eta(X_f) != 0")) as err:
+        check_independence(sys, [[0.3, 0.0, 0.0], [0.1, 1.0, 0.0]])
+    assert err.value.row == 1
 
 
 def test_independence_vacuous_for_no_integrals():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import jsonschema
 import numpy as np
@@ -90,6 +91,15 @@ def test_schema_rejects_bad_expression():
     data = dict(scenarios.builtin_dict("ext-oscillator-1d"))
     data = {**data, "hamiltonian": "(q^2 +"}
     with pytest.raises(ScenarioFormatError):
+        scenarios.load_scenario_dict(data)
+
+
+def test_period_lattice_must_be_square_of_rank_r_plus_1():
+    # ext-oscillator-1d has r = 1, so its lattice is 2 x 2
+    data = dict(scenarios.builtin_dict("ext-oscillator-1d"))
+    del data["angle_maps"]
+    data["period_lattice"] = [[2 * math.pi]]
+    with pytest.raises(ScenarioFormatError, match=re.escape("must be (2, 2), got (1, 1)")):
         scenarios.load_scenario_dict(data)
 
 
