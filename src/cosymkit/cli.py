@@ -144,6 +144,15 @@ def _validate_section(scenario: Scenario, samples: int, seed: int) -> dict:
     return report.to_dict()
 
 
+def _section_or_error(check) -> dict:
+    """The report of ``check()`` as a section, or a failing section that
+    names the runtime error it raised."""
+    try:
+        return check().to_dict()
+    except _RUNTIME_ERRORS as err:
+        return {"pass": False, "error": str(err)}
+
+
 def _verify_section(scenario: Scenario, points_n: int, seed: int) -> dict:
     sys_ = scenario.system
     rng = np.random.default_rng(seed)
@@ -151,50 +160,28 @@ def _verify_section(scenario: Scenario, points_n: int, seed: int) -> dict:
     # every check of the run reads the same block frames and what they derive
     blocks = FrameBlocks(scenario.structure, points)
     bracket_blocks = FrameBlocks(scenario.structure, points[: max(4, points_n // 8)])
-    sections = {
-        "first_integrals": check_first_integrals(sys_, blocks).to_dict(),
-        "commuting_prefix": check_commuting_prefix(sys_, blocks).to_dict(),
-        "independence": check_independence(sys_, blocks).to_dict(),
-        "symmetry_algebra": check_symmetry_algebra(sys_, bracket_blocks).to_dict(),
-        "fiber_tangency": check_fiber_tangency(sys_, blocks).to_dict(),
+    checks = {
+        "first_integrals": check_first_integrals(sys_, blocks),
+        "commuting_prefix": check_commuting_prefix(sys_, blocks),
+        "independence": check_independence(sys_, blocks),
+        "symmetry_algebra": check_symmetry_algebra(sys_, bracket_blocks),
+        "fiber_tangency": check_fiber_tangency(sys_, blocks),
     }
-    # closure and corank on flow-generated fiber groups
-    base = scenario.base_point()
-    seeds = [base]
-    extra = sample_box(scenario.structure.domain_box, 4, rng)
-    try:
-        singular = check_independence(sys_, extra).extra["excluded_points"]
-        skip = {p["point_index"] for p in singular}
-        seeds += [cand for k, cand in enumerate(extra) if k not in skip][:2]
-    except _RUNTIME_ERRORS:
-        # some candidate raised: try them one at a time, skipping those that raise
-        for cand in extra:
-            if len(seeds) >= 3:
-                break
-            try:
-                if check_independence(sys_, [cand]).extra["regular_points"] == 1:
-                    seeds.append(cand)
-            except _RUNTIME_ERRORS:
-                continue
-    try:
-        groups = [sample_fiber(sys_, s, 3, rng) for s in seeds]
-        induced = bracket_closure_and_corank(sys_, groups, casimirs=scenario.casimirs)
-        sections["induced_bracket"] = induced.to_dict()
-    except _RUNTIME_ERRORS as err:
-        sections["induced_bracket"] = {"pass": False, "error": str(err)}
-    noncommuting = [
-        (i, j)
-        for i in range(sys_.m)
-        for j in range(i + 1, sys_.m)
-        if i >= sys_.r or j >= sys_.r
-    ]
+    sections = {name: report.to_dict() for name, report in checks.items()}
+    # closure and corank on flow-generated fiber groups through the base point
+    # and the first two sample points the independence check found regular
+    singular = [p["point_index"] for p in checks["independence"].extra["excluded_points"]]
+    seeds = [scenario.base_point(), *np.delete(points, singular, axis=0)[:2]]
+    sections["induced_bracket"] = _section_or_error(
+        lambda: bracket_closure_and_corank(
+            sys_, [sample_fiber(sys_, s, 3, rng) for s in seeds], casimirs=scenario.casimirs
+        )
+    )
+    noncommuting = [(i, j) for i in range(sys_.m) for j in range(max(i + 1, sys_.r), sys_.m)]
     if noncommuting:
-        try:
-            sections["bracket_of_integrals"] = check_bracket_of_integrals(
-                sys_, noncommuting, bracket_blocks
-            ).to_dict()
-        except _RUNTIME_ERRORS as err:
-            sections["bracket_of_integrals"] = {"pass": False, "error": str(err)}
+        sections["bracket_of_integrals"] = _section_or_error(
+            lambda: check_bracket_of_integrals(sys_, noncommuting, bracket_blocks)
+        )
     ok = all(section["pass"] for section in sections.values())
     return {"pass": ok, "checks": sections}
 

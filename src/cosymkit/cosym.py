@@ -782,11 +782,15 @@ def _over_blocks(n: int, run):
     """``run(i, k)``, a computation on the first ``k`` rows of the block that
     starts at row ``i`` of a stack of ``n`` rows, run on all rows of every
     block of ``BLOCK_ROWS`` and concatenated; a failing block raises the error of its first failing row
-    (:func:`_first_failure`)."""
-    parts = [
-        _first_failure(lambda k, i=i: run(i, k), min(BLOCK_ROWS, n - i))
-        for i in range(0, max(n, 1), BLOCK_ROWS)
-    ]
+    (:func:`_first_failure`), with ``row`` counted from the start of the stack."""
+    parts = []
+    for i in range(0, max(n, 1), BLOCK_ROWS):
+        try:
+            parts.append(_first_failure(lambda k: run(i, k), min(BLOCK_ROWS, n - i)))
+        except _ROW_ERRORS as err:
+            if getattr(err, "row", None) is not None:
+                err.row += i
+            raise
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)

@@ -652,6 +652,24 @@ def test_pendulum_actions_and_b_match_the_closed_forms(E):
     assert torus.derivative_rank == sys.r
 
 
+PC_PENDULUM = Path(__file__).parent / "data" / "pc-pendulum.json"
+
+
+@pytest.mark.parametrize("E", [-0.5, 0.0, 0.6])
+def test_pc_pendulum_actions_and_b_match_the_closed_forms(E):
+    # the pendulum in the Poincare-Cartan framing: omega = dq ^ dp + dH ^ dt
+    # varies with q through sin(q), the primitive is p dq - H dt, and the
+    # t cycle's action is -E; the phase action and b are the flat framing's
+    sc = load_scenario_file(PC_PENDULUM)
+    sys = sc.system
+    torus = fiber_torus(sys, [E], sc.angle_maps, seed=sc.base_point())
+    action, b00 = _pendulum_action_and_b(E)
+    assert abs(torus.actions[0] - action) <= 1e-10
+    assert abs(torus.actions[1] + E) <= 1e-10
+    assert abs(torus.b[0, 0] - b00) <= 1e-9
+    assert torus.derivative_rank == sys.r
+
+
 def test_pendulum_torus_continues_across_fibers():
     # the lattice at each fiber starts from the one before, with no angle
     # seeds, across six fibers from E = -0.5 to 0.6

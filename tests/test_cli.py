@@ -725,37 +725,58 @@ def test_cli_import_does_not_load_scipy():
     assert child.stdout.strip() == "[]"
 
 
-def test_verify_tries_its_fiber_seed_candidates_as_one_stack(capsys, monkeypatch):
-    # the four candidates of the induced-bracket fibers go through one
-    # independence check; only where that call raises are they tried one at
-    # a time, and a candidate that raises then is skipped
+def test_verify_seeds_its_fibers_with_regular_sample_points(capsys, monkeypatch):
+    # one independence check, over the sample, decides which sample points
+    # are regular; the induced bracket's fiber groups start at the base point
+    # and at the first two of them, and no further point is drawn
     from cosymkit import cli
-    from cosymkit.cosym import StructureEvalError
 
-    check, calls, raising = cli.check_independence, [], []
+    calls, starts = [], []
+    check, box, fiber = cli.check_independence, cli.sample_box, cli.sample_fiber
 
     def counting(sys_, points):
-        X = np.asarray(getattr(points, "x", points))
-        calls.append(len(X))
-        if any(np.array_equal(X, bad) for bad in raising):
-            raise StructureEvalError(X[0], ValueError("raised on purpose"))
+        calls.append(len(points.x))
         return check(sys_, points)
 
+    def singular_first(domain, n, rng):
+        X = box(domain, n, rng)
+        X[0, 1:] = 0.0  # q = p = 0, where dH vanishes
+        return X
+
+    def recording(sys_, x0, count, rng):
+        starts.append(np.asarray(x0))
+        return fiber(sys_, x0, count, rng)
+
     monkeypatch.setattr(cli, "check_independence", counting)
-    code, payload, want = run(capsys, "verify", SUPER, "--seed", "4")
-    assert code == 0 and payload["report"]["checks"]["induced_bracket"]["pass"]
-    assert calls == [120, 4]
-    candidates = cli.sample_box(
-        load_scenario_dict(builtin_dict("ext-oscillator-2d-super")).structure.domain_box,
-        124,
-        np.random.default_rng(4),
-    )[120:]
-    raising.append(candidates)
-    calls.clear()
-    assert run(capsys, "verify", SUPER, "--seed", "4")[2] == want
-    assert calls == [120, 4, 1, 1]
-    raising.append(candidates[:1])
-    calls.clear()
-    code, payload, _ = run(capsys, "verify", SUPER, "--seed", "4")
-    assert code == 0 and payload["report"]["checks"]["induced_bracket"]["fibers"] == 3
-    assert calls == [120, 4, 1, 1, 1]
+    monkeypatch.setattr(cli, "sample_box", singular_first)
+    monkeypatch.setattr(cli, "sample_fiber", recording)
+    code, payload, _ = run(capsys, "verify", OSC, "--seed", "4")
+    assert code == 0 and calls == [120]
+    checks = payload["report"]["checks"]
+    assert checks["independence"]["excluded_points"][0]["point_index"] == 0
+    scenario = load_scenario_dict(builtin_dict("ext-oscillator-1d"))
+    sample = singular_first(scenario.structure.domain_box, 120, np.random.default_rng(4))
+    assert np.array_equal(np.stack(starts), [scenario.base_point(), *sample[1:3]])
+    assert checks["induced_bracket"]["fibers"] == 3
+    # a sample with fewer than two regular points seeds fewer fibers: none
+    # with the one point singular, one with it drawn from the box
+    for regular in (0, 1):
+        if regular:
+            monkeypatch.setattr(cli, "sample_box", box)
+        code, payload, _ = run(capsys, "verify", OSC, "--points", "1")
+        checks = payload["report"]["checks"]
+        assert code == 0 and checks["independence"]["regular_points"] == regular
+        assert checks["induced_bracket"]["fibers"] == 1 + regular
+
+
+def test_pc_pendulum_passes_every_check(capsys):
+    # a varying structure with a transcendental coefficient, omega's
+    # t,q entry -sin(q), through the generated LU code of every command
+    path = str(Path(__file__).parent / "data" / "pc-pendulum.json")
+    for argv in (
+        ["validate", path, "--seed", "3"],
+        ["verify", path, "--points", "1500", "--seed", "3"],
+        ["report", path, "--all", "--seed", "5"],
+    ):
+        code, payload, _ = run(capsys, *argv)
+        assert code == 0 and payload["scenario"] == "pc-pendulum", argv

@@ -585,6 +585,18 @@ def test_pointwise_checks_build_no_frames(monkeypatch, name):
         assert rows == want[check], check
 
 
+def test_block_error_names_its_row_in_the_stack(monkeypatch):
+    # a row failing in the second block of four is row 6 of the stack, as
+    # the error's point says and as every reader of ``row`` counts it
+    monkeypatch.setattr(cosym, "BLOCK_ROWS", 4)
+    sys = builtin("ext-oscillator-1d").system
+    pts = sample_box(sys.structure.domain_box, 10, np.random.default_rng(6))
+    pts[6, 1] = math.nan
+    err = _error_of(lambda: check_first_integrals(sys, pts))
+    assert type(err) is StructureEvalError and err.row == 6
+    assert np.array_equal(err.point, pts[6], equal_nan=True)
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_verify_builds_each_block_frame_once(monkeypatch, capsys, name):
     rows = _counting_frames(monkeypatch)
@@ -592,9 +604,9 @@ def test_verify_builds_each_block_frame_once(monkeypatch, capsys, name):
     assert cli_main(["verify", str(builtin_file_path(name)), "--points", "500"]) == 0
     capsys.readouterr()
     # the blocks of the points, once for all five point checks; the 62
-    # bracket points, for the Lie check and the brackets of integrals; one
-    # frame for the four fiber seed candidates; a frame per fiber group of 3
-    assert rows == [200, 200, 100, 62, 4, 3, 3, 3]
+    # bracket points, for the Lie check and the brackets of integrals; a
+    # frame per fiber group of 3, seeded by points the checks have read
+    assert rows == [200, 200, 100, 62, 3, 3, 3]
 
 
 @pytest.mark.parametrize("name", builtin_names())
